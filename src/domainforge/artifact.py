@@ -1,0 +1,111 @@
+"""The on-disk envelope shared by the store, index, and checkpoint files.
+
+An artifact is ``magic | body length (<Q) | body | BLAKE2b-64 digest``, the
+digest covering every byte before it.  A reader checks the magic, then that
+the file holds the declared length (``TruncatedArtifactError``), then the
+digest (``ChecksumMismatchError``), and only then parses the body; a body
+that passes the digest but does not parse is a ``TruncatedArtifactError``
+too.  A write goes to a sibling temp file that replaces the target only once
+it is complete, so an interrupted write leaves the old file in place.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import struct
+from pathlib import Path
+from typing import Callable, TypeVar
+
+from .errors import ChecksumMismatchError, MagicMismatchError, TruncatedArtifactError
+
+_DIGEST_SIZE = 8
+_LENGTH = struct.Struct("<Q")
+# What a parser can raise on a body that passed the checksum but was not
+# written by the matching saver (e.g. a config JSON with n_heads = 0).
+_PARSE_ERRORS = (ValueError, KeyError, TypeError, ArithmeticError, struct.error)
+
+T = TypeVar("T")
+
+
+def write_artifact(path: str | Path, magic: bytes, body: bytes | bytearray) -> None:
+    """Frame ``body`` under ``magic`` and replace ``path`` with the result."""
+    path = Path(path)
+    head = magic + _LENGTH.pack(len(body))
+    digest = hashlib.blake2b(head, digest_size=_DIGEST_SIZE)
+    digest.update(body)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(head)
+            fh.write(body)
+            fh.write(digest.digest())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def read_artifact(path: str | Path, magic: bytes) -> memoryview:
+    """Verify magic, declared length, and checksum; return the body."""
+    path = Path(path)
+    data = memoryview(path.read_bytes())
+    if data[: len(magic)] != magic[: len(data)]:
+        raise MagicMismatchError(path, f"expected magic {magic!r}")
+    head_len = len(magic) + _LENGTH.size
+    if len(data) < head_len:
+        raise TruncatedArtifactError(path, f"file ends at byte {len(data)}, inside the header")
+    (length,) = _LENGTH.unpack_from(data, len(magic))
+    end = head_len + length
+    if len(data) < end + _DIGEST_SIZE:
+        raise TruncatedArtifactError(
+            path, f"header declares a {length}-byte body but the file holds {len(data)} bytes"
+        )
+    # a trailing surplus also lands here: the "digest" is then longer than 8 bytes
+    if hashlib.blake2b(data[:end], digest_size=_DIGEST_SIZE).digest() != data[end:]:
+        raise ChecksumMismatchError(path, "checksum mismatch")
+    return data[head_len:end]
+
+
+def pack_text(text: str) -> bytes:
+    """A length-prefixed UTF-8 string, as :meth:`Cursor.text` reads it."""
+    raw = text.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+class Cursor:
+    """Sequential reader over an artifact body; a short or malformed read
+    raises ``ValueError`` (or ``struct.error``), which :func:`load_artifact`
+    reports as a ``TruncatedArtifactError``."""
+
+    def __init__(self, body: memoryview):
+        self.body = body
+        self.pos = 0
+
+    def take(self, n: int) -> memoryview:
+        if not 0 <= n <= len(self.body) - self.pos:
+            raise ValueError(f"needed {n} bytes at body offset {self.pos}, body ends early")
+        chunk = self.body[self.pos : self.pos + n]
+        self.pos += n
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self) -> str:
+        (n,) = self.unpack("<I")
+        return str(self.take(n), "utf-8")
+
+    def done(self) -> None:
+        if self.pos != len(self.body):
+            raise ValueError(f"{len(self.body) - self.pos} trailing bytes after the body")
+
+
+def load_artifact(path: str | Path, magic: bytes, parse: Callable[[Cursor], T]) -> T:
+    """Read and verify an artifact, then parse its whole body with ``parse``."""
+    cursor = Cursor(read_artifact(path, magic))
+    try:
+        result = parse(cursor)
+        cursor.done()
+    except _PARSE_ERRORS as exc:
+        raise TruncatedArtifactError(path, f"malformed body: {exc}") from exc
+    return result

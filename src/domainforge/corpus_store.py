@@ -1,28 +1,27 @@
-"""Corpus ingestion: text cleaning, tokenization, and the line-record store format.
+"""Corpus ingestion: text cleaning, tokenization, and the store format.
 
-A store file is UTF-8 text: a magic first line, one tab-separated record per
-document (tabs/newlines inside fields are escaped), and a footer line carrying
-document count, total token count, tokenizer id, and a 64-bit checksum of all
-preceding bytes.
+A store file is an artifact envelope (see ``artifact.py``) under magic
+``DFSTORE1`` whose body holds the document count, the total token count, and
+the tokenizer id, then each document as doc id, token count, title, and text
+(the strings length-prefixed UTF-8).
 """
 
 from __future__ import annotations
 
-import hashlib
+import json
 import re
+import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Any, Callable, Iterator, Protocol, Sequence, TypeVar
 
-from .errors import (
-    ChecksumMismatchError,
-    DuplicateSourceIdError,
-    MagicMismatchError,
-    TruncatedArtifactError,
-)
+from .artifact import Cursor, load_artifact, pack_text, write_artifact
+from .errors import DuplicateSourceIdError
 
-STORE_MAGIC = "DFSTORE1"
+STORE_MAGIC = b"DFSTORE1"
 DEFAULT_MIN_TOKENS = 10
+
+T = TypeVar("T")
 
 # ---------------------------------------------------------------------------
 # Cleaning
@@ -136,7 +135,7 @@ def get_tokenizer(tokenizer_id: str) -> Tokenizer:
     try:
         return _TOKENIZERS[tokenizer_id]
     except KeyError:
-        raise KeyError(f"unknown tokenizer_id: {tokenizer_id!r}") from None
+        raise ValueError(f"unknown tokenizer_id: {tokenizer_id!r}") from None
 
 
 register_tokenizer(CjkCharTokenizer())
@@ -231,117 +230,72 @@ def ingest(
 # ---------------------------------------------------------------------------
 # Persistence
 
-_FOOTER_PREFIX = "#footer"
-
-
-def _escape(field: str) -> str:
-    return (
-        field.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-    )
-
-
-def _unescape(field: str) -> str:
-    out: list[str] = []
-    it = iter(field)
-    for ch in it:
-        if ch != "\\":
-            out.append(ch)
-            continue
-        nxt = next(it, "")
-        out.append({"t": "\t", "n": "\n", "r": "\r", "\\": "\\"}.get(nxt, nxt))
-    return "".join(out)
-
-
-def _checksum(data: bytes) -> str:
-    return hashlib.blake2b(data, digest_size=8).hexdigest()
-
-
 def save_store(store: CorpusStore, path: str | Path) -> None:
     """Write a store file; identical stores produce byte-identical files."""
-    lines = [STORE_MAGIC]
+    body = bytearray(struct.pack("<QQ", len(store.documents), store.total_tokens))
+    body += pack_text(store.tokenizer_id)
     for doc in store.documents:
-        lines.append(
-            f"{doc.doc_id}\t{_escape(doc.title)}\t{_escape(doc.text)}\t{doc.token_count}"
+        body += struct.pack("<QQ", doc.doc_id, doc.token_count)
+        body += pack_text(doc.title)
+        body += pack_text(doc.text)
+    write_artifact(path, STORE_MAGIC, body)
+
+
+def _parse_store(cursor: Cursor) -> CorpusStore:
+    count, total = cursor.unpack("<QQ")
+    tokenizer_id = cursor.text()
+    docs: list[Document] = []
+    for i in range(count):
+        doc_id, token_count = cursor.unpack("<QQ")
+        if doc_id != i:
+            raise ValueError(f"doc_id gap at position {i}")
+        docs.append(
+            Document(
+                doc_id=doc_id,
+                title=cursor.text(),
+                text=cursor.text(),
+                token_count=token_count,
+            )
         )
-    body = ("\n".join(lines) + "\n").encode("utf-8")
-    footer = (
-        f"{_FOOTER_PREFIX}\t{len(store.documents)}\t{store.total_tokens}"
-        f"\t{_escape(store.tokenizer_id)}\t{_checksum(body)}\n"
-    )
-    Path(path).write_bytes(body + footer.encode("utf-8"))
+    store = CorpusStore(documents=tuple(docs), tokenizer_id=tokenizer_id)
+    if store.total_tokens != total:
+        raise ValueError(f"declares {total} tokens, found {store.total_tokens}")
+    return store
 
 
 def load_store(path: str | Path) -> CorpusStore:
     """Read a store file, verifying magic, completeness, and checksum."""
-    path = Path(path)
-    data = path.read_bytes()
-    text = data.decode("utf-8")
-    lines = text.split("\n")
-    if not lines or lines[0] != STORE_MAGIC:
-        raise MagicMismatchError(path, f"expected magic {STORE_MAGIC!r}")
-    if lines[-1] == "":
-        lines = lines[:-1]
-    if len(lines) < 2 or not lines[-1].startswith(_FOOTER_PREFIX + "\t"):
-        raise TruncatedArtifactError(path, "missing footer record")
+    return load_artifact(path, STORE_MAGIC, _parse_store)
 
-    footer_fields = lines[-1].split("\t")
-    if len(footer_fields) != 5:
-        raise TruncatedArtifactError(path, "malformed footer record")
-    _, count_s, total_s, tok_id_esc, checksum = footer_fields
-    footer_len = len(lines[-1].encode("utf-8"))
-    if data.endswith(b"\n"):
-        footer_len += 1
-    body = data[: len(data) - footer_len]
-    if _checksum(body) != checksum:
-        raise ChecksumMismatchError(path, "store body checksum mismatch")
 
-    docs: list[Document] = []
-    for line in lines[1:-1]:
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise TruncatedArtifactError(path, f"malformed record: {line[:60]!r}")
-        docs.append(
-            Document(
-                doc_id=int(fields[0]),
-                title=_unescape(fields[1]),
-                text=_unescape(fields[2]),
-                token_count=int(fields[3]),
-            )
-        )
-    if len(docs) != int(count_s):
-        raise TruncatedArtifactError(
-            path, f"footer declares {count_s} documents, found {len(docs)}"
-        )
-    store = CorpusStore(documents=tuple(docs), tokenizer_id=_unescape(tok_id_esc))
-    if store.total_tokens != int(total_s):
-        raise TruncatedArtifactError(
-            path, f"footer declares {total_s} tokens, found {store.total_tokens}"
-        )
-    for i, doc in enumerate(docs):
-        if doc.doc_id != i:
-            raise TruncatedArtifactError(path, f"doc_id gap at position {i}")
-    return store
+def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> list[T]:
+    """Apply ``parse`` to each object line of a JSON-lines file, skipping
+    blank lines.  Bad JSON, a non-object line, a missing field, or a value
+    ``parse`` rejects raises ``ValueError`` naming the file and line."""
+    out: list[T] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                out.append(parse(obj))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return out
 
 
 def load_raw_records(path: str | Path) -> list[RawRecord]:
     """Read raw records from a JSON-lines file with source_id/title/body fields."""
-    import json
-
-    records: list[RawRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            records.append(
-                RawRecord(
-                    source_id=str(obj["source_id"]),
-                    title=str(obj.get("title", "")),
-                    body=str(obj["body"]),
-                )
-            )
-    return records
+    return read_jsonl(
+        path,
+        lambda obj: RawRecord(
+            source_id=str(obj["source_id"]),
+            title=str(obj.get("title", "")),
+            body=str(obj["body"]),
+        ),
+    )

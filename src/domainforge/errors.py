@@ -20,7 +20,8 @@ class MagicMismatchError(ArtifactError):
 
 
 class TruncatedArtifactError(ArtifactError):
-    """File ended before the declared content was complete."""
+    """File ended before the declared content was complete, or its
+    checksum-valid body does not parse as the declared format."""
 
 
 class ChecksumMismatchError(ArtifactError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .corpus_store import Tokenizer
+from .corpus_store import Tokenizer, read_jsonl
 from .lora_model import (
     BOS_ID,
     EOS_ID,
@@ -224,14 +224,16 @@ def save_exam(items: Iterable[McqItem], path: str | Path) -> None:
                           encoding="utf-8")
 
 
+def _parse_item(obj: dict) -> McqItem:
+    texts = [str(text) for text in obj["options"]]
+    if len(texts) > len(OPTION_LABELS):
+        raise ValueError(f"need {MIN_OPTIONS}..{MAX_OPTIONS} options, got {len(texts)}")
+    return McqItem(
+        stem=str(obj["stem"]),
+        options=tuple(zip(OPTION_LABELS, texts)),
+        gold=str(obj["gold"]),
+    )
+
+
 def load_exam(path: str | Path) -> list[McqItem]:
-    items = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        options = tuple(
-            (OPTION_LABELS[i], text) for i, text in enumerate(obj["options"])
-        )
-        items.append(McqItem(stem=obj["stem"], options=options, gold=obj["gold"]))
-    return items
+    return read_jsonl(path, _parse_item)

@@ -5,13 +5,13 @@ at init.  The decoder (embeddings, pre-norm attention + feed-forward blocks,
 causal mask) is plain numpy with hand-derived reverse-mode gradients; the
 finite-difference suite in the trainer is the correctness contract.
 
-Also home to the token vocabulary and the binary checkpoint format
-(magic ``DFCKPT1``, named float32 tensors in declaration order).
+Also home to the token vocabulary and the checkpoint format: an artifact
+envelope (see ``artifact.py``) under magic ``DFCKPT1`` whose body holds the
+phase tag, step, config JSON, and named float32 tensors in declaration order.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -22,8 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifact import Cursor, load_artifact, pack_text, write_artifact
 from .corpus_store import Tokenizer, _is_cjk
-from .errors import ChecksumMismatchError, MagicMismatchError, TruncatedArtifactError
+from .errors import MagicMismatchError
 
 CHECKPOINT_MAGIC = b"DFCKPT1"
 PHASES = ("init", "pretrain", "sft")
@@ -777,10 +778,6 @@ def load_vocab(path: str | Path) -> Vocab:
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-def _checksum(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=8).digest()
-
-
 def save_checkpoint(
     path: str | Path,
     state: ModelState,
@@ -788,32 +785,24 @@ def save_checkpoint(
     step: int = 0,
     opt_state: Mapping[str, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> None:
-    """Write magic, phase tag, step, config, then float32 tensors in
-    declaration order (optimizer moments, when present, follow as
-    ``opt.m.<name>`` / ``opt.v.<name>``)."""
+    """Write phase tag, step, config, then float32 tensors in declaration
+    order (optimizer moments, when present, follow as ``opt.m.<name>`` /
+    ``opt.v.<name>``)."""
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    phase_b = phase.encode("utf-8")
-    out += struct.pack("<I", len(phase_b))
-    out += phase_b
-    out += struct.pack("<Q", step)
-    cfg_b = state.config.to_json().encode("utf-8")
-    out += struct.pack("<I", len(cfg_b))
-    out += cfg_b
+    body = bytearray()
+    body += pack_text(phase)
+    body += struct.pack("<Q", step)
+    body += pack_text(state.config.to_json())
 
     def emit(name: str, arr: np.ndarray) -> None:
-        name_b = name.encode("utf-8")
-        out_local = struct.pack("<I", len(name_b)) + name_b
-        out_local += struct.pack("<I", arr.ndim)
-        out_local += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        out.extend(out_local)
-        out.extend(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        body.extend(pack_text(name))
+        body.extend(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+        body.extend(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
     names = param_names(state.config)
     count = len(names) + 2 * len(opt_state or {})
-    out += struct.pack("<I", count)
+    body += struct.pack("<I", count)
     for name in names:
         emit(name, state.params[name])
     if opt_state:
@@ -822,68 +811,32 @@ def save_checkpoint(
                 m, v = opt_state[name]
                 emit(f"opt.m.{name}", m)
                 emit(f"opt.v.{name}", v)
-    out += _checksum(bytes(out))
-    Path(path).write_bytes(bytes(out))
+    write_artifact(path, CHECKPOINT_MAGIC, body)
 
 
-def load_checkpoint(path: str | Path):
-    """Returns (state, phase, step, opt_state); verifies magic and checksum.
-
-    Structural parsing runs before checksum verification so a chopped file
-    reports truncation rather than a checksum failure.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    if len(data) < len(CHECKPOINT_MAGIC) + 8:
-        raise TruncatedArtifactError(path, "file too short for a checkpoint")
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise MagicMismatchError(path, f"expected magic {CHECKPOINT_MAGIC!r}")
-
-    pos = len(CHECKPOINT_MAGIC)
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data) - 8:
-            raise TruncatedArtifactError(path, f"short read at offset {pos}")
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    def unpack(fmt: str):
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    (phase_len,) = unpack("<I")
-    phase = take(phase_len).decode("utf-8")
+def _parse_checkpoint(cursor: Cursor):
+    phase = cursor.text()
     if phase not in PHASES:
-        raise TruncatedArtifactError(path, f"unknown phase tag {phase!r}")
-    (step,) = unpack("<Q")
-    (cfg_len,) = unpack("<I")
-    config = ModelConfig.from_json(take(cfg_len).decode("utf-8"))
-    (count,) = unpack("<I")
+        raise ValueError(f"unknown phase tag {phase!r}")
+    (step,) = cursor.unpack("<Q")
+    config = ModelConfig.from_json(cursor.text())
+    (count,) = cursor.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = unpack("<I")
-        name = take(name_len).decode("utf-8")
-        (ndim,) = unpack("<I")
-        shape = unpack(f"<{ndim}Q") if ndim else ()
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = take(4 * size)
+        name = cursor.text()
+        (ndim,) = cursor.unpack("<I")
+        shape = cursor.unpack(f"<{ndim}Q")
+        raw = cursor.take(4 * math.prod(shape))
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    if pos != len(data) - 8:
-        raise TruncatedArtifactError(path, "trailing bytes after tensors")
-    if _checksum(data[:-8]) != data[-8:]:
-        raise ChecksumMismatchError(path, "checkpoint checksum mismatch")
 
     params: dict[str, np.ndarray] = {}
     for name in param_names(config):
         if name not in tensors:
-            raise TruncatedArtifactError(path, f"missing tensor {name!r}")
+            raise ValueError(f"missing tensor {name!r}")
         arr = tensors.pop(name)
         expected = _expected_shape(config, name)
         if arr.shape != expected:
-            raise TruncatedArtifactError(
-                path, f"tensor {name!r} has shape {arr.shape}, expected {expected}"
-            )
+            raise ValueError(f"tensor {name!r} has shape {arr.shape}, expected {expected}")
         params[name] = arr
     opt_state: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name in list(tensors):
@@ -891,10 +844,16 @@ def load_checkpoint(path: str | Path):
             base = name[len("opt.m."):]
             v_name = f"opt.v.{base}"
             if v_name not in tensors:
-                raise TruncatedArtifactError(path, f"missing tensor {v_name!r}")
+                raise ValueError(f"missing tensor {v_name!r}")
             opt_state[base] = (tensors.pop(name), tensors.pop(v_name))
     for name in tensors:
         if not name.startswith("opt.v."):
-            raise TruncatedArtifactError(path, f"unexpected tensor {name!r}")
+            raise ValueError(f"unexpected tensor {name!r}")
     state = ModelState(config=config, params=params, dtype=np.dtype(np.float32))
     return state, phase, step, opt_state
+
+
+def load_checkpoint(path: str | Path):
+    """Returns (state, phase, step, opt_state); verifies magic, completeness,
+    and checksum."""
+    return load_artifact(path, CHECKPOINT_MAGIC, _parse_checkpoint)

@@ -1,30 +1,24 @@
 """Inverted index, BM25 scoring against the weight-expanded query, and
 budgeted corpus selection.
 
-The index file is a versioned little-endian binary: magic ``DFIDX1``, corpus
-stats, per-document lengths, a length-prefixed term dictionary with
-delta-encoded postings, and a trailing 64-bit checksum.
+The index file is an artifact envelope (see ``artifact.py``) under magic
+``DFIDX1`` whose little-endian body holds the corpus stats, per-document
+lengths, and a length-prefixed term dictionary with delta-encoded postings.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, Mapping
 
+from .artifact import Cursor, load_artifact, pack_text, write_artifact
 from .corpus_store import CorpusStore, Document, get_tokenizer
-from .errors import (
-    ChecksumMismatchError,
-    EmptyCorpusError,
-    MagicMismatchError,
-    NoPositiveScoreError,
-    SelectionBudgetError,
-    TruncatedArtifactError,
-)
+from .errors import EmptyCorpusError, NoPositiveScoreError, SelectionBudgetError
 from .keyword_extract import DomainKeywordSet
 
 INDEX_MAGIC = b"DFIDX1"
@@ -252,92 +246,37 @@ def select_corpus(
 # ---------------------------------------------------------------------------
 # Persistence
 
-def _checksum(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=8).digest()
-
-
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write the versioned binary index; saves are byte-deterministic."""
-    out = bytearray()
-    out += INDEX_MAGIC
-    out += struct.pack("<Q", index.num_docs)
-    out += struct.pack("<ddd", index.avgdl, index.k1, index.b)
-    tok_id = index.tokenizer_id.encode("utf-8")
-    out += struct.pack("<I", len(tok_id))
-    out += tok_id
-    for length in index.doc_lengths:
-        out += struct.pack("<Q", length)
-    out += struct.pack("<Q", len(index.postings))
+    body = bytearray()
+    body += struct.pack("<Q", index.num_docs)
+    body += struct.pack("<ddd", index.avgdl, index.k1, index.b)
+    body += pack_text(index.tokenizer_id)
+    body += struct.pack(f"<{index.num_docs}Q", *index.doc_lengths)
+    body += struct.pack("<Q", len(index.postings))
     for term in sorted(index.postings):
-        term_bytes = term.encode("utf-8")
         plist = index.postings[term]
-        out += struct.pack("<I", len(term_bytes))
-        out += term_bytes
-        out += struct.pack("<Q", len(plist))
+        body += pack_text(term)
+        body += struct.pack("<Q", len(plist))
         prev = 0
         for doc_id, tf in plist:
-            out += struct.pack("<II", doc_id - prev, tf)
+            body += struct.pack("<II", doc_id - prev, tf)
             prev = doc_id
-    out += _checksum(bytes(out))
-    Path(path).write_bytes(bytes(out))
+    write_artifact(path, INDEX_MAGIC, body)
 
 
-class _Reader:
-    def __init__(self, data: bytes, path: Path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedArtifactError(
-                self.path, f"needed {n} bytes at offset {self.pos}, file ends early"
-            )
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def load_index(path: str | Path) -> InvertedIndex:
-    """Read an index file, verifying magic and trailing checksum.
-
-    Structural parsing runs before checksum verification so a chopped file
-    reports truncation rather than a checksum failure.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    if len(data) < len(INDEX_MAGIC) + 8:
-        raise TruncatedArtifactError(path, "file too short for an index")
-    if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
-        raise MagicMismatchError(path, f"expected magic {INDEX_MAGIC!r}")
-
-    reader = _Reader(data[:-8], path)
-    reader.take(len(INDEX_MAGIC))
-    (num_docs,) = reader.unpack("<Q")
-    avgdl, k1, b = reader.unpack("<ddd")
-    (tok_len,) = reader.unpack("<I")
-    tokenizer_id = reader.take(tok_len).decode("utf-8")
-    doc_lengths = [reader.unpack("<Q")[0] for _ in range(num_docs)]
-    (num_terms,) = reader.unpack("<Q")
+def _parse_index(cursor: Cursor) -> InvertedIndex:
+    (num_docs,) = cursor.unpack("<Q")
+    avgdl, k1, b = cursor.unpack("<ddd")
+    tokenizer_id = cursor.text()
+    doc_lengths = list(cursor.unpack(f"<{num_docs}Q"))
+    (num_terms,) = cursor.unpack("<Q")
     postings: dict[str, list[tuple[int, int]]] = {}
     for _ in range(num_terms):
-        (term_len,) = reader.unpack("<I")
-        term = reader.take(term_len).decode("utf-8")
-        (plen,) = reader.unpack("<Q")
-        plist: list[tuple[int, int]] = []
-        doc_id = 0
-        for _ in range(plen):
-            delta, tf = reader.unpack("<II")
-            doc_id += delta
-            plist.append((doc_id, tf))
-        postings[term] = plist
-    if reader.pos != len(reader.data):
-        raise TruncatedArtifactError(path, "trailing bytes after postings")
-    if _checksum(data[:-8]) != data[-8:]:
-        raise ChecksumMismatchError(path, "index checksum mismatch")
+        term = cursor.text()
+        (plen,) = cursor.unpack("<Q")
+        pairs = cursor.unpack(f"<{2 * plen}I")
+        postings[term] = list(zip(accumulate(pairs[0::2]), pairs[1::2]))
     return InvertedIndex(
         postings=postings,
         doc_lengths=doc_lengths,
@@ -346,6 +285,11 @@ def load_index(path: str | Path) -> InvertedIndex:
         b=b,
         tokenizer_id=tokenizer_id,
     )
+
+
+def load_index(path: str | Path) -> InvertedIndex:
+    """Read an index file, verifying magic, completeness, and checksum."""
+    return load_artifact(path, INDEX_MAGIC, _parse_index)
 
 
 def save_provenance(selection: CorpusSelection, path: str | Path) -> None:

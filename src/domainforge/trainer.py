@@ -9,7 +9,6 @@ checkpoint at epoch boundaries without changing the result.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus_store import Tokenizer
+from .corpus_store import Tokenizer, read_jsonl
 from .errors import NonFiniteLossError
 from .lora_model import (
     ADAPTABLE_PROJECTIONS,
@@ -138,13 +137,10 @@ class SftExample:
 
 def load_sft_examples(path: str | Path) -> list[SftExample]:
     """Read JSONL lines of {"prompt": ..., "response": ...}."""
-    examples = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        examples.append(SftExample(prompt=obj["prompt"], response=obj["response"]))
-    return examples
+    return read_jsonl(
+        path,
+        lambda obj: SftExample(prompt=str(obj["prompt"]), response=str(obj["response"])),
+    )
 
 
 def encode_sft_example(

@@ -1,0 +1,177 @@
+from __future__ import annotations
+
+import json
+import os
+import struct
+
+import numpy as np
+import pytest
+
+from domainforge import artifact
+from domainforge.artifact import pack_text, read_artifact, write_artifact
+from domainforge.corpus_store import (
+    STORE_MAGIC,
+    CjkCharTokenizer,
+    RawRecord,
+    ingest,
+    load_store,
+    save_store,
+)
+from domainforge.errors import (
+    ChecksumMismatchError,
+    MagicMismatchError,
+    TruncatedArtifactError,
+)
+from domainforge.lora_model import (
+    CHECKPOINT_MAGIC,
+    ModelConfig,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+)
+from domainforge.retrieval import INDEX_MAGIC, build_index, load_index, save_index
+
+DESIGNATED = (MagicMismatchError, TruncatedArtifactError, ChecksumMismatchError)
+TINY = ModelConfig(
+    vocab_size=4, d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq_len=2,
+    lora_rank=1, lora_dropout=0.0,
+)
+
+
+def _store():
+    return ingest(
+        [RawRecord("a", "脉", "脉象 弦 滑"), RawRecord("b", "", "气血 两虚")],
+        CjkCharTokenizer(),
+        min_tokens=1,
+    )
+
+
+def _save_tiny_checkpoint(path):
+    state = init_model(TINY, seed=0)
+    name = "layers.0.lora.query.b"
+    moments = {name: (np.ones_like(state.params[name]), np.zeros_like(state.params[name]))}
+    save_checkpoint(path, state, "sft", 3, moments)
+
+
+def _write(kind, path):
+    """Save a small artifact of ``kind``; return its loader and magic."""
+    if kind == "store":
+        save_store(_store(), path)
+        return load_store, STORE_MAGIC
+    if kind == "index":
+        save_index(build_index(_store()), path)
+        return load_index, INDEX_MAGIC
+    _save_tiny_checkpoint(path)
+    return load_checkpoint, CHECKPOINT_MAGIC
+
+
+@pytest.mark.parametrize("kind", ["store", "index", "checkpoint"])
+def test_every_bit_flip_and_prefix_is_rejected(tmp_path, kind):
+    loader, _ = _write(kind, tmp_path / "good")
+    data = (tmp_path / "good").read_bytes()
+    loader(tmp_path / "good")
+    probe = tmp_path / "probe"
+
+    def outcome(variant: bytes) -> str:
+        probe.write_bytes(variant)
+        try:
+            loader(probe)
+        except Exception as exc:  # noqa: BLE001 - every outcome is reported below
+            return type(exc).__name__ if isinstance(exc, DESIGNATED) else repr(exc)
+        return "loaded"
+
+    designated = {err.__name__ for err in DESIGNATED}
+    bad: list[str] = []
+    buf = bytearray(data)
+    for bit in range(8 * len(data)):
+        buf[bit // 8] ^= 1 << (bit % 8)
+        result = outcome(bytes(buf))
+        buf[bit // 8] ^= 1 << (bit % 8)
+        if result not in designated:
+            bad.append(f"flip of bit {bit}: {result}")
+    for n in range(len(data)):
+        result = outcome(data[:n])
+        if result != "TruncatedArtifactError":
+            bad.append(f"prefix of {n} bytes: {result}")
+    assert bad == []
+
+
+def _checkpoint_body(config_json: str, count: int = 0) -> bytes:
+    return (
+        pack_text("pretrain") + struct.pack("<Q", 0) + pack_text(config_json)
+        + struct.pack("<I", count)
+    )
+
+
+TINY_JSON = json.loads(TINY.to_json())
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"",
+        b"\xff" * 64,
+        pack_text("warmup") + b"\x00" * 16,
+        pack_text("pretrain") + struct.pack("<QI", 0, 2) + b"\xff\xfe",
+        _checkpoint_body("not json"),
+        _checkpoint_body("[1, 2]"),
+        _checkpoint_body(json.dumps({**TINY_JSON, "n_heads": 0})),
+        _checkpoint_body(json.dumps({**TINY_JSON, "mystery": 1})),
+        _checkpoint_body(json.dumps({k: v for k, v in TINY_JSON.items() if k != "d_ff"})),
+        _checkpoint_body(TINY.to_json()),
+        _checkpoint_body(TINY.to_json(), count=1) + pack_text("x") + struct.pack("<I", 99),
+    ],
+    ids=["empty", "ones", "phase", "bad-utf8", "not-json", "json-list", "zero-heads",
+         "extra-key", "missing-key", "no-tensors", "bad-ndim"],
+)
+def test_checksum_valid_garbage_checkpoint_is_designated_error(tmp_path, body):
+    path = tmp_path / "garbage.ckpt"
+    write_artifact(path, CHECKPOINT_MAGIC, body)
+    with pytest.raises(TruncatedArtifactError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["store", "index", "checkpoint"])
+def test_trailing_body_bytes_are_designated_error(tmp_path, kind):
+    loader, magic = _write(kind, tmp_path / "good")
+    body = bytes(read_artifact(tmp_path / "good", magic))
+    write_artifact(tmp_path / "long", magic, body + b"\x00")
+    with pytest.raises(TruncatedArtifactError, match="trailing"):
+        loader(tmp_path / "long")
+
+
+def _fail_replace(src, dst):
+    raise OSError("simulated crash before rename")
+
+
+def _fail_open(file, mode="r", *args, **kwargs):
+    open(file, mode, *args, **kwargs).close()
+    raise OSError("simulated crash during write")
+
+
+@pytest.mark.parametrize("where", ["write", "replace"])
+def test_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch, where):
+    path = tmp_path / "corpus.store"
+    old = _store()
+    save_store(old, path)
+    before = path.read_bytes()
+    if where == "replace":
+        monkeypatch.setattr(os, "replace", _fail_replace)
+    else:
+        monkeypatch.setattr(artifact, "open", _fail_open, raising=False)
+    with pytest.raises(OSError, match="simulated"):
+        save_store(ingest([], CjkCharTokenizer()), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_store(path) == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.store"]
+
+
+def test_short_file_that_is_not_a_magic_prefix_is_magic_mismatch(tmp_path):
+    path = tmp_path / "x"
+    path.write_bytes(b"DFX")
+    with pytest.raises(MagicMismatchError):
+        read_artifact(path, STORE_MAGIC)
+    path.write_bytes(b"DFS")
+    with pytest.raises(TruncatedArtifactError):
+        read_artifact(path, STORE_MAGIC)

@@ -2,11 +2,20 @@ from __future__ import annotations
 
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
 from domainforge.cli import main
+from domainforge.corpus_store import CjkCharTokenizer
 from domainforge.evaluator import McqItem, save_exam
+from domainforge.lora_model import (
+    ModelConfig,
+    build_vocab,
+    init_model,
+    save_checkpoint,
+    save_vocab,
+)
 
 IN_CHARS = "脉弦滑数迟细濡涩浮沉"
 OUT_CHARS = "星球轨道宇宙火箭发射天"
@@ -360,3 +369,65 @@ def test_version_lists_artifact_formats(capsys):
     out = capsys.readouterr().out
     for tag in ("DFSTORE1", "DFIDX1", "DFCKPT1", "DFVOCAB1"):
         assert tag in out
+
+
+@pytest.fixture
+def broken_inputs(tmp_path):
+    """A valid checkpoint and exam, plus one malformed variant of each input."""
+    vocab = build_vocab([IN_CHARS], CjkCharTokenizer())
+    config = ModelConfig(
+        vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16,
+        max_seq_len=16, lora_rank=2,
+    )
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(config, seed=0), "pretrain")
+    save_vocab(vocab, f"{ckpt}.vocab")
+    data = bytearray(ckpt.read_bytes())
+    data[bytes(data).index(b'"adapted_projections"') + 1] ^= 0x01
+    (tmp_path / "flipped.ckpt").write_bytes(bytes(data))
+    (tmp_path / "flipped.ckpt.vocab").write_bytes(Path(f"{ckpt}.vocab").read_bytes())
+    write_exam(tmp_path / "exam.jsonl")
+    write_raw(tmp_path / "good_raw.jsonl")
+
+    def jsonl(name, good, bad):
+        (tmp_path / name).write_text(
+            json.dumps(good, ensure_ascii=False) + "\n"
+            + json.dumps(bad, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+
+    jsonl("raw.jsonl", {"source_id": "a", "body": IN_CHARS},
+          {"source_id": "b", "title": "无正文"})
+    jsonl("pairs.jsonl", {"prompt": "脉弦", "response": "弦"}, {"prompt": "脉迟"})
+    jsonl("exam_bad.jsonl", {"stem": "问", "options": ["甲", "乙"], "gold": "A"},
+          {"stem": "问", "gold": "A"})
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["ingest", "--input", "good_raw.jsonl", "--output", "o.store",
+          "--tokenizer", "nope"],
+         "error: ValueError: unknown tokenizer_id: 'nope'"),
+        (["ingest", "--input", "raw.jsonl", "--output", "o.store"],
+         "raw.jsonl:2: missing field 'body'"),
+        (["sft", "--checkpoint", "model.ckpt", "--data", "pairs.jsonl", "--output", "o.ckpt"],
+         "pairs.jsonl:2: missing field 'response'"),
+        (["eval", "--checkpoint", "model.ckpt", "--exam", "exam_bad.jsonl",
+          "--responder", "gold"],
+         "exam_bad.jsonl:2: missing field 'options'"),
+        (["eval", "--checkpoint", "flipped.ckpt", "--exam", "exam.jsonl"],
+         "error: ChecksumMismatchError"),
+    ],
+    ids=["unknown-tokenizer", "raw-without-body", "pair-without-response",
+         "exam-without-options", "flipped-checkpoint"],
+)
+def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
+    argv = [str(broken_inputs / a) if a.endswith((".jsonl", ".ckpt", ".store")) else a
+            for a in argv]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert expected in errors[0]

@@ -393,7 +393,7 @@ def test_index_bit_flip(tmp_path):
     path = tmp_path / "flip.idx"
     save_index(build_index(store_of(["a b c"])), path)
     data = bytearray(path.read_bytes())
-    data[15] ^= 0xFF  # inside the stored average-length float
+    data[15] ^= 0xFF  # inside num_docs, the first body field after magic and length
     path.write_bytes(bytes(data))
     with pytest.raises(ChecksumMismatchError):
         load_index(path)
