@@ -261,12 +261,21 @@ def save_keywords(kset: DomainKeywordSet, path: str | Path) -> None:
 
 
 def load_keywords(path: str | Path) -> DomainKeywordSet:
+    """Read the lines ``save_keywords`` writes; a malformed line raises
+    ``ValueError`` naming the file and line."""
     entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
         if not line:
             continue
-        kw, count, weight, prov = line.split("\t")
-        entries.append(WeightedKeyword(kw, int(count), float(weight), prov))
+        fields = line.split("\t")
+        try:
+            if len(fields) != 4:
+                raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
+            kw, count, weight, prov = fields
+            entries.append(WeightedKeyword(kw, int(count), float(weight), prov))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return DomainKeywordSet(entries=_sorted_entries(entries))
 
 

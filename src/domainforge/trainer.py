@@ -29,6 +29,8 @@ from .lora_model import (
     Vocab,
     backward_batch,
     forward_batch,
+    forward_hidden,
+    head_loss,
     init_model,
     masked_next_token_loss,
     param_names,
@@ -229,6 +231,24 @@ def _adam_step(
 # ---------------------------------------------------------------------------
 # The loop
 
+def _batch_grads(
+    state: ModelState,
+    ids: np.ndarray,
+    mask: np.ndarray,
+    needs: set[str],
+    rng: np.random.Generator,
+) -> tuple[float, dict[str, np.ndarray] | None]:
+    """Loss and gradients of one training batch (no gradients when the loss
+    is not finite).  The forward cache and the activation gradients are
+    locals here, so they are freed before the next batch's forward pass."""
+    xf, cache = forward_hidden(state, ids, training=True, rng=rng)
+    loss, dxf, grads = head_loss(state, xf, ids, mask, needs)
+    if not math.isfinite(loss):
+        return loss, None
+    grads.update(backward_batch(state, cache, dxf, needs=needs))
+    return loss, grads
+
+
 def _run_training(
     state: ModelState,
     sequences: Sequence[np.ndarray],
@@ -271,14 +291,12 @@ def _run_training(
                 [sequences[j] for j in batch], [masks[j] for j in batch]
             )
             drop_rng = np.random.default_rng([config.seed, DROPOUT_STREAM, step])
-            logits, cache = forward_batch(state, ids, training=True, rng=drop_rng)
-            loss, dlogits = masked_next_token_loss(logits, ids, mask)
-            if not math.isfinite(loss):
+            loss, grads = _batch_grads(state, ids, mask, needs, drop_rng)
+            if grads is None:
                 raise NonFiniteLossError(
                     f"loss {loss!r} at step {step + 1} "
                     f"(phase {config.phase}, epoch {epoch}, lr {config.learning_rate})"
                 )
-            grads = backward_batch(state, cache, dlogits, needs=needs)
             step += 1
             _adam_step(
                 state.params, grads, opt_state, trainable,
@@ -405,9 +423,11 @@ def gradient_check(seed: int = 0) -> GradCheckReport:
 
     entries: list[GradCheckEntry] = []
     for mode, mask in (("clm", full_mask), ("sft", sft_mask)):
-        logits, cache = forward_batch(state, ids)
-        _, dlogits = masked_next_token_loss(logits, ids, mask)
-        analytic = backward_batch(state, cache, dlogits, needs=None)
+        # analytic: the fused training path; finite differences: the
+        # reference forward_batch -> masked_next_token_loss
+        xf, cache = forward_hidden(state, ids)
+        _, dxf, analytic = head_loss(state, xf, ids, mask)
+        analytic.update(backward_batch(state, cache, dxf, needs=None))
 
         def loss_at() -> float:
             lg, _ = forward_batch(state, ids)

@@ -247,6 +247,29 @@ def test_retrieve_without_matches_reports_diagnostic(workspace, capsys):
     assert "no positive-score documents" in err
 
 
+@pytest.mark.parametrize(
+    "line, problem",
+    [("脉", "expected 4 tab-separated fields, got 1"),
+     ("脉\tmany\t1.0\ttask", "invalid literal for int()")],
+    ids=["one-field", "non-integer-count"],
+)
+def test_malformed_keyword_line_names_file_and_line(workspace, capsys, line, problem):
+    ws = workspace
+    prepare_selected_store(ws, capsys)
+    bad = ws / "bad.tsv"
+    bad.write_text(f"弦脉\t2\t1.0\ttask\n{line}\n", encoding="utf-8")
+    code, _, err = run([
+        "retrieve", "--index", str(ws / "corpus.idx"),
+        "--store", str(ws / "corpus.store"),
+        "--keywords", str(bad),
+        "--budget", "100", "--output", str(ws / "never.store"),
+    ], capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: ValueError: {bad}:2: {problem}")
+
+
 def test_missing_input_file_fails_with_error_line(tmp_path, capsys):
     code, _, err = run([
         "ingest", "--input", str(tmp_path / "absent.jsonl"),

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from domainforge import lora_model
 from domainforge.corpus_store import CjkCharTokenizer
 from domainforge.errors import (
     ChecksumMismatchError,
@@ -23,11 +25,14 @@ from domainforge.lora_model import (
     ModelConfig,
     Vocab,
     adapter_param_names,
+    backward_batch,
     build_vocab,
     clm_loss,
     detokenize,
     forward_batch,
+    forward_hidden,
     greedy_generate,
+    head_loss,
     init_lora,
     init_model,
     load_checkpoint,
@@ -390,6 +395,104 @@ def test_masked_loss_gradient_is_zero_at_masked_positions():
                 assert np.all(dlogits[b, j] == 0.0)
             else:
                 assert abs(dlogits[b, j].sum()) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Fused vocab head
+
+
+def _head_case(dtype, seed=6):
+    """A small model with live adapters, and a batch with masked rows."""
+    config = replace(SMALL, vocab_size=40, max_seq_len=12)
+    state = init_model(config, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for name in adapter_param_names(config):
+        state.params[name] = rng.normal(0.0, 0.1, state.params[name].shape).astype(dtype)
+    ids = random_ids(rng, config, (5, 12))
+    mask = np.ones((5, 11))
+    mask[0, :6] = 0.0  # a prompt
+    mask[2, 3:] = 0.0  # padding
+    mask[4, ::2] = 0.0
+    return state, ids, mask
+
+
+def _reference_head(state, ids, mask, needs):
+    """The unfused path: full logits, masked_next_token_loss, then the vocab
+    head's backward on the whole batch."""
+    out_w = state.params["out_w"]
+    logits, cache = forward_batch(state, ids)
+    loss, dlogits = masked_next_token_loss(logits, ids, mask)
+    grads = backward_batch(state, cache, dlogits @ out_w, needs)
+    xf, _ = forward_hidden(state, ids)
+    V, d = out_w.shape
+    dout_w = dlogits.reshape(-1, V).T @ xf.reshape(-1, d)
+    return loss, dlogits @ out_w, grads, dout_w
+
+
+def _fused_head(state, ids, mask, needs):
+    xf, cache = forward_hidden(state, ids)
+    loss, dxf, head_grads = head_loss(state, xf, ids, mask, needs)
+    grads = backward_batch(state, cache, dxf, needs)
+    return loss, dxf, grads, head_grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_head_loss_matches_reference_bitwise_one_sequence_per_block(monkeypatch, dtype):
+    monkeypatch.setattr(lora_model, "HEAD_BLOCK_BYTES", 1)
+    state, ids, mask = _head_case(dtype)
+    needs = set(adapter_param_names(state.config))
+    loss_r, dxf_r, grads_r, _ = _reference_head(state, ids, mask, needs)
+    loss, dxf, grads, head_grads = _fused_head(state, ids, mask, needs)
+    assert loss == loss_r
+    assert dxf.dtype == dxf_r.dtype and dxf.tobytes() == dxf_r.tobytes()
+    assert head_grads == {}
+    assert sorted(grads) == sorted(needs)
+    for name in needs:
+        assert grads[name].tobytes() == grads_r[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_head_loss_out_w_gradient(monkeypatch, dtype):
+    state, ids, mask = _head_case(dtype)
+    needs = set(trainable_param_names(state.config, train_embeddings=True))
+    loss_r, _, _, dout_w_r = _reference_head(state, ids, mask, needs)
+    # one block: the same GEMM as the reference
+    monkeypatch.setattr(lora_model, "HEAD_BLOCK_BYTES", 2**40)
+    _, _, _, head_grads = _fused_head(state, ids, mask, needs)
+    assert head_grads["out_w"].tobytes() == dout_w_r.tobytes()
+    # one sequence per block: a sum of per-block GEMMs
+    monkeypatch.setattr(lora_model, "HEAD_BLOCK_BYTES", 1)
+    loss, _, _, head_grads = _fused_head(state, ids, mask, needs)
+    assert loss == loss_r
+    err = np.abs(head_grads["out_w"] - dout_w_r).max() / np.abs(dout_w_r).max()
+    assert err < 1e-6
+
+
+def test_head_loss_requires_a_target_per_sequence():
+    state, ids, mask = _head_case(np.float64)
+    mask[3] = 0.0
+    xf, _ = forward_hidden(state, ids)
+    with pytest.raises(ValueError):
+        head_loss(state, xf, ids, mask)
+
+
+def test_head_loss_never_holds_the_full_logits(monkeypatch):
+    monkeypatch.setattr(lora_model, "HEAD_BLOCK_BYTES", 1)
+    B, T, V = 16, 256, 4100
+    config = ModelConfig(vocab_size=V, max_seq_len=T)
+    state = init_model(config, seed=0)
+    rng = np.random.default_rng(0)
+    ids = random_ids(rng, config, (B, T))
+    xf, _ = forward_hidden(state, ids)
+    full_logits_bytes = B * T * V * xf.itemsize
+    tracemalloc.start()
+    try:
+        head_loss(state, xf, ids, np.ones((B, T - 1)),
+                  set(trainable_param_names(config, train_embeddings=True)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_logits_bytes / 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from domainforge.lora_model import (
     backward_batch,
     build_vocab,
     forward_batch,
+    forward_hidden,
+    head_loss,
     init_model,
     lora_param_count,
     masked_next_token_loss,
@@ -303,7 +305,7 @@ def test_prompt_position_targets_never_reach_gradients():
     ids = rng.integers(4, config.vocab_size, size=(2, 8), dtype=np.int64)
     mask = np.zeros((2, 7))
     mask[:, 4:] = 1.0
-    logits, cache = forward_batch(state, ids)
+    logits, _ = forward_batch(state, ids)
     _, dlogits = masked_next_token_loss(logits, ids, mask)
     perturbed = ids.copy()
     # rewrite every prompt-side target to a different valid id
@@ -313,8 +315,14 @@ def test_prompt_position_targets_never_reach_gradients():
     loss_b, _ = masked_next_token_loss(logits, ids, mask)
     assert loss_p == loss_b
     assert dlogits_p.tobytes() == dlogits.tobytes()
-    grads = backward_batch(state, cache, dlogits)
-    grads_p = backward_batch(state, cache, dlogits_p)
+    xf, cache = forward_hidden(state, ids)
+    grads, grads_p = {}, {}
+    for target_ids, out in ((ids, grads), (perturbed, grads_p)):
+        loss, dxf, head_grads = head_loss(state, xf, target_ids, mask)
+        assert loss == loss_b
+        out.update(head_grads)
+        out.update(backward_batch(state, cache, dxf))
+    assert "out_w" in grads
     for name in grads:
         assert grads[name].tobytes() == grads_p[name].tobytes()
 
@@ -323,9 +331,9 @@ def test_adapter_b_tensors_receive_gradient_despite_zero_init():
     vocab, config, state = tiny_setup(PATTERN_TEXTS, seed=2)
     rng = np.random.default_rng(1)
     ids = rng.integers(4, config.vocab_size, size=(2, 6), dtype=np.int64)
-    logits, cache = forward_batch(state, ids)
-    _, dlogits = masked_next_token_loss(logits, ids, np.ones((2, 5)))
-    grads = backward_batch(state, cache, dlogits)
+    xf, cache = forward_hidden(state, ids)
+    _, dxf, _ = head_loss(state, xf, ids, np.ones((2, 5)))
+    grads = backward_batch(state, cache, dxf)
     for name in adapter_param_names(config):
         if name.endswith(".b"):
             assert np.any(grads[name] != 0.0), name
