@@ -54,6 +54,8 @@ from .keyword_extract import (
 from .lora_model import (
     DEFAULT_VOCAB_CAP,
     ModelConfig,
+    ModelState,
+    Vocab,
     build_vocab,
     init_model,
     load_checkpoint,
@@ -354,6 +356,18 @@ def _train_config(cfg: dict, phase: str) -> TrainConfig:
     )
 
 
+def _checkpoint_vocab(cfg: dict, ckpt_key: str, state: ModelState) -> Vocab:
+    """The vocab given by ``--vocab`` (default: ``<checkpoint>.vocab``), which
+    must have one entry per token id of the checkpoint's model."""
+    vocab = load_vocab(cfg["vocab"] or f"{cfg[ckpt_key]}.vocab")
+    if len(vocab) != state.config.vocab_size:
+        raise ConfigError(
+            f"vocabulary has {len(vocab)} entries but the checkpoint "
+            f"expects {state.config.vocab_size}"
+        )
+    return vocab
+
+
 def _finish_training(cfg: dict, result, vocab, phase: str) -> int:
     output = cfg["output"]
     save_checkpoint(output, result.state, phase, result.step, result.opt_state)
@@ -372,12 +386,7 @@ def _cmd_pretrain(cfg: dict) -> int:
         state, phase, step, opt_state = load_checkpoint(cfg["resume"])
         if phase != "pretrain":
             raise ConfigError(f"cannot resume pretraining from a {phase!r} checkpoint")
-        vocab = load_vocab(cfg["vocab"] or f"{cfg['resume']}.vocab")
-        if len(vocab) != state.config.vocab_size:
-            raise ConfigError(
-                f"vocabulary has {len(vocab)} entries but the checkpoint "
-                f"expects {state.config.vocab_size}"
-            )
+        vocab = _checkpoint_vocab(cfg, "resume", state)
     else:
         vocab = build_vocab((d.text for d in store), tokenizer, cap=cfg["vocab_cap"])
         projections = tuple(
@@ -411,12 +420,7 @@ def _cmd_pretrain(cfg: dict) -> int:
 
 def _cmd_sft(cfg: dict) -> int:
     state, phase, step, opt_state = load_checkpoint(cfg["checkpoint"])
-    vocab = load_vocab(cfg["vocab"] or f"{cfg['checkpoint']}.vocab")
-    if len(vocab) != state.config.vocab_size:
-        raise ConfigError(
-            f"vocabulary has {len(vocab)} entries but the checkpoint "
-            f"expects {state.config.vocab_size}"
-        )
+    vocab = _checkpoint_vocab(cfg, "checkpoint", state)
     if phase != "sft":
         step, opt_state = 0, None  # fresh tuning run on top of pretraining
     examples = load_sft_examples(cfg["data"])
@@ -435,7 +439,7 @@ def _cmd_sft(cfg: dict) -> int:
 
 def _cmd_eval(cfg: dict) -> int:
     state, _, _, _ = load_checkpoint(cfg["checkpoint"])
-    vocab = load_vocab(cfg["vocab"] or f"{cfg['checkpoint']}.vocab")
+    vocab = _checkpoint_vocab(cfg, "checkpoint", state)
     items = load_exam(cfg["exam"])
     kind = cfg["responder"]
     if kind == "model":

@@ -408,11 +408,20 @@ def forward_hidden(
     ids: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    past: dict | None = None,
 ):
     """Causal forward pass over a (batch, time) id array, up to and including
     the final layer norm.
 
     Returns (xf, cache); position i's hidden state depends only on ids[:, :i+1].
+
+    ``past`` is the cache of an earlier call on the preceding positions of
+    the same sequences (the key/value cache of incremental decoding).  The
+    new ids then sit at positions ``T0 .. T0 + time - 1``, where T0 is the
+    length ``past`` covers, and attend to ``past``'s keys and values as well
+    as their own.  The returned cache holds the keys and values of all T0 +
+    time positions, so it can serve as the next call's ``past``, but
+    ``backward_batch`` rejects it.
     """
     cfg = state.config
     P = state.params
@@ -420,8 +429,11 @@ def forward_hidden(
     if ids.ndim != 2 or ids.shape[1] < 1:
         raise ValueError(f"ids must be (batch, time >= 1), got {ids.shape}")
     B, T = ids.shape
-    if T > cfg.max_seq_len:
-        raise ValueError(f"sequence length {T} exceeds max_seq_len {cfg.max_seq_len}")
+    T0 = 0 if past is None else past["t0"] + past["ids"].shape[1]
+    if T0 + T > cfg.max_seq_len:
+        raise ValueError(
+            f"sequence length {T0 + T} exceeds max_seq_len {cfg.max_seq_len}"
+        )
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError("token id out of vocabulary range")
     if training and cfg.lora_dropout > 0.0 and rng is None:
@@ -431,15 +443,15 @@ def forward_hidden(
     scale = cfg.lora_alpha / cfg.lora_rank
     p = cfg.lora_dropout
     head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    causal = np.tril(np.ones((T, T), dtype=bool))
+    causal = np.tril(np.ones((T, T0 + T), dtype=bool), k=T0)
 
     def adapter(i, proj):
         if proj not in adapted:
             return None
         return P[f"layers.{i}.lora.{proj}.a"], P[f"layers.{i}.lora.{proj}.b"]
 
-    x = P["tok_emb"][ids] + P["pos_emb"][:T]
-    cache: dict = {"ids": ids, "blocks": []}
+    x = P["tok_emb"][ids] + P["pos_emb"][T0 : T0 + T]
+    cache: dict = {"ids": ids, "t0": T0, "blocks": []}
     for i in range(cfg.n_layers):
         blk: dict = {}
         pre = f"layers.{i}"
@@ -451,6 +463,9 @@ def forward_hidden(
         v, blk["vp"] = _proj_fwd(a, P[f"{pre}.attn.wv"], P[f"{pre}.attn.bv"],
                                  adapter(i, "value"), scale, p, training, rng)
         qh, kh, vh = (_split_heads(z, cfg.n_heads) for z in (q, k, v))
+        if past is not None:
+            kh = np.concatenate((past["blocks"][i]["kh"], kh), axis=2)
+            vh = np.concatenate((past["blocks"][i]["vh"], vh), axis=2)
         s = np.where(causal, (qh @ kh.transpose(0, 1, 3, 2)) * head_scale, -np.inf)
         attn = _softmax_last(s)
         oh = attn @ vh
@@ -495,7 +510,9 @@ def backward_batch(
     """Gradients of a scalar loss wrt the tensors named in ``needs`` (all
     tensors when ``needs`` is None), given its gradient ``dxf`` wrt the final
     layer norm's output.  ``out_w`` is not among them: its gradient comes
-    from ``head_loss``."""
+    from ``head_loss``.  A cache built on a ``past`` is rejected."""
+    if cache["t0"]:
+        raise ValueError("cannot differentiate a forward pass built on a past cache")
     cfg = state.config
     P = state.params
     adapted = set(cfg.adapted_projections)
@@ -766,18 +783,25 @@ def sft_loss(
 def greedy_generate(
     state: ModelState, prompt_ids: Sequence[int], max_new_tokens: int
 ) -> list[int]:
-    """Deterministic greedy continuation; stops at EOS or when context fills."""
-    ids = list(prompt_ids)
+    """Deterministic greedy continuation; stops at EOS, after
+    ``max_new_tokens``, or when the context fills.
+
+    Decodes with a key/value cache: one ``forward_hidden`` call over the
+    prompt, then one call per generated token with the previous call's cache
+    as ``past``, each followed by the vocab head on its last position only.
+    Adapters stay unmerged, as in training.
+    """
+    ids = np.asarray(prompt_ids, dtype=np.int64)[None, :]
+    room = min(max_new_tokens, state.config.max_seq_len - ids.shape[1])
     out: list[int] = []
-    for _ in range(max_new_tokens):
-        if len(ids) >= state.config.max_seq_len:
-            break
-        logits = model_forward(state, ids)
-        nxt = int(np.argmax(logits[-1]))
-        ids.append(nxt)
+    cache = None
+    while len(out) < room:
+        xf, cache = forward_hidden(state, ids, past=cache)
+        nxt = int(np.argmax(xf[0, -1] @ state.params["out_w"].T))
         out.append(nxt)
         if nxt == EOS_ID:
             break
+        ids = np.array([[nxt]], dtype=np.int64)
     return out
 
 

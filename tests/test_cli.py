@@ -409,6 +409,7 @@ def broken_inputs(tmp_path):
     data[bytes(data).index(b'"adapted_projections"') + 1] ^= 0x01
     (tmp_path / "flipped.ckpt").write_bytes(bytes(data))
     (tmp_path / "flipped.ckpt.vocab").write_bytes(Path(f"{ckpt}.vocab").read_bytes())
+    save_vocab(build_vocab([IN_CHARS[:3]], CjkCharTokenizer()), tmp_path / "short.vocab")
     write_exam(tmp_path / "exam.jsonl")
     write_raw(tmp_path / "good_raw.jsonl")
 
@@ -442,12 +443,16 @@ def broken_inputs(tmp_path):
          "exam_bad.jsonl:2: missing field 'options'"),
         (["eval", "--checkpoint", "flipped.ckpt", "--exam", "exam.jsonl"],
          "error: ChecksumMismatchError"),
+        (["eval", "--checkpoint", "model.ckpt", "--vocab", "short.vocab",
+          "--exam", "exam.jsonl", "--responder", "model"],
+         "error: ConfigError: vocabulary has 7 entries but the checkpoint expects 14"),
     ],
     ids=["unknown-tokenizer", "raw-without-body", "pair-without-response",
-         "exam-without-options", "flipped-checkpoint"],
+         "exam-without-options", "flipped-checkpoint", "eval-short-vocab"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
-    argv = [str(broken_inputs / a) if a.endswith((".jsonl", ".ckpt", ".store")) else a
+    argv = [str(broken_inputs / a)
+            if a.endswith((".jsonl", ".ckpt", ".store", ".vocab")) else a
             for a in argv]
     code, _, err = run(argv, capsys)
     assert code == 1

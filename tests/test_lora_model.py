@@ -531,6 +531,128 @@ def test_greedy_generate_deterministic():
     assert greedy_generate(state, prompt, 8) == greedy_generate(state, prompt, 8)
 
 
+def test_greedy_generate_edge_cases():
+    state = init_model(SMALL, seed=6)
+    with pytest.raises(ValueError):
+        greedy_generate(state, [], 4)
+    assert greedy_generate(state, [BOS_ID], 0) == []
+    assert greedy_generate(state, [BOS_ID], -1) == []
+    assert greedy_generate(state, [BOS_ID] * SMALL.max_seq_len, 4) == []
+
+
+# Bounds on a cached decode step's logits against the full-prefix reference:
+# a one-row product runs another BLAS kernel than the rows of a T-row GEMM.
+CACHED_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def _live_adapter_state(config, dtype, seed):
+    """A random state whose adapters all contribute (noisy B), with EOS
+    unreachable so that decoding runs until the budget or context ends."""
+    state = init_model(config, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed + 100)
+    for name in adapter_param_names(config):
+        if name.endswith(".b"):
+            state.params[name][:] = rng.normal(0.0, 0.1, state.params[name].shape)
+    state.params["out_w"][EOS_ID] = -1.0
+    return state
+
+
+def _full_prefix_decode(state, prompt, max_new_tokens):
+    """Reference decode: rerun the whole prefix for every token and take the
+    last row of its logits."""
+    ids, out, rows = list(prompt), [], []
+    for _ in range(max_new_tokens):
+        if len(ids) >= state.config.max_seq_len:
+            break
+        logits = model_forward(state, ids)
+        rows.append(logits[-1])
+        nxt = int(np.argmax(logits[-1]))
+        ids.append(nxt)
+        out.append(nxt)
+        if nxt == EOS_ID:
+            break
+    return out, rows
+
+
+def _recording_forward(monkeypatch):
+    """Wraps ``lora_model.forward_hidden``; returns the (ids, xf) of each call."""
+    calls = []
+    inner = lora_model.forward_hidden
+
+    def wrapped(state, ids, *args, **kwargs):
+        xf, cache = inner(state, ids, *args, **kwargs)
+        calls.append((np.asarray(ids), xf))
+        return xf, cache
+
+    monkeypatch.setattr(lora_model, "forward_hidden", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("projections", [ADAPTABLE_PROJECTIONS, ("query", "value")])
+@pytest.mark.parametrize("prompt_len", [1, 7, SMALL.max_seq_len - 1])
+def test_cached_decode_matches_full_prefix_decode(
+    monkeypatch, dtype, projections, prompt_len
+):
+    config = replace(SMALL, adapted_projections=projections)
+    state = _live_adapter_state(config, dtype, seed=prompt_len)
+    prompt = [BOS_ID] + list(
+        random_ids(np.random.default_rng(prompt_len), config, prompt_len - 1)
+    )
+    budget = config.max_seq_len  # always runs into the context limit
+    want, rows = _full_prefix_decode(state, prompt, budget)
+    assert len(want) == config.max_seq_len - prompt_len
+
+    calls = _recording_forward(monkeypatch)
+    got = greedy_generate(state, prompt, budget)
+    assert got == want
+    assert len(calls) == len(got)
+    for (_, xf), row in zip(calls, rows):
+        logits = xf[0, -1] @ state.params["out_w"].T
+        assert logits.dtype == dtype
+        np.testing.assert_allclose(logits, row, rtol=0, atol=CACHED_TOL[dtype])
+
+
+def test_greedy_generate_feeds_each_position_once(monkeypatch):
+    state = _live_adapter_state(SMALL, np.float32, seed=3)
+    prompt = [BOS_ID, 4, 5, 6]
+    calls = _recording_forward(monkeypatch)
+    out = greedy_generate(state, prompt, 6)
+    assert len(out) == 6
+    assert sum(ids.shape[1] for ids, _ in calls) == len(prompt) + len(out) - 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_with_past_matches_one_call(dtype):
+    state = _live_adapter_state(SMALL, dtype, seed=4)
+    ids = random_ids(np.random.default_rng(5), SMALL, (2, 12))
+    full, _ = forward_hidden(state, ids)
+    xf, cache = forward_hidden(state, ids[:, :5])
+    parts = [xf]
+    for lo, hi in ((5, 6), (6, 10), (10, 12)):
+        xf, cache = forward_hidden(state, ids[:, lo:hi], past=cache)
+        parts.append(xf)
+    assert cache["blocks"][0]["kh"].shape[2] == 12
+    np.testing.assert_allclose(
+        np.concatenate(parts, axis=1), full, rtol=0, atol=CACHED_TOL[dtype]
+    )
+
+
+def test_forward_with_past_validation():
+    state = init_model(SMALL, seed=1)
+    _, cache = forward_hidden(state, np.full((1, 10), 4))
+    with pytest.raises(ValueError):
+        forward_hidden(state, np.full((1, 7), 4), past=cache)  # beyond max_seq_len
+
+
+def test_backward_rejects_a_cache_built_on_past():
+    state = init_model(SMALL, seed=1)
+    _, cache = forward_hidden(state, np.full((1, 4), 5))
+    xf, cache = forward_hidden(state, np.full((1, 2), 6), past=cache)
+    with pytest.raises(ValueError):
+        backward_batch(state, cache, np.ones_like(xf))
+
+
 # ---------------------------------------------------------------------------
 # Vocabulary
 
