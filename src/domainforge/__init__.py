@@ -55,18 +55,14 @@ from .keyword_extract import (
     top_k_keywords,
 )
 from .lora_model import (
-    LoraLayer,
     ModelConfig,
     ModelState,
     Vocab,
     build_vocab,
     clm_loss,
     greedy_generate,
-    init_lora,
     init_model,
     load_checkpoint,
-    lora_forward,
-    merge_weights,
     model_forward,
     save_checkpoint,
     sft_loss,

@@ -32,7 +32,17 @@ PHASES = ("init", "pretrain", "sft")
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
-ADAPTABLE_PROJECTIONS = ("query", "key", "value", "output", "ff_in", "ff_out")
+# Each adaptable projection's base weight and bias under ``layers.{i}.``, in
+# the order the forward pass applies them (and draws their dropout masks).
+PROJECTION_TENSORS = {
+    "query": ("attn.wq", "attn.bq"),
+    "key": ("attn.wk", "attn.bk"),
+    "value": ("attn.wv", "attn.bv"),
+    "output": ("attn.wo", "attn.bo"),
+    "ff_in": ("ff.w1", "ff.b1"),
+    "ff_out": ("ff.w2", "ff.b2"),
+}
+ADAPTABLE_PROJECTIONS = tuple(PROJECTION_TENSORS)
 
 _LN_EPS = 1e-5
 _INIT_STD = 0.02
@@ -113,97 +123,29 @@ class ModelConfig:
 
 
 # ---------------------------------------------------------------------------
-# Standalone adapted layer
-
-@dataclass
-class LoraLayer:
-    """One adapted linear map: frozen W (d1 x d2), trainable B (d1 x r), A (r x d2)."""
-
-    w: np.ndarray
-    lora_b: np.ndarray
-    lora_a: np.ndarray
-    rank: int
-    alpha: float
-    dropout_p: float = 0.0
-
-    @property
-    def scale(self) -> float:
-        return self.alpha / self.rank
-
-
-def init_lora(
-    d1: int,
-    d2: int,
-    rank: int,
-    alpha: float,
-    seed: int,
-    dropout_p: float = 0.0,
-    w: np.ndarray | None = None,
-    dtype=np.float64,
-) -> LoraLayer:
-    """Seeded adapter init: A ~ N(0, 0.02), B = 0; W drawn likewise if absent."""
-    if not 1 <= rank <= min(d1, d2):
-        raise ValueError(f"rank {rank} out of range [1, {min(d1, d2)}]")
-    rng = np.random.default_rng(seed)
-    if w is None:
-        w = rng.normal(0.0, _INIT_STD, (d1, d2))
-    w = np.asarray(w, dtype=dtype)
-    if w.shape != (d1, d2):
-        raise ValueError(f"w has shape {w.shape}, expected {(d1, d2)}")
-    lora_a = rng.normal(0.0, _INIT_STD, (rank, d2)).astype(dtype)
-    lora_b = np.zeros((d1, rank), dtype=dtype)
-    return LoraLayer(w=w, lora_b=lora_b, lora_a=lora_a, rank=rank,
-                     alpha=alpha, dropout_p=dropout_p)
-
-
-def lora_forward(
-    layer: LoraLayer,
-    x: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """h = W x + (alpha/r) B (A drop(x)); dropout only in training mode."""
-    x = np.asarray(x)
-    if x.shape[-1] != layer.w.shape[1]:
-        raise ValueError(
-            f"input dimension {x.shape[-1]} != layer d2 {layer.w.shape[1]}"
-        )
-    base = x @ layer.w.T
-    xd = x
-    if training and layer.dropout_p > 0.0:
-        if rng is None:
-            raise ValueError("rng required for dropout in training mode")
-        keep = rng.random(x.shape) >= layer.dropout_p
-        xd = x * keep.astype(x.dtype) / (1.0 - layer.dropout_p)
-    return base + layer.scale * ((xd @ layer.lora_a.T) @ layer.lora_b.T)
-
-
-def merge_weights(layer: LoraLayer) -> np.ndarray:
-    """The dense matrix W + (alpha/r) B A; the layer is not mutated."""
-    return layer.w + layer.scale * (layer.lora_b @ layer.lora_a)
-
-
-# ---------------------------------------------------------------------------
 # Full model state
+
+def _proj_names(i: int, proj: str) -> tuple[str, str, str, str]:
+    """(weight, bias, adapter A, adapter B) tensor names of layer i's ``proj``."""
+    w, b = PROJECTION_TENSORS[proj]
+    pre = f"layers.{i}"
+    return f"{pre}.{w}", f"{pre}.{b}", f"{pre}.lora.{proj}.a", f"{pre}.lora.{proj}.b"
+
 
 def param_names(config: ModelConfig) -> list[str]:
     """All tensor names in fixed declaration order (also the checkpoint order)."""
     names = ["tok_emb", "pos_emb"]
     for i in range(config.n_layers):
-        names += [
-            f"layers.{i}.ln1.gamma", f"layers.{i}.ln1.beta",
-            f"layers.{i}.attn.wq", f"layers.{i}.attn.bq",
-            f"layers.{i}.attn.wk", f"layers.{i}.attn.bk",
-            f"layers.{i}.attn.wv", f"layers.{i}.attn.bv",
-            f"layers.{i}.attn.wo", f"layers.{i}.attn.bo",
-            f"layers.{i}.ln2.gamma", f"layers.{i}.ln2.beta",
-            f"layers.{i}.ff.w1", f"layers.{i}.ff.b1",
-            f"layers.{i}.ff.w2", f"layers.{i}.ff.b2",
-        ]
+        names += [f"layers.{i}.ln1.gamma", f"layers.{i}.ln1.beta"]
+        for proj in ("query", "key", "value", "output"):
+            names += _proj_names(i, proj)[:2]
+        names += [f"layers.{i}.ln2.gamma", f"layers.{i}.ln2.beta"]
+        for proj in ("ff_in", "ff_out"):
+            names += _proj_names(i, proj)[:2]
     names += ["ln_f.gamma", "ln_f.beta", "out_w"]
     for i in range(config.n_layers):
         for proj in config.adapted_projections:
-            names += [f"layers.{i}.lora.{proj}.a", f"layers.{i}.lora.{proj}.b"]
+            names += _proj_names(i, proj)[2:]
     return names
 
 
@@ -250,32 +192,20 @@ class ModelState:
 
 
 def _expected_shape(config: ModelConfig, name: str) -> tuple[int, ...]:
-    d, f, v, L = config.d_model, config.d_ff, config.vocab_size, config.max_seq_len
-    if name == "tok_emb":
+    d, v, r = config.d_model, config.vocab_size, config.lora_rank
+    if name in ("tok_emb", "out_w"):
         return (v, d)
     if name == "pos_emb":
-        return (L, d)
-    if name == "out_w":
-        return (v, d)
+        return (config.max_seq_len, d)
     if name.endswith((".gamma", ".beta")):
         return (d,)
-    leaf = name.rsplit(".", 1)[-1]
-    if ".lora." in name:
-        proj = name.split(".lora.")[1].rsplit(".", 1)[0]
-        d1, d2 = config.projection_dims(proj)
-        return (config.lora_rank, d2) if leaf == "a" else (d1, config.lora_rank)
-    if leaf in ("wq", "wk", "wv", "wo"):
-        return (d, d)
-    if leaf in ("bq", "bk", "bv", "bo"):
-        return (d,)
-    if leaf == "w1":
-        return (f, d)
-    if leaf == "b1":
-        return (f,)
-    if leaf == "w2":
-        return (d, f)
-    if leaf == "b2":
-        return (d,)
+    if name.startswith("layers."):
+        i = int(name.split(".")[1])
+        for proj in ADAPTABLE_PROJECTIONS:
+            d1, d2 = config.projection_dims(proj)
+            shapes = dict(zip(_proj_names(i, proj), ((d1, d2), (d1,), (r, d2), (d1, r))))
+            if name in shapes:
+                return shapes[name]
     raise ValueError(f"unknown parameter name: {name}")
 
 
@@ -284,16 +214,17 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelState:
     differ only in adapters share identical base tensors for a given seed."""
     rng = np.random.default_rng(seed)
     dtype = np.dtype(dtype)
+    zero = set()
+    for i in range(config.n_layers):
+        for proj in ADAPTABLE_PROJECTIONS:
+            _, bias, _, b_up = _proj_names(i, proj)
+            zero |= {bias, b_up}
     params: dict[str, np.ndarray] = {}
     for name in param_names(config):
         shape = _expected_shape(config, name)
         if name.endswith(".gamma"):
             arr = np.ones(shape)
-        elif name.endswith((".beta",)) or name.rsplit(".", 1)[-1] in (
-            "bq", "bk", "bv", "bo", "b1", "b2",
-        ):
-            arr = np.zeros(shape)
-        elif ".lora." in name and name.endswith(".b"):
+        elif name.endswith(".beta") or name in zero:
             arr = np.zeros(shape)
         else:
             arr = rng.normal(0.0, _INIT_STD, shape)
@@ -338,39 +269,43 @@ def _gelu_bwd(dy, x, t):
     return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * inner)
 
 
-def _proj_fwd(x, w, b, adapter, scale, p, training, rng):
-    """y = x W^T + b, plus the scaled low-rank path when an adapter is present."""
-    y = x @ w.T + b
+def _proj_fwd(state, i, proj, x, blk, training, rng):
+    """y = x W^T + b for layer i's ``proj``, plus the scaled low-rank path
+    (with dropout on its input in training) when ``proj`` is adapted.  The
+    backward cache goes to ``blk[proj]``."""
+    cfg, P = state.config, state.params
+    w_name, b_name, a_name, b_up_name = _proj_names(i, proj)
+    y = x @ P[w_name].T + P[b_name]
     xd = u = keep = None
-    if adapter is not None:
-        a_mat, b_mat = adapter
+    if proj in cfg.adapted_projections:
+        p = cfg.lora_dropout
         xd = x
         if training and p > 0.0:
             keep = rng.random(x.shape) >= p
             xd = x * keep.astype(x.dtype) / (1.0 - p)
-        u = xd @ a_mat.T
-        y = y + scale * (u @ b_mat.T)
-    return y, (x, xd, u, keep)
+        u = xd @ P[a_name].T
+        y = y + (cfg.lora_alpha / cfg.lora_rank) * (u @ P[b_up_name].T)
+    blk[proj] = (x, xd, u, keep)
+    return y
 
 
-def _proj_bwd(dy, cache, w, adapter, scale, p, grads, names, want):
-    """Returns dx; accumulates requested gradients into ``grads``.
-
-    ``names`` is (w_name, b_name, a_name, b_up_name); adapter grads are only
-    produced when an adapter is present.
-    """
-    x, xd, u, keep = cache
-    w_name, b_name, a_name, b_up_name = names
+def _proj_bwd(state, i, proj, dy, blk, grads, want):
+    """Returns dx for layer i's ``proj`` from the cache in ``blk[proj]``;
+    accumulates the gradients ``want`` asks for into ``grads``."""
+    cfg, P = state.config, state.params
+    x, xd, u, keep = blk[proj]
+    w_name, b_name, a_name, b_up_name = _proj_names(i, proj)
     din = x.shape[-1]
     dout = dy.shape[-1]
     dy_flat = dy.reshape(-1, dout)
-    dx = dy @ w
+    dx = dy @ P[w_name]
     if want(w_name):
         grads[w_name] = grads.get(w_name, 0) + dy_flat.T @ x.reshape(-1, din)
     if want(b_name):
         grads[b_name] = grads.get(b_name, 0) + dy_flat.sum(axis=0)
-    if adapter is not None:
-        a_mat, b_mat = adapter
+    if proj in cfg.adapted_projections:
+        scale, p = cfg.lora_alpha / cfg.lora_rank, cfg.lora_dropout
+        a_mat, b_mat = P[a_name], P[b_up_name]
         if want(b_up_name):
             grads[b_up_name] = grads.get(b_up_name, 0) + scale * (
                 dy_flat.T @ u.reshape(-1, u.shape[-1])
@@ -439,16 +374,8 @@ def forward_hidden(
     if training and cfg.lora_dropout > 0.0 and rng is None:
         raise ValueError("rng required for dropout in training mode")
 
-    adapted = set(cfg.adapted_projections)
-    scale = cfg.lora_alpha / cfg.lora_rank
-    p = cfg.lora_dropout
     head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     causal = np.tril(np.ones((T, T0 + T), dtype=bool), k=T0)
-
-    def adapter(i, proj):
-        if proj not in adapted:
-            return None
-        return P[f"layers.{i}.lora.{proj}.a"], P[f"layers.{i}.lora.{proj}.b"]
 
     x = P["tok_emb"][ids] + P["pos_emb"][T0 : T0 + T]
     cache: dict = {"ids": ids, "t0": T0, "blocks": []}
@@ -456,13 +383,10 @@ def forward_hidden(
         blk: dict = {}
         pre = f"layers.{i}"
         a, blk["ln1"] = _layer_norm_fwd(x, P[f"{pre}.ln1.gamma"], P[f"{pre}.ln1.beta"])
-        q, blk["qp"] = _proj_fwd(a, P[f"{pre}.attn.wq"], P[f"{pre}.attn.bq"],
-                                 adapter(i, "query"), scale, p, training, rng)
-        k, blk["kp"] = _proj_fwd(a, P[f"{pre}.attn.wk"], P[f"{pre}.attn.bk"],
-                                 adapter(i, "key"), scale, p, training, rng)
-        v, blk["vp"] = _proj_fwd(a, P[f"{pre}.attn.wv"], P[f"{pre}.attn.bv"],
-                                 adapter(i, "value"), scale, p, training, rng)
-        qh, kh, vh = (_split_heads(z, cfg.n_heads) for z in (q, k, v))
+        qh, kh, vh = (
+            _split_heads(_proj_fwd(state, i, proj, a, blk, training, rng), cfg.n_heads)
+            for proj in ("query", "key", "value")
+        )
         if past is not None:
             kh = np.concatenate((past["blocks"][i]["kh"], kh), axis=2)
             vh = np.concatenate((past["blocks"][i]["vh"], vh), axis=2)
@@ -471,17 +395,12 @@ def forward_hidden(
         oh = attn @ vh
         o = _merge_heads(oh)
         blk["qh"], blk["kh"], blk["vh"], blk["attn"] = qh, kh, vh, attn
-        attn_out, blk["op"] = _proj_fwd(o, P[f"{pre}.attn.wo"], P[f"{pre}.attn.bo"],
-                                        adapter(i, "output"), scale, p, training, rng)
-        x = x + attn_out
+        x = x + _proj_fwd(state, i, "output", o, blk, training, rng)
         f, blk["ln2"] = _layer_norm_fwd(x, P[f"{pre}.ln2.gamma"], P[f"{pre}.ln2.beta"])
-        h1, blk["f1"] = _proj_fwd(f, P[f"{pre}.ff.w1"], P[f"{pre}.ff.b1"],
-                                  adapter(i, "ff_in"), scale, p, training, rng)
+        h1 = _proj_fwd(state, i, "ff_in", f, blk, training, rng)
         g, t = _gelu_fwd(h1)
         blk["h1"], blk["t"] = h1, t
-        h2, blk["f2"] = _proj_fwd(g, P[f"{pre}.ff.w2"], P[f"{pre}.ff.b2"],
-                                  adapter(i, "ff_out"), scale, p, training, rng)
-        x = x + h2
+        x = x + _proj_fwd(state, i, "ff_out", g, blk, training, rng)
         cache["blocks"].append(blk)
     xf, cache["ln_f"] = _layer_norm_fwd(x, P["ln_f.gamma"], P["ln_f.beta"])
     return xf, cache
@@ -515,18 +434,10 @@ def backward_batch(
         raise ValueError("cannot differentiate a forward pass built on a past cache")
     cfg = state.config
     P = state.params
-    adapted = set(cfg.adapted_projections)
-    scale = cfg.lora_alpha / cfg.lora_rank
-    p = cfg.lora_dropout
     head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
     def want(name):
         return needs is None or name in needs
-
-    def adapter(i, proj):
-        if proj not in adapted:
-            return None
-        return P[f"layers.{i}.lora.{proj}.a"], P[f"layers.{i}.lora.{proj}.b"]
 
     grads: dict[str, np.ndarray] = {}
     dx, dg, db = _layer_norm_bwd(dxf, cache["ln_f"], P["ln_f.gamma"])
@@ -540,22 +451,9 @@ def backward_batch(
         pre = f"layers.{i}"
 
         # x_out = x_mid + ff(ln2(x_mid))
-        dh2 = dx
-        dgact = _proj_bwd(
-            dh2, blk["f2"], P[f"{pre}.ff.w2"], adapter(i, "ff_out"), scale, p,
-            grads,
-            (f"{pre}.ff.w2", f"{pre}.ff.b2",
-             f"{pre}.lora.ff_out.a", f"{pre}.lora.ff_out.b"),
-            want,
-        )
+        dgact = _proj_bwd(state, i, "ff_out", dx, blk, grads, want)
         dh1 = _gelu_bwd(dgact, blk["h1"], blk["t"])
-        df = _proj_bwd(
-            dh1, blk["f1"], P[f"{pre}.ff.w1"], adapter(i, "ff_in"), scale, p,
-            grads,
-            (f"{pre}.ff.w1", f"{pre}.ff.b1",
-             f"{pre}.lora.ff_in.a", f"{pre}.lora.ff_in.b"),
-            want,
-        )
+        df = _proj_bwd(state, i, "ff_in", dh1, blk, grads, want)
         dx_mid, dg2, db2 = _layer_norm_bwd(df, blk["ln2"], P[f"{pre}.ln2.gamma"])
         if want(f"{pre}.ln2.gamma"):
             grads[f"{pre}.ln2.gamma"] = dg2
@@ -564,14 +462,7 @@ def backward_batch(
         dx = dx + dx_mid
 
         # x_mid = x_in + attn(ln1(x_in))
-        dattn_out = dx
-        do = _proj_bwd(
-            dattn_out, blk["op"], P[f"{pre}.attn.wo"], adapter(i, "output"),
-            scale, p, grads,
-            (f"{pre}.attn.wo", f"{pre}.attn.bo",
-             f"{pre}.lora.output.a", f"{pre}.lora.output.b"),
-            want,
-        )
+        do = _proj_bwd(state, i, "output", dx, blk, grads, want)
         doh = _split_heads(do, cfg.n_heads)
         attn, qh, kh, vh = blk["attn"], blk["qh"], blk["kh"], blk["vh"]
         dattn = doh @ vh.transpose(0, 1, 3, 2)
@@ -580,27 +471,9 @@ def backward_batch(
         dqh = (ds @ kh) * head_scale
         dkh = (ds.transpose(0, 1, 3, 2) @ qh) * head_scale
         dq, dk, dv = (_merge_heads(z) for z in (dqh, dkh, dvh))
-        da = _proj_bwd(
-            dq, blk["qp"], P[f"{pre}.attn.wq"], adapter(i, "query"), scale, p,
-            grads,
-            (f"{pre}.attn.wq", f"{pre}.attn.bq",
-             f"{pre}.lora.query.a", f"{pre}.lora.query.b"),
-            want,
-        )
-        da += _proj_bwd(
-            dk, blk["kp"], P[f"{pre}.attn.wk"], adapter(i, "key"), scale, p,
-            grads,
-            (f"{pre}.attn.wk", f"{pre}.attn.bk",
-             f"{pre}.lora.key.a", f"{pre}.lora.key.b"),
-            want,
-        )
-        da += _proj_bwd(
-            dv, blk["vp"], P[f"{pre}.attn.wv"], adapter(i, "value"), scale, p,
-            grads,
-            (f"{pre}.attn.wv", f"{pre}.attn.bv",
-             f"{pre}.lora.value.a", f"{pre}.lora.value.b"),
-            want,
-        )
+        da = _proj_bwd(state, i, "query", dq, blk, grads, want)
+        da += _proj_bwd(state, i, "key", dk, blk, grads, want)
+        da += _proj_bwd(state, i, "value", dv, blk, grads, want)
         dx_in, dg1, db1 = _layer_norm_bwd(da, blk["ln1"], P[f"{pre}.ln1.gamma"])
         if want(f"{pre}.ln1.gamma"):
             grads[f"{pre}.ln1.gamma"] = dg1
@@ -821,9 +694,11 @@ class Vocab:
     def __post_init__(self):
         if tuple(self.tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
             raise ValueError("vocab must start with the special tokens")
-        object.__setattr__(
-            self, "_index", {tok: i for i, tok in enumerate(self.tokens)}
-        )
+        index: dict[str, int] = {}
+        for i, tok in enumerate(self.tokens):
+            if index.setdefault(tok, i) != i:
+                raise ValueError(f"duplicate token {tok!r} in vocab")
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -10,6 +10,7 @@ from domainforge.cli import main
 from domainforge.corpus_store import CjkCharTokenizer
 from domainforge.evaluator import McqItem, save_exam
 from domainforge.lora_model import (
+    SPECIAL_TOKENS,
     ModelConfig,
     build_vocab,
     init_model,
@@ -410,6 +411,11 @@ def broken_inputs(tmp_path):
     (tmp_path / "flipped.ckpt").write_bytes(bytes(data))
     (tmp_path / "flipped.ckpt.vocab").write_bytes(Path(f"{ckpt}.vocab").read_bytes())
     save_vocab(build_vocab([IN_CHARS[:3]], CjkCharTokenizer()), tmp_path / "short.vocab")
+    # as many entries as the checkpoint expects, but the first token twice
+    dup = list(vocab.tokens[len(SPECIAL_TOKENS):])
+    dup[-1] = dup[0]
+    (tmp_path / "dup.vocab").write_text("\n".join(["DFVOCAB1", *dup]) + "\n",
+                                        encoding="utf-8")
     write_exam(tmp_path / "exam.jsonl")
     write_raw(tmp_path / "good_raw.jsonl")
 
@@ -446,9 +452,13 @@ def broken_inputs(tmp_path):
         (["eval", "--checkpoint", "model.ckpt", "--vocab", "short.vocab",
           "--exam", "exam.jsonl", "--responder", "model"],
          "error: ConfigError: vocabulary has 7 entries but the checkpoint expects 14"),
+        (["eval", "--checkpoint", "model.ckpt", "--vocab", "dup.vocab",
+          "--exam", "exam.jsonl", "--responder", "model"],
+         "error: ValueError: duplicate token"),
     ],
     ids=["unknown-tokenizer", "raw-without-body", "pair-without-response",
-         "exam-without-options", "flipped-checkpoint", "eval-short-vocab"],
+         "exam-without-options", "flipped-checkpoint", "eval-short-vocab",
+         "eval-duplicate-vocab"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
     argv = [str(broken_inputs / a)

@@ -21,7 +21,6 @@ from domainforge.lora_model import (
     PAD_ID,
     SPECIAL_TOKENS,
     UNK_ID,
-    LoraLayer,
     ModelConfig,
     Vocab,
     adapter_param_names,
@@ -33,14 +32,11 @@ from domainforge.lora_model import (
     forward_hidden,
     greedy_generate,
     head_loss,
-    init_lora,
     init_model,
     load_checkpoint,
     load_vocab,
-    lora_forward,
     lora_param_count,
     masked_next_token_loss,
-    merge_weights,
     model_forward,
     param_names,
     save_checkpoint,
@@ -66,91 +62,6 @@ SMALL = ModelConfig(
 def random_ids(rng, config, shape):
     return rng.integers(len(SPECIAL_TOKENS), config.vocab_size, size=shape,
                         dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Adapted layer
-
-
-def test_lora_forward_worked_example():
-    layer = LoraLayer(
-        w=np.eye(2),
-        lora_b=np.array([[1.0], [0.0]]),
-        lora_a=np.array([[0.0, 1.0]]),
-        rank=1,
-        alpha=1.0,
-    )
-    h = lora_forward(layer, np.array([3.0, 4.0]))
-    assert np.array_equal(h, np.array([7.0, 4.0]))
-
-
-def test_lora_zero_b_is_base_map_bitwise():
-    layer = init_lora(8, 6, rank=3, alpha=6.0, seed=11)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        x = rng.normal(size=(4, 6))
-        assert lora_forward(layer, x).tobytes() == (x @ layer.w.T).tobytes()
-
-
-def test_lora_adapter_matches_merged_weights():
-    layer = init_lora(10, 7, rank=2, alpha=8.0, seed=3)
-    rng = np.random.default_rng(5)
-    layer.lora_b[:] = rng.normal(size=layer.lora_b.shape)
-    x = rng.normal(size=(9, 7))
-    via_adapter = lora_forward(layer, x)
-    via_merged = x @ merge_weights(layer).T
-    rel = np.abs(via_adapter - via_merged).max() / np.abs(via_merged).max()
-    assert rel < 1e-6
-
-
-def test_init_lora_deterministic():
-    a = init_lora(5, 4, rank=2, alpha=4.0, seed=42)
-    b = init_lora(5, 4, rank=2, alpha=4.0, seed=42)
-    c = init_lora(5, 4, rank=2, alpha=4.0, seed=43)
-    assert np.array_equal(a.lora_a, b.lora_a)
-    assert np.array_equal(a.w, b.w)
-    assert not np.array_equal(a.lora_a, c.lora_a)
-    assert np.all(a.lora_b == 0.0)
-
-
-def test_init_lora_rank_bounds():
-    with pytest.raises(ValueError):
-        init_lora(5, 4, rank=5, alpha=4.0, seed=0)  # min(5, 4) + 1
-    with pytest.raises(ValueError):
-        init_lora(5, 4, rank=0, alpha=4.0, seed=0)
-
-
-def test_lora_dropout_needs_rng_in_training():
-    layer = init_lora(4, 4, rank=1, alpha=1.0, seed=0, dropout_p=0.5)
-    x = np.ones(4)
-    with pytest.raises(ValueError):
-        lora_forward(layer, x, training=True)
-    # evaluation mode never applies dropout
-    assert np.array_equal(lora_forward(layer, x), x @ layer.w.T)
-
-
-def test_lora_dropout_is_seed_deterministic():
-    layer = init_lora(4, 4, rank=1, alpha=1.0, seed=0, dropout_p=0.5)
-    layer.lora_b[:] = 1.0
-    x = np.ones((3, 4))
-    one = lora_forward(layer, x, training=True, rng=np.random.default_rng(9))
-    two = lora_forward(layer, x, training=True, rng=np.random.default_rng(9))
-    assert np.array_equal(one, two)
-
-
-def test_lora_input_dim_checked():
-    layer = init_lora(4, 4, rank=1, alpha=1.0, seed=0)
-    with pytest.raises(ValueError):
-        lora_forward(layer, np.ones(5))
-
-
-def test_merge_weights_does_not_mutate():
-    layer = init_lora(4, 4, rank=1, alpha=2.0, seed=1)
-    layer.lora_b[:] = 1.0
-    before = layer.w.copy()
-    merged = merge_weights(layer)
-    assert np.array_equal(layer.w, before)
-    assert not np.array_equal(merged, before)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +118,28 @@ def test_init_model_base_draws_independent_of_adapters():
     without = init_model(bare, seed=5)
     for name in param_names(bare):
         assert with_adapters.params[name].tobytes() == without.params[name].tobytes()
+
+
+def test_param_names_order_is_pinned():
+    # the checkpoint tensor order and the init draw order
+    assert param_names(SMALL) == [
+        "tok_emb", "pos_emb",
+        "layers.0.ln1.gamma", "layers.0.ln1.beta",
+        "layers.0.attn.wq", "layers.0.attn.bq",
+        "layers.0.attn.wk", "layers.0.attn.bk",
+        "layers.0.attn.wv", "layers.0.attn.bv",
+        "layers.0.attn.wo", "layers.0.attn.bo",
+        "layers.0.ln2.gamma", "layers.0.ln2.beta",
+        "layers.0.ff.w1", "layers.0.ff.b1",
+        "layers.0.ff.w2", "layers.0.ff.b2",
+        "ln_f.gamma", "ln_f.beta", "out_w",
+        "layers.0.lora.query.a", "layers.0.lora.query.b",
+        "layers.0.lora.key.a", "layers.0.lora.key.b",
+        "layers.0.lora.value.a", "layers.0.lora.value.b",
+        "layers.0.lora.output.a", "layers.0.lora.output.b",
+        "layers.0.lora.ff_in.a", "layers.0.lora.ff_in.b",
+        "layers.0.lora.ff_out.a", "layers.0.lora.ff_out.b",
+    ]
 
 
 def test_adapter_census_matches_formula():
@@ -271,6 +204,33 @@ def test_forward_dropout_reproducible_and_distinct():
     assert t1.tobytes() == t2.tobytes()
     assert not np.array_equal(t1, eval_logits)
     assert not np.array_equal(t1, t3)
+
+
+@pytest.mark.parametrize("projections", [ADAPTABLE_PROJECTIONS, ("query", "value")])
+def test_adapters_match_merged_weights(projections):
+    config = replace(SMALL, n_layers=2, adapted_projections=projections)
+    adapted = init_model(config, seed=3, dtype=np.float64)
+    rng = np.random.default_rng(5)
+    for name in adapter_param_names(config):
+        if name.endswith(".b"):
+            adapted.params[name][:] = rng.normal(0.0, 0.3, adapted.params[name].shape)
+    # same seed, no adapters: identical base tensors, into which B A is folded
+    merged = init_model(replace(config, adapted_projections=()), seed=3, dtype=np.float64)
+    plain = merged.copy()
+    scale = config.lora_alpha / config.lora_rank
+    for i in range(config.n_layers):
+        for proj in projections:
+            w_name = f"layers.{i}.{lora_model.PROJECTION_TENSORS[proj][0]}"
+            lora = f"layers.{i}.lora.{proj}"
+            merged.params[w_name] += scale * (
+                adapted.params[f"{lora}.b"] @ adapted.params[f"{lora}.a"]
+            )
+    ids = random_ids(rng, config, (2, 9))
+    via_adapters, _ = forward_batch(adapted, ids)
+    via_merged, _ = forward_batch(merged, ids)
+    np.testing.assert_allclose(via_adapters, via_merged, rtol=1e-10, atol=1e-12)
+    # the adapters move the logits, so the comparison is not vacuous
+    assert not np.allclose(via_adapters, forward_batch(plain, ids)[0])
 
 
 def test_forward_validation():
@@ -679,6 +639,17 @@ def test_vocab_encode_decode():
 def test_vocab_requires_special_prefix():
     with pytest.raises(ValueError):
         Vocab(tokens=("a", "b"))
+
+
+def test_vocab_rejects_duplicate_tokens(tmp_path):
+    with pytest.raises(ValueError, match="duplicate token '脉'"):
+        Vocab(tokens=SPECIAL_TOKENS + ("脉", "舌", "脉"))
+    with pytest.raises(ValueError, match="duplicate token '<pad>'"):
+        Vocab(tokens=SPECIAL_TOKENS + ("<pad>",))
+    path = tmp_path / "dup.vocab"
+    path.write_text("DFVOCAB1\n脉\n舌\n脉\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="duplicate token '脉'"):
+        load_vocab(path)
 
 
 def test_vocab_round_trip(tmp_path):
