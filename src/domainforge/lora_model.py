@@ -327,15 +327,42 @@ def _split_heads(x, n_heads):
     return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+# Bytes that one block of whole sequences may give its largest temporary; it
+# sizes both the blocks of ``head_loss`` (the logits) and those of attention
+# (the scores), and a block holds at least one sequence.  Smaller blocks stay
+# in cache: at B=128, T=256, V=4100 on 2 cores the head takes about 0.7 s with
+# 8 MB and 1.2 s with 32 MB.  At H=4 and T=256, 8 MB holds the attention of 8
+# float32 sequences.
+BLOCK_BYTES = 8 * 2**20
 
 
-def _softmax_last(x):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+def _seq_blocks(batch: int, seq_bytes: int):
+    """Slices of whole sequences that cut a batch into blocks of at most
+    ``BLOCK_BYTES``, given one sequence's bytes of the largest temporary."""
+    per_block = max(1, BLOCK_BYTES // seq_bytes)
+    for lo in range(0, batch, per_block):
+        yield slice(lo, min(lo + per_block, batch))
+
+
+def _attn_probs(qh, kh, head_scale):
+    """Causal attention probabilities of queries (batch, heads, t, dh) over
+    keys (batch, heads, tk, dh); the queries are the last t key positions.
+    Every step works in place on one array and rounds exactly as a
+    temporary per step would."""
+    t, tk = qh.shape[2], kh.shape[2]
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= head_scale
+    np.copyto(p, -np.inf, where=np.triu(np.ones((t, tk), dtype=bool), k=tk - t + 1))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _attn_blocks(qh, kh):
+    """``_seq_blocks`` for attention: sized by the (heads, t, tk) scores."""
+    B, H, T, _ = qh.shape
+    return _seq_blocks(B, H * T * kh.shape[2] * qh.itemsize)
 
 
 def forward_hidden(
@@ -349,6 +376,11 @@ def forward_hidden(
     the final layer norm.
 
     Returns (xf, cache); position i's hidden state depends only on ids[:, :i+1].
+
+    Attention runs one block of whole sequences at a time (``_seq_blocks``),
+    so its (batch, heads, time, time) probabilities never exist for the whole
+    batch.  The cache keeps each layer's per-head queries, keys and values but
+    no probabilities; ``backward_batch`` recomputes them block by block.
 
     ``past`` is the cache of an earlier call on the preceding positions of
     the same sequences (the key/value cache of incremental decoding).  The
@@ -375,7 +407,6 @@ def forward_hidden(
         raise ValueError("rng required for dropout in training mode")
 
     head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    causal = np.tril(np.ones((T, T0 + T), dtype=bool), k=T0)
 
     x = P["tok_emb"][ids] + P["pos_emb"][T0 : T0 + T]
     cache: dict = {"ids": ids, "t0": T0, "blocks": []}
@@ -390,11 +421,11 @@ def forward_hidden(
         if past is not None:
             kh = np.concatenate((past["blocks"][i]["kh"], kh), axis=2)
             vh = np.concatenate((past["blocks"][i]["vh"], vh), axis=2)
-        s = np.where(causal, (qh @ kh.transpose(0, 1, 3, 2)) * head_scale, -np.inf)
-        attn = _softmax_last(s)
-        oh = attn @ vh
-        o = _merge_heads(oh)
-        blk["qh"], blk["kh"], blk["vh"], blk["attn"] = qh, kh, vh, attn
+        o = np.empty((B, T, cfg.d_model), dtype=qh.dtype)
+        oh = _split_heads(o, cfg.n_heads)  # a view: blocks written here land in o
+        for sl in _attn_blocks(qh, kh):
+            oh[sl] = _attn_probs(qh[sl], kh[sl], head_scale) @ vh[sl]
+        blk["qh"], blk["kh"], blk["vh"] = qh, kh, vh
         x = x + _proj_fwd(state, i, "output", o, blk, training, rng)
         f, blk["ln2"] = _layer_norm_fwd(x, P[f"{pre}.ln2.gamma"], P[f"{pre}.ln2.beta"])
         h1 = _proj_fwd(state, i, "ff_in", f, blk, training, rng)
@@ -429,7 +460,12 @@ def backward_batch(
     """Gradients of a scalar loss wrt the tensors named in ``needs`` (all
     tensors when ``needs`` is None), given its gradient ``dxf`` wrt the final
     layer norm's output.  ``out_w`` is not among them: its gradient comes
-    from ``head_loss``.  A cache built on a ``past`` is rejected."""
+    from ``head_loss``.  A cache built on a ``past`` is rejected.
+
+    The cache holds no attention probabilities: each block of whole sequences
+    recomputes its own with ``_attn_probs``, bitwise equal to the forward's,
+    and the block's query, key and value gradients go straight into whole-batch
+    arrays, so the result matches the unblocked pass bitwise."""
     if cache["t0"]:
         raise ValueError("cannot differentiate a forward pass built on a past cache")
     cfg = state.config
@@ -464,13 +500,17 @@ def backward_batch(
         # x_mid = x_in + attn(ln1(x_in))
         do = _proj_bwd(state, i, "output", dx, blk, grads, want)
         doh = _split_heads(do, cfg.n_heads)
-        attn, qh, kh, vh = blk["attn"], blk["qh"], blk["kh"], blk["vh"]
-        dattn = doh @ vh.transpose(0, 1, 3, 2)
-        dvh = attn.transpose(0, 1, 3, 2) @ doh
-        ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dqh = (ds @ kh) * head_scale
-        dkh = (ds.transpose(0, 1, 3, 2) @ qh) * head_scale
-        dq, dk, dv = (_merge_heads(z) for z in (dqh, dkh, dvh))
+        qh, kh, vh = blk["qh"], blk["kh"], blk["vh"]
+        dq, dk, dv = (np.empty(do.shape, dtype=do.dtype) for _ in range(3))
+        dqh, dkh, dvh = (_split_heads(z, cfg.n_heads) for z in (dq, dk, dv))
+        for sl in _attn_blocks(qh, kh):
+            attn = _attn_probs(qh[sl], kh[sl], head_scale)
+            dvh[sl] = attn.transpose(0, 1, 3, 2) @ doh[sl]
+            ds = doh[sl] @ vh[sl].transpose(0, 1, 3, 2)  # d attn, then d scores
+            ds -= (ds * attn).sum(axis=-1, keepdims=True)
+            ds *= attn
+            dqh[sl] = (ds @ kh[sl]) * head_scale
+            dkh[sl] = (ds.transpose(0, 1, 3, 2) @ qh[sl]) * head_scale
         da = _proj_bwd(state, i, "query", dq, blk, grads, want)
         da += _proj_bwd(state, i, "key", dk, blk, grads, want)
         da += _proj_bwd(state, i, "value", dv, blk, grads, want)
@@ -565,12 +605,6 @@ def masked_next_token_loss(
     return float(seq_loss.mean()), dlogits
 
 
-# Bytes of logits one block of ``head_loss`` holds at a time (at least one
-# whole sequence per block).  Smaller blocks stay in cache: at B=128, T=256,
-# V=4100 on 2 cores the head takes about 0.7 s with 8 MB and 1.2 s with 32 MB.
-HEAD_BLOCK_BYTES = 8 * 2**20
-
-
 def head_loss(
     state: ModelState,
     xf: np.ndarray,
@@ -590,18 +624,16 @@ def head_loss(
     out_w = state.params["out_w"]
     B, T, d = xf.shape
     mask, n = _target_weights(target_mask, xf.dtype)
-    per_block = max(1, HEAD_BLOCK_BYTES // (T * out_w.shape[0] * xf.itemsize))
     seq_loss = np.empty(B, dtype=xf.dtype)
     dxf = np.empty_like(xf)
     dout_w = None
-    for lo in range(0, B, per_block):
-        hi = min(lo + per_block, B)
-        seq_loss[lo:hi], dlogits = _nll_block(
-            xf[lo:hi] @ out_w.T, ids[lo:hi], mask[lo:hi], n[lo:hi], B
+    for sl in _seq_blocks(B, T * out_w.shape[0] * xf.itemsize):
+        seq_loss[sl], dlogits = _nll_block(
+            xf[sl] @ out_w.T, ids[sl], mask[sl], n[sl], B
         )
-        dxf[lo:hi] = dlogits @ out_w
+        dxf[sl] = dlogits @ out_w
         if needs is None or "out_w" in needs:
-            part = dlogits.reshape(-1, dlogits.shape[-1]).T @ xf[lo:hi].reshape(-1, d)
+            part = dlogits.reshape(-1, dlogits.shape[-1]).T @ xf[sl].reshape(-1, d)
             if dout_w is None:
                 dout_w = part
             else:
@@ -745,6 +777,9 @@ def load_vocab(path: str | Path) -> Vocab:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != VOCAB_MAGIC:
         raise MagicMismatchError(path, f"expected magic {VOCAB_MAGIC!r}")
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            raise ValueError(f"{path}:{lineno}: blank vocab token")
     return Vocab(tokens=SPECIAL_TOKENS + tuple(lines[1:]))
 
 

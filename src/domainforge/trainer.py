@@ -421,33 +421,41 @@ def gradient_check(seed: int = 0) -> GradCheckReport:
     sft_mask = np.zeros((2, 7))
     sft_mask[:, 3:] = 1.0  # three conditioning targets masked out per row
 
-    entries: list[GradCheckEntry] = []
-    for mode, mask in (("clm", full_mask), ("sft", sft_mask)):
-        # analytic: the fused training path; finite differences: the
-        # reference forward_batch -> masked_next_token_loss
+    modes = (("clm", full_mask), ("sft", sft_mask))
+
+    # analytic: the fused training path; finite differences: the reference
+    # forward_batch -> masked_next_token_loss, one forward serving both masks
+    analytic = []
+    for _, mask in modes:
         xf, cache = forward_hidden(state, ids)
-        _, dxf, analytic = head_loss(state, xf, ids, mask)
-        analytic.update(backward_batch(state, cache, dxf, needs=None))
+        _, dxf, grads = head_loss(state, xf, ids, mask)
+        grads.update(backward_batch(state, cache, dxf, needs=None))
+        analytic.append(grads)
 
-        def loss_at() -> float:
-            lg, _ = forward_batch(state, ids)
-            value, _ = masked_next_token_loss(lg, ids, mask)
-            return value
+    def losses_at() -> list[float]:
+        lg, _ = forward_batch(state, ids)
+        return [masked_next_token_loss(lg, ids, mask)[0] for _, mask in modes]
 
-        for name in param_names(state.config):
-            arr = state.params[name]
-            fd = np.zeros_like(arr)
-            flat = arr.reshape(-1)
-            fd_flat = fd.reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + GRADCHECK_FD_STEP
-                up = loss_at()
-                flat[j] = orig - GRADCHECK_FD_STEP
-                down = loss_at()
-                flat[j] = orig
-                fd_flat[j] = (up - down) / (2.0 * GRADCHECK_FD_STEP)
-            a = analytic[name]
+    names = param_names(state.config)
+    fds: dict[str, np.ndarray] = {}  # (mode, element) per tensor
+    for name in names:
+        flat = state.params[name].reshape(-1)
+        fd = np.zeros((len(modes), flat.size))
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + GRADCHECK_FD_STEP
+            up = losses_at()
+            flat[j] = orig - GRADCHECK_FD_STEP
+            down = losses_at()
+            flat[j] = orig
+            fd[:, j] = [(u - d) / (2.0 * GRADCHECK_FD_STEP) for u, d in zip(up, down)]
+        fds[name] = fd
+
+    entries: list[GradCheckEntry] = []
+    for k, (mode, _) in enumerate(modes):
+        for name in names:
+            a = analytic[k][name]
+            fd = fds[name][k].reshape(a.shape)
             scale = max(float(np.abs(a).max()), float(np.abs(fd).max()))
             diff = float(np.abs(a - fd).max())
             rel = diff / scale if scale > 1e-12 else diff

@@ -416,6 +416,11 @@ def broken_inputs(tmp_path):
     dup[-1] = dup[0]
     (tmp_path / "dup.vocab").write_text("\n".join(["DFVOCAB1", *dup]) + "\n",
                                         encoding="utf-8")
+    # as many entries as the checkpoint expects, but line 5 blank
+    blank = list(vocab.tokens[len(SPECIAL_TOKENS):])
+    blank[3] = ""
+    (tmp_path / "blank.vocab").write_text("\n".join(["DFVOCAB1", *blank]) + "\n",
+                                          encoding="utf-8")
     write_exam(tmp_path / "exam.jsonl")
     write_raw(tmp_path / "good_raw.jsonl")
 
@@ -455,10 +460,13 @@ def broken_inputs(tmp_path):
         (["eval", "--checkpoint", "model.ckpt", "--vocab", "dup.vocab",
           "--exam", "exam.jsonl", "--responder", "model"],
          "error: ValueError: duplicate token"),
+        (["eval", "--checkpoint", "model.ckpt", "--vocab", "blank.vocab",
+          "--exam", "exam.jsonl", "--responder", "model"],
+         "blank.vocab:5: blank vocab token"),
     ],
     ids=["unknown-tokenizer", "raw-without-body", "pair-without-response",
          "exam-without-options", "flipped-checkpoint", "eval-short-vocab",
-         "eval-duplicate-vocab"],
+         "eval-duplicate-vocab", "eval-blank-vocab"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
     argv = [str(broken_inputs / a)

@@ -398,7 +398,7 @@ def _fused_head(state, ids, mask, needs):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_head_loss_matches_reference_bitwise_one_sequence_per_block(monkeypatch, dtype):
-    monkeypatch.setattr(lora_model, "HEAD_BLOCK_BYTES", 1)
+    monkeypatch.setattr(lora_model, "BLOCK_BYTES", 1)
     state, ids, mask = _head_case(dtype)
     needs = set(adapter_param_names(state.config))
     loss_r, dxf_r, grads_r, _ = _reference_head(state, ids, mask, needs)
@@ -417,11 +417,11 @@ def test_head_loss_out_w_gradient(monkeypatch, dtype):
     needs = set(trainable_param_names(state.config, train_embeddings=True))
     loss_r, _, _, dout_w_r = _reference_head(state, ids, mask, needs)
     # one block: the same GEMM as the reference
-    monkeypatch.setattr(lora_model, "HEAD_BLOCK_BYTES", 2**40)
+    monkeypatch.setattr(lora_model, "BLOCK_BYTES", 2**40)
     _, _, _, head_grads = _fused_head(state, ids, mask, needs)
     assert head_grads["out_w"].tobytes() == dout_w_r.tobytes()
     # one sequence per block: a sum of per-block GEMMs
-    monkeypatch.setattr(lora_model, "HEAD_BLOCK_BYTES", 1)
+    monkeypatch.setattr(lora_model, "BLOCK_BYTES", 1)
     loss, _, _, head_grads = _fused_head(state, ids, mask, needs)
     assert loss == loss_r
     err = np.abs(head_grads["out_w"] - dout_w_r).max() / np.abs(dout_w_r).max()
@@ -437,7 +437,7 @@ def test_head_loss_requires_a_target_per_sequence():
 
 
 def test_head_loss_never_holds_the_full_logits(monkeypatch):
-    monkeypatch.setattr(lora_model, "HEAD_BLOCK_BYTES", 1)
+    monkeypatch.setattr(lora_model, "BLOCK_BYTES", 1)
     B, T, V = 16, 256, 4100
     config = ModelConfig(vocab_size=V, max_seq_len=T)
     state = init_model(config, seed=0)
@@ -582,8 +582,7 @@ def test_greedy_generate_feeds_each_position_once(monkeypatch):
     assert sum(ids.shape[1] for ids, _ in calls) == len(prompt) + len(out) - 1
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_forward_with_past_matches_one_call(dtype):
+def _assert_chained_past_matches_one_call(dtype):
     state = _live_adapter_state(SMALL, dtype, seed=4)
     ids = random_ids(np.random.default_rng(5), SMALL, (2, 12))
     full, _ = forward_hidden(state, ids)
@@ -596,6 +595,17 @@ def test_forward_with_past_matches_one_call(dtype):
     np.testing.assert_allclose(
         np.concatenate(parts, axis=1), full, rtol=0, atol=CACHED_TOL[dtype]
     )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_with_past_matches_one_call(dtype):
+    _assert_chained_past_matches_one_call(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_with_past_matches_one_call_one_sequence_per_block(monkeypatch, dtype):
+    monkeypatch.setattr(lora_model, "BLOCK_BYTES", 1)
+    _assert_chained_past_matches_one_call(dtype)
 
 
 def test_forward_with_past_validation():
@@ -611,6 +621,83 @@ def test_backward_rejects_a_cache_built_on_past():
     xf, cache = forward_hidden(state, np.full((1, 2), 6), past=cache)
     with pytest.raises(ValueError):
         backward_batch(state, cache, np.ones_like(xf))
+
+
+# ---------------------------------------------------------------------------
+# Blocked attention
+
+
+def _attention_step(monkeypatch, state, ids, mask, block_bytes):
+    """One dropout training step whose attention runs in blocks of
+    ``block_bytes``; the vocab head keeps its default blocks, so ``out_w``'s
+    gradient sees the attention only through xf.  Returns (xf, loss, dxf,
+    grads, the batch size of each ``_attn_probs`` call)."""
+    calls = []
+    inner = lora_model._attn_probs
+
+    def counting(qh, *args):
+        calls.append(qh.shape[0])
+        return inner(qh, *args)
+
+    def blocked(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(lora_model, "BLOCK_BYTES", block_bytes)
+            m.setattr(lora_model, "_attn_probs", counting)
+            return fn(*args, **kwargs)
+
+    rng = np.random.default_rng(3)
+    xf, cache = blocked(forward_hidden, state, ids, training=True, rng=rng)
+    loss, dxf, grads = head_loss(state, xf, ids, mask)
+    grads.update(blocked(backward_batch, state, cache, dxf))
+    return xf, loss, dxf, grads, calls
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_blocks_match_one_block_bitwise(monkeypatch, dtype):
+    config = replace(SMALL, n_layers=2, lora_dropout=0.2)
+    state = _live_adapter_state(config, dtype, seed=8)
+    B = 5
+    ids = random_ids(np.random.default_rng(8), config, (B, config.max_seq_len))
+    mask = np.ones((B, config.max_seq_len - 1))
+    mask[0, :6] = 0.0  # a prompt
+    mask[2, 3:] = 0.0  # padding
+    mask[4, ::2] = 0.0
+    xf1, loss1, dxf1, grads1, calls1 = _attention_step(monkeypatch, state, ids, mask, 1)
+    xf, loss, dxf, grads, calls = _attention_step(monkeypatch, state, ids, mask, 2**40)
+    # forward and backward each: one call per sequence and layer, or per layer
+    assert calls1 == [1] * (2 * config.n_layers * B)
+    assert calls == [B] * (2 * config.n_layers)
+    assert xf1.dtype == dtype and xf1.tobytes() == xf.tobytes()
+    assert loss1 == loss
+    assert dxf1.tobytes() == dxf.tobytes()
+    assert sorted(grads1) == sorted(grads) == sorted(param_names(config))
+    for name in grads:
+        assert grads1[name].tobytes() == grads[name].tobytes(), name
+
+
+def test_training_step_never_holds_whole_batch_attention():
+    B, T = 16, 256
+    config = ModelConfig(vocab_size=4100, max_seq_len=T)
+    state = init_model(config, seed=0)
+    ids = random_ids(np.random.default_rng(0), config, (B, T))
+    needs = set(trainable_param_names(config))
+    whole = (B, config.n_heads, T, T)
+    probs_bytes = math.prod(whole) * 4  # one layer's float32 probabilities
+    tracemalloc.start()
+    try:
+        xf, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(1))
+        _, dxf, _ = head_loss(state, xf, ids, np.ones((B, T - 1)), needs)
+        backward_batch(state, cache, dxf, needs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for blk in cache["blocks"]:
+        for entry in blk.values():
+            for arr in entry if isinstance(entry, tuple) else (entry,):
+                assert arr is None or arr.shape != whole
+    # 128 MiB; caching the probabilities and differentiating the whole batch
+    # at once peaked at about 153 MiB
+    assert peak < 8 * probs_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +736,14 @@ def test_vocab_rejects_duplicate_tokens(tmp_path):
     path = tmp_path / "dup.vocab"
     path.write_text("DFVOCAB1\n脉\n舌\n脉\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate token '脉'"):
+        load_vocab(path)
+
+
+@pytest.mark.parametrize("blank", ["", "  ", "\t", "\u3000"])
+def test_load_vocab_rejects_blank_lines(tmp_path, blank):
+    path = tmp_path / "blank.vocab"
+    path.write_text(f"DFVOCAB1\n脉\n{blank}\n舌\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"blank\.vocab:3: blank vocab token"):
         load_vocab(path)
 
 
