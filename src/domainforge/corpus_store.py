@@ -89,6 +89,12 @@ def _is_cjk(cp: int) -> bool:
     )
 
 
+# The same ranges as _is_cjk.  A token is one CJK codepoint or a maximal run
+# of other alphanumerics: in ``re``, [^\W_] is exactly str.isalnum.
+_CJK_RANGES = "\u4e00-\u9fff\u3400-\u4dbf\uf900-\ufaff\U00020000-\U0003134f"
+_TOKEN_RE = re.compile(f"[{_CJK_RANGES}]|[^\\W_{_CJK_RANGES}]+")
+
+
 class Tokenizer(Protocol):
     """Deterministic text -> token-list mapping, keyed by ``tokenizer_id``."""
 
@@ -105,23 +111,7 @@ class CjkCharTokenizer:
     tokenizer_id: str = "cjk-char-v1"
 
     def tokenize(self, text: str) -> list[str]:
-        tokens: list[str] = []
-        buf: list[str] = []
-        for ch in text.lower():
-            if _is_cjk(ord(ch)):
-                if buf:
-                    tokens.append("".join(buf))
-                    buf = []
-                tokens.append(ch)
-            elif ch.isalnum():
-                buf.append(ch)
-            else:
-                if buf:
-                    tokens.append("".join(buf))
-                    buf = []
-        if buf:
-            tokens.append("".join(buf))
-        return tokens
+        return _TOKEN_RE.findall(text.lower())
 
 
 _TOKENIZERS: dict[str, Tokenizer] = {}

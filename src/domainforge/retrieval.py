@@ -1,20 +1,27 @@
 """Inverted index, BM25 scoring against the weight-expanded query, and
 budgeted corpus selection.
 
-The index file is an artifact envelope (see ``artifact.py``) under magic
-``DFIDX1`` whose little-endian body holds the corpus stats, per-document
-lengths, and a length-prefixed term dictionary with delta-encoded postings.
+In memory each term's postings are two ``uint32`` NumPy columns (see
+``Postings``), so building, saving, loading and scoring the index touch no
+Python object per posting.  The index file is an artifact envelope (see
+``artifact.py``) under magic ``DFIDX1`` whose little-endian body holds the
+corpus stats, per-document lengths, and a length-prefixed term dictionary
+with each term's postings as ``<II`` (doc id delta, tf) pairs; the columns
+change nothing in that layout.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from itertools import accumulate
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .artifact import Cursor, load_artifact, pack_text, write_artifact
 from .corpus_store import CorpusStore, Document, get_tokenizer
@@ -27,15 +34,34 @@ DEFAULT_B = 0.75
 MAX_QUERY_REPETITIONS = 3
 
 
+@dataclass(frozen=True, eq=False)
+class Postings:
+    """One term's postings: strictly ascending ``doc_ids`` and their term
+    frequencies ``tfs``, as two ``uint32`` columns of equal length."""
+
+    doc_ids: np.ndarray
+    tfs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Postings):
+            return NotImplemented
+        return np.array_equal(self.doc_ids, other.doc_ids) and np.array_equal(
+            self.tfs, other.tfs
+        )
+
+
 @dataclass
 class InvertedIndex:
     """Postings, document lengths, and the BM25 parameters.
 
-    Postings map term -> [(doc_id, term_frequency), ...] sorted by doc_id;
+    Postings map term -> ``Postings`` columns sorted by doc_id;
     ``doc_lengths[doc_id]`` is that document's token count.
     """
 
-    postings: dict[str, list[tuple[int, int]]]
+    postings: dict[str, Postings]
     doc_lengths: list[int]
     avgdl: float
     k1: float = DEFAULT_K1
@@ -53,9 +79,9 @@ class InvertedIndex:
         plist = self.postings.get(term)
         if not plist:
             return 0
-        pos = bisect_left(plist, (doc_id,))
-        if pos < len(plist) and plist[pos][0] == doc_id:
-            return plist[pos][1]
+        pos = int(np.searchsorted(plist.doc_ids, doc_id))
+        if pos < len(plist) and plist.doc_ids[pos] == doc_id:
+            return int(plist.tfs[pos])
         return 0
 
 
@@ -91,16 +117,33 @@ def build_index(
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must be in [0, 1], got {b}")
     tokenizer = get_tokenizer(store.tokenizer_id)
-    postings: dict[str, list[tuple[int, int]]] = {}
+    # term ids in first-seen order, assigned at C speed
+    term_ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    token_ids = array("I")
+    doc_ids: list[int] = []
     doc_lengths: list[int] = []
     for doc in store:
         tokens = tokenizer.tokenize(doc.text)
+        token_ids.extend(map(term_ids.__getitem__, tokens))
+        doc_ids.append(doc.doc_id)
         doc_lengths.append(len(tokens))
-        freqs: dict[str, int] = {}
-        for tok in tokens:
-            freqs[tok] = freqs.get(tok, 0) + 1
-        for term, tf in freqs.items():
-            postings.setdefault(term, []).append((doc.doc_id, tf))
+    # one (term id, doc id) key per token: sorted, the keys group by term and
+    # each term's by ascending doc id, and a run of equal keys is one posting
+    keys = np.frombuffer(token_ids, dtype=np.uint32).astype(np.uint64)
+    keys <<= np.uint64(32)
+    keys |= np.repeat(np.array(doc_ids, dtype=np.uint64), doc_lengths)
+    keys.sort()
+    run_start = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    tf_col = np.diff(starts, append=len(keys)).astype(np.uint32)
+    keys = keys[starts]
+    doc_col = keys.astype(np.uint32)
+    ends = np.cumsum(np.bincount((keys >> np.uint64(32)).astype(np.intp)))
+    postings = {
+        term: Postings(doc_col[start:end], tf_col[start:end])
+        for term, start, end in zip(term_ids, (0, *ends[:-1].tolist()), ends.tolist())
+    }
     avgdl = sum(doc_lengths) / len(doc_lengths)
     return InvertedIndex(
         postings=postings,
@@ -118,7 +161,9 @@ def idf(index: InvertedIndex, term: str) -> float:
     return math.log(1.0 + (index.num_docs - n + 0.5) / (n + 0.5))
 
 
-def _tf_component(index: InvertedIndex, tf: int, doc_len: int) -> float:
+def _tf_component(index: InvertedIndex, tf, doc_len):
+    """BM25's saturated term frequency; ``tf`` and ``doc_len`` are numbers or
+    equal-length arrays."""
     norm = 1.0 - index.b + index.b * doc_len / index.avgdl
     return tf * (index.k1 + 1.0) / (tf + index.k1 * norm)
 
@@ -164,22 +209,20 @@ def retrieve_top_n(index: InvertedIndex, query: ExpandedQuery, n: int) -> list[S
     """The n highest positive-scoring documents, score-descending, id-ascending."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    scores: dict[int, float] = {}
+    scores = np.zeros(index.num_docs)
+    doc_lens = np.array(index.doc_lengths, dtype=np.float64)
     for term in sorted(query.counts):
         plist = index.postings.get(term)
         if not plist:
             continue
-        count = query.counts[term]
-        idf_val = idf(index, term)
-        for doc_id, tf in plist:
-            # same association as bm25_score so both add identical floats
-            unit = idf_val * _tf_component(index, tf, index.doc_lengths[doc_id])
-            scores[doc_id] = scores.get(doc_id, 0.0) + count * unit
-    ranked = sorted(
-        (ScoredDoc(d, s) for d, s in scores.items() if s > 0.0),
-        key=lambda sd: (-sd.score, sd.doc_id),
-    )
-    return ranked[:n]
+        # same association as bm25_score, elementwise over the term's
+        # postings, so both add identical floats
+        unit = idf(index, term) * _tf_component(index, plist.tfs, doc_lens[plist.doc_ids])
+        scores[plist.doc_ids] += query.counts[term] * unit
+    positive = np.flatnonzero(scores > 0.0)
+    # score-descending, then id-ascending
+    ranked = positive[np.lexsort((positive, -scores[positive]))][:n]
+    return [ScoredDoc(d, s) for d, s in zip(ranked.tolist(), scores[ranked].tolist())]
 
 
 @dataclass(frozen=True)
@@ -258,10 +301,10 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         plist = index.postings[term]
         body += pack_text(term)
         body += struct.pack("<Q", len(plist))
-        prev = 0
-        for doc_id, tf in plist:
-            body += struct.pack("<II", doc_id - prev, tf)
-            prev = doc_id
+        pairs = np.empty((len(plist), 2), dtype="<u4")
+        pairs[:, 0] = np.diff(plist.doc_ids, prepend=0)
+        pairs[:, 1] = plist.tfs
+        body += pairs.tobytes()
     write_artifact(path, INDEX_MAGIC, body)
 
 
@@ -270,13 +313,26 @@ def _parse_index(cursor: Cursor) -> InvertedIndex:
     avgdl, k1, b = cursor.unpack("<ddd")
     tokenizer_id = cursor.text()
     doc_lengths = list(cursor.unpack(f"<{num_docs}Q"))
+    if avgdl != sum(doc_lengths) / num_docs:
+        raise ValueError(f"avgdl {avgdl!r} is not the mean document length")
     (num_terms,) = cursor.unpack("<Q")
-    postings: dict[str, list[tuple[int, int]]] = {}
+    postings: dict[str, Postings] = {}
     for _ in range(num_terms):
         term = cursor.text()
+        if term in postings:
+            raise ValueError(f"term {term!r} is listed twice")
         (plen,) = cursor.unpack("<Q")
-        pairs = cursor.unpack(f"<{2 * plen}I")
-        postings[term] = list(zip(accumulate(pairs[0::2]), pairs[1::2]))
+        pairs = np.frombuffer(cursor.take(8 * plen), dtype="<u4").reshape(plen, 2)
+        # int64, so that forged deltas cannot wrap around 2**32
+        doc_ids = np.cumsum(pairs[:, 0], dtype=np.int64)
+        if plen and not (
+            doc_ids[-1] < num_docs and pairs[1:, 0].all() and pairs[:, 1].all()
+        ):
+            raise ValueError(
+                f"postings of term {term!r} are not strictly ascending doc ids "
+                f"below {num_docs} with nonzero term frequencies"
+            )
+        postings[term] = Postings(doc_ids.astype(np.uint32), pairs[:, 1].astype(np.uint32))
     return InvertedIndex(
         postings=postings,
         doc_lengths=doc_lengths,

@@ -6,6 +6,9 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from domainforge.corpus_store import CjkCharTokenizer, RawRecord, ingest
+from domainforge.retrieval import ExpandedQuery, build_index, retrieve_top_n
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -29,3 +32,19 @@ def test_every_tracer_probe_resolves_and_is_restored():
         tracer.restore()
     for target in targets:
         assert getattr(*tracing._resolve(target)) is originals[target], target
+
+
+def test_scored_postings_counter_runs_on_a_built_index():
+    # the counter calls bool() and len() on index.postings values; a
+    # postings type without them would crash every traced corpus run
+    tracing = _load_tracing()
+    records = [RawRecord(f"s{i}", "", text) for i, text in enumerate(["x y x", "y z", "z w"])]
+    index = build_index(ingest(records, CjkCharTokenizer(), min_tokens=1))
+    query = ExpandedQuery({"x": 2, "z": 1, "absent": 3})
+    counts = {}
+
+    def count(name, value):
+        counts[name] = counts.get(name, 0) + value
+
+    tracing._count_scored(count, (index, query, 3), {}, retrieve_top_n(index, query, 3))
+    assert counts == {"retrieval.query_terms_matched": 2, "retrieval.postings_scored": 3}

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import logging
+import struct
 from pathlib import Path
 
 import pytest
 
+from domainforge.artifact import pack_text, write_artifact
 from domainforge.cli import main
-from domainforge.corpus_store import CjkCharTokenizer
+from domainforge.corpus_store import CjkCharTokenizer, RawRecord, ingest, save_store
 from domainforge.evaluator import McqItem, save_exam
 from domainforge.lora_model import (
     SPECIAL_TOKENS,
@@ -423,6 +425,13 @@ def broken_inputs(tmp_path):
                                           encoding="utf-8")
     write_exam(tmp_path / "exam.jsonl")
     write_raw(tmp_path / "good_raw.jsonl")
+    # a checksum-valid index of one document whose one posting names doc 5
+    save_store(ingest([RawRecord("a", "", "脉")], CjkCharTokenizer(), min_tokens=1),
+               tmp_path / "one.store")
+    (tmp_path / "kw.tsv").write_text("脉\t1\t1.0\ttask\n", encoding="utf-8")
+    body = struct.pack("<Qddd", 1, 1.0, 1.2, 0.75) + pack_text("cjk-char-v1")
+    body += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 5, 1)
+    write_artifact(tmp_path / "stray.idx", b"DFIDX1", body)
 
     def jsonl(name, good, bad):
         (tmp_path / name).write_text(
@@ -463,14 +472,17 @@ def broken_inputs(tmp_path):
         (["eval", "--checkpoint", "model.ckpt", "--vocab", "blank.vocab",
           "--exam", "exam.jsonl", "--responder", "model"],
          "blank.vocab:5: blank vocab token"),
+        (["retrieve", "--index", "stray.idx", "--store", "one.store",
+          "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
+         "error: TruncatedArtifactError"),
     ],
     ids=["unknown-tokenizer", "raw-without-body", "pair-without-response",
          "exam-without-options", "flipped-checkpoint", "eval-short-vocab",
-         "eval-duplicate-vocab", "eval-blank-vocab"],
+         "eval-duplicate-vocab", "eval-blank-vocab", "index-doc-out-of-range"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
     argv = [str(broken_inputs / a)
-            if a.endswith((".jsonl", ".ckpt", ".store", ".vocab")) else a
+            if a.endswith((".jsonl", ".ckpt", ".store", ".vocab", ".idx", ".tsv")) else a
             for a in argv]
     code, _, err = run(argv, capsys)
     assert code == 1

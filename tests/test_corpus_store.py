@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from domainforge.corpus_store import (
     load_raw_records,
     load_store,
     save_store,
+    _is_cjk,
     tokenize,
 )
 from domainforge.errors import (
@@ -99,6 +102,48 @@ def test_tokenize_yields_nonempty_whitespace_free_tokens(raw):
     for token in CjkCharTokenizer().tokenize(raw):
         assert token
         assert not any(ch.isspace() for ch in token)
+
+
+def _loop_tokenize(text):
+    """The character loop that the compiled tokenizer regex replaced."""
+    tokens, buf = [], []
+    for ch in text.lower():
+        if _is_cjk(ord(ch)):
+            if buf:
+                tokens.append("".join(buf))
+                buf = []
+            tokens.append(ch)
+        elif ch.isalnum():
+            buf.append(ch)
+        elif buf:
+            tokens.append("".join(buf))
+            buf = []
+    if buf:
+        tokens.append("".join(buf))
+    return tokens
+
+
+def test_tokenize_classifies_every_codepoint_like_the_loop():
+    # between two Latin letters a CJK codepoint splits the run into three
+    # tokens, an alphanumeric one joins it, and any other one splits it in two
+    tokenize_ = CjkCharTokenizer().tokenize
+    for block in range(0, 0x110000, 0x1000):
+        text = "x" + "x".join(map(chr, range(block, block + 0x1000))) + "x"
+        assert tokenize_(text) == _loop_tokenize(text), hex(block)
+
+
+def test_tokenize_matches_the_loop_on_mixed_text():
+    alphabet = (
+        [chr(cp) for cp in range(0x20, 0x7F)]            # ASCII, digits, "_"
+        + [chr(cp) for cp in range(0x4E00, 0x4E40)]      # unified ideographs
+        + [chr(cp) for cp in range(0xFF01, 0xFF5F)]      # full-width forms
+        + ["İ", "Σ", "ß", "\u0307", "Ⅻ", "½", "𠀀", "㐀", "豈", "\u3000"]
+    )
+    rng = random.Random(7)
+    tokenize_ = CjkCharTokenizer().tokenize
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+        assert tokenize_(text) == _loop_tokenize(text), text
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from domainforge.artifact import pack_text, write_artifact
 from domainforge.corpus_store import CjkCharTokenizer, RawRecord, ingest
 from domainforge.errors import (
     ChecksumMismatchError,
@@ -24,7 +28,11 @@ from domainforge.keyword_extract import (
     _sorted_entries,
 )
 from domainforge.retrieval import (
+    DEFAULT_B,
+    DEFAULT_K1,
+    INDEX_MAGIC,
     ExpandedQuery,
+    Postings,
     ScoredDoc,
     bm25_score,
     build_index,
@@ -49,13 +57,21 @@ def kset_of(*entries):
     return DomainKeywordSet(entries=_sorted_entries(entries))
 
 
+def pairs_of(plist):
+    """A ``Postings``' columns as [(doc_id, tf), ...], checking their dtype."""
+    assert plist.doc_ids.dtype == plist.tfs.dtype == np.uint32
+    return list(zip(plist.doc_ids.tolist(), plist.tfs.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Index construction
 
 
 def test_build_index_single_doc_postings():
     index = build_index(store_of(["a b a"]))
-    assert index.postings == {"a": [(0, 2)], "b": [(0, 1)]}
+    assert {t: pairs_of(p) for t, p in index.postings.items()} == {
+        "a": [(0, 2)], "b": [(0, 1)]
+    }
     assert index.num_docs == 1
     assert index.avgdl == 3.0
 
@@ -82,7 +98,27 @@ def test_build_index_parameter_validation():
 def test_index_postings_sorted_by_doc_id():
     index = build_index(store_of(["x y", "y z", "x y z"]))
     for plist in index.postings.values():
-        assert plist == sorted(plist)
+        doc_ids = plist.doc_ids.tolist()
+        assert doc_ids == sorted(set(doc_ids))
+        assert len(plist.tfs) == len(doc_ids)
+
+
+def test_postings_length_truth_and_equality():
+    # the bench tracer relies on len() and bool() of a postings value, and
+    # index round trips on its equality
+    one = Postings(np.array([0, 2], np.uint32), np.array([1, 3], np.uint32))
+    assert len(one) == 2 and one
+    assert not Postings(np.array([], np.uint32), np.array([], np.uint32))
+    assert one == Postings(np.array([0, 2], np.uint32), np.array([1, 3], np.uint32))
+    assert one != Postings(np.array([0, 2], np.uint32), np.array([1, 4], np.uint32))
+    assert one != Postings(np.array([0, 1], np.uint32), np.array([1, 3], np.uint32))
+
+
+def test_term_frequency_lookup():
+    index = build_index(store_of(["x y", "y z", "x y z x"]))
+    assert [index.term_frequency("x", d) for d in range(-1, 4)] == [0, 1, 0, 2, 0]
+    assert index.term_frequency("absent", 0) == 0
+    assert index.doc_frequency("y") == 3
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +385,11 @@ def test_index_round_trip(tmp_path):
     index = build_index(store_of(["脉 象 弦", "气 血 两 虚", "脉 诊"]))
     path = tmp_path / "corpus.idx"
     save_index(index, path)
-    assert load_index(path) == index
+    loaded = load_index(path)
+    assert loaded == index
+    assert {t: pairs_of(p) for t, p in loaded.postings.items()} == {
+        t: pairs_of(p) for t, p in index.postings.items()
+    }
 
 
 def test_index_resave_is_byte_identical(tmp_path):
@@ -369,6 +409,75 @@ def test_index_round_trip_rescoring_is_bitwise(tmp_path):
     for counts in queries:
         q = ExpandedQuery(counts)
         assert retrieve_top_n(reloaded, q, 10) == retrieve_top_n(index, q, 10)
+
+
+# Mixed CJK and Latin text; the digest is that of the file written by the
+# row-at-a-time index (a list of (doc_id, tf) tuples per term, one
+# struct.pack per posting) that the columnar one replaced.
+GOLDEN_TEXTS = [
+    "脉象弦滑 The pulse is wiry and slippery.",
+    "气血两虚, qi and blood deficiency; 舌淡苔白 2023",
+    "Ｆｕｌｌ－ｗｉｄｔｈ ＡＢＣ 与 İstanbul 脉 pulse_rate 3.5mg",
+    "无 Latin 的文档：只有中文 脉 脉 脉",
+    "𠀀𠀁 extension-B 字 and café Ⅻ ½",
+]
+GOLDEN_INDEX_SHA256 = "4ea6aa2ad59cd473b30510685838ffb6b4c27b2805823bc571ce151de31dd8d9"
+
+
+def test_index_bytes_match_the_golden_file(tmp_path):
+    path = tmp_path / "golden.idx"
+    save_index(build_index(store_of(GOLDEN_TEXTS)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_INDEX_SHA256
+
+
+def write_forged_index(path, num_docs, pairs, avgdl=1.0, terms=("t",)):
+    """A checksum-valid index over ``num_docs`` one-token documents whose
+    terms each have the given raw (doc id delta, tf) pairs."""
+    body = struct.pack("<Qddd", num_docs, avgdl, DEFAULT_K1, DEFAULT_B)
+    body += pack_text(TOK.tokenizer_id) + struct.pack(f"<{num_docs}Q", *[1] * num_docs)
+    body += struct.pack("<Q", len(terms))
+    for term in terms:
+        body += pack_text(term) + struct.pack("<Q", len(pairs))
+        body += b"".join(struct.pack("<II", delta, tf) for delta, tf in pairs)
+    write_artifact(path, INDEX_MAGIC, body)
+
+
+def test_forged_index_with_valid_postings_loads(tmp_path):
+    path = tmp_path / "ok.idx"
+    write_forged_index(path, 3, [(0, 1), (2, 4)])
+    assert pairs_of(load_index(path).postings["t"]) == [(0, 1), (2, 4)]
+
+
+@pytest.mark.parametrize(
+    "num_docs, pairs",
+    [
+        (3, [(1, 1), (0, 1)]),                 # doc 1 twice
+        (1, [(5, 1)]),                         # doc 5 of 1
+        (3, [(0, 1), (1, 0)]),                 # tf 0
+        (4, [(3, 1), (2**32 - 2, 1)]),         # 3 + delta wraps to doc 1 in uint32
+    ],
+    ids=["repeated-doc", "doc-out-of-range", "zero-tf", "wrapping-delta"],
+)
+def test_checksum_valid_malformed_postings_are_rejected(tmp_path, num_docs, pairs):
+    path = tmp_path / "forged.idx"
+    write_forged_index(path, num_docs, pairs)
+    with pytest.raises(TruncatedArtifactError, match="postings of term 't'"):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    "forged, message",
+    [
+        ({"avgdl": 0.0}, "avgdl 0.0 is not the mean"),
+        ({"terms": ("t", "t")}, "term 't' is listed twice"),
+    ],
+    ids=["avgdl-off-the-mean", "term-twice"],
+)
+def test_checksum_valid_inconsistent_index_is_rejected(tmp_path, forged, message):
+    path = tmp_path / "forged.idx"
+    write_forged_index(path, 2, [(0, 1), (1, 1)], **forged)
+    with pytest.raises(TruncatedArtifactError, match=message):
+        load_index(path)
 
 
 def test_index_wrong_magic(tmp_path):
