@@ -45,6 +45,13 @@ _PUNCT_TABLE.update(
     }
 )
 
+# The table's keys as one character class, and as strings with their
+# replacements.  Every key is non-ASCII and every value ASCII, so replacing
+# one key can never produce another: ``_fold_punct`` is ``translate`` with
+# the table, done as one ``str.replace`` per distinct key present.
+_PUNCT_RE = re.compile("[" + re.escape("".join(map(chr, sorted(_PUNCT_TABLE)))) + "]")
+_PUNCT_PAIRS = {chr(k): chr(v) for k, v in _PUNCT_TABLE.items()}
+
 _TAG_RE = re.compile(r"<[^<>]*>")
 _BRACE_RE = re.compile(r"\{\{[^{}]*\}\}")
 # A URL run ends at whitespace, markup delimiters, or the first ideographic
@@ -59,6 +66,13 @@ _CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
 _WS_RE = re.compile(r"\s+")
 
 
+def _fold_punct(text: str) -> str:
+    """``text.translate(_PUNCT_TABLE)``, without a lookup per codepoint."""
+    for ch in set(_PUNCT_RE.findall(text)):
+        text = text.replace(ch, _PUNCT_PAIRS[ch])
+    return text
+
+
 def clean_text(raw: str) -> str:
     """Strip markup spans, template braces, URLs, and control characters.
 
@@ -66,7 +80,7 @@ def clean_text(raw: str) -> str:
     to a single space, and the result is trimmed.  Idempotent: the removal
     rules run to a fixpoint, so cleaning cleaned text is a no-op.
     """
-    text = raw.translate(_PUNCT_TABLE)
+    text = _fold_punct(raw)
     text = _CONTROL_RE.sub("", text)
     prev = None
     while prev != text:
@@ -90,9 +104,16 @@ def _is_cjk(cp: int) -> bool:
 
 
 # The same ranges as _is_cjk.  A token is one CJK codepoint or a maximal run
-# of other alphanumerics: in ``re``, [^\W_] is exactly str.isalnum.
+# of other alphanumerics: in ``re``, [^\W_] is exactly str.isalnum.  The scan
+# matches maximal runs of either kind, so a CJK run is split afterwards.
 _CJK_RANGES = "\u4e00-\u9fff\u3400-\u4dbf\uf900-\ufaff\U00020000-\U0003134f"
-_TOKEN_RE = re.compile(f"[{_CJK_RANGES}]|[^\\W_{_CJK_RANGES}]+")
+_RUN_RE = re.compile(f"([{_CJK_RANGES}]+)|([^\\W_{_CJK_RANGES}]+)")
+
+
+def _token_runs(text: str) -> list[tuple[str, str]]:
+    """The token runs of lowercased ``text``, in order, as (CJK run, other run)
+    pairs with exactly one of the two non-empty."""
+    return _RUN_RE.findall(text.lower())
 
 
 class Tokenizer(Protocol):
@@ -101,6 +122,10 @@ class Tokenizer(Protocol):
     tokenizer_id: str
 
     def tokenize(self, text: str) -> list[str]: ...
+
+    def count(self, text: str) -> int:
+        """``len(self.tokenize(text))``."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -111,7 +136,16 @@ class CjkCharTokenizer:
     tokenizer_id: str = "cjk-char-v1"
 
     def tokenize(self, text: str) -> list[str]:
-        return _TOKEN_RE.findall(text.lower())
+        tokens: list[str] = []
+        for cjk, other in _token_runs(text):
+            if cjk:
+                tokens.extend(cjk)
+            else:
+                tokens.append(other)
+        return tokens
+
+    def count(self, text: str) -> int:
+        return sum(len(cjk) or 1 for cjk, _ in _token_runs(text))
 
 
 _TOKENIZERS: dict[str, Tokenizer] = {}
@@ -203,15 +237,15 @@ def ingest(
         text = clean_text(rec.body)
         if not text:
             continue
-        tokens = tokenizer.tokenize(text)
-        if len(tokens) < min_tokens:
+        token_count = tokenizer.count(text)
+        if token_count < min_tokens:
             continue
         docs.append(
             Document(
                 doc_id=len(docs),
                 title=clean_text(rec.title),
                 text=text,
-                token_count=len(tokens),
+                token_count=token_count,
             )
         )
     return CorpusStore(documents=tuple(docs), tokenizer_id=tokenizer.tokenizer_id)
@@ -279,13 +313,22 @@ def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> list[T
     return out
 
 
+def _parse_raw_record(obj: dict[str, Any]) -> RawRecord:
+    source_id, body, title = obj["source_id"], obj["body"], obj.get("title", "")
+    if isinstance(source_id, bool) or not isinstance(source_id, (str, int)):
+        raise TypeError(
+            f"source_id must be a string or an integer, got {type(source_id).__name__}"
+        )
+    for name, value in (("title", title), ("body", body)):
+        if not isinstance(value, str):
+            raise TypeError(f"{name} must be a string, got {type(value).__name__}")
+    return RawRecord(source_id=str(source_id), title=title, body=body)
+
+
 def load_raw_records(path: str | Path) -> list[RawRecord]:
-    """Read raw records from a JSON-lines file with source_id/title/body fields."""
-    return read_jsonl(
-        path,
-        lambda obj: RawRecord(
-            source_id=str(obj["source_id"]),
-            title=str(obj.get("title", "")),
-            body=str(obj["body"]),
-        ),
-    )
+    """Read raw records from a JSON-lines file with source_id/title/body fields.
+
+    ``body`` and, when present, ``title`` must be strings; ``source_id`` a
+    string or an integer (read as its decimal string).
+    """
+    return read_jsonl(path, _parse_raw_record)

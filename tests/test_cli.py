@@ -442,6 +442,8 @@ def broken_inputs(tmp_path):
 
     jsonl("raw.jsonl", {"source_id": "a", "body": IN_CHARS},
           {"source_id": "b", "title": "无正文"})
+    jsonl("raw_null.jsonl", {"source_id": "a", "body": IN_CHARS},
+          {"source_id": "b", "body": None})
     jsonl("pairs.jsonl", {"prompt": "脉弦", "response": "弦"}, {"prompt": "脉迟"})
     jsonl("exam_bad.jsonl", {"stem": "问", "options": ["甲", "乙"], "gold": "A"},
           {"stem": "问", "gold": "A"})
@@ -456,6 +458,8 @@ def broken_inputs(tmp_path):
          "error: ValueError: unknown tokenizer_id: 'nope'"),
         (["ingest", "--input", "raw.jsonl", "--output", "o.store"],
          "raw.jsonl:2: missing field 'body'"),
+        (["ingest", "--input", "raw_null.jsonl", "--output", "o.store", "--min-tokens", "0"],
+         "raw_null.jsonl:2: body must be a string, got NoneType"),
         (["sft", "--checkpoint", "model.ckpt", "--data", "pairs.jsonl", "--output", "o.ckpt"],
          "pairs.jsonl:2: missing field 'response'"),
         (["eval", "--checkpoint", "model.ckpt", "--exam", "exam_bad.jsonl",
@@ -476,7 +480,7 @@ def broken_inputs(tmp_path):
           "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
          "error: TruncatedArtifactError"),
     ],
-    ids=["unknown-tokenizer", "raw-without-body", "pair-without-response",
+    ids=["unknown-tokenizer", "raw-without-body", "raw-null-body", "pair-without-response",
          "exam-without-options", "flipped-checkpoint", "eval-short-vocab",
          "eval-duplicate-vocab", "eval-blank-vocab", "index-doc-out-of-range"],
 )
@@ -489,3 +493,29 @@ def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expe
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert expected in errors[0]
+
+
+@pytest.mark.parametrize(
+    "samples, lexicon, expected",
+    [
+        ("samples.txt", "latin1.txt", "error: UnicodeDecodeError: 'utf-8' codec"),
+        ("samples.txt", "lexdir", "error: IsADirectoryError:"),
+        ("latin1.txt", None, "error: UnicodeDecodeError: 'utf-8' codec"),
+    ],
+    ids=["non-utf8-lexicon", "directory-lexicon", "non-utf8-samples"],
+)
+def test_malformed_keywords_input_prints_one_error_line(
+    workspace, capsys, samples, lexicon, expected
+):
+    ws = workspace
+    (ws / "latin1.txt").write_bytes("脉象\nsaïd\n".encode("utf-8") + "naïve\n".encode("latin-1"))
+    (ws / "lexdir").mkdir()
+    argv = ["keywords", "--samples", str(ws / samples), "--output", str(ws / "k.tsv")]
+    if lexicon:
+        argv += ["--lexicon", str(ws / lexicon)]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(expected)
+    assert not (ws / "k.tsv").exists()

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from domainforge import corpus_store
 from domainforge.corpus_store import (
+    _PUNCT_TABLE,
     CjkCharTokenizer,
     CorpusStore,
     Document,
@@ -144,6 +147,79 @@ def test_tokenize_matches_the_loop_on_mixed_text():
     for _ in range(5000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         assert tokenize_(text) == _loop_tokenize(text), text
+
+
+_MIXED_ALPHABET = (
+    [chr(cp) for cp in range(0x20, 0x7F)]            # ASCII, digits, "_"
+    + [chr(cp) for cp in range(0x4E00, 0x4E40)]      # unified ideographs
+    + [chr(cp) for cp in range(0xFF01, 0xFF5F)]      # full-width forms
+    + ["İ", "Σ", "ß", "\u0307", "Ⅻ", "½", "𠀀", "㐀", "豈", "\u3000"]
+    + ["、", "。", "｡", "｢", "｣", "､", "‘", "’", "“", "”", "\t", "\n", "\x00"]
+)
+
+
+def _mixed_texts(n, seed=7, max_len=40):
+    rng = random.Random(seed)
+    for _ in range(n):
+        yield "".join(rng.choice(_MIXED_ALPHABET) for _ in range(rng.randint(0, max_len)))
+
+
+def _every_codepoint_block():
+    # each codepoint between two Latin letters, as in the tokenize test above
+    for block in range(0, 0x110000, 0x1000):
+        yield "x" + "x".join(map(chr, range(block, block + 0x1000))) + "x"
+
+
+def test_count_is_the_token_list_length_on_every_codepoint():
+    tok = CjkCharTokenizer()
+    for text in _every_codepoint_block():
+        assert tok.count(text) == len(tok.tokenize(text)), hex(ord(text[1]))
+
+
+def test_count_is_the_token_list_length_on_mixed_text():
+    tok = CjkCharTokenizer()
+    for text in _mixed_texts(5000):
+        assert tok.count(text) == len(tok.tokenize(text)) == len(_loop_tokenize(text)), text
+
+
+def test_punctuation_fold_is_translate_on_every_codepoint():
+    for text in _every_codepoint_block():
+        assert corpus_store._fold_punct(text) == text.translate(_PUNCT_TABLE), hex(ord(text[1]))
+
+
+def test_punctuation_fold_is_translate_on_mixed_text():
+    for text in _mixed_texts(5000):
+        assert corpus_store._fold_punct(text) == text.translate(_PUNCT_TABLE), text
+
+
+@dataclass(frozen=True)
+class _LoopTokenizer:
+    """The reference tokenizer: the character loop, counted by list length."""
+
+    tokenizer_id: str = "cjk-char-v1"
+
+    def tokenize(self, text):
+        return _loop_tokenize(text)
+
+    def count(self, text):
+        return len(_loop_tokenize(text))
+
+
+def test_store_bytes_match_the_translate_and_loop_reference(tmp_path, monkeypatch, tok):
+    rng = random.Random(11)
+    pieces = ["<b>", "</b>", "{{注}}", "https://x.org/a ", "  ", "\r\n"]
+    records = []
+    for i, text in enumerate(_mixed_texts(400, seed=11, max_len=120)):
+        cut = rng.randint(0, len(text))
+        body = text[:cut] + rng.choice(pieces) + text[cut:]
+        records.append(RawRecord(f"s{i}", text[:8], body))
+    fast = tmp_path / "fast.store"
+    save_store(ingest(records, tok), fast)
+    monkeypatch.setattr(corpus_store, "_fold_punct", lambda t: t.translate(_PUNCT_TABLE))
+    reference = tmp_path / "reference.store"
+    save_store(ingest(records, _LoopTokenizer()), reference)
+    assert 50 < len(load_store(reference)) < len(records)  # some kept, some dropped
+    assert fast.read_bytes() == reference.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +381,36 @@ def test_load_raw_records(tmp_path):
         RawRecord("a", "题", "正文"),
         RawRecord("b", "", "无题正文"),
     ]
+
+
+def test_load_raw_records_reads_integer_source_ids(tmp_path):
+    path = tmp_path / "raw.jsonl"
+    path.write_text(
+        '{"source_id": 7, "body": "正文"}\n{"source_id": "7a", "title": "", "body": ""}\n',
+        encoding="utf-8",
+    )
+    assert load_raw_records(path) == [RawRecord("7", "", "正文"), RawRecord("7a", "", "")]
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ('{"source_id": "a", "body": null}', "body must be a string, got NoneType"),
+        ('{"source_id": "a", "body": ["x"]}', "body must be a string, got list"),
+        ('{"source_id": "a", "body": 3}', "body must be a string, got int"),
+        ('{"source_id": "a", "title": ["a"], "body": "x"}', "title must be a string, got list"),
+        ('{"source_id": "a", "title": null, "body": "x"}', "title must be a string, got NoneType"),
+        ('{"source_id": true, "body": "x"}', "source_id must be a string or an integer, got bool"),
+        ('{"source_id": 1.5, "body": "x"}', "source_id must be a string or an integer, got float"),
+        ('{"source_id": null, "body": "x"}', "source_id must be a string or an integer, got NoneType"),
+        ('{"source_id": {"a": 1}, "body": "x"}', "source_id must be a string or an integer, got dict"),
+    ],
+    ids=["body-null", "body-list", "body-int", "title-list", "title-null",
+         "id-bool", "id-float", "id-null", "id-object"],
+)
+def test_load_raw_records_rejects_non_string_fields(tmp_path, line, problem):
+    path = tmp_path / "raw.jsonl"
+    path.write_text('{"source_id": "ok", "body": "正文"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_raw_records(path)
+    assert str(err.value) == f"{path}:2: {problem}"
