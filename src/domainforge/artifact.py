@@ -7,6 +7,10 @@ digest (``ChecksumMismatchError``), and only then parses the body; a body
 that passes the digest but does not parse is a ``TruncatedArtifactError``
 too.  A write goes to a sibling temp file that replaces the target only once
 it is complete, so an interrupted write leaves the old file in place.
+
+The plain-text outputs (keywords, provenance, vocab, loss history, exam, and
+the eval report) are written the same way by ``write_lines``, and text
+inputs are read by ``read_text``, whose decode errors name the file.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import hashlib
 import os
 import struct
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .errors import ChecksumMismatchError, MagicMismatchError, TruncatedArtifactError
 
@@ -28,21 +32,43 @@ _PARSE_ERRORS = (ValueError, KeyError, TypeError, ArithmeticError, struct.error)
 T = TypeVar("T")
 
 
-def write_artifact(path: str | Path, magic: bytes, body: bytes | bytearray) -> None:
-    """Frame ``body`` under ``magic`` and replace ``path`` with the result."""
+def _replace_file(path: str | Path, *chunks: bytes | bytearray) -> None:
+    """Write ``chunks`` to a sibling temp file, then move it over ``path``."""
     path = Path(path)
-    head = magic + _LENGTH.pack(len(body))
-    digest = hashlib.blake2b(head, digest_size=_DIGEST_SIZE)
-    digest.update(body)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(head)
-            fh.write(body)
-            fh.write(digest.digest())
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_artifact(path: str | Path, magic: bytes, body: bytes | bytearray) -> None:
+    """Frame ``body`` under ``magic`` and replace ``path`` with the result."""
+    head = magic + _LENGTH.pack(len(body))
+    digest = hashlib.blake2b(head, digest_size=_DIGEST_SIZE)
+    digest.update(body)
+    _replace_file(path, head, body, digest.digest())
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Replace ``path`` with ``lines`` in UTF-8, each ended by a newline."""
+    _replace_file(path, "".join(f"{line}\n" for line in lines).encode("utf-8"))
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``.  A byte that is not UTF-8 raises
+    ``UnicodeDecodeError`` whose reason names the file and the line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise UnicodeDecodeError(
+            exc.encoding, raw, exc.start, exc.end, f"{exc.reason} in {path}:{line}"
+        ) from None
 
 
 def read_artifact(path: str | Path, magic: bytes) -> memoryview:

@@ -16,10 +16,10 @@ import json
 import logging
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
+from .artifact import read_text, write_lines
 from .corpus_store import (
     DEFAULT_MIN_TOKENS,
     DEFAULT_TOKENIZER_ID,
@@ -293,7 +293,7 @@ def _cmd_ingest(cfg: dict) -> int:
 def _cmd_keywords(cfg: dict) -> int:
     samples = [
         line
-        for line in Path(cfg["samples"]).read_text(encoding="utf-8").splitlines()
+        for line in read_text(cfg["samples"]).splitlines()
         if line.strip()
     ]
     tokenizer = get_tokenizer(cfg["tokenizer"])
@@ -457,7 +457,7 @@ def _cmd_eval(cfg: dict) -> int:
     text = format_report(report)
     print(text)
     if cfg["output"]:
-        Path(cfg["output"]).write_text(text + "\n", encoding="utf-8")
+        write_lines(cfg["output"], [text])
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Protocol, Sequence, TypeVar
 
-from .artifact import Cursor, load_artifact, pack_text, write_artifact
+from .artifact import Cursor, load_artifact, pack_text, read_text, write_artifact
 from .errors import DuplicateSourceIdError
 
 STORE_MAGIC = b"DFSTORE1"
@@ -295,21 +295,27 @@ def load_store(path: str | Path) -> CorpusStore:
 def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> list[T]:
     """Apply ``parse`` to each object line of a JSON-lines file, skipping
     blank lines.  Bad JSON, a non-object line, a missing field, or a value
-    ``parse`` rejects raises ``ValueError`` naming the file and line."""
+    ``parse`` rejects raises ``ValueError`` naming the file and line; a byte
+    that is not UTF-8 raises ``read_text``'s ``UnicodeDecodeError``."""
     out: list[T] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-                out.append(parse(obj))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                    out.append(parse(obj))
+                except KeyError as exc:
+                    raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+                except (ValueError, TypeError) as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        # the stream decodes in chunks, so re-read the file to name the line
+        read_text(path)
+        raise
     return out
 
 

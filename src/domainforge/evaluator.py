@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from .artifact import write_lines
 from .corpus_store import Tokenizer, read_jsonl
 from .lora_model import (
     BOS_ID,
@@ -220,8 +221,7 @@ def save_exam(items: Iterable[McqItem], path: str | Path) -> None:
                 ensure_ascii=False,
             )
         )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
+    write_lines(path, lines)
 
 
 def _parse_item(obj: dict) -> McqItem:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .artifact import read_text, write_lines
 from .corpus_store import Tokenizer
 
 DEFAULT_DAMPING = 0.85
@@ -257,14 +258,14 @@ def save_keywords(kset: DomainKeywordSet, path: str | Path) -> None:
         f"{e.keyword}\t{e.count}\t{e.weight!r}\t{e.provenance}"
         for e in kset.entries
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_keywords(path: str | Path) -> DomainKeywordSet:
     """Read the lines ``save_keywords`` writes; a malformed line raises
     ``ValueError`` naming the file and line."""
     entries = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     for lineno, line in enumerate(lines, 1):
         if not line:
             continue
@@ -282,7 +283,7 @@ def load_keywords(path: str | Path) -> DomainKeywordSet:
 def load_lexicon(path: str | Path) -> list[str]:
     """Read a lexicon file: one word per line, blanks skipped."""
     words = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         word = line.strip()
         if word:
             words.append(word)

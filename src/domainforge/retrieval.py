@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .artifact import Cursor, load_artifact, pack_text, write_artifact
+from .artifact import Cursor, load_artifact, pack_text, write_artifact, write_lines
 from .corpus_store import CorpusStore, Document, get_tokenizer
 from .errors import EmptyCorpusError, NoPositiveScoreError, SelectionBudgetError
 from .keyword_extract import DomainKeywordSet
@@ -354,4 +354,4 @@ def save_provenance(selection: CorpusSelection, path: str | Path) -> None:
         f"{new_id}\t{orig_id}\t{score!r}"
         for new_id, (orig_id, score) in enumerate(selection.provenance)
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines(path, lines)

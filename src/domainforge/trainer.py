@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifact import write_lines
 from .corpus_store import Tokenizer, read_jsonl
 from .errors import NonFiniteLossError
 from .lora_model import (
@@ -98,8 +99,7 @@ def save_loss_history(
     history: Iterable[tuple[int, str, float]], path: str | Path
 ) -> None:
     lines = [f"{step}\t{phase}\t{loss!r}" for step, phase, loss in history]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
+    write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------

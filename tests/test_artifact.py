@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import struct
@@ -9,6 +11,7 @@ import pytest
 
 from domainforge import artifact
 from domainforge.artifact import pack_text, read_artifact, write_artifact
+from domainforge.cli import main
 from domainforge.corpus_store import (
     STORE_MAGIC,
     CjkCharTokenizer,
@@ -22,14 +25,27 @@ from domainforge.errors import (
     MagicMismatchError,
     TruncatedArtifactError,
 )
+from domainforge.evaluator import McqItem, save_exam
+from domainforge.keyword_extract import DomainKeywordSet, WeightedKeyword, save_keywords
 from domainforge.lora_model import (
     CHECKPOINT_MAGIC,
+    SPECIAL_TOKENS,
     ModelConfig,
+    Vocab,
     init_model,
     load_checkpoint,
     save_checkpoint,
+    save_vocab,
 )
-from domainforge.retrieval import INDEX_MAGIC, build_index, load_index, save_index
+from domainforge.retrieval import (
+    INDEX_MAGIC,
+    CorpusSelection,
+    build_index,
+    load_index,
+    save_index,
+    save_provenance,
+)
+from domainforge.trainer import save_loss_history
 
 DESIGNATED = (MagicMismatchError, TruncatedArtifactError, ChecksumMismatchError)
 TINY = ModelConfig(
@@ -175,3 +191,52 @@ def test_short_file_that_is_not_a_magic_prefix_is_magic_mismatch(tmp_path):
     path.write_bytes(b"DFS")
     with pytest.raises(TruncatedArtifactError):
         read_artifact(path, STORE_MAGIC)
+
+
+def _eval_report(path, responder):
+    """``eval --output path`` on a one-item exam; a failed run raises its
+    ``error:`` line as an ``OSError``."""
+    ckpt, exam = path.with_name("tiny.ckpt"), path.with_name("exam.jsonl")
+    if not ckpt.exists():
+        save_checkpoint(ckpt, init_model(TINY, seed=0), "sft")
+        save_vocab(Vocab(SPECIAL_TOKENS), f"{ckpt}.vocab")
+        save_exam([McqItem("问", (("A", "甲"), ("B", "乙")), "B")], exam)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--checkpoint", str(ckpt), "--exam", str(exam),
+                     "--responder", responder, "--output", str(path)])
+    if code:
+        raise OSError(err.getvalue())
+
+
+# Each plain-text output, saved twice with different contents.
+TEXT_SAVERS = {
+    "keywords": lambda path, k: save_keywords(
+        DomainKeywordSet((WeightedKeyword("脉", k, 1.0, "task"),)), path),
+    "provenance": lambda path, k: save_provenance(
+        CorpusSelection(_store(), ((0, 1.5), (1, float(k)))), path),
+    "vocab": lambda path, k: save_vocab(Vocab(SPECIAL_TOKENS + ("脉", "弦")[: k + 1]), path),
+    "loss-history": lambda path, k: save_loss_history([(k, "pretrain", 0.5)], path),
+    "exam": lambda path, k: save_exam([McqItem("问", (("A", "甲"), ("B", "乙")), "AB"[k])], path),
+    "eval-report": lambda path, k: _eval_report(path, ("gold", "empty")[k]),
+}
+
+
+@pytest.mark.parametrize("where", ["write", "replace"])
+@pytest.mark.parametrize("kind", sorted(TEXT_SAVERS))
+def test_interrupted_text_save_keeps_the_previous_file(tmp_path, monkeypatch, kind, where):
+    path = tmp_path / "out.txt"
+    TEXT_SAVERS[kind](path, 0)
+    before = path.read_bytes()
+    TEXT_SAVERS[kind](tmp_path / "new.txt", 1)
+    assert (tmp_path / "new.txt").read_bytes() != before  # the second save differs
+    names = sorted(p.name for p in tmp_path.iterdir())
+    if where == "replace":
+        monkeypatch.setattr(os, "replace", _fail_replace)
+    else:
+        monkeypatch.setattr(artifact, "open", _fail_open, raising=False)
+    with pytest.raises(OSError, match="simulated"):
+        TEXT_SAVERS[kind](path, 1)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == names

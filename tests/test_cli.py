@@ -9,7 +9,7 @@ import pytest
 
 from domainforge.artifact import pack_text, write_artifact
 from domainforge.cli import main
-from domainforge.corpus_store import CjkCharTokenizer, RawRecord, ingest, save_store
+from domainforge.corpus_store import CjkCharTokenizer, RawRecord, ingest, load_store, save_store
 from domainforge.evaluator import McqItem, save_exam
 from domainforge.lora_model import (
     SPECIAL_TOKENS,
@@ -19,6 +19,7 @@ from domainforge.lora_model import (
     save_checkpoint,
     save_vocab,
 )
+from domainforge.retrieval import build_index, save_index
 
 IN_CHARS = "脉弦滑数迟细濡涩浮沉"
 OUT_CHARS = "星球轨道宇宙火箭发射天"
@@ -432,6 +433,16 @@ def broken_inputs(tmp_path):
     body = struct.pack("<Qddd", 1, 1.0, 1.2, 0.75) + pack_text("cjk-char-v1")
     body += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 5, 1)
     write_artifact(tmp_path / "stray.idx", b"DFIDX1", body)
+    save_index(build_index(load_store(tmp_path / "one.store")), tmp_path / "one.idx")
+    # text inputs with a Latin-1 byte (not UTF-8) on their second line
+    latin1 = "naïve".encode("latin-1")
+    (tmp_path / "latin1_raw.jsonl").write_bytes(
+        (tmp_path / "good_raw.jsonl").read_bytes().split(b"\n")[0] + b"\n" + latin1 + b"\n"
+    )
+    (tmp_path / "latin1.vocab").write_bytes(
+        b"DFVOCAB1\n" + latin1 + b"\n" + "\n".join(IN_CHARS[1:]).encode("utf-8") + b"\n"
+    )
+    (tmp_path / "latin1.tsv").write_bytes("脉\t1\t1.0\ttask\n".encode("utf-8") + latin1 + b"\n")
 
     def jsonl(name, good, bad):
         (tmp_path / name).write_text(
@@ -479,10 +490,19 @@ def broken_inputs(tmp_path):
         (["retrieve", "--index", "stray.idx", "--store", "one.store",
           "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
          "error: TruncatedArtifactError"),
+        (["ingest", "--input", "latin1_raw.jsonl", "--output", "o.store"],
+         "latin1_raw.jsonl:2"),
+        (["eval", "--checkpoint", "model.ckpt", "--vocab", "latin1.vocab",
+          "--exam", "exam.jsonl", "--responder", "model"],
+         "latin1.vocab:2"),
+        (["retrieve", "--index", "one.idx", "--store", "one.store",
+          "--keywords", "latin1.tsv", "--budget", "10", "--output", "o.store"],
+         "latin1.tsv:2"),
     ],
     ids=["unknown-tokenizer", "raw-without-body", "raw-null-body", "pair-without-response",
          "exam-without-options", "flipped-checkpoint", "eval-short-vocab",
-         "eval-duplicate-vocab", "eval-blank-vocab", "index-doc-out-of-range"],
+         "eval-duplicate-vocab", "eval-blank-vocab", "index-doc-out-of-range",
+         "non-utf8-raw", "non-utf8-vocab", "non-utf8-keywords"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
     argv = [str(broken_inputs / a)
@@ -518,4 +538,9 @@ def test_malformed_keywords_input_prints_one_error_line(
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert errors[0].startswith(expected)
+    # samples.txt is valid, so the line must name the other file
+    culprit = str(ws / (samples if lexicon is None else lexicon))
+    assert culprit in errors[0]
+    if expected.startswith("error: UnicodeDecodeError"):
+        assert errors[0].endswith(f"{culprit}:3")  # the line of the Latin-1 byte
     assert not (ws / "k.tsv").exists()

@@ -455,6 +455,126 @@ def test_head_loss_never_holds_the_full_logits(monkeypatch):
     assert peak < full_logits_bytes / 2
 
 
+def _sft_case(dtype, B=6, T=40, V=50, seed=9):
+    """Logits-sized inputs with an SFT-shaped mask: a prompt, then a short
+    response, then padding, so most rows carry zero weight."""
+    rng = np.random.default_rng(seed)
+    config = replace(SMALL, vocab_size=V, max_seq_len=T)
+    state = _live_adapter_state(config, dtype, seed)
+    ids = random_ids(rng, config, (B, T))
+    mask = np.zeros((B, T - 1))
+    for b in range(B):
+        lo = int(rng.integers(5, 20))
+        mask[b, lo : lo + int(rng.integers(1, 8))] = 1.0
+    return state, ids, mask
+
+
+def _recording_nll_block(monkeypatch):
+    """Wraps ``lora_model._nll_block``; returns the row count of each call."""
+    rows = []
+    inner = lora_model._nll_block
+
+    def wrapped(block_rows, *args):
+        rows.append(len(block_rows))
+        return inner(block_rows, *args)
+
+    monkeypatch.setattr(lora_model, "_nll_block", wrapped)
+    return rows
+
+
+@pytest.mark.parametrize("block_bytes", [1, 2**40])
+def test_loss_kernel_sees_only_weighted_rows(monkeypatch, block_bytes):
+    monkeypatch.setattr(lora_model, "BLOCK_BYTES", block_bytes)
+    state, ids, mask = _sft_case(np.float32)
+    weighted = int((mask != 0).sum())
+    assert weighted < mask.size / 4
+    rows = _recording_nll_block(monkeypatch)
+    xf, _ = forward_hidden(state, ids)
+    head_loss(state, xf, ids, mask)
+    assert sum(rows) == weighted
+    assert len(rows) == (len(ids) if block_bytes == 1 else 1)
+    rows.clear()
+    masked_next_token_loss(xf @ state.params["out_w"].T, ids, mask)
+    assert rows == [weighted]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sft_head_matches_reference_bitwise(monkeypatch, dtype):
+    """Mostly zero-weight rows: the fused head against full logits, with the
+    unweighted rows of the reference's gradient exactly +0.0."""
+    state, ids, mask = _sft_case(dtype)
+    needs = set(trainable_param_names(state.config, train_embeddings=True))
+    monkeypatch.setattr(lora_model, "BLOCK_BYTES", 2**40)
+    loss_r, dxf_r, grads_r, dout_w_r = _reference_head(state, ids, mask, needs)
+    loss, dxf, grads, head_grads = _fused_head(state, ids, mask, needs)
+    assert loss == loss_r
+    assert dxf.tobytes() == dxf_r.tobytes()
+    assert head_grads["out_w"].tobytes() == dout_w_r.tobytes()
+    for name in needs - {"out_w"}:
+        assert grads[name].tobytes() == grads_r[name].tobytes(), name
+    _, dlogits = masked_next_token_loss(forward_batch(state, ids)[0], ids, mask)
+    zero = np.ones(dlogits.shape[:2], dtype=bool)
+    zero[:, :-1] = mask == 0.0
+    assert not np.signbit(dlogits[zero]).any() and not dlogits[zero].any()
+
+
+# ---------------------------------------------------------------------------
+# GELU
+
+
+def _gelu_fwd_expression(x):
+    """The GELU forward as one whole-array expression."""
+    t = np.tanh(lora_model._GELU_C * (x + lora_model._GELU_A * x * x * x))
+    return 0.5 * x * (1.0 + t), t
+
+
+def _gelu_bwd_expression(dy, x, t):
+    inner = lora_model._GELU_C * (1.0 + 3.0 * lora_model._GELU_A * x * x)
+    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * inner)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("extra", [None, 0, 1])  # one row, one chunk, one chunk + 1
+def test_gelu_chunks_match_whole_array_expression_bitwise(dtype, extra):
+    d = 96
+    per_chunk = lora_model.CHUNK_BYTES // (d * np.dtype(dtype).itemsize)
+    rows = 1 if extra is None else per_chunk + extra
+    rng = np.random.default_rng(rows)
+    x = rng.normal(0.0, 3.0, (rows, d)).astype(dtype)
+    x[0, :4] = (0.0, -0.0, 30.0, -30.0)  # zeros and saturated tanh
+    dy = rng.normal(size=(rows, d)).astype(dtype)
+    for shape in ((rows, d), (1, rows, d)):
+        g, t = lora_model._gelu_fwd(x.reshape(shape))
+        g_r, t_r = _gelu_fwd_expression(x.reshape(shape))
+        assert g.shape == t.shape == shape and g.dtype == t.dtype == dtype
+        assert g.tobytes() == g_r.tobytes() and t.tobytes() == t_r.tobytes()
+        dx = lora_model._gelu_bwd(dy.reshape(shape), x.reshape(shape), t)
+        dx_r = _gelu_bwd_expression(dy.reshape(shape), x.reshape(shape), t_r)
+        assert dx.shape == shape and dx.dtype == dtype
+        assert dx.tobytes() == dx_r.tobytes()
+
+
+def test_gelu_never_holds_whole_batch_temporaries():
+    B, T = 16, 256
+    config = ModelConfig(vocab_size=4100, max_seq_len=T)
+    rng = np.random.default_rng(0)
+    h1 = rng.normal(size=(B, T, config.d_ff)).astype(np.float32)
+    dy = rng.normal(size=h1.shape).astype(np.float32)
+    _, t = lora_model._gelu_fwd(h1)
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the outputs alone take 2x (forward: the activation and t) and 1x
+    assert peak(lora_model._gelu_fwd, h1) < 2.5 * h1.nbytes
+    assert peak(lora_model._gelu_bwd, dy, h1, t) < 1.5 * h1.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Generation
 
