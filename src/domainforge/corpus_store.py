@@ -66,6 +66,13 @@ _CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
 _WS_RE = re.compile(r"\s+")
 
 
+def _may_hold_url(text: str) -> bool:
+    """False only when ``_URL_RE`` cannot match: its scheme branch needs a
+    literal ``://``, and each character its case-insensitive ``www.`` accepts
+    lower-cases to ``w`` or ``.``."""
+    return "://" in text or "www." in text.lower()
+
+
 def _fold_punct(text: str) -> str:
     """``text.translate(_PUNCT_TABLE)``, without a lookup per codepoint."""
     for ch in set(_PUNCT_RE.findall(text)):
@@ -85,7 +92,8 @@ def clean_text(raw: str) -> str:
     prev = None
     while prev != text:
         prev = text
-        text = _URL_RE.sub(" ", text)
+        if _may_hold_url(text):
+            text = _URL_RE.sub(" ", text)
         text = _BRACE_RE.sub(" ", text)
         text = _TAG_RE.sub(" ", text)
     return _WS_RE.sub(" ", text).strip()

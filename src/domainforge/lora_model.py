@@ -235,6 +235,13 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelState:
 # ---------------------------------------------------------------------------
 # Forward / backward building blocks
 
+def _row_chunks(x):
+    """``x`` as (rows, last axis), and ``_seq_blocks`` slices of its rows that
+    hold at most ``CHUNK_BYTES`` each."""
+    x2 = x.reshape(-1, x.shape[-1])
+    return x2, _seq_blocks(len(x2), x2.shape[1] * x2.itemsize, CHUNK_BYTES)
+
+
 def _layer_norm_fwd(x, gamma, beta):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
@@ -245,25 +252,30 @@ def _layer_norm_fwd(x, gamma, beta):
 
 
 def _layer_norm_bwd(dy, cache, gamma):
+    """dx of a layer norm, one row chunk at a time in place in the output;
+    bitwise equal to ``(dxhat - m1 - xhat * m2) * inv`` over the whole
+    array, where ``dxhat = dy * gamma`` and m1, m2 are the row means of
+    ``dxhat`` and ``dxhat * xhat``.  The parameter gradients sum across rows
+    and are left to the caller."""
     xhat, inv = cache
-    dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = (dxhat - m1 - xhat * m2) * inv
-    dgamma = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dbeta = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    return dx, dgamma, dbeta
+    dy2, chunks = _row_chunks(dy)
+    xhat2, inv2 = xhat.reshape(dy2.shape), inv.reshape(-1, 1)
+    dx = np.empty_like(dy2)
+    for sl in chunks:
+        xc, dc = xhat2[sl], dx[sl]
+        dxhat = np.multiply(dy2[sl], gamma)
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        np.multiply(dxhat, xc, out=dc)
+        m2 = dc.mean(axis=-1, keepdims=True)
+        dxhat -= m1
+        np.multiply(xc, m2, out=dc)
+        np.subtract(dxhat, dc, out=dc)
+        dc *= inv2[sl]
+    return dx.reshape(dy.shape)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
-
-
-def _row_chunks(x):
-    """``x`` as (rows, last axis), and ``_seq_blocks`` slices of its rows that
-    hold at most ``CHUNK_BYTES`` each."""
-    x2 = x.reshape(-1, x.shape[-1])
-    return x2, _seq_blocks(len(x2), x2.shape[1] * x2.itemsize, CHUNK_BYTES)
 
 
 def _gelu_fwd(x):
@@ -311,36 +323,67 @@ def _gelu_bwd(dy, x, t):
     return dx.reshape(dy.shape)
 
 
-def _proj_fwd(state, i, proj, x, blk, training, rng):
+def _dropout_fwd(x, p, rng):
+    """(x * keep / (1 - p), keep) with ``keep = rng.random(x.shape) >= p``,
+    drawn and scaled one row chunk at a time.  ``Generator.random`` draws in
+    row order, so the chunks consume the stream exactly as one whole-array
+    draw does, and each rounding step is the whole-array expression's."""
+    x2, chunks = _row_chunks(x)
+    xd, keep = np.empty_like(x2), np.empty(x2.shape, dtype=bool)
+    for sl in chunks:
+        np.greater_equal(rng.random(keep[sl].shape), p, out=keep[sl])
+        np.multiply(x2[sl], keep[sl], out=xd[sl])
+        xd[sl] /= 1.0 - p
+    return xd.reshape(x.shape), keep.reshape(x.shape)
+
+
+def _dropout_bwd(dy, keep, p):
+    """``dy * keep / (1 - p)`` in place in ``dy``, one row chunk at a time."""
+    dy2, chunks = _row_chunks(dy)
+    keep2 = keep.reshape(dy2.shape)
+    for sl in chunks:
+        dy2[sl] *= keep2[sl]
+        dy2[sl] /= 1.0 - p
+    return dy
+
+
+def _proj_fwd(state, i, proj, x, blk, training, rng, want):
     """y = x W^T + b for layer i's ``proj``, plus the scaled low-rank path
-    (with dropout on its input in training) when ``proj`` is adapted.  The
-    backward cache goes to ``blk[proj]``."""
+    (with dropout on its input in training) when ``proj`` is adapted.
+
+    The backward cache goes to ``blk[proj]`` as (x, xd, u, keep): the input
+    ``x`` only when ``want`` asks for the base weight's gradient, else None;
+    for an adapted projection also its dropped-out input ``xd`` (``x``
+    itself without dropout), ``u = xd A^T`` and the dropout mask ``keep``."""
     cfg, P = state.config, state.params
     w_name, b_name, a_name, b_up_name = _proj_names(i, proj)
-    y = x @ P[w_name].T + P[b_name]
+    y = x @ P[w_name].T
+    y += P[b_name]
     xd = u = keep = None
     if proj in cfg.adapted_projections:
         p = cfg.lora_dropout
         xd = x
         if training and p > 0.0:
-            keep = rng.random(x.shape) >= p
-            xd = x * keep.astype(x.dtype) / (1.0 - p)
+            xd, keep = _dropout_fwd(x, p, rng)
         u = xd @ P[a_name].T
-        y = y + (cfg.lora_alpha / cfg.lora_rank) * (u @ P[b_up_name].T)
-    blk[proj] = (x, xd, u, keep)
+        up = u @ P[b_up_name].T
+        up *= cfg.lora_alpha / cfg.lora_rank
+        y += up
+    blk[proj] = (x if want(w_name) else None, xd, u, keep)
     return y
 
 
-def _proj_bwd(state, i, proj, dy, blk, grads, want):
-    """Returns dx for layer i's ``proj`` from the cache in ``blk[proj]``;
-    accumulates the gradients ``want`` asks for into ``grads``."""
+def _proj_bwd(state, i, proj, dy, blk, grads, want, need_dx):
+    """Layer i's ``proj`` backward from ``blk[proj]``, which it removes:
+    accumulates the gradients ``want`` asks for into ``grads`` and returns
+    dx, or None when not ``need_dx``."""
     cfg, P = state.config, state.params
-    x, xd, u, keep = blk[proj]
+    x, xd, u, keep = blk.pop(proj)
     w_name, b_name, a_name, b_up_name = _proj_names(i, proj)
-    din = x.shape[-1]
+    din = P[w_name].shape[1]
     dout = dy.shape[-1]
     dy_flat = dy.reshape(-1, dout)
-    dx = dy @ P[w_name]
+    dx = dy @ P[w_name] if need_dx else None
     if want(w_name):
         grads[w_name] = grads.get(w_name, 0) + dy_flat.T @ x.reshape(-1, din)
     if want(b_name):
@@ -352,15 +395,18 @@ def _proj_bwd(state, i, proj, dy, blk, grads, want):
             grads[b_up_name] = grads.get(b_up_name, 0) + scale * (
                 dy_flat.T @ u.reshape(-1, u.shape[-1])
             )
+        if not (need_dx or want(a_name)):
+            return dx
         du = scale * (dy @ b_mat)
         if want(a_name):
             grads[a_name] = grads.get(a_name, 0) + du.reshape(
                 -1, du.shape[-1]
             ).T @ xd.reshape(-1, din)
-        dxd = du @ a_mat
-        if keep is not None:
-            dxd = dxd * keep.astype(dxd.dtype) / (1.0 - p)
-        dx = dx + dxd
+        if need_dx:
+            dxd = du @ a_mat
+            if keep is not None:
+                _dropout_bwd(dxd, keep, p)
+            dx += dxd
     return dx
 
 
@@ -377,11 +423,12 @@ def _split_heads(x, n_heads):
 # float32 sequences.
 BLOCK_BYTES = 8 * 2**20
 
-# Bytes of one row chunk of an elementwise kernel (GELU), whose temporaries
-# then stay in the L2 cache.  At B=128, T=256 and d_ff=256 in float32 (one
-# thread of a 2-vCPU Xeon with 2 MiB of L2 per core), GELU forward plus
-# backward takes about 76 ms per layer in 256 KiB chunks, 111 ms in chunks of
-# ``BLOCK_BYTES`` and 206 ms unchunked.
+# Bytes of one row chunk of an elementwise kernel (GELU, LoRA dropout, the
+# layer-norm backward), whose temporaries then stay in the L2 cache.  At
+# B=128, T=256 and d_ff=256 in float32 (one thread of a 2-vCPU Xeon with 2 MiB
+# of L2 per core), GELU forward plus backward takes about 76 ms per layer in
+# 256 KiB chunks, 111 ms in chunks of ``BLOCK_BYTES`` and 206 ms unchunked;
+# at d_model=64 the layer-norm backward takes 12 ms against 17 ms unchunked.
 CHUNK_BYTES = 256 * 2**10
 
 
@@ -415,12 +462,19 @@ def _attn_blocks(qh, kh):
     return _seq_blocks(B, H * T * kh.shape[2] * qh.itemsize)
 
 
+def _wants(needs):
+    """``name -> whether its gradient is wanted`` for a set of tensor names,
+    or for every tensor when ``needs`` is None."""
+    return lambda name: needs is None or name in needs
+
+
 def forward_hidden(
     state: ModelState,
     ids: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
     past: dict | None = None,
+    needs: set[str] | None = None,
 ):
     """Causal forward pass over a (batch, time) id array, up to and including
     the final layer norm.
@@ -431,6 +485,14 @@ def forward_hidden(
     so its (batch, heads, time, time) probabilities never exist for the whole
     batch.  The cache keeps each layer's per-head queries, keys and values but
     no probabilities; ``backward_batch`` recomputes them block by block.
+
+    ``needs`` names the tensors whose gradients the cache must serve (all of
+    them when None), as ``backward_batch``'s ``needs`` does.  A projection's
+    input is cached only when its base weight is among them; an adapted
+    projection always keeps its adapter path's inputs and dropout mask.  When
+    training only the default adapters (query and value, with dropout), no
+    layer keeps its ln1 output, its attention output or its feed-forward
+    inputs, whose only reader would be a frozen weight's gradient.
 
     ``past`` is the cache of an earlier call on the preceding positions of
     the same sequences (the key/value cache of incremental decoding).  The
@@ -457,15 +519,19 @@ def forward_hidden(
         raise ValueError("rng required for dropout in training mode")
 
     head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+    want = _wants(needs)
 
     x = P["tok_emb"][ids] + P["pos_emb"][T0 : T0 + T]
-    cache: dict = {"ids": ids, "t0": T0, "blocks": []}
+    cache: dict = {
+        "ids": ids, "t0": T0, "blocks": [],
+        "needs": None if needs is None else frozenset(needs),
+    }
     for i in range(cfg.n_layers):
         blk: dict = {}
         pre = f"layers.{i}"
         a, blk["ln1"] = _layer_norm_fwd(x, P[f"{pre}.ln1.gamma"], P[f"{pre}.ln1.beta"])
         qh, kh, vh = (
-            _split_heads(_proj_fwd(state, i, proj, a, blk, training, rng), cfg.n_heads)
+            _split_heads(_proj_fwd(state, i, proj, a, blk, training, rng, want), cfg.n_heads)
             for proj in ("query", "key", "value")
         )
         if past is not None:
@@ -476,12 +542,12 @@ def forward_hidden(
         for sl in _attn_blocks(qh, kh):
             oh[sl] = _attn_probs(qh[sl], kh[sl], head_scale) @ vh[sl]
         blk["qh"], blk["kh"], blk["vh"] = qh, kh, vh
-        x = x + _proj_fwd(state, i, "output", o, blk, training, rng)
+        x = x + _proj_fwd(state, i, "output", o, blk, training, rng, want)
         f, blk["ln2"] = _layer_norm_fwd(x, P[f"{pre}.ln2.gamma"], P[f"{pre}.ln2.beta"])
-        h1 = _proj_fwd(state, i, "ff_in", f, blk, training, rng)
+        h1 = _proj_fwd(state, i, "ff_in", f, blk, training, rng, want)
         g, t = _gelu_fwd(h1)
         blk["h1"], blk["t"] = h1, t
-        x = x + _proj_fwd(state, i, "ff_out", g, blk, training, rng)
+        x = x + _proj_fwd(state, i, "ff_out", g, blk, training, rng, want)
         cache["blocks"].append(blk)
     xf, cache["ln_f"] = _layer_norm_fwd(x, P["ln_f.gamma"], P["ln_f.beta"])
     return xf, cache
@@ -501,6 +567,31 @@ def forward_batch(
     return xf @ state.params["out_w"].T, cache
 
 
+# A layer's backward stages in forward order: ln1, then the query, key and
+# value projections side by side, output, ln2, ff_in and ff_out.
+_STAGES = (("ln1",), ("query", "key", "value"), ("output",), ("ln2",), ("ff_in",), ("ff_out",))
+
+
+def _stage_names(i: int, stage: tuple[str, ...]) -> list[str]:
+    if stage[0].startswith("ln"):
+        return [f"layers.{i}.{stage[0]}.gamma", f"layers.{i}.{stage[0]}.beta"]
+    return [name for proj in stage for name in _proj_names(i, proj)]
+
+
+def _first_wanted(cfg: ModelConfig, want) -> tuple[int, int]:
+    """(layer, stage) of the first place in forward order where a wanted
+    tensor enters: layer -1 for the embeddings, ``cfg.n_layers`` when only
+    the final norm (or nothing) is wanted.  A gradient must flow back past
+    a point only when this lies before it."""
+    if want("tok_emb") or want("pos_emb"):
+        return (-1, 0)
+    for i in range(cfg.n_layers):
+        for s, stage in enumerate(_STAGES):
+            if any(map(want, _stage_names(i, stage))):
+                return (i, s)
+    return (cfg.n_layers, 0)
+
+
 def backward_batch(
     state: ModelState,
     cache: dict,
@@ -515,61 +606,120 @@ def backward_batch(
     The cache holds no attention probabilities: each block of whole sequences
     recomputes its own with ``_attn_probs``, bitwise equal to the forward's,
     and the block's query, key and value gradients go straight into whole-batch
-    arrays, so the result matches the unblocked pass bitwise."""
+    arrays, so the result matches the unblocked pass bitwise.
+
+    Only what ``needs`` reads is computed: a layer norm's ``dgamma``/``dbeta``
+    only when wanted, and no activation gradient below the first wanted
+    tensor (``_first_wanted``).  With only the default query and value
+    adapters wanted, layer 0 forms neither its key gradient nor its input
+    gradient, and skips its ln1 backward.  Every other result is the full
+    pass's, bitwise.
+
+    The cache is consumed: each layer's block is dropped once that layer is
+    done, and each cached activation and activation gradient once it has
+    been read.  A second call on the same cache raises ValueError, as does a
+    ``needs`` that asks for a gradient the forward pass was not told to keep
+    (a tensor outside ``forward_hidden``'s ``needs``)."""
     if cache["t0"]:
         raise ValueError("cannot differentiate a forward pass built on a past cache")
+    kept = cache["needs"]
+    if kept is not None and (needs is None or not kept.issuperset(needs)):
+        missing = "every tensor" if needs is None else sorted(set(needs) - kept)
+        raise ValueError(f"the forward pass kept no activations for the gradients of {missing}")
+    if "blocks" not in cache:
+        raise ValueError("cache already consumed by an earlier backward_batch")
+    blocks = cache.pop("blocks")
     cfg = state.config
     P = state.params
     head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+    want = _wants(needs)
+    first = _first_wanted(cfg, want)
 
-    def want(name):
-        return needs is None or name in needs
+    def flows(i, stage):
+        """Whether the gradient must reach the input of layer i's ``stage``."""
+        return first < (i, stage)
 
     grads: dict[str, np.ndarray] = {}
-    dx, dg, db = _layer_norm_bwd(dxf, cache["ln_f"], P["ln_f.gamma"])
-    if want("ln_f.gamma"):
-        grads["ln_f.gamma"] = dg
-    if want("ln_f.beta"):
-        grads["ln_f.beta"] = db
 
+    def layer_norm(dy, name, ln_cache, need_dx):
+        """dx of layer norm ``name`` (None unless ``need_dx``); its wanted
+        parameter gradients go to ``grads``."""
+        if want(f"{name}.gamma"):
+            xhat = ln_cache[0]
+            grads[f"{name}.gamma"] = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+        if want(f"{name}.beta"):
+            grads[f"{name}.beta"] = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+        return _layer_norm_bwd(dy, ln_cache, P[f"{name}.gamma"]) if need_dx else None
+
+    dx = layer_norm(dxf, "ln_f", cache.pop("ln_f"), flows(cfg.n_layers, 0))
     for i in reversed(range(cfg.n_layers)):
-        blk = cache["blocks"][i]
+        if not flows(i, len(_STAGES)):
+            break
+        blk = blocks.pop()
         pre = f"layers.{i}"
 
         # x_out = x_mid + ff(ln2(x_mid))
-        dgact = _proj_bwd(state, i, "ff_out", dx, blk, grads, want)
-        dh1 = _gelu_bwd(dgact, blk["h1"], blk["t"])
-        df = _proj_bwd(state, i, "ff_in", dh1, blk, grads, want)
-        dx_mid, dg2, db2 = _layer_norm_bwd(df, blk["ln2"], P[f"{pre}.ln2.gamma"])
-        if want(f"{pre}.ln2.gamma"):
-            grads[f"{pre}.ln2.gamma"] = dg2
-        if want(f"{pre}.ln2.beta"):
-            grads[f"{pre}.ln2.beta"] = db2
-        dx = dx + dx_mid
+        dgact = _proj_bwd(state, i, "ff_out", dx, blk, grads, want, flows(i, 5))
+        if dgact is None:
+            break
+        dh1 = _gelu_bwd(dgact, blk.pop("h1"), blk.pop("t"))
+        del dgact
+        df = _proj_bwd(state, i, "ff_in", dh1, blk, grads, want, flows(i, 4))
+        del dh1
+        if df is None:
+            break
+        dx_mid = layer_norm(df, f"{pre}.ln2", blk.pop("ln2"), flows(i, 3))
+        del df
+        if dx_mid is None:
+            break
+        dx += dx_mid
+        del dx_mid
 
         # x_mid = x_in + attn(ln1(x_in))
-        do = _proj_bwd(state, i, "output", dx, blk, grads, want)
+        do = _proj_bwd(state, i, "output", dx, blk, grads, want, flows(i, 2))
+        if do is None:
+            break
         doh = _split_heads(do, cfg.n_heads)
-        qh, kh, vh = blk["qh"], blk["kh"], blk["vh"]
-        dq, dk, dv = (np.empty(do.shape, dtype=do.dtype) for _ in range(3))
-        dqh, dkh, dvh = (_split_heads(z, cfg.n_heads) for z in (dq, dk, dv))
+        qh, kh, vh = blk.pop("qh"), blk.pop("kh"), blk.pop("vh")
+        dqkv = {
+            proj: np.empty(do.shape, dtype=do.dtype)
+            for proj in ("query", "key", "value")
+            if flows(i, 1) or any(map(want, _proj_names(i, proj)))
+        }
+        dqh, dkh, dvh = (
+            _split_heads(dqkv[proj], cfg.n_heads) if proj in dqkv else None
+            for proj in ("query", "key", "value")
+        )
         for sl in _attn_blocks(qh, kh):
             attn = _attn_probs(qh[sl], kh[sl], head_scale)
-            dvh[sl] = attn.transpose(0, 1, 3, 2) @ doh[sl]
+            if dvh is not None:
+                dvh[sl] = attn.transpose(0, 1, 3, 2) @ doh[sl]
+            if dqh is None and dkh is None:
+                continue
             ds = doh[sl] @ vh[sl].transpose(0, 1, 3, 2)  # d attn, then d scores
             ds -= (ds * attn).sum(axis=-1, keepdims=True)
             ds *= attn
-            dqh[sl] = (ds @ kh[sl]) * head_scale
-            dkh[sl] = (ds.transpose(0, 1, 3, 2) @ qh[sl]) * head_scale
-        da = _proj_bwd(state, i, "query", dq, blk, grads, want)
-        da += _proj_bwd(state, i, "key", dk, blk, grads, want)
-        da += _proj_bwd(state, i, "value", dv, blk, grads, want)
-        dx_in, dg1, db1 = _layer_norm_bwd(da, blk["ln1"], P[f"{pre}.ln1.gamma"])
-        if want(f"{pre}.ln1.gamma"):
-            grads[f"{pre}.ln1.gamma"] = dg1
-        if want(f"{pre}.ln1.beta"):
-            grads[f"{pre}.ln1.beta"] = db1
-        dx = dx + dx_in
+            if dqh is not None:
+                dqh[sl] = (ds @ kh[sl]) * head_scale
+            if dkh is not None:
+                dkh[sl] = (ds.transpose(0, 1, 3, 2) @ qh[sl]) * head_scale
+        del do, doh, dqh, dkh, dvh, qh, kh, vh
+        da = None
+        for proj in ("query", "key", "value"):
+            if proj in dqkv:
+                d = _proj_bwd(state, i, proj, dqkv.pop(proj), blk, grads, want, flows(i, 1))
+                if da is None:
+                    da = d
+                else:
+                    da += d
+        if da is None:
+            break
+        dx_in = layer_norm(da, f"{pre}.ln1", blk.pop("ln1"), flows(i, 0))
+        del da
+        if dx_in is None:
+            break
+        dx += dx_in
+        del dx_in
 
     ids = cache["ids"]
     if want("tok_emb"):

@@ -239,10 +239,13 @@ def _batch_grads(
     rng: np.random.Generator,
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Loss and gradients of one training batch (no gradients when the loss
-    is not finite).  The forward cache and the activation gradients are
-    locals here, so they are freed before the next batch's forward pass."""
-    xf, cache = forward_hidden(state, ids, training=True, rng=rng)
+    is not finite).  The forward pass caches only what the gradients in
+    ``needs`` read, and ``backward_batch`` frees it layer by layer; the
+    cache and the activation gradients are locals here, so nothing of them
+    outlives the batch."""
+    xf, cache = forward_hidden(state, ids, training=True, rng=rng, needs=needs)
     loss, dxf, grads = head_loss(state, xf, ids, mask, needs)
+    del xf
     if not math.isfinite(loss):
         return loss, None
     grads.update(backward_batch(state, cache, dxf, needs=needs))

@@ -192,6 +192,36 @@ def test_punctuation_fold_is_translate_on_mixed_text():
         assert corpus_store._fold_punct(text) == text.translate(_PUNCT_TABLE), text
 
 
+def test_url_guard_never_skips_a_string_the_url_pattern_matches():
+    # every codepoint in each place of the pattern's prefixes that case
+    # folding could widen; a newline ends a URL run, so one scan over the
+    # newline-joined strings finds the ones that match on their own
+    codepoints = list(map(chr, range(0x110000)))
+    hits = set()
+    for template, places in (("www.a", range(4)), ("http?://a", [4]), ("?ttp://a", [0])):
+        width = len(template) + 1
+        for i in places:
+            head, tail = template[:i], template[i + 1:] + "\n"
+            joined = head + (tail + head).join(codepoints) + tail
+            for m in corpus_store._URL_RE.finditer(joined):
+                hits.add(head + codepoints[m.start() // width] + tail[:-1])
+    assert {"Www.a", "wwW.a", "httpS://a", "Http://a"} <= hits
+    assert all(corpus_store._may_hold_url(text) for text in hits), hits
+
+
+def test_url_guard_keeps_clean_text_on_mixed_text(monkeypatch):
+    rng = random.Random(13)
+    pieces = ["https://x.org/a", "HTTP://Y.cn", "www.", "WwW.z", "://", "ww.", "www", "http:/"]
+    texts = []
+    for text in _mixed_texts(3000, seed=13, max_len=60):
+        cut = rng.randint(0, len(text))
+        texts.append(text[:cut] + rng.choice(pieces) + text[cut:] if rng.random() < 0.5 else text)
+    guarded = [clean_text(text) for text in texts]
+    monkeypatch.setattr(corpus_store, "_may_hold_url", lambda text: True)
+    assert guarded == [clean_text(text) for text in texts]
+    assert sum(corpus_store._URL_RE.search(text) is not None for text in texts) > 500
+
+
 @dataclass(frozen=True)
 class _LoopTokenizer:
     """The reference tokenizer: the character loop, counted by list length."""

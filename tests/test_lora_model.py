@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from domainforge import lora_model
+from domainforge import lora_model, trainer
 from domainforge.corpus_store import CjkCharTokenizer
 from domainforge.errors import (
     ChecksumMismatchError,
@@ -806,18 +806,170 @@ def test_training_step_never_holds_whole_batch_attention():
     tracemalloc.start()
     try:
         xf, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(1))
+        # before backward_batch consumes the cache
+        for blk in cache["blocks"]:
+            for entry in blk.values():
+                for arr in entry if isinstance(entry, tuple) else (entry,):
+                    assert arr is None or arr.shape != whole
         _, dxf, _ = head_loss(state, xf, ids, np.ones((B, T - 1)), needs)
         backward_batch(state, cache, dxf, needs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    for blk in cache["blocks"]:
-        for entry in blk.values():
-            for arr in entry if isinstance(entry, tuple) else (entry,):
-                assert arr is None or arr.shape != whole
     # 128 MiB; caching the probabilities and differentiating the whole batch
     # at once peaked at about 153 MiB
     assert peak < 8 * probs_bytes
+
+
+# ---------------------------------------------------------------------------
+# Needs-aware training step
+
+
+def _dropout_expression(x, p, rng):
+    """LoRA dropout's forward as one whole-array expression."""
+    keep = rng.random(x.shape) >= p
+    return x * keep.astype(x.dtype) / (1.0 - p), keep
+
+
+def _layer_norm_bwd_expression(dy, xhat, inv, gamma):
+    dxhat = dy * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return (dxhat - m1 - xhat * m2) * inv
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("extra", [None, 0, 1])  # one row, one chunk, one chunk + 1
+def test_dropout_and_layer_norm_chunks_match_whole_array_expressions_bitwise(dtype, extra):
+    d = 64
+    per_chunk = lora_model.CHUNK_BYTES // (d * np.dtype(dtype).itemsize)
+    rows = 1 if extra is None else per_chunk + extra
+    rng = np.random.default_rng(rows)
+    x = rng.normal(0.0, 3.0, (1, rows, d)).astype(dtype)
+    x[0, 0, :2] = (0.0, -0.0)  # signed zeros, kept or dropped
+    dy = rng.normal(size=x.shape).astype(dtype)
+    drawn, reference = np.random.default_rng(1), np.random.default_rng(1)
+    xd, keep = lora_model._dropout_fwd(x, 0.3, drawn)
+    xd_r, keep_r = _dropout_expression(x, 0.3, reference)
+    assert drawn.bit_generator.state == reference.bit_generator.state
+    assert keep.shape == x.shape and keep.tobytes() == keep_r.tobytes()
+    assert xd.dtype == dtype and xd.tobytes() == xd_r.tobytes()
+    dxd_r = dy * keep_r.astype(dtype) / (1.0 - 0.3)
+    assert lora_model._dropout_bwd(dy.copy(), keep, 0.3).tobytes() == dxd_r.tobytes()
+    gamma = rng.normal(1.0, 0.2, d).astype(dtype)
+    _, (xhat, inv) = lora_model._layer_norm_fwd(x, gamma, 0.0)
+    dx = lora_model._layer_norm_bwd(dy, (xhat, inv), gamma)
+    dx_r = _layer_norm_bwd_expression(dy, xhat, inv, gamma)
+    assert dx.shape == x.shape and dx.dtype == dtype
+    assert dx.tobytes() == dx_r.tobytes()
+
+
+def _step_case(dtype, projections, seed=4):
+    """A 3-layer model with live adapters and dropout, and a batch with an
+    SFT-style mask: a prompt, a response, then padding.  The adapter scale
+    (1.5) is no power of two, so moving it between factors changes bits."""
+    config = replace(SMALL, n_layers=3, lora_alpha=3.0, lora_dropout=0.2,
+                     adapted_projections=projections)
+    state = _live_adapter_state(config, dtype, seed)
+    rng = np.random.default_rng(seed)
+    B, T = 5, config.max_seq_len
+    ids = random_ids(rng, config, (B, T))
+    mask = np.zeros((B, T - 1))
+    for b in range(B):
+        lo = int(rng.integers(0, 6))
+        mask[b, lo : lo + int(rng.integers(1, 8))] = 1.0
+    return state, ids, mask
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("projections", [("query", "value"), ADAPTABLE_PROJECTIONS])
+@pytest.mark.parametrize("train_embeddings", [False, True])
+@pytest.mark.parametrize("chunk", ["one row", "one chunk + 1 row"])
+def test_needs_aware_step_matches_full_pass_bitwise(
+    monkeypatch, dtype, projections, train_embeddings, chunk
+):
+    state, ids, mask = _step_case(dtype, projections)
+    config = state.config
+    needs = set(trainable_param_names(config, train_embeddings))
+    # the reference: a whole-array (one chunk) forward and backward that
+    # caches and differentiates every tensor
+    monkeypatch.setattr(lora_model, "CHUNK_BYTES", 2**40)
+    xf, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(3))
+    loss_r, dxf, grads_r = head_loss(state, xf, ids, mask)
+    grads_r.update(backward_batch(state, cache, dxf))
+    row_bytes = config.d_model * np.dtype(dtype).itemsize
+    rows = 1 if chunk == "one row" else ids.size - 1
+    monkeypatch.setattr(lora_model, "CHUNK_BYTES", rows * row_bytes)
+    rng = np.random.default_rng(3)
+    loss, grads = trainer._batch_grads(state, ids, mask, needs, rng)
+    assert loss == loss_r
+    assert set(grads) == needs
+    for name in needs:
+        assert grads[name].dtype == dtype, name
+        assert grads[name].tobytes() == grads_r[name].tobytes(), name
+    # the chunked draws consumed the stream as one whole-array draw per
+    # adapted projection would
+    whole = np.random.default_rng(3)
+    for _ in range(config.n_layers):
+        for proj in config.adapted_projections:
+            whole.random(ids.shape + (config.projection_dims(proj)[1],))
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
+def test_backward_rejects_a_consumed_or_narrower_cache():
+    state, ids, mask = _step_case(np.float64, ("query", "value"))
+    needs = set(adapter_param_names(state.config))
+    xf, cache = forward_hidden(state, ids)
+    _, dxf, _ = head_loss(state, xf, ids, mask)
+    backward_batch(state, cache, dxf, needs)
+    with pytest.raises(ValueError, match="consumed"):
+        backward_batch(state, cache, dxf, needs)
+    _, cache = forward_hidden(state, ids, needs=needs)
+    with pytest.raises(ValueError, match="every tensor"):
+        backward_batch(state, cache, dxf)
+    with pytest.raises(ValueError, match="layers.0.attn.wq"):
+        backward_batch(state, cache, dxf, needs | {"layers.0.attn.wq"})
+    # a rejected call leaves the cache whole
+    assert sorted(backward_batch(state, cache, dxf, needs)) == sorted(needs)
+
+
+def test_backward_stops_at_the_first_wanted_tensor(monkeypatch):
+    state, ids, mask = _step_case(np.float64, ("query", "value"))
+    calls = []
+    inner = lora_model._layer_norm_bwd
+
+    def counting(dy, *args):
+        calls.append(dy.shape)
+        return inner(dy, *args)
+
+    monkeypatch.setattr(lora_model, "_layer_norm_bwd", counting)
+    # ln_f, then ln2 and ln1 per layer; only adapters: no ln1 in layer 0;
+    # only the last layer's value adapter: ln_f and that layer's ln2
+    adapters = set(adapter_param_names(state.config))
+    for needs, count in ((None, 7), (adapters, 6), ({"layers.2.lora.value.b"}, 2), (set(), 0)):
+        calls.clear()
+        xf, cache = forward_hidden(state, ids, needs=needs)
+        _, dxf, _ = head_loss(state, xf, ids, mask, needs)
+        grads = backward_batch(state, cache, dxf, needs)
+        assert len(calls) == count, needs
+        assert needs is None or set(grads) == needs
+
+
+def test_training_step_peak_memory():
+    B, T = 16, 256
+    config = ModelConfig(vocab_size=4100, max_seq_len=T)
+    state = init_model(config, seed=0)
+    ids = random_ids(np.random.default_rng(0), config, (B, T))
+    needs = set(trainable_param_names(config))
+    tracemalloc.start()
+    try:
+        trainer._batch_grads(state, ids, np.ones((B, T - 1)), needs, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 53 MiB; caching every projection's input and holding every
+    # layer's cache and activation gradients through backward peaked at 90
+    assert peak < 70 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -315,9 +315,9 @@ def test_prompt_position_targets_never_reach_gradients():
     loss_b, _ = masked_next_token_loss(logits, ids, mask)
     assert loss_p == loss_b
     assert dlogits_p.tobytes() == dlogits.tobytes()
-    xf, cache = forward_hidden(state, ids)
     grads, grads_p = {}, {}
     for target_ids, out in ((ids, grads), (perturbed, grads_p)):
+        xf, cache = forward_hidden(state, ids)  # backward_batch consumes its cache
         loss, dxf, head_grads = head_loss(state, xf, target_ids, mask)
         assert loss == loss_b
         out.update(head_grads)
