@@ -12,6 +12,7 @@ phase tag, step, config JSON, and named float32 tensors in declaration order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -300,13 +301,14 @@ def _gelu_fwd(x):
 
 
 def _gelu_bwd(dy, x, t):
-    """dy * gelu'(x) from ``_gelu_fwd``'s t, one row chunk at a time; bitwise
-    equal to ``dy * (0.5*(1+t) + 0.5*x*(1-t*t) * C*(1 + 3*A*x*x))``."""
+    """dy * gelu'(x) from ``_gelu_fwd``'s t, one row chunk at a time in place
+    in ``dy``, which it returns; bitwise equal to ``dy * (0.5*(1+t) +
+    0.5*x*(1-t*t) * C*(1 + 3*A*x*x))`` (multiplication commutes bit for
+    bit, so each chunk's factor multiplies ``dy`` last)."""
     x2, chunks = _row_chunks(x)
     t2, dy2 = t.reshape(x2.shape), dy.reshape(x2.shape)
-    dx = np.empty_like(dy2)
     for sl in chunks:
-        xc, tc, dc = x2[sl], t2[sl], dx[sl]
+        xc, tc = x2[sl], t2[sl]
         inner = np.multiply(xc, 3.0 * _GELU_A)
         inner *= xc
         inner += 1.0
@@ -316,11 +318,11 @@ def _gelu_bwd(dy, x, t):
         half_x = np.multiply(xc, 0.5)
         half_x *= slope
         half_x *= inner
-        np.add(tc, 1.0, out=dc)
-        dc *= 0.5
-        dc += half_x
-        dc *= dy2[sl]
-    return dx.reshape(dy.shape)
+        factor = np.add(tc, 1.0, out=slope)
+        factor *= 0.5
+        factor += half_x
+        dy2[sl] *= factor
+    return dy2.reshape(dy.shape)
 
 
 def _dropout_fwd(x, p, rng):
@@ -347,14 +349,15 @@ def _dropout_bwd(dy, keep, p):
     return dy
 
 
-def _proj_fwd(state, i, proj, x, blk, training, rng, want):
+def _proj_fwd(state, i, proj, x, blk, training, rng, want, need_dx):
     """y = x W^T + b for layer i's ``proj``, plus the scaled low-rank path
     (with dropout on its input in training) when ``proj`` is adapted.
 
     The backward cache goes to ``blk[proj]`` as (x, xd, u, keep): the input
     ``x`` only when ``want`` asks for the base weight's gradient, else None;
     for an adapted projection also its dropped-out input ``xd`` (``x``
-    itself without dropout), ``u = xd A^T`` and the dropout mask ``keep``."""
+    itself without dropout), ``u = xd A^T`` and the dropout mask ``keep``,
+    which only dx reads and so is kept only when ``need_dx``."""
     cfg, P = state.config, state.params
     w_name, b_name, a_name, b_up_name = _proj_names(i, proj)
     y = x @ P[w_name].T
@@ -369,7 +372,7 @@ def _proj_fwd(state, i, proj, x, blk, training, rng, want):
         up = u @ P[b_up_name].T
         up *= cfg.lora_alpha / cfg.lora_rank
         y += up
-    blk[proj] = (x if want(w_name) else None, xd, u, keep)
+    blk[proj] = (x if want(w_name) else None, xd, u, keep if need_dx else None)
     return y
 
 
@@ -431,6 +434,28 @@ BLOCK_BYTES = 8 * 2**20
 # at d_model=64 the layer-norm backward takes 12 ms against 17 ms unchunked.
 CHUNK_BYTES = 256 * 2**10
 
+# Query rows per causal tile of attention (a multiple of 8; see
+# ``_causal_tiles``).  A tile [lo, hi) computes scores, softmax and GEMMs over
+# keys [0, hi) only: at T=256 the 32-row tiles compute 56% of the whole rows'
+# scores.  Measured per block of 8 sequences at H=4, T=256, dh=16 in float32
+# (2 vCPUs, OpenBLAS, 2 threads), forward plus backward takes about 19.9 ms
+# in whole rows, 14.4 ms in 64-row tiles and 12.3 ms in 32-row tiles; 16-row
+# tiles gain nothing more.  At T=110 (the bench's SFT batches) 32-row tiles
+# are about 9% faster than whole rows, and 64-row tiles 2% slower.
+ATTN_TILE = 32
+
+# Where attention runs in tiles: (dtype, head dim) -> the longest key row;
+# every other row stays whole.  A tile's GEMMs are smaller than the whole
+# rows', and OpenBLAS (0.3.31, SkylakeX kernels) picks its kernel and
+# blocking by shape, so only some shapes round a tile's products as the
+# whole rows' round them.  Float32 with 16-wide heads (the default model)
+# matches at every length up to 256 under 1 to 4 threads, float64 up to 192
+# (its scores GEMM differs from 193 keys on).  Head dims of 2-8 and 24 break
+# with 8-row tiles, 32 and more with any tile, and float32 ``p @ v`` breaks
+# past about 450 keys.  ``tests/test_lora_model.py`` sweeps every length of
+# every entry bitwise; an entry added here must pass that sweep.
+_TILED = {(np.dtype(np.float32), 16): 256, (np.dtype(np.float64), 16): 192}
+
 
 def _seq_blocks(batch: int, seq_bytes: int, budget: int | None = None):
     """Slices of whole sequences that cut a batch into blocks of at most
@@ -441,19 +466,118 @@ def _seq_blocks(batch: int, seq_bytes: int, budget: int | None = None):
         yield slice(lo, min(lo + per_block, batch))
 
 
-def _attn_probs(qh, kh, head_scale):
-    """Causal attention probabilities of queries (batch, heads, t, dh) over
-    keys (batch, heads, tk, dh); the queries are the last t key positions.
-    Every step works in place on one array and rounds exactly as a
-    temporary per step would."""
-    t, tk = qh.shape[2], kh.shape[2]
+def _causal_tiles(t, dtype, head_dim):
+    """(lo, hi) bounds of the query tiles of causal attention over t
+    positions: ``ATTN_TILE`` rows each where ``_TILED`` allows, else one
+    tile of whole rows.  Every bound but t is a multiple of 8 (see
+    ``_row_sums``), and a lone last row joins the tile before it: a one-row
+    product runs BLAS's GEMV, which rounds otherwise than its GEMM."""
+    if t > _TILED.get((np.dtype(dtype), head_dim), 0):
+        return [(0, t)]
+    bounds = list(range(0, t, ATTN_TILE)) + [t]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _row_sums(x, n, lo=0):
+    """Sums over the last axis of ``x`` (..., hi), bitwise equal to NumPy's
+    sums of the same rows padded with zeros to ``n >= hi`` values.
+
+    NumPy sums a row of n values pairwise: in one pass of 8 running sums
+    when n <= 128, else as the sum of its first ``(n//2) - (n//2) % 8``
+    values plus the sum of the rest, each split the same way.  Adding a zero
+    is exact, so the padded row's sum is that tree over [0, n) with every
+    node that starts at or after hi dropped and the one that straddles hi
+    cut there.  A cut leaf keeps its running sums only when it ends on a
+    multiple of 8 from its start, so hi must be a multiple of 8 or n."""
+    hi = x.shape[-1]
+    if lo + n <= hi or n <= 128:
+        return x[..., lo : min(lo + n, hi)].sum(axis=-1, keepdims=True)
+    half = n // 2 - (n // 2) % 8
+    left = _row_sums(x, half, lo)
+    return left if lo + half >= hi else left + _row_sums(x, n - half, lo + half)
+
+
+@functools.lru_cache(maxsize=None)
+def _future_keys(r):
+    """Read-only causal mask of r queries over the r keys at their own
+    positions: True where the key (column) follows the query (row)."""
+    mask = np.triu(np.ones((r, r), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _attn_tile(qh, kh, head_scale, n):
+    """Causal attention probabilities of the queries (batch, heads, r, dh) at
+    positions hi - r .. hi - 1 over the keys (batch, heads, hi, dh) at 0 ..
+    hi - 1, as rows of an attention over ``n >= hi`` keys whose zeros past
+    hi are cut off: bitwise equal to those rows when the bounds follow
+    ``_causal_tiles`` (hi = n gives whole rows).  Every step works in place
+    on one array and rounds exactly as a temporary per step would."""
+    r, hi = qh.shape[2], kh.shape[2]
     p = qh @ kh.transpose(0, 1, 3, 2)
     p *= head_scale
-    np.copyto(p, -np.inf, where=np.triu(np.ones((t, tk), dtype=bool), k=tk - t + 1))
+    np.copyto(p[..., hi - r :], -np.inf, where=_future_keys(r))
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= _row_sums(p, n)
     return p
+
+
+def _attn_fwd(qh, kh, vh, head_scale, oh):
+    """Causal attention of one block of whole sequences, written to ``oh``:
+    ``attn @ vh`` for queries (batch, heads, t, dh) at the last t of the tk
+    key positions.  Runs in ``_causal_tiles`` when t = tk (no past keys),
+    else in whole rows."""
+    t, tk = qh.shape[2], kh.shape[2]
+    if t < tk:
+        oh[...] = _attn_tile(qh, kh, head_scale, tk) @ vh
+        return
+    for lo, hi in _causal_tiles(tk, qh.dtype, qh.shape[3]):
+        attn = _attn_tile(qh[:, :, lo:hi], kh[:, :, :hi], head_scale, tk)
+        oh[:, :, lo:hi] = attn @ vh[:, :, :hi]
+
+
+def _attn_bwd(qh, kh, vh, doh, head_scale, dqh, dkh, dvh):
+    """Gradients of causal self-attention ``attn @ vh`` over one block of
+    whole sequences, given ``doh``: written to whichever of ``dqh``, ``dkh``
+    and ``dvh`` is not None, bitwise equal to the whole-row expressions
+    ``dv = attnT do``, ``ds = (do vT - rowsum(do vT * attn)) * attn``,
+    ``dq = ds k * scale`` and ``dk = dsT q * scale``.
+
+    The probabilities are recomputed per query tile; ``ds`` and ``dq`` run on
+    the tile's keys [0, hi).  Key tile [lo, hi) of ``dv`` and ``dk`` reads only
+    the query rows from lo on, above which its probabilities are zero, out
+    of a (batch, heads, t, t) buffer of the tiles' probabilities (or of
+    ``ds``) whose entries above the diagonal tiles are never written."""
+    b, H, T, dh = qh.shape
+    tiles = _causal_tiles(T, qh.dtype, dh)
+    buffered = len(tiles) > 1  # else the one tile's own arrays serve
+    probs = np.empty((b, H, T, T), qh.dtype) if buffered and dvh is not None else None
+    dscores = np.empty((b, H, T, T), qh.dtype) if buffered and dkh is not None else None
+    for lo, hi in tiles:
+        attn = _attn_tile(qh[:, :, lo:hi], kh[:, :, :hi], head_scale, T)
+        ds = None
+        if dqh is not None or dkh is not None:
+            ds = doh[:, :, lo:hi] @ vh[:, :, :hi].transpose(0, 1, 3, 2)  # d attn, then d scores
+            ds -= _row_sums(ds * attn, T)
+            ds *= attn
+            if dqh is not None:
+                dqh[:, :, lo:hi] = (ds @ kh[:, :, :hi]) * head_scale
+        if probs is not None:
+            probs[:, :, lo:hi, :hi] = attn
+        if dscores is not None:
+            dscores[:, :, lo:hi, :hi] = ds
+    if not buffered:
+        probs, dscores = attn, ds
+    for lo, hi in tiles:
+        if dvh is not None:
+            dvh[:, :, lo:hi] = probs[:, :, lo:, lo:hi].transpose(0, 1, 3, 2) @ doh[:, :, lo:]
+        if dkh is not None:
+            dkh[:, :, lo:hi] = (
+                dscores[:, :, lo:, lo:hi].transpose(0, 1, 3, 2) @ qh[:, :, lo:]
+            ) * head_scale
 
 
 def _attn_blocks(qh, kh):
@@ -466,6 +590,32 @@ def _wants(needs):
     """``name -> whether its gradient is wanted`` for a set of tensor names,
     or for every tensor when ``needs`` is None."""
     return lambda name: needs is None or name in needs
+
+
+# A layer's backward stages in forward order: ln1, then the query, key and
+# value projections side by side, output, ln2, ff_in and ff_out.
+_STAGES = (("ln1",), ("query", "key", "value"), ("output",), ("ln2",), ("ff_in",), ("ff_out",))
+_STAGE_OF = {part: s for s, stage in enumerate(_STAGES) for part in stage}
+
+
+def _stage_names(i: int, stage: tuple[str, ...]) -> list[str]:
+    if stage[0].startswith("ln"):
+        return [f"layers.{i}.{stage[0]}.gamma", f"layers.{i}.{stage[0]}.beta"]
+    return [name for proj in stage for name in _proj_names(i, proj)]
+
+
+def _first_wanted(cfg: ModelConfig, want) -> tuple[int, int]:
+    """(layer, stage) of the first place in forward order where a wanted
+    tensor enters: layer -1 for the embeddings, ``cfg.n_layers`` when only
+    the final norm (or nothing) is wanted.  A gradient must flow back past
+    a point only when this lies before it."""
+    if want("tok_emb") or want("pos_emb"):
+        return (-1, 0)
+    for i in range(cfg.n_layers):
+        for s, stage in enumerate(_STAGES):
+            if any(map(want, _stage_names(i, stage))):
+                return (i, s)
+    return (cfg.n_layers, 0)
 
 
 def forward_hidden(
@@ -486,13 +636,20 @@ def forward_hidden(
     batch.  The cache keeps each layer's per-head queries, keys and values but
     no probabilities; ``backward_batch`` recomputes them block by block.
 
+    Without ``past``, attention runs in causal query tiles
+    (``_causal_tiles``): a tile of queries [lo, hi) computes its scores,
+    softmax and ``p @ v`` over keys [0, hi) only, bitwise equal to whole rows.
+
     ``needs`` names the tensors whose gradients the cache must serve (all of
     them when None), as ``backward_batch``'s ``needs`` does.  A projection's
     input is cached only when its base weight is among them; an adapted
-    projection always keeps its adapter path's inputs and dropout mask.  When
+    projection always keeps its adapter path's inputs, and its dropout mask
+    when the gradient must flow to its input.  A layer's ln1 statistics are
+    kept only when the gradient reaches ln1 (``_first_wanted``).  When
     training only the default adapters (query and value, with dropout), no
     layer keeps its ln1 output, its attention output or its feed-forward
-    inputs, whose only reader would be a frozen weight's gradient.
+    inputs, whose only reader would be a frozen weight's gradient, and
+    layer 0 keeps neither its ln1 statistics nor its query and value masks.
 
     ``past`` is the cache of an earlier call on the preceding positions of
     the same sequences (the key/value cache of incremental decoding).  The
@@ -520,6 +677,11 @@ def forward_hidden(
 
     head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     want = _wants(needs)
+    first = _first_wanted(cfg, want)
+
+    def proj_fwd(i, proj, x, blk):
+        need_dx = first < (i, _STAGE_OF[proj])
+        return _proj_fwd(state, i, proj, x, blk, training, rng, want, need_dx)
 
     x = P["tok_emb"][ids] + P["pos_emb"][T0 : T0 + T]
     cache: dict = {
@@ -529,9 +691,12 @@ def forward_hidden(
     for i in range(cfg.n_layers):
         blk: dict = {}
         pre = f"layers.{i}"
-        a, blk["ln1"] = _layer_norm_fwd(x, P[f"{pre}.ln1.gamma"], P[f"{pre}.ln1.beta"])
+        a, ln1 = _layer_norm_fwd(x, P[f"{pre}.ln1.gamma"], P[f"{pre}.ln1.beta"])
+        if first <= (i, 0):
+            blk["ln1"] = ln1
+        del ln1
         qh, kh, vh = (
-            _split_heads(_proj_fwd(state, i, proj, a, blk, training, rng, want), cfg.n_heads)
+            _split_heads(proj_fwd(i, proj, a, blk), cfg.n_heads)
             for proj in ("query", "key", "value")
         )
         if past is not None:
@@ -540,14 +705,14 @@ def forward_hidden(
         o = np.empty((B, T, cfg.d_model), dtype=qh.dtype)
         oh = _split_heads(o, cfg.n_heads)  # a view: blocks written here land in o
         for sl in _attn_blocks(qh, kh):
-            oh[sl] = _attn_probs(qh[sl], kh[sl], head_scale) @ vh[sl]
+            _attn_fwd(qh[sl], kh[sl], vh[sl], head_scale, oh[sl])
         blk["qh"], blk["kh"], blk["vh"] = qh, kh, vh
-        x = x + _proj_fwd(state, i, "output", o, blk, training, rng, want)
+        x = x + proj_fwd(i, "output", o, blk)
         f, blk["ln2"] = _layer_norm_fwd(x, P[f"{pre}.ln2.gamma"], P[f"{pre}.ln2.beta"])
-        h1 = _proj_fwd(state, i, "ff_in", f, blk, training, rng, want)
+        h1 = proj_fwd(i, "ff_in", f, blk)
         g, t = _gelu_fwd(h1)
         blk["h1"], blk["t"] = h1, t
-        x = x + _proj_fwd(state, i, "ff_out", g, blk, training, rng, want)
+        x = x + proj_fwd(i, "ff_out", g, blk)
         cache["blocks"].append(blk)
     xf, cache["ln_f"] = _layer_norm_fwd(x, P["ln_f.gamma"], P["ln_f.beta"])
     return xf, cache
@@ -567,31 +732,6 @@ def forward_batch(
     return xf @ state.params["out_w"].T, cache
 
 
-# A layer's backward stages in forward order: ln1, then the query, key and
-# value projections side by side, output, ln2, ff_in and ff_out.
-_STAGES = (("ln1",), ("query", "key", "value"), ("output",), ("ln2",), ("ff_in",), ("ff_out",))
-
-
-def _stage_names(i: int, stage: tuple[str, ...]) -> list[str]:
-    if stage[0].startswith("ln"):
-        return [f"layers.{i}.{stage[0]}.gamma", f"layers.{i}.{stage[0]}.beta"]
-    return [name for proj in stage for name in _proj_names(i, proj)]
-
-
-def _first_wanted(cfg: ModelConfig, want) -> tuple[int, int]:
-    """(layer, stage) of the first place in forward order where a wanted
-    tensor enters: layer -1 for the embeddings, ``cfg.n_layers`` when only
-    the final norm (or nothing) is wanted.  A gradient must flow back past
-    a point only when this lies before it."""
-    if want("tok_emb") or want("pos_emb"):
-        return (-1, 0)
-    for i in range(cfg.n_layers):
-        for s, stage in enumerate(_STAGES):
-            if any(map(want, _stage_names(i, stage))):
-                return (i, s)
-    return (cfg.n_layers, 0)
-
-
 def backward_batch(
     state: ModelState,
     cache: dict,
@@ -604,9 +744,10 @@ def backward_batch(
     from ``head_loss``.  A cache built on a ``past`` is rejected.
 
     The cache holds no attention probabilities: each block of whole sequences
-    recomputes its own with ``_attn_probs``, bitwise equal to the forward's,
-    and the block's query, key and value gradients go straight into whole-batch
-    arrays, so the result matches the unblocked pass bitwise.
+    recomputes its own in the forward's causal tiles, bitwise equal to the
+    forward's, and ``_attn_bwd`` writes the block's query, key and value
+    gradients straight into whole-batch arrays, so the result matches the
+    unblocked whole-row pass bitwise.
 
     Only what ``needs`` reads is computed: a layer norm's ``dgamma``/``dbeta``
     only when wanted, and no activation gradient below the first wanted
@@ -662,7 +803,7 @@ def backward_batch(
         dgact = _proj_bwd(state, i, "ff_out", dx, blk, grads, want, flows(i, 5))
         if dgact is None:
             break
-        dh1 = _gelu_bwd(dgact, blk.pop("h1"), blk.pop("t"))
+        dh1 = _gelu_bwd(dgact, blk.pop("h1"), blk.pop("t"))  # in place in dgact
         del dgact
         df = _proj_bwd(state, i, "ff_in", dh1, blk, grads, want, flows(i, 4))
         del dh1
@@ -691,18 +832,8 @@ def backward_batch(
             for proj in ("query", "key", "value")
         )
         for sl in _attn_blocks(qh, kh):
-            attn = _attn_probs(qh[sl], kh[sl], head_scale)
-            if dvh is not None:
-                dvh[sl] = attn.transpose(0, 1, 3, 2) @ doh[sl]
-            if dqh is None and dkh is None:
-                continue
-            ds = doh[sl] @ vh[sl].transpose(0, 1, 3, 2)  # d attn, then d scores
-            ds -= (ds * attn).sum(axis=-1, keepdims=True)
-            ds *= attn
-            if dqh is not None:
-                dqh[sl] = (ds @ kh[sl]) * head_scale
-            if dkh is not None:
-                dkh[sl] = (ds.transpose(0, 1, 3, 2) @ qh[sl]) * head_scale
+            _attn_bwd(qh[sl], kh[sl], vh[sl], doh[sl], head_scale,
+                      *(None if d is None else d[sl] for d in (dqh, dkh, dvh)))
         del do, doh, dqh, dkh, dvh, qh, kh, vh
         da = None
         for proj in ("query", "key", "value"):
@@ -758,8 +889,9 @@ def _target_weights(target_mask: np.ndarray, dtype) -> tuple[np.ndarray, np.ndar
 
 
 def _nll_block(rows, targets, weights):
-    """Loss kernel over (rows, vocab) logits, each row with its target id and
-    its weight in the batch loss.
+    """Loss kernel over (..., vocab) logits, each row with its target id and
+    its weight in the batch loss (``targets`` and ``weights`` shaped as the
+    rows).
 
     Returns each row's next-token NLL and overwrites ``rows`` with the
     gradient of the weighted sum of those NLLs.  Every reduction runs within
@@ -767,11 +899,11 @@ def _nll_block(rows, targets, weights):
     """
     rows -= rows.max(axis=-1, keepdims=True)
     rows -= np.log(np.exp(rows).sum(axis=-1, keepdims=True))  # log-softmax
-    r = np.arange(len(rows))
-    nll = -rows[r, targets]
+    at = (*np.indices(targets.shape, sparse=True), targets)
+    nll = -rows[at]
     np.exp(rows, out=rows)
-    rows[r, targets] -= 1.0
-    rows *= weights[:, None]
+    rows[at] -= 1.0
+    rows *= weights[..., None]
     return nll
 
 
@@ -783,17 +915,24 @@ def _block_loss(logits, ids, mask, n, batch, dlogits):
     ``logits`` to ``dlogits``, which may be ``logits`` itself.  Only the rows
     with a non-zero weight in ``mask`` go through ``_nll_block``; every other
     row of ``dlogits`` is exactly +0.0, so gradients never depend on target
-    ids that carry zero weight, nor on those rows' logits.
+    ids that carry zero weight, nor on those rows' logits.  When every row is
+    weighted (as in pretraining), ``_nll_block`` works in place on a view of
+    ``dlogits`` instead of a gathered copy, with the same bits.
     """
-    weighted = mask != 0.0
-    rows = logits[:, :-1][weighted]
-    nll = np.zeros_like(mask)
-    nll[weighted] = _nll_block(
-        rows, ids[:, 1:][weighted], (mask / n[:, None] / batch)[weighted]
-    )
+    weights = mask / n[:, None] / batch
     dlogits[:, -1] = 0.0
-    dlogits[:, :-1][~weighted] = 0.0
-    dlogits[:, :-1][weighted] = rows
+    if mask.all():
+        rows = dlogits[:, :-1]
+        if dlogits is not logits:
+            rows[...] = logits[:, :-1]
+        nll = _nll_block(rows, ids[:, 1:], weights)
+    else:
+        weighted = mask != 0.0
+        rows = logits[:, :-1][weighted]
+        nll = np.zeros_like(mask)
+        nll[weighted] = _nll_block(rows, ids[:, 1:][weighted], weights[weighted])
+        dlogits[:, :-1][~weighted] = 0.0
+        dlogits[:, :-1][weighted] = rows
     return (nll * mask).sum(axis=1) / n
 
 

@@ -428,6 +428,44 @@ def test_head_loss_out_w_gradient(monkeypatch, dtype):
     assert err < 1e-6
 
 
+def _gathered_block_loss(logits, ids, mask, n, batch):
+    """``_block_loss`` through the boolean gather and scatter of the
+    weighted rows (its path for masks with zero weights): the reference for
+    its every-row-weighted fast path."""
+    weighted = mask != 0.0
+    rows = logits[:, :-1][weighted]
+    nll = np.zeros_like(mask)
+    nll[weighted] = lora_model._nll_block(
+        rows, ids[:, 1:][weighted], (mask / n[:, None] / batch)[weighted]
+    )
+    dlogits = np.zeros_like(logits)
+    dlogits[:, :-1][weighted] = rows
+    return (nll * mask).sum(axis=1) / n, dlogits
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_row_weighted_loss_matches_the_gathered_rows_bitwise(dtype):
+    rng = np.random.default_rng(6)
+    B, T, V = 3, 9, 40
+    logits = rng.normal(0.0, 2.0, (B, T, V)).astype(dtype)
+    ids = rng.integers(0, V, (B, T))
+    for mask in (np.ones((B, T - 1)), rng.uniform(0.5, 2.0, (B, T - 1))):
+        mask, n = lora_model._target_weights(mask, dtype)
+        seq_r, dlogits_r = _gathered_block_loss(logits, ids, mask, n, 5)
+        # in place, as head_loss calls it
+        inplace = logits.copy()
+        seq = lora_model._block_loss(inplace, ids, mask, n, 5, inplace)
+        assert seq.tobytes() == seq_r.tobytes()
+        assert inplace.tobytes() == dlogits_r.tobytes()
+        # into a separate buffer, leaving the logits as they were
+        before = logits.copy()
+        dlogits = np.full_like(logits, np.nan)
+        seq = lora_model._block_loss(logits, ids, mask, n, 5, dlogits)
+        assert seq.tobytes() == seq_r.tobytes()
+        assert dlogits.tobytes() == dlogits_r.tobytes()
+        assert logits.tobytes() == before.tobytes()
+
+
 def test_head_loss_requires_a_target_per_sequence():
     state, ids, mask = _head_case(np.float64)
     mask[3] = 0.0
@@ -548,8 +586,10 @@ def test_gelu_chunks_match_whole_array_expression_bitwise(dtype, extra):
         g_r, t_r = _gelu_fwd_expression(x.reshape(shape))
         assert g.shape == t.shape == shape and g.dtype == t.dtype == dtype
         assert g.tobytes() == g_r.tobytes() and t.tobytes() == t_r.tobytes()
-        dx = lora_model._gelu_bwd(dy.reshape(shape), x.reshape(shape), t)
+        dy_in = dy.reshape(shape).copy()
+        dx = lora_model._gelu_bwd(dy_in, x.reshape(shape), t)
         dx_r = _gelu_bwd_expression(dy.reshape(shape), x.reshape(shape), t_r)
+        assert np.shares_memory(dx, dy_in)  # in place
         assert dx.shape == shape and dx.dtype == dtype
         assert dx.tobytes() == dx_r.tobytes()
 
@@ -570,9 +610,10 @@ def test_gelu_never_holds_whole_batch_temporaries():
         finally:
             tracemalloc.stop()
 
-    # the outputs alone take 2x (forward: the activation and t) and 1x
+    # the outputs alone take 2x (forward: the activation and t); backward
+    # writes into dy and holds only a few chunks
     assert peak(lora_model._gelu_fwd, h1) < 2.5 * h1.nbytes
-    assert peak(lora_model._gelu_bwd, dy, h1, t) < 1.5 * h1.nbytes
+    assert peak(lora_model._gelu_bwd, dy, h1, t) < 0.5 * h1.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -751,9 +792,9 @@ def _attention_step(monkeypatch, state, ids, mask, block_bytes):
     """One dropout training step whose attention runs in blocks of
     ``block_bytes``; the vocab head keeps its default blocks, so ``out_w``'s
     gradient sees the attention only through xf.  Returns (xf, loss, dxf,
-    grads, the batch size of each ``_attn_probs`` call)."""
+    grads, the batch size of each ``_attn_tile`` call)."""
     calls = []
-    inner = lora_model._attn_probs
+    inner = lora_model._attn_tile
 
     def counting(qh, *args):
         calls.append(qh.shape[0])
@@ -762,7 +803,7 @@ def _attention_step(monkeypatch, state, ids, mask, block_bytes):
     def blocked(fn, *args, **kwargs):
         with monkeypatch.context() as m:
             m.setattr(lora_model, "BLOCK_BYTES", block_bytes)
-            m.setattr(lora_model, "_attn_probs", counting)
+            m.setattr(lora_model, "_attn_tile", counting)
             return fn(*args, **kwargs)
 
     rng = np.random.default_rng(3)
@@ -819,6 +860,176 @@ def test_training_step_never_holds_whole_batch_attention():
     # 128 MiB; caching the probabilities and differentiating the whole batch
     # at once peaked at about 153 MiB
     assert peak < 8 * probs_bytes
+
+
+# ---------------------------------------------------------------------------
+# Causal attention tiles
+
+
+def _whole_row_attention(qh, kh, vh, doh, head_scale):
+    """The whole-row causal attention that the tiles replace, forward and
+    backward, each step as the unblocked pass computed it: (o, dv, dq, dk)."""
+    t, tk = qh.shape[2], kh.shape[2]
+    attn = qh @ kh.transpose(0, 1, 3, 2)
+    attn *= head_scale
+    np.copyto(attn, -np.inf, where=np.triu(np.ones((t, tk), dtype=bool), k=tk - t + 1))
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    o = attn @ vh
+    dv = attn.transpose(0, 1, 3, 2) @ doh
+    ds = doh @ vh.transpose(0, 1, 3, 2)
+    ds -= (ds * attn).sum(axis=-1, keepdims=True)
+    ds *= attn
+    dq = (ds @ kh) * head_scale
+    dk = (ds.transpose(0, 1, 3, 2) @ qh) * head_scale
+    return o, dv, dq, dk
+
+
+def _tiled_attention_mismatches(tk, dtype, head_dim, seed=0):
+    """Names of the outputs of ``_attn_fwd``/``_attn_bwd`` over tk positions
+    that differ in any bit from ``_whole_row_attention``."""
+    rng = np.random.default_rng(seed + tk)
+    qh, kh, vh, doh = (
+        rng.normal(0.0, 1.0, (2, 2, tk, head_dim)).astype(dtype) for _ in range(4)
+    )
+    head_scale = 1.0 / math.sqrt(head_dim)
+    outs = [np.empty_like(qh) for _ in range(4)]
+    o, dv, dq, dk = outs
+    lora_model._attn_fwd(qh, kh, vh, head_scale, o)
+    lora_model._attn_bwd(qh, kh, vh, doh, head_scale, dq, dk, dv)
+    reference = _whole_row_attention(qh, kh, vh, doh, head_scale)
+    return [
+        name for name, a, r in zip(("o", "dv", "dq", "dk"), outs, reference)
+        if a.tobytes() != r.tobytes()
+    ]
+
+
+# every (dtype, head dim) that runs in tiles, and its longest key row
+TILED = [(str(dtype), head_dim, top) for (dtype, head_dim), top in lora_model._TILED.items()]
+
+
+@pytest.mark.parametrize("dtype,head_dim,top", TILED)
+@pytest.mark.parametrize("tile", [8, lora_model.ATTN_TILE])
+def test_causal_tiles_match_whole_rows_bitwise_at_every_length(
+    monkeypatch, dtype, head_dim, top, tile
+):
+    """Guards the tile kernel against NumPy's row-sum tree and BLAS: a
+    change in either that breaks a tile's bits fails here, by length."""
+    monkeypatch.setattr(lora_model, "ATTN_TILE", tile)
+    mismatched = {}
+    for tk in range(1, 257):
+        names = _tiled_attention_mismatches(tk, dtype, head_dim)
+        if names:
+            mismatched[tk] = names
+    assert mismatched == {}
+    # the lengths in range really ran in tiles, the others in whole rows
+    for tk in range(1, 257):
+        count = max(1, -(-(tk - 1) // tile)) if tk <= top else 1
+        assert len(lora_model._causal_tiles(tk, dtype, head_dim)) == count, tk
+
+
+@pytest.mark.parametrize("dtype,head_dim,top", TILED)
+@pytest.mark.parametrize("tile", [8, lora_model.ATTN_TILE])
+def test_causal_tiles_match_whole_rows_bitwise_at_named_lengths(
+    monkeypatch, dtype, head_dim, top, tile
+):
+    """255 (the bench's predicted positions per sequence), 256 (its
+    attention length), and tile*k + 1, whose lone last row joins the tile
+    before it."""
+    monkeypatch.setattr(lora_model, "ATTN_TILE", tile)
+    for tk in [255, 256] + list(range(tile + 1, top + 1, tile)):
+        tiles = lora_model._causal_tiles(tk, dtype, head_dim)
+        assert tiles[0][0] == 0 and tiles[-1][1] == tk
+        assert all(hi - lo >= 2 for lo, hi in tiles), tk
+        assert all(hi % 8 == 0 for _, hi in tiles[:-1]), tk
+        assert _tiled_attention_mismatches(tk, dtype, head_dim, seed=1) == [], tk
+
+
+def test_untiled_shapes_keep_whole_rows():
+    for dtype, head_dim in ((np.float32, 8), (np.float32, 32), (np.float16, 16)):
+        assert lora_model._causal_tiles(200, dtype, head_dim) == [(0, 200)]
+    assert lora_model._causal_tiles(193, np.float64, 16) == [(0, 193)]
+
+
+def test_causal_tiles_skip_the_masked_scores(monkeypatch):
+    """At T=255 a layer computes under 2/3 of the whole rows' B*H*T*T scores
+    (32-row tiles: 36,577 of 65,025 per head, 56%)."""
+    B, T = 2, 255
+    config = replace(SMALL, d_model=32, max_seq_len=256, n_layers=2)
+    state = init_model(config, seed=0)
+    ids = random_ids(np.random.default_rng(0), config, (B, T))
+    scores = []
+    inner = lora_model._attn_tile
+
+    def counting(qh, kh, *args):
+        p = inner(qh, kh, *args)
+        scores.append(p.size)
+        return p
+
+    monkeypatch.setattr(lora_model, "_attn_tile", counting)
+    monkeypatch.setattr(lora_model, "ATTN_TILE", 32)
+    forward_hidden(state, ids)
+    per_layer = sum(scores) / config.n_layers
+    assert per_layer == B * config.n_heads * 36577
+    assert per_layer < 2 / 3 * B * config.n_heads * T * T
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tiled_training_step_matches_whole_rows_bitwise(monkeypatch, dtype):
+    """``forward_hidden`` and ``backward_batch`` in 8-row tiles against one
+    tile of whole rows, for every tensor, over lengths that end a tile, miss
+    a tile bound by one row, and fall between."""
+    config = replace(SMALL, d_model=32, n_layers=2, max_seq_len=60, lora_dropout=0.2)
+    state = _live_adapter_state(config, dtype, seed=5)
+    for T in (59, 49, 44):
+        ids = random_ids(np.random.default_rng(T), config, (3, T))
+        mask = np.ones((3, T - 1))
+        mask[1, :7] = 0.0
+        results = []
+        for tile in (8, 2**20):
+            monkeypatch.setattr(lora_model, "ATTN_TILE", tile)
+            xf, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(2))
+            loss, dxf, grads = head_loss(state, xf, ids, mask)
+            grads.update(backward_batch(state, cache, dxf))
+            results.append((xf, loss, grads))
+        (xf, loss, grads), (xf_r, loss_r, grads_r) = results
+        assert xf.tobytes() == xf_r.tobytes() and loss == loss_r
+        assert sorted(grads) == sorted(grads_r) == sorted(param_names(config))
+        for name in grads:
+            assert grads[name].tobytes() == grads_r[name].tobytes(), (T, name)
+
+
+def test_tiled_dropout_gradients_match_finite_differences(monkeypatch):
+    """Tiled attention and LoRA dropout against central differences of the
+    loss along a random direction per tensor, with the dropout masks drawn
+    from the same seed on every forward pass."""
+    monkeypatch.setattr(lora_model, "ATTN_TILE", 8)
+    config = replace(SMALL, d_model=32, n_layers=2, max_seq_len=40, lora_dropout=0.3)
+    state = _live_adapter_state(config, np.float64, seed=2)
+    rng = np.random.default_rng(2)
+    ids = random_ids(rng, config, (2, 37))
+    mask = np.ones((2, 36))
+
+    def forward():
+        return forward_hidden(state, ids, training=True, rng=np.random.default_rng(4))
+
+    xf, cache = forward()
+    _, dxf, grads = head_loss(state, xf, ids, mask)
+    grads.update(backward_batch(state, cache, dxf))
+    assert len(lora_model._causal_tiles(37, np.float64, 16)) == 5
+    step = 1e-5
+    for name in ("tok_emb", "layers.0.attn.wk", "layers.0.lora.query.a", "layers.1.lora.value.b"):
+        direction = rng.normal(size=state.params[name].shape)
+        losses = []
+        for sign in (1.0, -1.0):
+            saved = state.params[name].copy()
+            state.params[name] += sign * step * direction
+            losses.append(head_loss(state, forward()[0], ids, mask)[0])
+            state.params[name] = saved
+        fd = (losses[0] - losses[1]) / (2.0 * step)
+        analytic = float((grads[name] * direction).sum())
+        assert abs(fd - analytic) < 1e-6 * max(1.0, abs(analytic)), name
 
 
 # ---------------------------------------------------------------------------
@@ -914,6 +1125,29 @@ def test_needs_aware_step_matches_full_pass_bitwise(
         for proj in config.adapted_projections:
             whole.random(ids.shape + (config.projection_dims(proj)[1],))
     assert rng.bit_generator.state == whole.bit_generator.state
+
+
+def test_forward_keeps_only_the_cache_entries_backward_reads():
+    """Under adapters-only training backward never reaches layer 0's ln1
+    nor its query/value input gradients: layer 0 keeps neither its ln1
+    statistics nor those projections' dropout masks.  A wanted ln1 gamma
+    keeps its layer's statistics, bitwise as the full pass computes it."""
+    state, ids, mask = _step_case(np.float64, ("query", "value"))
+    needs = set(adapter_param_names(state.config))
+    _, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(0), needs=needs)
+    first, *later = cache["blocks"]
+    assert "ln1" not in first
+    assert first["query"][3] is None and first["value"][3] is None
+    for blk in later:
+        assert "ln1" in blk
+        assert blk["query"][3] is not None and blk["value"][3] is not None
+    xf, cache = forward_hidden(state, ids)
+    _, dxf, _ = head_loss(state, xf, ids, mask)
+    full = backward_batch(state, cache, dxf)
+    for name in ("layers.0.ln1.gamma", "layers.1.ln1.beta"):
+        xf, cache = forward_hidden(state, ids, needs={name})
+        assert "ln1" in cache["blocks"][int(name.split(".")[1])]
+        assert backward_batch(state, cache, dxf, {name})[name].tobytes() == full[name].tobytes()
 
 
 def test_backward_rejects_a_consumed_or_narrower_cache():
