@@ -244,6 +244,24 @@ def _row_chunks(x):
 
 
 def _layer_norm_fwd(x, gamma, beta):
+    """(y, (xhat, inv)) of a layer norm over the last axis, one row chunk at
+    a time; bitwise equal to ``xhat * gamma + beta`` with ``xhat = (x - mu)
+    * inv`` and ``inv = 1 / sqrt(var + eps)`` over the whole array, since
+    every reduction runs within a row.  Each chunk runs that allocating
+    expression, whose temporaries then span one chunk; the whole-array
+    outputs are preallocated and filled only when there is more than one
+    chunk, so a short input (a decode step's one row) pays no copy."""
+    if x.nbytes <= CHUNK_BYTES:
+        return _layer_norm_rows(x, gamma, beta)
+    x2, chunks = _row_chunks(x)
+    y, xhat = np.empty_like(x2), np.empty_like(x2)
+    inv = np.empty((len(x2), 1), dtype=x2.dtype)
+    for sl in chunks:
+        y[sl], (xhat[sl], inv[sl]) = _layer_norm_rows(x2[sl], gamma, beta)
+    return y.reshape(x.shape), (xhat.reshape(x.shape), inv.reshape(x.shape[:-1] + (1,)))
+
+
+def _layer_norm_rows(x, gamma, beta):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -279,50 +297,51 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
-def _gelu_fwd(x):
-    """tanh-approximate GELU; returns (gelu(x), t), t being the tanh term.
+def _gelu_fwd(x, derivative):
+    """tanh-approximate GELU in place in ``x``; returns (gelu(x), d), d
+    being gelu'(x) when ``derivative`` asks for it, else None.
 
-    Computes ``0.5 * x * (1 + t)`` with ``t = tanh(C * (x + A*x*x*x))`` one
-    row chunk at a time, in place in the outputs: each rounding step is the
-    one the whole-array expression takes, so the result is bitwise equal."""
+    With ``t = tanh(C * (x + A*x*x*x))``, one row chunk at a time, the
+    derivative ``d = 0.5*(1+t) + 0.5*x*(1-t*t) * C*(1 + 3*A*x*x)`` goes to a
+    new array and then ``0.5 * x * (1 + t)`` overwrites ``x``.  Each
+    rounding step is the one the whole-array expression takes, so both are
+    bitwise equal to it; t never exists beyond one chunk, and backward keeps
+    d alone in place of x and t."""
     x2, chunks = _row_chunks(x)
-    g, t = np.empty_like(x2), np.empty_like(x2)
+    d = np.empty_like(x2) if derivative else None
     for sl in chunks:
-        xc, tc, gc = x2[sl], t[sl], g[sl]
-        np.multiply(xc, _GELU_A, out=tc)
+        xc = x2[sl]
+        tc = np.multiply(xc, _GELU_A)
         tc *= xc
         tc *= xc
         tc += xc
         tc *= _GELU_C
         np.tanh(tc, out=tc)
-        np.multiply(xc, 0.5, out=gc)
-        gc *= 1.0 + tc
-    return g.reshape(x.shape), t.reshape(x.shape)
+        if d is not None:
+            inner = np.multiply(xc, 3.0 * _GELU_A)
+            inner *= xc
+            inner += 1.0
+            inner *= _GELU_C
+        xc *= 0.5  # the 0.5*x shared by gelu(x) and d
+        if d is not None:
+            dc = d[sl]
+            np.multiply(tc, tc, out=dc)
+            np.subtract(1.0, dc, out=dc)
+            dc *= xc
+            dc *= inner
+        tc += 1.0
+        xc *= tc
+        if d is not None:
+            np.multiply(tc, 0.5, out=inner)
+            dc += inner
+    return x2.reshape(x.shape), None if d is None else d.reshape(x.shape)
 
 
-def _gelu_bwd(dy, x, t):
-    """dy * gelu'(x) from ``_gelu_fwd``'s t, one row chunk at a time in place
-    in ``dy``, which it returns; bitwise equal to ``dy * (0.5*(1+t) +
-    0.5*x*(1-t*t) * C*(1 + 3*A*x*x))`` (multiplication commutes bit for
-    bit, so each chunk's factor multiplies ``dy`` last)."""
-    x2, chunks = _row_chunks(x)
-    t2, dy2 = t.reshape(x2.shape), dy.reshape(x2.shape)
-    for sl in chunks:
-        xc, tc = x2[sl], t2[sl]
-        inner = np.multiply(xc, 3.0 * _GELU_A)
-        inner *= xc
-        inner += 1.0
-        inner *= _GELU_C
-        slope = np.multiply(tc, tc)
-        np.subtract(1.0, slope, out=slope)
-        half_x = np.multiply(xc, 0.5)
-        half_x *= slope
-        half_x *= inner
-        factor = np.add(tc, 1.0, out=slope)
-        factor *= 0.5
-        factor += half_x
-        dy2[sl] *= factor
-    return dy2.reshape(dy.shape)
+def _gelu_bwd(dy, d):
+    """dy * gelu'(x) from ``_gelu_fwd``'s derivative ``d``, in place in
+    ``dy``, which it returns: one ufunc pass that allocates nothing."""
+    dy *= d
+    return dy
 
 
 def _dropout_fwd(x, p, rng):
@@ -427,7 +446,7 @@ def _split_heads(x, n_heads):
 BLOCK_BYTES = 8 * 2**20
 
 # Bytes of one row chunk of an elementwise kernel (GELU, LoRA dropout, the
-# layer-norm backward), whose temporaries then stay in the L2 cache.  At
+# layer norm and its backward), whose temporaries then stay in the L2 cache.  At
 # B=128, T=256 and d_ff=256 in float32 (one thread of a 2-vCPU Xeon with 2 MiB
 # of L2 per core), GELU forward plus backward takes about 76 ms per layer in
 # 256 KiB chunks, 111 ms in chunks of ``BLOCK_BYTES`` and 206 ms unchunked;
@@ -650,6 +669,9 @@ def forward_hidden(
     layer keeps its ln1 output, its attention output or its feed-forward
     inputs, whose only reader would be a frozen weight's gradient, and
     layer 0 keeps neither its ln1 statistics nor its query and value masks.
+    GELU runs in place on ``ff_in``'s output; a layer that the gradient
+    passes back through keeps its derivative (one d_ff-wide array) and
+    nothing else of the GELU, and no other layer computes it.
 
     ``past`` is the cache of an earlier call on the preceding positions of
     the same sequences (the key/value cache of incremental decoding).  The
@@ -657,7 +679,8 @@ def forward_hidden(
     length ``past`` covers, and attend to ``past``'s keys and values as well
     as their own.  The returned cache holds the keys and values of all T0 +
     time positions, so it can serve as the next call's ``past``, but
-    ``backward_batch`` rejects it.
+    ``backward_batch`` rejects it, so it keeps nothing for a backward pass
+    (as ``needs=frozenset()`` does without ``past``).
     """
     cfg = state.config
     P = state.params
@@ -677,7 +700,10 @@ def forward_hidden(
 
     head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     want = _wants(needs)
-    first = _first_wanted(cfg, want)
+    # a cache built on ``past`` serves no backward, so it keeps nothing for
+    # one; a decode step also skips _first_wanted's scan of the tensor names
+    # (about 30 us at the default config when nothing is wanted)
+    first = (cfg.n_layers, 0) if past is not None else _first_wanted(cfg, want)
 
     def proj_fwd(i, proj, x, blk):
         need_dx = first < (i, _STAGE_OF[proj])
@@ -709,9 +735,9 @@ def forward_hidden(
         blk["qh"], blk["kh"], blk["vh"] = qh, kh, vh
         x = x + proj_fwd(i, "output", o, blk)
         f, blk["ln2"] = _layer_norm_fwd(x, P[f"{pre}.ln2.gamma"], P[f"{pre}.ln2.beta"])
-        h1 = proj_fwd(i, "ff_in", f, blk)
-        g, t = _gelu_fwd(h1)
-        blk["h1"], blk["t"] = h1, t
+        g, dgelu = _gelu_fwd(proj_fwd(i, "ff_in", f, blk), first < (i, _STAGE_OF["ff_out"]))
+        if dgelu is not None:
+            blk["dgelu"] = dgelu
         x = x + proj_fwd(i, "ff_out", g, blk)
         cache["blocks"].append(blk)
     xf, cache["ln_f"] = _layer_norm_fwd(x, P["ln_f.gamma"], P["ln_f.beta"])
@@ -803,7 +829,7 @@ def backward_batch(
         dgact = _proj_bwd(state, i, "ff_out", dx, blk, grads, want, flows(i, 5))
         if dgact is None:
             break
-        dh1 = _gelu_bwd(dgact, blk.pop("h1"), blk.pop("t"))  # in place in dgact
+        dh1 = _gelu_bwd(dgact, blk.pop("dgelu"))  # in place in dgact
         del dgact
         df = _proj_bwd(state, i, "ff_in", dh1, blk, grads, want, flows(i, 4))
         del dh1
@@ -1052,7 +1078,7 @@ def greedy_generate(
     out: list[int] = []
     cache = None
     while len(out) < room:
-        xf, cache = forward_hidden(state, ids, past=cache)
+        xf, cache = forward_hidden(state, ids, past=cache, needs=frozenset())
         nxt = int(np.argmax(xf[0, -1] @ state.params["out_w"].T))
         out.append(nxt)
         if nxt == EOS_ID:
