@@ -344,63 +344,78 @@ def _gelu_bwd(dy, d):
     return dy
 
 
-def _dropout_fwd(x, p, rng):
-    """(x * keep / (1 - p), keep) with ``keep = rng.random(x.shape) >= p``,
-    drawn and scaled one row chunk at a time.  ``Generator.random`` draws in
-    row order, so the chunks consume the stream exactly as one whole-array
-    draw does, and each rounding step is the whole-array expression's."""
+def _dropout_mask(x, p, rng):
+    """The dropout mask ``keep = rng.random(x.shape) >= p`` of ``x``, drawn
+    one row chunk at a time.  ``Generator.random`` draws in row order, so
+    the chunks consume the stream exactly as one whole-array draw does."""
     x2, chunks = _row_chunks(x)
-    xd, keep = np.empty_like(x2), np.empty(x2.shape, dtype=bool)
+    keep = np.empty(x2.shape, dtype=bool)
     for sl in chunks:
         np.greater_equal(rng.random(keep[sl].shape), p, out=keep[sl])
-        np.multiply(x2[sl], keep[sl], out=xd[sl])
-        xd[sl] /= 1.0 - p
-    return xd.reshape(x.shape), keep.reshape(x.shape)
+    return keep.reshape(x.shape)
 
 
-def _dropout_bwd(dy, keep, p):
-    """``dy * keep / (1 - p)`` in place in ``dy``, one row chunk at a time."""
-    dy2, chunks = _row_chunks(dy)
-    keep2 = keep.reshape(dy2.shape)
+def _dropout_apply(x, keep, p, out=None):
+    """``x * keep / (1 - p)`` one row chunk at a time, written to ``out`` (a
+    new array when None; ``x`` itself works in place), which it returns.
+    Each rounding step is the whole-array expression's, so the forward's
+    dropped-out input, its rebuild in backward and the gradient through the
+    mask all take the same bits."""
+    x2, chunks = _row_chunks(x)
+    keep2 = keep.reshape(x2.shape)
+    out2 = np.empty_like(x2) if out is None else out.reshape(x2.shape)
     for sl in chunks:
-        dy2[sl] *= keep2[sl]
-        dy2[sl] /= 1.0 - p
-    return dy
+        np.multiply(x2[sl], keep2[sl], out=out2[sl])
+        out2[sl] /= 1.0 - p
+    return out2.reshape(x.shape)
 
 
 def _proj_fwd(state, i, proj, x, blk, training, rng, want, need_dx):
     """y = x W^T + b for layer i's ``proj``, plus the scaled low-rank path
     (with dropout on its input in training) when ``proj`` is adapted.
 
-    The backward cache goes to ``blk[proj]`` as (x, xd, u, keep): the input
-    ``x`` only when ``want`` asks for the base weight's gradient, else None;
-    for an adapted projection also its dropped-out input ``xd`` (``x``
-    itself without dropout), ``u = xd A^T`` and the dropout mask ``keep``,
-    which only dx reads and so is kept only when ``need_dx``."""
+    The backward cache goes to ``blk[proj]`` as (x, u, keep), each None
+    unless backward reads it.  The input ``x`` is kept by reference (query,
+    key and value share one) when ``want`` asks for the base weight's
+    gradient or for the adapter's A.  The dropped-out input ``xd`` is never
+    kept: it lives only until ``u = xd A^T`` is formed, and ``_proj_bwd``
+    rebuilds it from ``x`` and the dropout mask ``keep``.  An adapted
+    projection keeps ``u`` when its B is wanted, and ``keep`` (drawn only in
+    training with dropout; ``xd`` is ``x`` without it) when its A is wanted
+    or ``need_dx`` has the gradient flow to its input."""
     cfg, P = state.config, state.params
     w_name, b_name, a_name, b_up_name = _proj_names(i, proj)
     y = x @ P[w_name].T
     y += P[b_name]
-    xd = u = keep = None
+    cache_x = want(w_name)
+    u = keep = None
     if proj in cfg.adapted_projections:
         p = cfg.lora_dropout
-        xd = x
         if training and p > 0.0:
-            xd, keep = _dropout_fwd(x, p, rng)
-        u = xd @ P[a_name].T
+            keep = _dropout_mask(x, p, rng)
+            u = _dropout_apply(x, keep, p) @ P[a_name].T
+        else:
+            u = x @ P[a_name].T
         up = u @ P[b_up_name].T
         up *= cfg.lora_alpha / cfg.lora_rank
         y += up
-    blk[proj] = (x if want(w_name) else None, xd, u, keep if need_dx else None)
+        cache_x = cache_x or want(a_name)
+        if not want(b_up_name):
+            u = None
+        if not (need_dx or want(a_name)):
+            keep = None
+    blk[proj] = (x if cache_x else None, u, keep)
     return y
 
 
 def _proj_bwd(state, i, proj, dy, blk, grads, want, need_dx):
     """Layer i's ``proj`` backward from ``blk[proj]``, which it removes:
     accumulates the gradients ``want`` asks for into ``grads`` and returns
-    dx, or None when not ``need_dx``."""
+    dx, or None when not ``need_dx``.  An adapter's A gradient rebuilds the
+    forward's dropped-out input ``xd = x * keep / (1 - p)`` from the cache
+    (``_dropout_apply``, bitwise the forward's) and drops it after its GEMM."""
     cfg, P = state.config, state.params
-    x, xd, u, keep = blk.pop(proj)
+    x, u, keep = blk.pop(proj)
     w_name, b_name, a_name, b_up_name = _proj_names(i, proj)
     din = P[w_name].shape[1]
     dout = dy.shape[-1]
@@ -421,13 +436,15 @@ def _proj_bwd(state, i, proj, dy, blk, grads, want, need_dx):
             return dx
         du = scale * (dy @ b_mat)
         if want(a_name):
+            xd = x if keep is None else _dropout_apply(x, keep, p)
             grads[a_name] = grads.get(a_name, 0) + du.reshape(
                 -1, du.shape[-1]
             ).T @ xd.reshape(-1, din)
+            del xd
         if need_dx:
             dxd = du @ a_mat
             if keep is not None:
-                _dropout_bwd(dxd, keep, p)
+                _dropout_apply(dxd, keep, p, out=dxd)
             dx += dxd
     return dx
 
@@ -660,18 +677,25 @@ def forward_hidden(
     softmax and ``p @ v`` over keys [0, hi) only, bitwise equal to whole rows.
 
     ``needs`` names the tensors whose gradients the cache must serve (all of
-    them when None), as ``backward_batch``'s ``needs`` does.  A projection's
-    input is cached only when its base weight is among them; an adapted
-    projection always keeps its adapter path's inputs, and its dropout mask
-    when the gradient must flow to its input.  A layer's ln1 statistics are
-    kept only when the gradient reaches ln1 (``_first_wanted``).  When
-    training only the default adapters (query and value, with dropout), no
-    layer keeps its ln1 output, its attention output or its feed-forward
-    inputs, whose only reader would be a frozen weight's gradient, and
-    layer 0 keeps neither its ln1 statistics nor its query and value masks.
-    GELU runs in place on ``ff_in``'s output; a layer that the gradient
-    passes back through keeps its derivative (one d_ff-wide array) and
-    nothing else of the GELU, and no other layer computes it.
+    them when None), as ``backward_batch``'s ``needs`` does.  Each
+    projection caches (x, u, keep) as ``_proj_fwd`` says: its input only
+    when its base weight or its adapter's A is among them, by reference,
+    and never a dropped-out copy of it.  A layer's ln1 and ln2 statistics
+    are kept only when the gradient reaches that norm (``_first_wanted``).
+    When training only the default adapters (query and value, with
+    dropout), each layer keeps its ln1 output once, for both adapters' A
+    gradients, beside their two boolean masks; no layer keeps its attention
+    output or its feed-forward inputs, whose only reader would be a frozen
+    weight's gradient, and layer 0 keeps no ln1 statistics.  GELU runs in
+    place on ``ff_in``'s output; a layer that the gradient passes back
+    through keeps its derivative (one d_ff-wide array) and nothing else of
+    the GELU, and no other layer computes it.
+
+    Every other activation is dropped at its last use: the ln1 output once
+    query, key and value have read it (unless cached), the attention output
+    after the output projection, the ln2 output after ``ff_in`` and the
+    GELU output after ``ff_out``; both residual adds run in place.  So the
+    pass holds, beyond its cache, about one layer's working set.
 
     ``past`` is the cache of an earlier call on the preceding positions of
     the same sequences (the key/value cache of incremental decoding).  The
@@ -699,10 +723,10 @@ def forward_hidden(
         raise ValueError("rng required for dropout in training mode")
 
     head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    want = _wants(needs)
     # a cache built on ``past`` serves no backward, so it keeps nothing for
     # one; a decode step also skips _first_wanted's scan of the tensor names
     # (about 30 us at the default config when nothing is wanted)
+    want = _wants(needs if past is None else frozenset())
     first = (cfg.n_layers, 0) if past is not None else _first_wanted(cfg, want)
 
     def proj_fwd(i, proj, x, blk):
@@ -725,6 +749,7 @@ def forward_hidden(
             _split_heads(proj_fwd(i, proj, a, blk), cfg.n_heads)
             for proj in ("query", "key", "value")
         )
+        del a
         if past is not None:
             kh = np.concatenate((past["blocks"][i]["kh"], kh), axis=2)
             vh = np.concatenate((past["blocks"][i]["vh"], vh), axis=2)
@@ -733,12 +758,19 @@ def forward_hidden(
         for sl in _attn_blocks(qh, kh):
             _attn_fwd(qh[sl], kh[sl], vh[sl], head_scale, oh[sl])
         blk["qh"], blk["kh"], blk["vh"] = qh, kh, vh
-        x = x + proj_fwd(i, "output", o, blk)
-        f, blk["ln2"] = _layer_norm_fwd(x, P[f"{pre}.ln2.gamma"], P[f"{pre}.ln2.beta"])
+        del oh
+        x += proj_fwd(i, "output", o, blk)
+        del o
+        f, ln2 = _layer_norm_fwd(x, P[f"{pre}.ln2.gamma"], P[f"{pre}.ln2.beta"])
+        if first <= (i, _STAGE_OF["ln2"]):
+            blk["ln2"] = ln2
+        del ln2
         g, dgelu = _gelu_fwd(proj_fwd(i, "ff_in", f, blk), first < (i, _STAGE_OF["ff_out"]))
+        del f
         if dgelu is not None:
             blk["dgelu"] = dgelu
-        x = x + proj_fwd(i, "ff_out", g, blk)
+        x += proj_fwd(i, "ff_out", g, blk)
+        del g
         cache["blocks"].append(blk)
     xf, cache["ln_f"] = _layer_norm_fwd(x, P["ln_f.gamma"], P["ln_f.beta"])
     return xf, cache
@@ -1123,7 +1155,10 @@ class Vocab:
 def build_vocab(
     texts: Iterable[str], tokenizer: Tokenizer, cap: int = DEFAULT_VOCAB_CAP
 ) -> Vocab:
-    """Frequency-capped vocabulary: most frequent first, ties lexicographic."""
+    """Frequency-capped vocabulary: the specials, then at most ``cap >= 1``
+    tokens, most frequent first, ties lexicographic."""
+    if cap < 1:
+        raise ValueError(f"vocab cap must be >= 1, got {cap}")
     counts: Counter[str] = Counter()
     for text in texts:
         counts.update(tokenizer.tokenize(text))

@@ -54,6 +54,10 @@ DROPOUT_STREAM = 7  # rng lane for adapter dropout, keyed by global step
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training phase's settings.  ``learning_rate`` must be positive
+    and finite.  ``grad_clip`` caps the global gradient norm before each
+    Adam step; it must be finite and >= 0, and 0 means no clipping."""
+
     phase: str
     learning_rate: float
     epochs: int
@@ -65,8 +69,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.phase not in ("pretrain", "sft"):
             raise ValueError(f"phase must be 'pretrain' or 'sft', got {self.phase!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ValueError(f"grad_clip must be >= 0 and finite, got {self.grad_clip}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:

@@ -498,11 +498,20 @@ def broken_inputs(tmp_path):
         (["retrieve", "--index", "one.idx", "--store", "one.store",
           "--keywords", "latin1.tsv", "--budget", "10", "--output", "o.store"],
          "latin1.tsv:2"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--vocab-cap", "0"],
+         "error: ValueError: vocab cap must be >= 1, got 0"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--vocab-cap", "-1"],
+         "error: ValueError: vocab cap must be >= 1, got -1"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--learning-rate", "nan"],
+         "error: ValueError: learning_rate must be positive and finite, got nan"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--grad-clip", "-1"],
+         "error: ValueError: grad_clip must be >= 0 and finite, got -1.0"),
     ],
     ids=["unknown-tokenizer", "raw-without-body", "raw-null-body", "pair-without-response",
          "exam-without-options", "flipped-checkpoint", "eval-short-vocab",
          "eval-duplicate-vocab", "eval-blank-vocab", "index-doc-out-of-range",
-         "non-utf8-raw", "non-utf8-vocab", "non-utf8-keywords"],
+         "non-utf8-raw", "non-utf8-vocab", "non-utf8-keywords", "pretrain-zero-vocab-cap",
+         "pretrain-negative-vocab-cap", "pretrain-nan-learning-rate", "pretrain-negative-grad-clip"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
     argv = [str(broken_inputs / a)

@@ -1085,13 +1085,16 @@ def test_dropout_and_layer_norm_chunks_match_whole_array_expressions_bitwise(dty
         x[0, -1] = 2.5  # a constant row: variance 0, xhat all zeros
     dy = rng.normal(size=x.shape).astype(dtype)
     drawn, reference = np.random.default_rng(1), np.random.default_rng(1)
-    xd, keep = lora_model._dropout_fwd(x, 0.3, drawn)
+    keep = lora_model._dropout_mask(x, 0.3, drawn)
+    xd = lora_model._dropout_apply(x, keep, 0.3)
     xd_r, keep_r = _dropout_expression(x, 0.3, reference)
     assert drawn.bit_generator.state == reference.bit_generator.state
     assert keep.shape == x.shape and keep.tobytes() == keep_r.tobytes()
     assert xd.dtype == dtype and xd.tobytes() == xd_r.tobytes()
     dxd_r = dy * keep_r.astype(dtype) / (1.0 - 0.3)
-    assert lora_model._dropout_bwd(dy.copy(), keep, 0.3).tobytes() == dxd_r.tobytes()
+    dxd = dy.copy()
+    out = lora_model._dropout_apply(dxd, keep, 0.3, out=dxd)  # in place
+    assert np.shares_memory(out, dxd) and dxd.tobytes() == dxd_r.tobytes()
     gamma = rng.normal(1.0, 0.2, d).astype(dtype)
     gamma[1] = -1.0
     beta = rng.normal(0.0, 0.1, d).astype(dtype)
@@ -1181,32 +1184,61 @@ def _gelu_arrays(blk, d_ff):
     return [k for k, v in blk.items() if isinstance(v, np.ndarray) and v.shape[-1] == d_ff]
 
 
+def _model_wide_arrays(blk, shape):
+    """The distinct whole-batch float arrays of ``shape`` that a cache block
+    holds, its tuples' entries included."""
+    entries = [e for v in blk.values() for e in (v if isinstance(v, tuple) else (v,))]
+    found = {id(e): e for e in entries
+             if isinstance(e, np.ndarray) and e.dtype.kind == "f" and e.shape == shape}
+    return list(found.values())
+
+
 def test_forward_keeps_only_the_cache_entries_backward_reads():
-    """Under adapters-only training backward never reaches layer 0's ln1
-    nor its query/value input gradients: layer 0 keeps neither its ln1
-    statistics nor those projections' dropout masks.  Every layer that
-    backward passes through keeps one GELU array, the derivative, and no
-    other; a cache built on ``past`` keeps none.  A wanted ln1 gamma keeps
-    its layer's statistics, bitwise as the full pass computes it."""
+    """Each projection caches (x, u, keep), never a dropped-out input: the
+    query and value adapters share their input, the ln1 output, by
+    reference, and keep their dropout masks in every layer, layer 0
+    included, since their A gradients rebuild the dropped-out input from
+    them.  Under adapters-only training backward never reaches layer 0's
+    ln1, which keeps no statistics.  Every layer that backward passes
+    through keeps one GELU array, the derivative, and no other; a cache
+    built on ``past`` keeps nothing for a backward pass.  A wanted ln1 gamma
+    keeps its layer's statistics, bitwise as the full pass computes it."""
     state, ids, mask = _step_case(np.float64, ("query", "value"))
-    d_ff = state.config.d_ff
-    needs = set(adapter_param_names(state.config))
+    cfg = state.config
+    needs = set(adapter_param_names(cfg))
     _, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(0), needs=needs)
     first, *later = cache["blocks"]
     assert "ln1" not in first
-    assert first["query"][3] is None and first["value"][3] is None
     for blk in later:
         assert "ln1" in blk
-        assert blk["query"][3] is not None and blk["value"][3] is not None
+    wide = ids.shape + (cfg.d_model,)
     for blk in cache["blocks"]:
-        assert _gelu_arrays(blk, d_ff) == ["dgelu"]
+        x = blk["query"][0]
+        assert blk["value"][0] is x and x.shape == wide
+        for proj in ("query", "value"):
+            _, u, keep = blk[proj]
+            assert u.shape == ids.shape + (cfg.lora_rank,)
+            assert keep.dtype == bool and keep.shape == wide
+        for proj in ("key", "output", "ff_in", "ff_out"):
+            assert blk[proj] == (None, None, None), proj
+        # the shared input and the layer norms' xhat: no dropped-out copy
+        held = _model_wide_arrays(blk, wide)
+        expected = [x, blk["ln2"][0]] + ([blk["ln1"][0]] if "ln1" in blk else [])
+        assert sorted(map(id, held)) == sorted(map(id, expected))
+        assert _gelu_arrays(blk, cfg.d_ff) == ["dgelu"]
         assert "h1" not in blk and "t" not in blk
-    # only the last layer's value adapter: the layers below keep no derivative
+    # only the last layer's value adapter: the layers below keep no
+    # derivative, no norm statistics and no projection input
     _, cache = forward_hidden(state, ids, needs={"layers.2.lora.value.b"})
-    assert [_gelu_arrays(blk, d_ff) for blk in cache["blocks"]] == [[], [], ["dgelu"]]
+    assert [_gelu_arrays(blk, cfg.d_ff) for blk in cache["blocks"]] == [[], [], ["dgelu"]]
+    for blk in cache["blocks"][:2]:
+        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"qh", "kh", "vh"}
+        assert all(blk[proj] == (None, None, None) for proj in ADAPTABLE_PROJECTIONS)
     _, cache = forward_hidden(state, ids[:, :5])
     _, cache = forward_hidden(state, ids[:, 5:], past=cache)
-    assert all(_gelu_arrays(blk, d_ff) == [] for blk in cache["blocks"])
+    for blk in cache["blocks"]:
+        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"qh", "kh", "vh"}
+        assert all(blk[proj] == (None, None, None) for proj in ADAPTABLE_PROJECTIONS)
     xf, cache = forward_hidden(state, ids)
     _, dxf, _ = head_loss(state, xf, ids, mask)
     full = backward_batch(state, cache, dxf)
@@ -1214,6 +1246,47 @@ def test_forward_keeps_only_the_cache_entries_backward_reads():
         xf, cache = forward_hidden(state, ids, needs={name})
         assert "ln1" in cache["blocks"][int(name.split(".")[1])]
         assert backward_batch(state, cache, dxf, {name})[name].tobytes() == full[name].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("extra", [None, 0, 1])  # one row, one chunk, one chunk + 1
+def test_adapter_gradient_rebuilds_the_forward_dropout_bitwise(monkeypatch, dtype, extra):
+    """``_proj_bwd`` rebuilds the adapter's dropped-out input from the cached
+    input and mask, bitwise the array the forward formed, and takes its A
+    gradient as one GEMM on it."""
+    config = replace(SMALL, d_model=64, n_heads=4, d_ff=64, lora_rank=4,
+                     lora_alpha=6.0, lora_dropout=0.3, adapted_projections=("query",))
+    state = _live_adapter_state(config, dtype, 0)
+    d = config.d_model
+    per_chunk = lora_model.CHUNK_BYTES // (d * np.dtype(dtype).itemsize)
+    rows = 1 if extra is None else per_chunk + extra
+    rng = np.random.default_rng(rows)
+    x = rng.normal(0.0, 3.0, (1, rows, d)).astype(dtype)
+    dy = rng.normal(size=x.shape).astype(dtype)
+    built = []
+    inner = lora_model._dropout_apply
+
+    def recording(x, keep, p, out=None):
+        result = inner(x, keep, p, out)
+        if out is None:
+            built.append(result)
+        return result
+
+    monkeypatch.setattr(lora_model, "_dropout_apply", recording)
+    _, _, a_name, b_name = lora_model._proj_names(0, "query")
+    want = lora_model._wants({a_name})
+    blk, grads = {}, {}
+    lora_model._proj_fwd(state, 0, "query", x, blk, True, np.random.default_rng(5), want, False)
+    assert blk["query"][0] is x and blk["query"][1] is None
+    lora_model._proj_bwd(state, 0, "query", dy, blk, grads, want, False)
+    forward, rebuilt = built
+    assert rebuilt is not forward
+    xd_r, _ = _dropout_expression(x, 0.3, np.random.default_rng(5))
+    assert forward.dtype == rebuilt.dtype == dtype
+    assert forward.tobytes() == rebuilt.tobytes() == xd_r.tobytes()
+    du = config.lora_alpha / config.lora_rank * (dy @ state.params[b_name])
+    expected = du.reshape(-1, config.lora_rank).T @ xd_r.reshape(-1, d)
+    assert set(grads) == {a_name} and grads[a_name].tobytes() == expected.tobytes()
 
 
 def test_greedy_generate_computes_no_gelu_derivative(monkeypatch):
@@ -1281,17 +1354,20 @@ def test_training_step_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about 42 MiB; keeping each layer's GELU input and tanh term in place
-    # of its derivative peaked at 46, caching every projection's input and
-    # holding every layer's cache and activation gradients through backward
-    # at 90
-    assert peak < 44 * 2**20
+    # about 40.6 MiB; caching each adapter's dropped-out input and holding
+    # dead forward activations peaked at 42.1, keeping each layer's GELU
+    # input and tanh term in place of its derivative at 46, caching every
+    # projection's input and holding every layer's cache and activation
+    # gradients through backward at 90
+    assert peak < 41.5 * 2**20
 
 
 def test_forward_peak_memory():
     """The forward pass of a default adapters-only step holds, beside its
-    cache, no more than a few whole-batch temporaries: one cached GELU
-    derivative per layer, GELU in place, and layer norms over row chunks."""
+    cache, little more than one layer's working set: one cached GELU
+    derivative per layer, GELU in place, layer norms over row chunks, one
+    cached input shared by the query and value adapters, and every other
+    activation dropped at its last use."""
     B, T = 16, 256
     config = ModelConfig(vocab_size=4100, max_seq_len=T)
     state = init_model(config, seed=0)
@@ -1305,10 +1381,14 @@ def test_forward_peak_memory():
     finally:
         tracemalloc.stop()
     del out
-    # measured 8.70x and 6.02x; keeping each layer's GELU input and tanh
-    # term, and whole-batch layer-norm temporaries, read 10.58x and 8.02x
-    assert peak < 9.5 * h1_bytes
-    assert held < 7 * h1_bytes
+    # measured 6.83x and 5.64x, 1.18x above what it holds; caching each
+    # adapter's dropped-out input and holding dead activations to the next
+    # layer read 8.70x and 6.02x (2.68x above), and keeping each layer's
+    # GELU input and tanh term, and whole-batch layer-norm temporaries,
+    # 10.58x and 8.02x
+    assert peak < 7.5 * h1_bytes
+    assert held < 5.9 * h1_bytes
+    assert peak - held < 1.5 * h1_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -1326,6 +1406,12 @@ def test_build_vocab_cap():
     vocab = build_vocab(["b b a", "a c a"], tok, cap=2)
     assert vocab.tokens == SPECIAL_TOKENS + ("a", "b")
     assert vocab.encode(["c"]) == [UNK_ID]
+
+
+@pytest.mark.parametrize("cap", [0, -1, -5])
+def test_build_vocab_rejects_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="vocab cap"):
+        build_vocab(["b b a", "a c a"], CjkCharTokenizer(), cap=cap)
 
 
 def test_vocab_encode_decode():

@@ -33,6 +33,7 @@ from domainforge.trainer import (
     load_sft_examples,
     pretrain,
     save_loss_history,
+    _adam_step,
     _pad_batch,
 )
 
@@ -262,6 +263,31 @@ def test_train_config_validation():
         TrainConfig(phase="sft", learning_rate=1e-3, epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig(phase="sft", learning_rate=1e-3, epochs=1, batch_size=0)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), -1e-3])
+def test_train_config_rejects_a_non_finite_or_negative_learning_rate(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(phase="pretrain", learning_rate=lr, epochs=1)
+
+
+@pytest.mark.parametrize("clip", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_train_config_rejects_a_negative_or_non_finite_grad_clip(clip):
+    with pytest.raises(ValueError, match="grad_clip"):
+        TrainConfig(phase="pretrain", learning_rate=1e-3, epochs=1, grad_clip=clip)
+
+
+def test_zero_grad_clip_means_no_clipping():
+    params = {"w": np.zeros(3)}
+    grads = {"w": np.array([30.0, 40.0, 0.0])}  # norm 50
+    steps = {}
+    for clip in (0.0, 100.0, 1.0):
+        opt = {"w": (np.zeros(3), np.zeros(3))}
+        p = {k: v.copy() for k, v in params.items()}
+        _adam_step(p, grads, opt, ["w"], 1e-3, 1, clip)
+        steps[clip] = opt["w"][0].copy()  # the first moment takes the clipped gradient
+    assert steps[0.0].tobytes() == steps[100.0].tobytes()
+    assert not np.array_equal(steps[1.0], steps[0.0])
 
 
 # ---------------------------------------------------------------------------
