@@ -14,7 +14,6 @@ from .corpus_store import (
     ingest,
     load_raw_records,
     load_store,
-    register_tokenizer,
     save_store,
 )
 from .errors import (
@@ -59,13 +58,11 @@ from .lora_model import (
     ModelState,
     Vocab,
     build_vocab,
-    clm_loss,
     greedy_generate,
     init_model,
     load_checkpoint,
     model_forward,
     save_checkpoint,
-    sft_loss,
 )
 from .retrieval import (
     CorpusSelection,

@@ -111,13 +111,11 @@ _COMMANDS: dict[str, list[_Opt]] = {
         _Opt("output", required=True, help="store file to write"),
         _Opt("min_tokens", "int", DEFAULT_MIN_TOKENS,
              help="drop cleaned documents shorter than this"),
-        _Opt("tokenizer", "str", DEFAULT_TOKENIZER_ID),
     ],
     "keywords": [
         _Opt("samples", required=True, help="task sample texts, one per line"),
         _Opt("output", required=True, help="keyword TSV to write"),
         _Opt("lexicon", help="optional lexicon word list, one per line"),
-        _Opt("tokenizer", "str", DEFAULT_TOKENIZER_ID),
         _Opt("window", "int", DEFAULT_WINDOW),
         _Opt("top_k", "int", DEFAULT_TOP_K),
         _Opt("damping", "float", DEFAULT_DAMPING),
@@ -142,7 +140,6 @@ _COMMANDS: dict[str, list[_Opt]] = {
         _Opt("store", required=True, help="training corpus store"),
         _Opt("output", required=True, help="checkpoint file to write"),
         _Opt("resume", help="checkpoint to continue from (epoch boundary)"),
-        _Opt("vocab", help="vocabulary path (default: <resume>.vocab)"),
         _Opt("vocab_cap", "int", DEFAULT_VOCAB_CAP),
         _Opt("seed", "int", 0),
         _Opt("learning_rate", "float", DEFAULT_PRETRAIN_LR),
@@ -168,8 +165,6 @@ _COMMANDS: dict[str, list[_Opt]] = {
              help="pretrain checkpoint, or an sft one to continue"),
         _Opt("data", required=True, help="JSONL of prompt/response pairs"),
         _Opt("output", required=True),
-        _Opt("vocab", help="vocabulary path (default: <checkpoint>.vocab)"),
-        _Opt("tokenizer", "str", DEFAULT_TOKENIZER_ID),
         _Opt("seed", "int", 0),
         _Opt("learning_rate", "float", DEFAULT_SFT_LR),
         _Opt("epochs", "int", DEFAULT_SFT_EPOCHS),
@@ -181,8 +176,6 @@ _COMMANDS: dict[str, list[_Opt]] = {
     "eval": [
         _Opt("checkpoint", required=True),
         _Opt("exam", required=True, help="JSONL exam file"),
-        _Opt("vocab", help="vocabulary path (default: <checkpoint>.vocab)"),
-        _Opt("tokenizer", "str", DEFAULT_TOKENIZER_ID),
         _Opt("responder", "str", "model", help="model, gold, or empty"),
         _Opt("max_new_tokens", "int", DEFAULT_MAX_NEW_TOKENS),
         _Opt("output", help="optional report file"),
@@ -252,16 +245,27 @@ def _resolve(
     return resolved
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line (an unknown flag, a value of the wrong type)
+    as a ``ConfigError``, so it gets one ``error:`` line and exit status 1
+    like every other failure.  Subcommand parsers inherit it.  A flag must
+    be spelled out: ``pretrain --vocab 100`` is unknown, not ``--vocab-cap``."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="domainforge",
+        allow_abbrev=False,
         description="Keyword-guided corpus selection and adapter training.",
     )
     parser.add_argument("--version", action="version", version=VERSION_LINE)
     parser.add_argument("--config", help="INI file with per-subcommand sections")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, opts in _COMMANDS.items():
-        p = sub.add_parser(cmd)
+        p = sub.add_parser(cmd, allow_abbrev=False)
         for opt in opts:
             if opt.kind == "bool":
                 p.add_argument(
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ingest(cfg: dict) -> int:
     records = load_raw_records(cfg["input"])
-    tokenizer = get_tokenizer(cfg["tokenizer"])
+    tokenizer = get_tokenizer(DEFAULT_TOKENIZER_ID)
     store = ingest(records, tokenizer, min_tokens=cfg["min_tokens"])
     save_store(store, cfg["output"])
     print(f"documents={len(store)} tokens={store.total_tokens}")
@@ -296,7 +300,7 @@ def _cmd_keywords(cfg: dict) -> int:
         for line in read_text(cfg["samples"]).splitlines()
         if line.strip()
     ]
-    tokenizer = get_tokenizer(cfg["tokenizer"])
+    tokenizer = get_tokenizer(DEFAULT_TOKENIZER_ID)
     task = extract_task_keywords(
         samples,
         tokenizer,
@@ -356,10 +360,10 @@ def _train_config(cfg: dict, phase: str) -> TrainConfig:
     )
 
 
-def _checkpoint_vocab(cfg: dict, ckpt_key: str, state: ModelState) -> Vocab:
-    """The vocab given by ``--vocab`` (default: ``<checkpoint>.vocab``), which
-    must have one entry per token id of the checkpoint's model."""
-    vocab = load_vocab(cfg["vocab"] or f"{cfg[ckpt_key]}.vocab")
+def _checkpoint_vocab(checkpoint: str, state: ModelState) -> Vocab:
+    """The vocab beside ``checkpoint`` (``<checkpoint>.vocab``), which must
+    have one entry per token id of the checkpoint's model."""
+    vocab = load_vocab(f"{checkpoint}.vocab")
     if len(vocab) != state.config.vocab_size:
         raise ConfigError(
             f"vocabulary has {len(vocab)} entries but the checkpoint "
@@ -386,7 +390,7 @@ def _cmd_pretrain(cfg: dict) -> int:
         state, phase, step, opt_state = load_checkpoint(cfg["resume"])
         if phase != "pretrain":
             raise ConfigError(f"cannot resume pretraining from a {phase!r} checkpoint")
-        vocab = _checkpoint_vocab(cfg, "resume", state)
+        vocab = _checkpoint_vocab(cfg["resume"], state)
     else:
         vocab = build_vocab((d.text for d in store), tokenizer, cap=cfg["vocab_cap"])
         projections = tuple(
@@ -420,11 +424,11 @@ def _cmd_pretrain(cfg: dict) -> int:
 
 def _cmd_sft(cfg: dict) -> int:
     state, phase, step, opt_state = load_checkpoint(cfg["checkpoint"])
-    vocab = _checkpoint_vocab(cfg, "checkpoint", state)
+    vocab = _checkpoint_vocab(cfg["checkpoint"], state)
     if phase != "sft":
         step, opt_state = 0, None  # fresh tuning run on top of pretraining
     examples = load_sft_examples(cfg["data"])
-    tokenizer = get_tokenizer(cfg["tokenizer"])
+    tokenizer = get_tokenizer(DEFAULT_TOKENIZER_ID)
     result = finetune(
         state,
         examples,
@@ -439,12 +443,12 @@ def _cmd_sft(cfg: dict) -> int:
 
 def _cmd_eval(cfg: dict) -> int:
     state, _, _, _ = load_checkpoint(cfg["checkpoint"])
-    vocab = _checkpoint_vocab(cfg, "checkpoint", state)
+    vocab = _checkpoint_vocab(cfg["checkpoint"], state)
     items = load_exam(cfg["exam"])
     kind = cfg["responder"]
     if kind == "model":
         responder = make_model_responder(
-            state, vocab, get_tokenizer(cfg["tokenizer"]),
+            state, vocab, get_tokenizer(DEFAULT_TOKENIZER_ID),
             max_new_tokens=cfg["max_new_tokens"],
         )
     elif kind == "gold":
@@ -481,9 +485,8 @@ _HANDLERS: dict[str, Callable[[dict], int]] = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         file_cfg = _read_config_file(args.config) if args.config else {}
         cfg = _resolve(args.command, args, file_cfg)
         return _HANDLERS[args.command](cfg)

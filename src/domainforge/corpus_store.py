@@ -124,6 +124,9 @@ def _token_runs(text: str) -> list[tuple[str, str]]:
     return _RUN_RE.findall(text.lower())
 
 
+DEFAULT_TOKENIZER_ID = "cjk-char-v1"
+
+
 class Tokenizer(Protocol):
     """Deterministic text -> token-list mapping, keyed by ``tokenizer_id``."""
 
@@ -141,7 +144,7 @@ class CjkCharTokenizer:
     """Default tokenizer: one token per CJK codepoint, non-CJK runs split on
     whitespace/punctuation with Latin lowercased."""
 
-    tokenizer_id: str = "cjk-char-v1"
+    tokenizer_id: str = DEFAULT_TOKENIZER_ID
 
     def tokenize(self, text: str) -> list[str]:
         tokens: list[str] = []
@@ -156,28 +159,12 @@ class CjkCharTokenizer:
         return sum(len(cjk) or 1 for cjk, _ in _token_runs(text))
 
 
-_TOKENIZERS: dict[str, Tokenizer] = {}
-
-
-def register_tokenizer(tokenizer: Tokenizer) -> None:
-    _TOKENIZERS[tokenizer.tokenizer_id] = tokenizer
-
-
 def get_tokenizer(tokenizer_id: str) -> Tokenizer:
-    try:
-        return _TOKENIZERS[tokenizer_id]
-    except KeyError:
-        raise ValueError(f"unknown tokenizer_id: {tokenizer_id!r}") from None
-
-
-register_tokenizer(CjkCharTokenizer())
-
-DEFAULT_TOKENIZER_ID = "cjk-char-v1"
-
-
-def tokenize(text: str, tokenizer: Tokenizer) -> list[str]:
-    """Tokenize ``text`` with the given tokenizer."""
-    return tokenizer.tokenize(text)
+    """The tokenizer a store or index names; ``DEFAULT_TOKENIZER_ID`` is the
+    only one."""
+    if tokenizer_id != DEFAULT_TOKENIZER_ID:
+        raise ValueError(f"unknown tokenizer_id: {tokenizer_id!r}")
+    return CjkCharTokenizer()
 
 
 # ---------------------------------------------------------------------------

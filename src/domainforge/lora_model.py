@@ -68,6 +68,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.vocab_size < len(SPECIAL_TOKENS):
             raise ValueError(f"vocab_size must be >= {len(SPECIAL_TOKENS)}")
+        for field in ("d_model", "n_heads", "d_ff"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.max_seq_len < 2:
@@ -164,16 +167,6 @@ def trainable_param_names(
     if train_embeddings:
         names = [n for n in EMBEDDING_PARAM_NAMES] + names
     return names
-
-
-def lora_param_count(config: ModelConfig) -> int:
-    """Sum of r * (d1 + d2) over all adapted projections of all layers."""
-    total = 0
-    for _ in range(config.n_layers):
-        for proj in config.adapted_projections:
-            d1, d2 = config.projection_dims(proj)
-            total += config.lora_rank * (d1 + d2)
-    return total
 
 
 @dataclass
@@ -676,11 +669,11 @@ def forward_hidden(
     (``_causal_tiles``): a tile of queries [lo, hi) computes its scores,
     softmax and ``p @ v`` over keys [0, hi) only, bitwise equal to whole rows.
 
-    ``needs`` names the tensors whose gradients the cache must serve (all of
-    them when None), as ``backward_batch``'s ``needs`` does.  Each
-    projection caches (x, u, keep) as ``_proj_fwd`` says: its input only
-    when its base weight or its adapter's A is among them, by reference,
-    and never a dropped-out copy of it.  A layer's ln1 and ln2 statistics
+    ``needs`` names the tensors whose gradients ``backward_batch`` computes
+    from this cache (all of them when None).  Each projection caches (x, u,
+    keep) as ``_proj_fwd`` says: its input only when its base weight or its
+    adapter's A is among them, by reference, and never a dropped-out copy
+    of it.  A layer's ln1 and ln2 statistics
     are kept only when the gradient reaches that norm (``_first_wanted``).
     When training only the default adapters (query and value, with
     dropout), each layer keeps its ln1 output once, for both adapters' A
@@ -785,21 +778,18 @@ def forward_batch(
     """Causal forward pass over a (batch, time) id array.
 
     Returns (logits, cache); position i's logits depend only on ids[:, :i+1].
+    The cache serves as a ``past`` but keeps nothing for a backward pass.
     """
-    xf, cache = forward_hidden(state, ids, training=training, rng=rng)
+    xf, cache = forward_hidden(state, ids, training=training, rng=rng, needs=frozenset())
     return xf @ state.params["out_w"].T, cache
 
 
-def backward_batch(
-    state: ModelState,
-    cache: dict,
-    dxf: np.ndarray,
-    needs: set[str] | None = None,
-) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss wrt the tensors named in ``needs`` (all
-    tensors when ``needs`` is None), given its gradient ``dxf`` wrt the final
-    layer norm's output.  ``out_w`` is not among them: its gradient comes
-    from ``head_loss``.  A cache built on a ``past`` is rejected.
+def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss wrt the tensors named in the ``needs`` that
+    ``forward_hidden`` built ``cache`` for (all tensors when None), given its
+    gradient ``dxf`` wrt the final layer norm's output.  ``out_w`` is not
+    among them: its gradient comes from ``head_loss``.  A cache built on a
+    ``past`` is rejected.
 
     The cache holds no attention probabilities: each block of whole sequences
     recomputes its own in the forward's causal tiles, bitwise equal to the
@@ -816,22 +806,16 @@ def backward_batch(
 
     The cache is consumed: each layer's block is dropped once that layer is
     done, and each cached activation and activation gradient once it has
-    been read.  A second call on the same cache raises ValueError, as does a
-    ``needs`` that asks for a gradient the forward pass was not told to keep
-    (a tensor outside ``forward_hidden``'s ``needs``)."""
+    been read.  A second call on the same cache raises ValueError."""
     if cache["t0"]:
         raise ValueError("cannot differentiate a forward pass built on a past cache")
-    kept = cache["needs"]
-    if kept is not None and (needs is None or not kept.issuperset(needs)):
-        missing = "every tensor" if needs is None else sorted(set(needs) - kept)
-        raise ValueError(f"the forward pass kept no activations for the gradients of {missing}")
     if "blocks" not in cache:
         raise ValueError("cache already consumed by an earlier backward_batch")
     blocks = cache.pop("blocks")
     cfg = state.config
     P = state.params
     head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    want = _wants(needs)
+    want = _wants(cache["needs"])
     first = _first_wanted(cfg, want)
 
     def flows(i, stage):
@@ -1052,48 +1036,6 @@ def head_loss(
     return float(seq_loss.mean()), dxf, head_grads
 
 
-def clm_loss(logits: np.ndarray, tokens: Sequence[int]) -> float:
-    """-(1/n) sum of log P(token_i | preceding) over the n non-leading tokens.
-
-    ``tokens`` must begin with the BOS id the logits were produced from; the
-    prediction for each subsequent token reads the previous position's logits.
-    """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if logits.shape[0] != len(tokens):
-        raise ValueError("logits and tokens must have equal length")
-    if len(tokens) < 2:
-        raise ValueError("need at least one predicted token")
-    mask = np.ones((1, len(tokens) - 1))
-    loss, _ = masked_next_token_loss(logits[None, :, :], tokens[None, :], mask)
-    return loss
-
-
-def sft_loss(
-    logits: np.ndarray,
-    tokens: Sequence[int],
-    prompt_len: int,
-    response_len: int,
-) -> float:
-    """-(1/n) sum of response-position log-probs; prompt positions are
-    conditioning context only and never contribute as targets."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    m, n = prompt_len, response_len
-    if m < 0:
-        raise ValueError("prompt_len must be >= 0")
-    if n < 1:
-        raise ValueError("response_len must be >= 1")
-    if 1 + m + n != len(tokens):
-        raise ValueError(
-            f"sequence length {len(tokens)} != 1 + prompt_len {m} + response_len {n}"
-        )
-    if logits.shape[0] != len(tokens):
-        raise ValueError("logits and tokens must have equal length")
-    mask = np.zeros((1, len(tokens) - 1))
-    mask[0, m : m + n] = 1.0
-    loss, _ = masked_next_token_loss(logits[None, :, :], tokens[None, :], mask)
-    return loss
-
-
 def greedy_generate(
     state: ModelState, prompt_ids: Sequence[int], max_new_tokens: int
 ) -> list[int]:
@@ -1244,6 +1186,8 @@ def _parse_checkpoint(cursor: Cursor):
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         name = cursor.text()
+        if name in tensors:
+            raise ValueError(f"tensor {name!r} listed twice")
         (ndim,) = cursor.unpack("<I")
         shape = cursor.unpack(f"<{ndim}Q")
         raw = cursor.take(4 * math.prod(shape))
@@ -1259,16 +1203,20 @@ def _parse_checkpoint(cursor: Cursor):
             raise ValueError(f"tensor {name!r} has shape {arr.shape}, expected {expected}")
         params[name] = arr
     opt_state: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name in list(tensors):
-        if name.startswith("opt.m."):
-            base = name[len("opt.m."):]
-            v_name = f"opt.v.{base}"
-            if v_name not in tensors:
-                raise ValueError(f"missing tensor {v_name!r}")
-            opt_state[base] = (tensors.pop(name), tensors.pop(v_name))
-    for name in tensors:
-        if not name.startswith("opt.v."):
-            raise ValueError(f"unexpected tensor {name!r}")
+    for name, arr in params.items():
+        m, v = tensors.pop(f"opt.m.{name}", None), tensors.pop(f"opt.v.{name}", None)
+        if m is None and v is None:
+            continue
+        for kind, moment in (("m", m), ("v", v)):
+            if moment is None:
+                raise ValueError(f"missing tensor 'opt.{kind}.{name}'")
+            if moment.shape != arr.shape:
+                raise ValueError(
+                    f"tensor 'opt.{kind}.{name}' has shape {moment.shape}, expected {arr.shape}"
+                )
+        opt_state[name] = (m, v)
+    if tensors:
+        raise ValueError(f"unexpected tensor {next(iter(tensors))!r}")
     state = ModelState(config=config, params=params, dtype=np.dtype(np.float32))
     return state, phase, step, opt_state
 

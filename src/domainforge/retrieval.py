@@ -19,7 +19,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -90,11 +90,6 @@ class ExpandedQuery:
     """Query term multiset; each keyword is repeated per its capped weight."""
 
     counts: Mapping[str, int]
-
-    def terms_with_multiplicity(self) -> Iterator[str]:
-        for term, count in self.counts.items():
-            for _ in range(count):
-                yield term
 
     def __len__(self) -> int:
         return sum(self.counts.values())

@@ -80,20 +80,6 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
-    @classmethod
-    def pretrain_defaults(cls, **overrides) -> "TrainConfig":
-        base = dict(phase="pretrain", learning_rate=DEFAULT_PRETRAIN_LR,
-                    epochs=DEFAULT_PRETRAIN_EPOCHS)
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def sft_defaults(cls, **overrides) -> "TrainConfig":
-        base = dict(phase="sft", learning_rate=DEFAULT_SFT_LR,
-                    epochs=DEFAULT_SFT_EPOCHS)
-        base.update(overrides)
-        return cls(**base)
-
 
 @dataclass
 class TrainResult:
@@ -256,7 +242,7 @@ def _batch_grads(
     del xf
     if not math.isfinite(loss):
         return loss, None
-    grads.update(backward_batch(state, cache, dxf, needs=needs))
+    grads.update(backward_batch(state, cache, dxf))
     return loss, grads
 
 
@@ -440,7 +426,7 @@ def gradient_check(seed: int = 0) -> GradCheckReport:
     for _, mask in modes:
         xf, cache = forward_hidden(state, ids)
         _, dxf, grads = head_loss(state, xf, ids, mask)
-        grads.update(backward_batch(state, cache, dxf, needs=None))
+        grads.update(backward_batch(state, cache, dxf))
         analytic.append(grads)
 
     def losses_at() -> list[float]:

@@ -40,16 +40,13 @@ from domainforge.lora_model import (
     ModelConfig,
     adapter_param_names,
     build_vocab,
-    clm_loss,
     forward_batch,
     init_model,
     load_checkpoint,
-    lora_param_count,
     masked_next_token_loss,
     model_forward,
     param_names,
     save_checkpoint,
-    sft_loss,
     trainable_param_names,
 )
 from domainforge.retrieval import (
@@ -141,28 +138,37 @@ def test_criterion_04_freezing_after_fifty_steps():
     for name in sorted(frozen):
         assert result.state.params[name].tobytes() == before[name], name
     trained = trainable_param_names(config, train_embeddings=False)
-    assert sum(result.state.params[n].size for n in trained) == lora_param_count(config)
-    assert lora_param_count(config) == 2 * (4 * (16 + 16) + (16 + 32) + (32 + 16))
+    # r = 2 over the four d x d projections, ff_in (d_ff x d) and ff_out (d x d_ff)
+    assert sum(result.state.params[n].size for n in trained) == 2 * (
+        4 * (16 + 16) + (32 + 16) + (16 + 32)
+    )
 
 
 def test_criterion_05_loss_anchors():
-    """Uniform logits give the log-vocab-size language-model loss; masking the
-    whole sequence reproduces it; prompt-position target labels are inert."""
+    """Uniform logits give the log-vocab-size language-model loss; masking no
+    position gives the mean next-token NLL; prompt-position target labels are
+    inert."""
     vocab_size = 32
-    tokens = [BOS_ID, 5, 6, 7, 8, 9, 10, 11]
-    uniform = np.zeros((len(tokens), vocab_size))
-    assert abs(clm_loss(uniform, tokens) - math.log(vocab_size)) < 1e-9
+    tokens = np.array([[BOS_ID, 5, 6, 7, 8, 9, 10, 11]])
+    every = np.ones((1, tokens.shape[1] - 1))
+    uniform = np.zeros((1, tokens.shape[1], vocab_size))
+    loss, _ = masked_next_token_loss(uniform, tokens, every)
+    assert abs(loss - math.log(vocab_size)) < 1e-9
 
     rng = np.random.default_rng(0)
-    logits = rng.normal(size=(len(tokens), vocab_size))
-    assert abs(sft_loss(logits, tokens, 0, len(tokens) - 1) - clm_loss(logits, tokens)) < 1e-12
+    logits = rng.normal(size=uniform.shape)
+    log_probs = logits[0] - np.log(np.exp(logits[0]).sum(axis=-1, keepdims=True))
+    nll = -np.mean([log_probs[j, tokens[0, j + 1]] for j in range(tokens.shape[1] - 1)])
+    loss, _ = masked_next_token_loss(logits, tokens, every)
+    assert abs(loss - nll) < 1e-12
 
-    m, n = 3, 4
-    base = sft_loss(logits, tokens, m, n)
-    perturbed = list(tokens)
-    for j in range(1, m + 1):  # targets of the masked prompt positions
-        perturbed[j] = (perturbed[j] + 1) % vocab_size
-    assert sft_loss(logits, perturbed, m, n) - base == 0.0
+    m, n = 3, 4  # a prompt of m tokens after BOS, then a response of n
+    response = np.zeros_like(every)
+    response[0, m : m + n] = 1.0
+    base, _ = masked_next_token_loss(logits, tokens, response)
+    perturbed = tokens.copy()
+    perturbed[0, 1 : m + 1] = (perturbed[0, 1 : m + 1] + 1) % vocab_size  # the prompt's targets
+    assert masked_next_token_loss(logits, perturbed, response)[0] - base == 0.0
 
 
 def test_criterion_06_bm25_oracle_equivalence():

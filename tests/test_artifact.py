@@ -34,6 +34,7 @@ from domainforge.lora_model import (
     Vocab,
     init_model,
     load_checkpoint,
+    param_names,
     save_checkpoint,
     save_vocab,
 )
@@ -145,6 +146,45 @@ def test_checksum_valid_garbage_checkpoint_is_designated_error(tmp_path, body):
     write_artifact(path, CHECKPOINT_MAGIC, body)
     with pytest.raises(TruncatedArtifactError):
         load_checkpoint(path)
+
+
+def _tensor_entries(entries) -> bytes:
+    """``save_checkpoint``'s tensor records of (name, array) pairs, after
+    their count, behind ``_checkpoint_body``'s header."""
+    out = _checkpoint_body(TINY.to_json(), count=len(entries))
+    for name, arr in entries:
+        arr = np.asarray(arr, dtype="<f4")
+        out += pack_text(name) + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape)
+        out += arr.tobytes()
+    return out
+
+
+_TINY_PARAMS = init_model(TINY, seed=0).params
+_TINY_ENTRIES = [(name, _TINY_PARAMS[name]) for name in param_names(TINY)]
+_MOMENT = "layers.0.lora.query.b"
+
+
+@pytest.mark.parametrize(
+    "extra, problem",
+    [
+        ([("tok_emb", _TINY_PARAMS["tok_emb"])], "tensor 'tok_emb' listed twice"),
+        ([("opt.m.nothing", [0.0]), ("opt.v.nothing", [0.0])],
+         "unexpected tensor 'opt.m.nothing'"),
+        ([(f"opt.m.{_MOMENT}", np.zeros((2, 1))), (f"opt.v.{_MOMENT}", np.zeros((1, 2)))],
+         f"tensor 'opt.v.{_MOMENT}' has shape (1, 2), expected (2, 1)"),
+        ([(f"opt.v.{_MOMENT}", np.zeros((2, 1)))], f"missing tensor 'opt.m.{_MOMENT}'"),
+    ],
+    ids=["duplicate-name", "moments-of-no-parameter", "moment-shape", "lone-second-moment"],
+)
+def test_checkpoint_tensor_list_is_checked(tmp_path, extra, problem):
+    path = tmp_path / "hand.ckpt"
+    write_artifact(path, CHECKPOINT_MAGIC, _tensor_entries(_TINY_ENTRIES))
+    state, _, _, opt_state = load_checkpoint(path)  # the hand-built body is valid
+    assert opt_state == {} and sorted(state.params) == sorted(_TINY_PARAMS)
+    write_artifact(path, CHECKPOINT_MAGIC, _tensor_entries(_TINY_ENTRIES + extra))
+    with pytest.raises(TruncatedArtifactError) as exc:
+        load_checkpoint(path)
+    assert problem in str(exc.value)
 
 
 @pytest.mark.parametrize("kind", ["store", "index", "checkpoint"])

@@ -1,19 +1,23 @@
 """The benchmark's tracer wraps package functions by name; every name it
-probes must still resolve, or a traced benchmark run crashes on start."""
+probes must still resolve, or a traced benchmark run crashes on start.  The
+same holds for every name the benchmark's input generator and workloads
+import from the package."""
 
 from __future__ import annotations
 
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 from domainforge.corpus_store import CjkCharTokenizer, RawRecord, ingest
 from domainforge.retrieval import ExpandedQuery, build_index, retrieve_top_n
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -48,3 +52,22 @@ def test_scored_postings_counter_runs_on_a_built_index():
 
     tracing._count_scored(count, (index, query, 3), {}, retrieve_top_n(index, query, 3))
     assert counts == {"retrieval.query_terms_matched": 2, "retrieval.postings_scored": 3}
+
+
+def test_benchmark_generator_and_workloads_import(monkeypatch):
+    # as bench/run.py starts it: workload.py imports its siblings by their
+    # bare names, and gen's dataclasses need their module in sys.modules
+    for name in ("tracing", "gen", "workload"):
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    workload = sys.modules["workload"]
+    assert sorted(workload.PASSES) == ["corpus", "pretrain", "tune_eval"]
+    # the package attributes the workloads look up only when they run (not
+    # metric names such as "evaluator.items")
+    used = set(re.findall(r"(?<![\w.\"])(cli|evaluator|lora_model)\.(\w+)",
+                          (BENCH / "workload.py").read_text(encoding="utf-8")))
+    assert {("lora_model", "load_vocab"), ("evaluator", "greedy_generate")} <= used
+    for module, attr in sorted(used):
+        assert hasattr(getattr(workload, module), attr), f"{module}.{attr}"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -377,6 +378,39 @@ def test_config_file_bad_type_rejected(workspace, capsys):
     assert "error: ConfigError" in err
 
 
+_REMOVED_OPTIONS = [
+    ("ingest", "tokenizer"), ("keywords", "tokenizer"), ("sft", "tokenizer"),
+    ("eval", "tokenizer"), ("pretrain", "vocab"), ("sft", "vocab"), ("eval", "vocab"),
+]
+
+
+@pytest.mark.parametrize("cmd, name", _REMOVED_OPTIONS)
+def test_tokenizer_and_vocab_flags_are_unknown(capsys, cmd, name):
+    # the tokenizer is the store's (or the default), the vocab the checkpoint's
+    code, _, err = run([cmd, f"--{name}", "x"], capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: ConfigError: domainforge: unrecognized arguments: --{name} x"]
+
+
+@pytest.mark.parametrize("cmd, name", _REMOVED_OPTIONS)
+def test_tokenizer_and_vocab_config_keys_are_unknown(tmp_path, capsys, cmd, name):
+    ini = tmp_path / "old.ini"
+    ini.write_text(f"[{cmd}]\n{name} = x\n", encoding="utf-8")
+    code, _, err = run(["--config", str(ini), cmd], capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: ConfigError: unknown key {name!r} in config section [{cmd}]"]
+
+
+def test_flags_are_never_abbreviated(workspace, capsys):
+    code, _, err = run(["ingest", "--input", str(workspace / "raw.jsonl"),
+                        "--output", str(workspace / "o.store"), "--min", "5"], capsys)
+    assert code == 1
+    assert "error: ConfigError: domainforge: unrecognized arguments: --min 5" in err
+    assert not (workspace / "o.store").exists()
+
+
 def test_eval_rejects_unknown_responder(workspace, capsys):
     ws = workspace
     exam = ws / "exam.jsonl"
@@ -413,22 +447,26 @@ def broken_inputs(tmp_path):
     data[bytes(data).index(b'"adapted_projections"') + 1] ^= 0x01
     (tmp_path / "flipped.ckpt").write_bytes(bytes(data))
     (tmp_path / "flipped.ckpt.vocab").write_bytes(Path(f"{ckpt}.vocab").read_bytes())
-    save_vocab(build_vocab([IN_CHARS[:3]], CjkCharTokenizer()), tmp_path / "short.vocab")
+    # the checkpoint again, each copy beside a malformed vocab
+    for name in ("short", "dup", "blank", "latin1"):
+        (tmp_path / f"{name}.ckpt").write_bytes(ckpt.read_bytes())
+    save_vocab(build_vocab([IN_CHARS[:3]], CjkCharTokenizer()), tmp_path / "short.ckpt.vocab")
     # as many entries as the checkpoint expects, but the first token twice
     dup = list(vocab.tokens[len(SPECIAL_TOKENS):])
     dup[-1] = dup[0]
-    (tmp_path / "dup.vocab").write_text("\n".join(["DFVOCAB1", *dup]) + "\n",
-                                        encoding="utf-8")
+    (tmp_path / "dup.ckpt.vocab").write_text("\n".join(["DFVOCAB1", *dup]) + "\n",
+                                             encoding="utf-8")
     # as many entries as the checkpoint expects, but line 5 blank
     blank = list(vocab.tokens[len(SPECIAL_TOKENS):])
     blank[3] = ""
-    (tmp_path / "blank.vocab").write_text("\n".join(["DFVOCAB1", *blank]) + "\n",
-                                          encoding="utf-8")
+    (tmp_path / "blank.ckpt.vocab").write_text("\n".join(["DFVOCAB1", *blank]) + "\n",
+                                               encoding="utf-8")
     write_exam(tmp_path / "exam.jsonl")
     write_raw(tmp_path / "good_raw.jsonl")
     # a checksum-valid index of one document whose one posting names doc 5
-    save_store(ingest([RawRecord("a", "", "脉")], CjkCharTokenizer(), min_tokens=1),
-               tmp_path / "one.store")
+    one = ingest([RawRecord("a", "", "脉")], CjkCharTokenizer(), min_tokens=1)
+    save_store(one, tmp_path / "one.store")
+    save_store(replace(one, tokenizer_id="nope"), tmp_path / "nope.store")
     (tmp_path / "kw.tsv").write_text("脉\t1\t1.0\ttask\n", encoding="utf-8")
     body = struct.pack("<Qddd", 1, 1.0, 1.2, 0.75) + pack_text("cjk-char-v1")
     body += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 5, 1)
@@ -439,7 +477,7 @@ def broken_inputs(tmp_path):
     (tmp_path / "latin1_raw.jsonl").write_bytes(
         (tmp_path / "good_raw.jsonl").read_bytes().split(b"\n")[0] + b"\n" + latin1 + b"\n"
     )
-    (tmp_path / "latin1.vocab").write_bytes(
+    (tmp_path / "latin1.ckpt.vocab").write_bytes(
         b"DFVOCAB1\n" + latin1 + b"\n" + "\n".join(IN_CHARS[1:]).encode("utf-8") + b"\n"
     )
     (tmp_path / "latin1.tsv").write_bytes("脉\t1\t1.0\ttask\n".encode("utf-8") + latin1 + b"\n")
@@ -464,9 +502,13 @@ def broken_inputs(tmp_path):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["ingest", "--input", "good_raw.jsonl", "--output", "o.store",
-          "--tokenizer", "nope"],
+        (["pretrain", "--store", "nope.store", "--output", "o.ckpt"],
          "error: ValueError: unknown tokenizer_id: 'nope'"),
+        (["ingest", "--input", "good_raw.jsonl", "--output", "o.store",
+          "--tokenizer", "cjk-char-v1"],
+         "error: ConfigError: domainforge: unrecognized arguments: --tokenizer cjk-char-v1"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--epochs", "abc"],
+         "error: ConfigError: domainforge pretrain: argument --epochs: invalid int value: 'abc'"),
         (["ingest", "--input", "raw.jsonl", "--output", "o.store"],
          "raw.jsonl:2: missing field 'body'"),
         (["ingest", "--input", "raw_null.jsonl", "--output", "o.store", "--min-tokens", "0"],
@@ -478,23 +520,19 @@ def broken_inputs(tmp_path):
          "exam_bad.jsonl:2: missing field 'options'"),
         (["eval", "--checkpoint", "flipped.ckpt", "--exam", "exam.jsonl"],
          "error: ChecksumMismatchError"),
-        (["eval", "--checkpoint", "model.ckpt", "--vocab", "short.vocab",
-          "--exam", "exam.jsonl", "--responder", "model"],
+        (["eval", "--checkpoint", "short.ckpt", "--exam", "exam.jsonl", "--responder", "model"],
          "error: ConfigError: vocabulary has 7 entries but the checkpoint expects 14"),
-        (["eval", "--checkpoint", "model.ckpt", "--vocab", "dup.vocab",
-          "--exam", "exam.jsonl", "--responder", "model"],
+        (["eval", "--checkpoint", "dup.ckpt", "--exam", "exam.jsonl", "--responder", "model"],
          "error: ValueError: duplicate token"),
-        (["eval", "--checkpoint", "model.ckpt", "--vocab", "blank.vocab",
-          "--exam", "exam.jsonl", "--responder", "model"],
-         "blank.vocab:5: blank vocab token"),
+        (["eval", "--checkpoint", "blank.ckpt", "--exam", "exam.jsonl", "--responder", "model"],
+         "blank.ckpt.vocab:5: blank vocab token"),
         (["retrieve", "--index", "stray.idx", "--store", "one.store",
           "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
          "error: TruncatedArtifactError"),
         (["ingest", "--input", "latin1_raw.jsonl", "--output", "o.store"],
          "latin1_raw.jsonl:2"),
-        (["eval", "--checkpoint", "model.ckpt", "--vocab", "latin1.vocab",
-          "--exam", "exam.jsonl", "--responder", "model"],
-         "latin1.vocab:2"),
+        (["eval", "--checkpoint", "latin1.ckpt", "--exam", "exam.jsonl", "--responder", "model"],
+         "latin1.ckpt.vocab:2"),
         (["retrieve", "--index", "one.idx", "--store", "one.store",
           "--keywords", "latin1.tsv", "--budget", "10", "--output", "o.store"],
          "latin1.tsv:2"),
@@ -506,12 +544,22 @@ def broken_inputs(tmp_path):
          "error: ValueError: learning_rate must be positive and finite, got nan"),
         (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--grad-clip", "-1"],
          "error: ValueError: grad_clip must be >= 0 and finite, got -1.0"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--n-heads", "0"],
+         "error: ValueError: n_heads must be >= 1, got 0"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--n-heads", "-1"],
+         "error: ValueError: n_heads must be >= 1, got -1"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--d-ff", "0"],
+         "error: ValueError: d_ff must be >= 1, got 0"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--d-model", "0"],
+         "error: ValueError: d_model must be >= 1, got 0"),
     ],
-    ids=["unknown-tokenizer", "raw-without-body", "raw-null-body", "pair-without-response",
-         "exam-without-options", "flipped-checkpoint", "eval-short-vocab",
+    ids=["unknown-stored-tokenizer", "removed-tokenizer-flag", "unparseable-flag-value",
+         "raw-without-body", "raw-null-body", "pair-without-response", "exam-without-options", "flipped-checkpoint", "eval-short-vocab",
          "eval-duplicate-vocab", "eval-blank-vocab", "index-doc-out-of-range",
          "non-utf8-raw", "non-utf8-vocab", "non-utf8-keywords", "pretrain-zero-vocab-cap",
-         "pretrain-negative-vocab-cap", "pretrain-nan-learning-rate", "pretrain-negative-grad-clip"],
+         "pretrain-negative-vocab-cap", "pretrain-nan-learning-rate", "pretrain-negative-grad-clip",
+         "pretrain-zero-heads", "pretrain-negative-heads", "pretrain-zero-d-ff",
+         "pretrain-zero-d-model"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
     argv = [str(broken_inputs / a)

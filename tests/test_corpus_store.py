@@ -20,7 +20,7 @@ from domainforge.corpus_store import (
     load_store,
     save_store,
     _is_cjk,
-    tokenize,
+    get_tokenizer,
 )
 from domainforge.errors import (
     ChecksumMismatchError,
@@ -81,23 +81,29 @@ def test_clean_is_idempotent(raw):
 
 
 def test_tokenize_cjk_chars_individually(tok):
-    assert tokenize("脉在筋骨", tok) == ["脉", "在", "筋", "骨"]
+    assert tok.tokenize("脉在筋骨") == ["脉", "在", "筋", "骨"]
 
 
 def test_tokenize_latin_words_lowercased(tok):
-    assert tokenize("BM25 score", tok) == ["bm25", "score"]
+    assert tok.tokenize("BM25 score") == ["bm25", "score"]
 
 
 def test_tokenize_empty(tok):
-    assert tokenize("", tok) == []
+    assert tok.tokenize("") == []
 
 
 def test_tokenize_mixed_scripts(tok):
-    assert tokenize("血压120mmHg高", tok) == ["血", "压", "120mmhg", "高"]
+    assert tok.tokenize("血压120mmHg高") == ["血", "压", "120mmhg", "高"]
 
 
 def test_tokenize_punctuation_splits_latin_runs(tok):
-    assert tokenize("state-of-the-art", tok) == ["state", "of", "the", "art"]
+    assert tok.tokenize("state-of-the-art") == ["state", "of", "the", "art"]
+
+
+def test_get_tokenizer_knows_only_the_default():
+    assert get_tokenizer("cjk-char-v1") == CjkCharTokenizer()
+    with pytest.raises(ValueError, match="unknown tokenizer_id: 'nope'"):
+        get_tokenizer("nope")
 
 
 @given(st.text(max_size=200))

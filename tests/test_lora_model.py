@@ -26,7 +26,6 @@ from domainforge.lora_model import (
     adapter_param_names,
     backward_batch,
     build_vocab,
-    clm_loss,
     detokenize,
     forward_batch,
     forward_hidden,
@@ -35,13 +34,11 @@ from domainforge.lora_model import (
     init_model,
     load_checkpoint,
     load_vocab,
-    lora_param_count,
     masked_next_token_loss,
     model_forward,
     param_names,
     save_checkpoint,
     save_vocab,
-    sft_loss,
     trainable_param_names,
 )
 
@@ -143,11 +140,14 @@ def test_param_names_order_is_pinned():
 
 
 def test_adapter_census_matches_formula():
-    for config in (SMALL, replace(SMALL, adapted_projections=("query", "value"))):
+    # r * (d1 + d2) per adapted projection per layer, at r = 2, d = 16, d_ff = 32
+    for config, count in (
+        (SMALL, 1 * 2 * (4 * (16 + 16) + (32 + 16) + (16 + 32))),
+        (replace(SMALL, adapted_projections=("query", "value")), 1 * 2 * (2 * (16 + 16))),
+        (replace(SMALL, n_layers=3, adapted_projections=("ff_in",)), 3 * 2 * (32 + 16)),
+    ):
         state = init_model(config, seed=0)
-        total = sum(state.params[n].size for n in adapter_param_names(config))
-        assert total == lora_param_count(config)
-    assert lora_param_count(SMALL) == 1 * 2 * (4 * (16 + 16) + (32 + 16) + (16 + 32))
+        assert sum(state.params[n].size for n in adapter_param_names(config)) == count
 
 
 def test_trainable_param_names_split():
@@ -250,41 +250,33 @@ def test_forward_validation():
 # Losses
 
 
-def test_clm_loss_uniform_logits_is_log_vocab():
+def _one_sequence_loss(logits, tokens, mask):
+    """``masked_next_token_loss`` of one (time, vocab) sequence."""
+    loss, _ = masked_next_token_loss(logits[None], np.asarray([tokens]), np.asarray([mask], float))
+    return loss
+
+
+def test_masked_loss_uniform_logits_is_log_vocab():
     V, T = 32, 6
-    logits = np.zeros((T, V))
     tokens = [BOS_ID] + [5] * (T - 1)
-    assert clm_loss(logits, tokens) == pytest.approx(math.log(V), abs=1e-9)
-    shifted = 3.25 * np.ones((T, V))  # any constant rows stay uniform
-    assert clm_loss(shifted, tokens) == pytest.approx(math.log(V), abs=1e-9)
+    for mask in ([1.0] * (T - 1), [0.0, 0.0, 1.0, 1.0, 0.0]):
+        assert _one_sequence_loss(np.zeros((T, V)), tokens, mask) == pytest.approx(
+            math.log(V), abs=1e-9
+        )
+        shifted = 3.25 * np.ones((T, V))  # any constant rows stay uniform
+        assert _one_sequence_loss(shifted, tokens, mask) == pytest.approx(math.log(V), abs=1e-9)
 
 
-def test_clm_loss_two_token_hand_case():
+def test_masked_loss_two_token_hand_case():
     V = 6
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(2, V))
-    tokens = [BOS_ID, 5]
     row = logits[0]
     expected = -(row[5] - math.log(sum(math.exp(v) for v in row)))
-    assert clm_loss(logits, tokens) == pytest.approx(expected, abs=1e-9)
+    assert _one_sequence_loss(logits, [BOS_ID, 5], [1.0]) == pytest.approx(expected, abs=1e-9)
 
 
-def test_clm_loss_validation():
-    with pytest.raises(ValueError):
-        clm_loss(np.zeros((1, 8)), [BOS_ID])
-    with pytest.raises(ValueError):
-        clm_loss(np.zeros((3, 8)), [BOS_ID, 1])
-
-
-def test_sft_loss_without_prompt_equals_clm():
-    V, T = 16, 7
-    rng = np.random.default_rng(1)
-    logits = rng.normal(size=(T, V))
-    tokens = [BOS_ID] + list(rng.integers(4, V, T - 1))
-    assert sft_loss(logits, tokens, 0, T - 1) == clm_loss(logits, tokens)
-
-
-def test_sft_loss_hand_case():
+def test_masked_loss_response_hand_case():
     V = 8
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(5, V))
@@ -294,27 +286,18 @@ def test_sft_loss_hand_case():
         return row[t] - math.log(sum(math.exp(v) for v in row))
 
     expected = -(logprob(logits[2], 6) + logprob(logits[3], 7)) / 2.0
-    assert sft_loss(logits, tokens, 2, 2) == pytest.approx(expected, abs=1e-9)
+    loss = _one_sequence_loss(logits, tokens, [0.0, 0.0, 1.0, 1.0])
+    assert loss == pytest.approx(expected, abs=1e-9)
 
 
-def test_sft_loss_ignores_prompt_position_targets_exactly():
+def test_masked_loss_ignores_prompt_position_targets_exactly():
     V = 12
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(6, V))
-    tokens = [BOS_ID, 4, 5, 6, 7, 8]
-    base = sft_loss(logits, tokens, 3, 2)
+    mask = [0.0, 0.0, 0.0, 1.0, 1.0]  # a prompt of 3 after BOS, a response of 2
+    base = _one_sequence_loss(logits, [BOS_ID, 4, 5, 6, 7, 8], mask)
     perturbed = [BOS_ID, 9, 10, 11, 7, 8]  # same response, any prompt ids
-    assert sft_loss(logits, perturbed, 3, 2) - base == 0.0
-
-
-def test_sft_loss_validation():
-    logits = np.zeros((4, 8))
-    with pytest.raises(ValueError):
-        sft_loss(logits, [1, 2, 3, 4], -1, 4)
-    with pytest.raises(ValueError):
-        sft_loss(logits, [1, 2, 3, 4], 3, 0)
-    with pytest.raises(ValueError):
-        sft_loss(logits, [1, 2, 3, 4], 1, 1)  # 1 + 1 + 1 != 4
+    assert _one_sequence_loss(logits, perturbed, mask) - base == 0.0
 
 
 def test_masked_loss_averages_per_sequence_then_batch():
@@ -380,19 +363,19 @@ def _reference_head(state, ids, mask, needs):
     """The unfused path: full logits, masked_next_token_loss, then the vocab
     head's backward on the whole batch."""
     out_w = state.params["out_w"]
-    logits, cache = forward_batch(state, ids)
+    xf, cache = forward_hidden(state, ids, needs=needs)
+    logits = xf @ out_w.T
     loss, dlogits = masked_next_token_loss(logits, ids, mask)
-    grads = backward_batch(state, cache, dlogits @ out_w, needs)
-    xf, _ = forward_hidden(state, ids)
+    grads = backward_batch(state, cache, dlogits @ out_w)
     V, d = out_w.shape
     dout_w = dlogits.reshape(-1, V).T @ xf.reshape(-1, d)
     return loss, dlogits @ out_w, grads, dout_w
 
 
 def _fused_head(state, ids, mask, needs):
-    xf, cache = forward_hidden(state, ids)
+    xf, cache = forward_hidden(state, ids, needs=needs)
     loss, dxf, head_grads = head_loss(state, xf, ids, mask, needs)
-    grads = backward_batch(state, cache, dxf, needs)
+    grads = backward_batch(state, cache, dxf)
     return loss, dxf, grads, head_grads
 
 
@@ -866,7 +849,7 @@ def test_training_step_never_holds_whole_batch_attention():
                 for arr in entry if isinstance(entry, tuple) else (entry,):
                     assert arr is None or arr.shape != whole
         _, dxf, _ = head_loss(state, xf, ids, np.ones((B, T - 1)), needs)
-        backward_batch(state, cache, dxf, needs)
+        backward_batch(state, cache, dxf)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1245,7 +1228,7 @@ def test_forward_keeps_only_the_cache_entries_backward_reads():
     for name in ("layers.0.ln1.gamma", "layers.1.ln1.beta"):
         xf, cache = forward_hidden(state, ids, needs={name})
         assert "ln1" in cache["blocks"][int(name.split(".")[1])]
-        assert backward_batch(state, cache, dxf, {name})[name].tobytes() == full[name].tobytes()
+        assert backward_batch(state, cache, dxf)[name].tobytes() == full[name].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1303,21 +1286,43 @@ def test_greedy_generate_computes_no_gelu_derivative(monkeypatch):
     assert len(calls) > SMALL.n_layers and not any(calls)
 
 
-def test_backward_rejects_a_consumed_or_narrower_cache():
+def test_forward_batch_and_model_forward_compute_no_gelu_derivative(monkeypatch):
+    # their logits feed no backward pass (gradcheck's finite differences
+    # call forward_batch once per probed element)
+    state = init_model(SMALL, seed=0)
+    calls = []
+    inner = lora_model._gelu_fwd
+
+    def recording(x, derivative):
+        calls.append(derivative)
+        return inner(x, derivative)
+
+    monkeypatch.setattr(lora_model, "_gelu_fwd", recording)
+    ids = np.array([[BOS_ID, 5, 6, 7], [BOS_ID, 8, 9, 10]])
+    _, cache = forward_batch(state, ids)
+    model_forward(state, [BOS_ID, 5, 6, 7])
+    assert calls == [False] * (2 * SMALL.n_layers)
+    for blk in cache["blocks"]:
+        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"qh", "kh", "vh"}
+        assert all(blk[proj] == (None, None, None) for proj in ADAPTABLE_PROJECTIONS)
+
+
+def test_backward_differentiates_the_forward_needs_and_consumes_its_cache():
     state, ids, mask = _step_case(np.float64, ("query", "value"))
     needs = set(adapter_param_names(state.config))
-    xf, cache = forward_hidden(state, ids)
+    xf, cache = forward_hidden(state, ids, needs=needs)
     _, dxf, _ = head_loss(state, xf, ids, mask)
-    backward_batch(state, cache, dxf, needs)
+    assert sorted(backward_batch(state, cache, dxf)) == sorted(needs)
     with pytest.raises(ValueError, match="consumed"):
-        backward_batch(state, cache, dxf, needs)
-    _, cache = forward_hidden(state, ids, needs=needs)
-    with pytest.raises(ValueError, match="every tensor"):
         backward_batch(state, cache, dxf)
-    with pytest.raises(ValueError, match="layers.0.attn.wq"):
-        backward_batch(state, cache, dxf, needs | {"layers.0.attn.wq"})
-    # a rejected call leaves the cache whole
-    assert sorted(backward_batch(state, cache, dxf, needs)) == sorted(needs)
+    # without needs, every tensor but out_w (whose gradient is head_loss's)
+    _, cache = forward_hidden(state, ids)
+    assert sorted(backward_batch(state, cache, dxf)) == sorted(
+        set(param_names(state.config)) - {"out_w"}
+    )
+    # forward_batch's cache serves no backward pass
+    _, cache = forward_batch(state, ids)
+    assert backward_batch(state, cache, dxf) == {}
 
 
 def test_backward_stops_at_the_first_wanted_tensor(monkeypatch):
@@ -1337,7 +1342,7 @@ def test_backward_stops_at_the_first_wanted_tensor(monkeypatch):
         calls.clear()
         xf, cache = forward_hidden(state, ids, needs=needs)
         _, dxf, _ = head_loss(state, xf, ids, mask, needs)
-        grads = backward_batch(state, cache, dxf, needs)
+        grads = backward_batch(state, cache, dxf)
         assert len(calls) == count, needs
         assert needs is None or set(grads) == needs
 
