@@ -442,21 +442,22 @@ def _cmd_sft(cfg: dict) -> int:
 
 
 def _cmd_eval(cfg: dict) -> int:
-    state, _, _, _ = load_checkpoint(cfg["checkpoint"])
-    vocab = _checkpoint_vocab(cfg["checkpoint"], state)
-    items = load_exam(cfg["exam"])
+    # only the model responder reads the checkpoint and its vocab
     kind = cfg["responder"]
     if kind == "model":
+        state, _, _, _ = load_checkpoint(cfg["checkpoint"])
+        vocab = _checkpoint_vocab(cfg["checkpoint"], state)
         responder = make_model_responder(
             state, vocab, get_tokenizer(DEFAULT_TOKENIZER_ID),
             max_new_tokens=cfg["max_new_tokens"],
         )
-    elif kind == "gold":
+    elif kind not in ("gold", "empty"):
+        raise ConfigError(f"responder must be model, gold, or empty, got {kind!r}")
+    items = load_exam(cfg["exam"])
+    if kind == "gold":
         responder = make_gold_responder(items)
     elif kind == "empty":
         responder = empty_responder
-    else:
-        raise ConfigError(f"responder must be model, gold, or empty, got {kind!r}")
     report = evaluate(responder, items)
     text = format_report(report)
     print(text)

@@ -8,12 +8,17 @@ the tokenizer id, then each document as doc id, token count, title, and text
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import struct
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
+
+import numpy as np
 
 from .artifact import Cursor, load_artifact, pack_text, read_text, write_artifact
 from .errors import DuplicateSourceIdError
@@ -126,6 +131,13 @@ def _token_runs(text: str) -> list[tuple[str, str]]:
 
 DEFAULT_TOKENIZER_ID = "cjk-char-v1"
 
+# A CJK token's code is its codepoint; the k-th distinct other run's code is
+# _RUN_CODE_BASE + k, past every codepoint.
+_RUN_CODE_BASE = 0x110000
+
+# (codes, lengths, term): see Tokenizer.term_codes
+TermCodes = tuple[np.ndarray, np.ndarray, Callable[[int], str]]
+
 
 class Tokenizer(Protocol):
     """Deterministic text -> token-list mapping, keyed by ``tokenizer_id``."""
@@ -136,6 +148,13 @@ class Tokenizer(Protocol):
 
     def count(self, text: str) -> int:
         """``len(self.tokenize(text))``."""
+        ...
+
+    def term_codes(self, texts: Iterable[str]) -> TermCodes:
+        """Every token of ``texts`` as an integer code, without a string per
+        token: a ``uint32`` column of codes grouped by text (in no set order
+        within a text), each text's ``count`` as an ``int64`` column, and
+        ``term(code)``, the token a code stands for."""
         ...
 
 
@@ -157,6 +176,36 @@ class CjkCharTokenizer:
 
     def count(self, text: str) -> int:
         return sum(len(cjk) or 1 for cjk, _ in _token_runs(text))
+
+    def term_codes(self, texts: Iterable[str]) -> TermCodes:
+        # each text's CJK tokens first, then its other runs; the CJK codes
+        # come from one encode of all CJK runs, not a string per token
+        cjk_parts: list[str] = []
+        run_codes: defaultdict[str, int] = defaultdict(itertools.count(_RUN_CODE_BASE).__next__)
+        other_codes: list[int] = []
+        kind_lens: list[tuple[int, int]] = []
+        for text in texts:
+            runs = _token_runs(text)
+            cjk = "".join(map(itemgetter(0), runs))
+            others = list(filter(None, map(itemgetter(1), runs)))
+            cjk_parts.append(cjk)
+            other_codes.extend(map(run_codes.__getitem__, others))
+            kind_lens.append((len(cjk), len(others)))
+        joined = "".join(cjk_parts)
+        del cjk_parts
+        cjk_codes = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
+        del joined
+        per_kind = np.array(kind_lens, dtype=np.int64).reshape(-1, 2)
+        is_cjk = np.repeat(np.tile([True, False], len(per_kind)), per_kind.ravel())
+        codes = np.empty(len(is_cjk), dtype=np.uint32)
+        codes[is_cjk] = cjk_codes
+        codes[~is_cjk] = other_codes
+        runs_by_code = list(run_codes)
+
+        def term(code: int) -> str:
+            return chr(code) if code < _RUN_CODE_BASE else runs_by_code[code - _RUN_CODE_BASE]
+
+        return codes, per_kind.sum(axis=1), term
 
 
 def get_tokenizer(tokenizer_id: str) -> Tokenizer:

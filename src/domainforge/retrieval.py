@@ -3,20 +3,20 @@ budgeted corpus selection.
 
 In memory each term's postings are two ``uint32`` NumPy columns (see
 ``Postings``), so building, saving, loading and scoring the index touch no
-Python object per posting.  The index file is an artifact envelope (see
-``artifact.py``) under magic ``DFIDX1`` whose little-endian body holds the
-corpus stats, per-document lengths, and a length-prefixed term dictionary
-with each term's postings as ``<II`` (doc id delta, tf) pairs; the columns
-change nothing in that layout.
+Python object per posting.  ``build_index`` takes every token of the store as
+the tokenizer's integer term code (``Tokenizer.term_codes``) and sorts one
+(term code, doc id) key per token, so it touches no Python object per token
+either; it names a term only once, for its postings.  The index file is an
+artifact envelope (see ``artifact.py``) under magic ``DFIDX1`` whose
+little-endian body holds the corpus stats, per-document lengths, and a
+length-prefixed term dictionary with each term's postings as ``<II`` (doc id
+delta, tf) pairs; the columns change nothing in that layout.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
-from array import array
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -101,6 +101,13 @@ class ScoredDoc:
     score: float
 
 
+def _run_starts(col: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the sorted ``col`` starts."""
+    start = np.ones(len(col), dtype=bool)
+    np.not_equal(col[1:], col[:-1], out=start[1:])
+    return np.flatnonzero(start)
+
+
 def build_index(
     store: CorpusStore, k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> InvertedIndex:
@@ -112,33 +119,29 @@ def build_index(
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must be in [0, 1], got {b}")
     tokenizer = get_tokenizer(store.tokenizer_id)
-    # term ids in first-seen order, assigned at C speed
-    term_ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    token_ids = array("I")
-    doc_ids: list[int] = []
-    doc_lengths: list[int] = []
-    for doc in store:
-        tokens = tokenizer.tokenize(doc.text)
-        token_ids.extend(map(term_ids.__getitem__, tokens))
-        doc_ids.append(doc.doc_id)
-        doc_lengths.append(len(tokens))
-    # one (term id, doc id) key per token: sorted, the keys group by term and
-    # each term's by ascending doc id, and a run of equal keys is one posting
-    keys = np.frombuffer(token_ids, dtype=np.uint32).astype(np.uint64)
+    codes, lengths, term = tokenizer.term_codes(doc.text for doc in store)
+    # one (term code, doc id) key per token: sorted, the keys group by term
+    # and each term's by ascending doc id, and a run of equal keys is one
+    # posting
+    keys = codes.astype(np.uint64)
+    del codes
     keys <<= np.uint64(32)
-    keys |= np.repeat(np.array(doc_ids, dtype=np.uint64), doc_lengths)
+    keys |= np.repeat(np.array([doc.doc_id for doc in store], dtype=np.uint64), lengths)
     keys.sort()
-    run_start = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
+    starts = _run_starts(keys)
     tf_col = np.diff(starts, append=len(keys)).astype(np.uint32)
     keys = keys[starts]
     doc_col = keys.astype(np.uint32)
-    ends = np.cumsum(np.bincount((keys >> np.uint64(32)).astype(np.intp)))
+    # each posting's term code: a run of equal codes is one term's postings
+    keys >>= np.uint64(32)
+    firsts = _run_starts(keys)
     postings = {
-        term: Postings(doc_col[start:end], tf_col[start:end])
-        for term, start, end in zip(term_ids, (0, *ends[:-1].tolist()), ends.tolist())
+        term(code): Postings(doc_col[start:end], tf_col[start:end])
+        for code, start, end in zip(
+            keys[firsts].tolist(), firsts.tolist(), (*firsts[1:].tolist(), len(keys))
+        )
     }
+    doc_lengths = lengths.tolist()
     avgdl = sum(doc_lengths) / len(doc_lengths)
     return InvertedIndex(
         postings=postings,

@@ -420,7 +420,21 @@ def test_eval_rejects_unknown_responder(workspace, capsys):
         "--responder", "oracle",
     ], capsys)
     assert code == 1
-    assert "error:" in err
+    assert err.count("error:") == 1
+    assert "error: ConfigError: responder must be model, gold, or empty, got 'oracle'" in err
+
+
+@pytest.mark.parametrize("kind, summary", [("gold", "abstain=0"), ("empty", "abstain=3")])
+def test_eval_without_the_model_responder_reads_no_checkpoint(workspace, capsys, kind, summary):
+    ws = workspace
+    exam = ws / "exam.jsonl"
+    write_exam(exam)
+    code, out, err = run([
+        "eval", "--checkpoint", str(ws / "missing.ckpt"), "--exam", str(exam),
+        "--responder", kind,
+    ], capsys)
+    assert (code, err) == (0, "")
+    assert f"n=3 {summary}" in out
 
 
 def test_version_lists_artifact_formats(capsys):

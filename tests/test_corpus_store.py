@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -176,16 +178,46 @@ def _every_codepoint_block():
         yield "x" + "x".join(map(chr, range(block, block + 0x1000))) + "x"
 
 
+def _named_term_codes(tok, texts):
+    """One ``term_codes`` call over ``texts``: each text's tokens as its codes
+    named by ``term``, and the lengths column as a list."""
+    codes, lengths, term = tok.term_codes(texts)
+    assert codes.dtype == np.uint32 and len(codes) == lengths.sum()
+    # a code names one token and a token has one code, across the whole batch
+    distinct = np.unique(codes).tolist()
+    assert len({term(code) for code in distinct}) == len(distinct)
+    ends = np.cumsum(lengths).tolist()
+    named = [list(map(term, codes[a:b].tolist())) for a, b in zip([0, *ends], ends)]
+    return named, lengths.tolist()
+
+
 def test_count_is_the_token_list_length_on_every_codepoint():
     tok = CjkCharTokenizer()
-    for text in _every_codepoint_block():
-        assert tok.count(text) == len(tok.tokenize(text)), hex(ord(text[1]))
+    texts = list(_every_codepoint_block())
+    for text, named, length in zip(texts, *_named_term_codes(tok, texts), strict=True):
+        tokens = tok.tokenize(text)
+        assert tok.count(text) == len(tokens) == length, hex(ord(text[1]))
+        assert Counter(named) == Counter(tokens), hex(ord(text[1]))
 
 
 def test_count_is_the_token_list_length_on_mixed_text():
     tok = CjkCharTokenizer()
-    for text in _mixed_texts(5000):
-        assert tok.count(text) == len(tok.tokenize(text)) == len(_loop_tokenize(text)), text
+    texts = list(_mixed_texts(5000))
+    for text, named, length in zip(texts, *_named_term_codes(tok, texts), strict=True):
+        tokens = tok.tokenize(text)
+        assert tok.count(text) == len(tokens) == len(_loop_tokenize(text)) == length, text
+        assert Counter(named) == Counter(tokens), text
+
+
+def test_term_codes_of_a_batch_with_empty_and_tokenless_texts():
+    tok = CjkCharTokenizer()
+    texts = ["", "!!", "脉 Ab 𠀀脉", "ab_AB ab", "", "İ１２"]
+    named, lengths = _named_term_codes(tok, texts)
+    assert lengths == [0, 0, 4, 3, 0, 2]
+    assert [sorted(n) for n in named] == [sorted(tok.tokenize(t)) for t in texts]
+    codes, _, term = tok.term_codes(["𠀀脉"])
+    assert sorted(codes.tolist()) == [ord("脉"), ord("𠀀")]
+    assert tok.term_codes([])[0].shape == tok.term_codes([])[1].shape == (0,)
 
 
 def test_punctuation_fold_is_translate_on_every_codepoint():

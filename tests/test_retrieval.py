@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from domainforge.retrieval import (
     DEFAULT_K1,
     INDEX_MAGIC,
     ExpandedQuery,
+    InvertedIndex,
     Postings,
     ScoredDoc,
     bm25_score,
@@ -44,6 +46,7 @@ from domainforge.retrieval import (
     save_provenance,
     select_corpus,
 )
+from test_corpus_store import _mixed_texts
 
 TOK = CjkCharTokenizer()
 
@@ -101,6 +104,48 @@ def test_index_postings_sorted_by_doc_id():
         doc_ids = plist.doc_ids.tolist()
         assert doc_ids == sorted(set(doc_ids))
         assert len(plist.tfs) == len(doc_ids)
+
+
+def _counter_index(store):
+    """The index that one ``Counter`` of each document's tokens gives."""
+    columns: dict[str, tuple[list[int], list[int]]] = {}
+    doc_lengths = []
+    for doc in store:
+        counts = Counter(TOK.tokenize(doc.text))
+        for term, tf in counts.items():
+            doc_ids, tfs = columns.setdefault(term, ([], []))
+            doc_ids.append(doc.doc_id)
+            tfs.append(tf)
+        doc_lengths.append(counts.total())
+    return InvertedIndex(
+        postings={
+            term: Postings(np.array(doc_ids, np.uint32), np.array(tfs, np.uint32))
+            for term, (doc_ids, tfs) in columns.items()
+        },
+        doc_lengths=doc_lengths,
+        avgdl=sum(doc_lengths) / len(doc_lengths),
+        tokenizer_id=store.tokenizer_id,
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 5, 9])
+def test_build_index_matches_a_token_counter_per_document(tmp_path, seed):
+    texts = [
+        *_mixed_texts(200, seed=seed, max_len=60),
+        "𠀀脉 İstanbul １２３ pulse_rate 𠀀 脉",
+        "latin only: words, digits 42 and WORDS",
+        "!! ,, ??",
+    ]
+    store = store_of(texts, min_tokens=0)
+    assert store.documents[-1].token_count == 0
+    index, reference = build_index(store), _counter_index(store)
+    assert {t: pairs_of(p) for t, p in index.postings.items()} == {
+        t: pairs_of(p) for t, p in reference.postings.items()
+    }
+    assert index.doc_lengths == reference.doc_lengths == [d.token_count for d in store]
+    save_index(index, tmp_path / "built.idx")
+    save_index(reference, tmp_path / "reference.idx")
+    assert (tmp_path / "built.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
 
 
 def test_postings_length_truth_and_equality():
