@@ -264,17 +264,17 @@ def _layer_norm_rows(x, gamma, beta):
 
 
 def _layer_norm_bwd(dy, cache, gamma):
-    """dx of a layer norm, one row chunk at a time in place in the output;
-    bitwise equal to ``(dxhat - m1 - xhat * m2) * inv`` over the whole
-    array, where ``dxhat = dy * gamma`` and m1, m2 are the row means of
-    ``dxhat`` and ``dxhat * xhat``.  The parameter gradients sum across rows
-    and are left to the caller."""
+    """dx of a layer norm, one row chunk at a time in place in ``dy``, which
+    it returns; bitwise equal to ``(dxhat - m1 - xhat * m2) * inv`` over the
+    whole array, where ``dxhat = dy * gamma`` and m1, m2 are the row means
+    of ``dxhat`` and ``dxhat * xhat``.  A chunk of dy is read only to form
+    its ``dxhat``, so dx can overwrite it.  The parameter gradients sum
+    across rows and are left to the caller, who reads dy before this."""
     xhat, inv = cache
     dy2, chunks = _row_chunks(dy)
     xhat2, inv2 = xhat.reshape(dy2.shape), inv.reshape(-1, 1)
-    dx = np.empty_like(dy2)
     for sl in chunks:
-        xc, dc = xhat2[sl], dx[sl]
+        xc, dc = xhat2[sl], dy2[sl]
         dxhat = np.multiply(dy2[sl], gamma)
         m1 = dxhat.mean(axis=-1, keepdims=True)
         np.multiply(dxhat, xc, out=dc)
@@ -283,55 +283,65 @@ def _layer_norm_bwd(dy, cache, gamma):
         np.multiply(xc, m2, out=dc)
         np.subtract(dxhat, dc, out=dc)
         dc *= inv2[sl]
-    return dx.reshape(dy.shape)
+    return dy2.reshape(dy.shape)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
-def _gelu_fwd(x, derivative):
-    """tanh-approximate GELU in place in ``x``; returns (gelu(x), d), d
-    being gelu'(x) when ``derivative`` asks for it, else None.
+def _gelu_tanh(xc):
+    """``t = tanh(C * (x + A*x*x*x))`` of one chunk, in a new array."""
+    tc = np.multiply(xc, _GELU_A)
+    tc *= xc
+    tc *= xc
+    tc += xc
+    tc *= _GELU_C
+    return np.tanh(tc, out=tc)
 
-    With ``t = tanh(C * (x + A*x*x*x))``, one row chunk at a time, the
-    derivative ``d = 0.5*(1+t) + 0.5*x*(1-t*t) * C*(1 + 3*A*x*x)`` goes to a
-    new array and then ``0.5 * x * (1 + t)`` overwrites ``x``.  Each
-    rounding step is the one the whole-array expression takes, so both are
-    bitwise equal to it; t never exists beyond one chunk, and backward keeps
-    d alone in place of x and t."""
+
+def _gelu_fwd(x):
+    """tanh-approximate GELU ``0.5 * x * (1 + t)`` in place in ``x``, which
+    it returns, one row chunk at a time.  Each rounding step is the one the
+    whole-array expression takes, so the result is bitwise equal to it; t
+    never exists beyond one chunk.  Backward rebuilds x and takes its
+    derivative with ``_gelu_grad``."""
     x2, chunks = _row_chunks(x)
-    d = np.empty_like(x2) if derivative else None
     for sl in chunks:
         xc = x2[sl]
-        tc = np.multiply(xc, _GELU_A)
-        tc *= xc
-        tc *= xc
-        tc += xc
-        tc *= _GELU_C
-        np.tanh(tc, out=tc)
-        if d is not None:
-            inner = np.multiply(xc, 3.0 * _GELU_A)
-            inner *= xc
-            inner += 1.0
-            inner *= _GELU_C
-        xc *= 0.5  # the 0.5*x shared by gelu(x) and d
-        if d is not None:
-            dc = d[sl]
-            np.multiply(tc, tc, out=dc)
-            np.subtract(1.0, dc, out=dc)
-            dc *= xc
-            dc *= inner
+        tc = _gelu_tanh(xc)
+        xc *= 0.5
         tc += 1.0
         xc *= tc
-        if d is not None:
-            np.multiply(tc, 0.5, out=inner)
-            dc += inner
-    return x2.reshape(x.shape), None if d is None else d.reshape(x.shape)
+    return x2.reshape(x.shape)
+
+
+def _gelu_grad(x):
+    """gelu'(x) ``= 0.5*(1+t) + 0.5*x*(1-t*t) * C*(1 + 3*A*x*x)`` in place in
+    ``x``, which it returns, one row chunk at a time: bitwise equal to that
+    whole-array expression, each rounding step being its own, with three
+    chunk-sized temporaries (t, the inner factor and ``1 - t*t``)."""
+    x2, chunks = _row_chunks(x)
+    for sl in chunks:
+        xc = x2[sl]
+        tc = _gelu_tanh(xc)
+        inner = np.multiply(xc, 3.0 * _GELU_A)
+        inner *= xc
+        inner += 1.0
+        inner *= _GELU_C
+        xc *= 0.5
+        sq = np.multiply(tc, tc)
+        np.subtract(1.0, sq, out=sq)
+        xc *= sq
+        xc *= inner
+        tc += 1.0
+        np.multiply(tc, 0.5, out=inner)
+        xc += inner
+    return x2.reshape(x.shape)
 
 
 def _gelu_bwd(dy, d):
-    """dy * gelu'(x) from ``_gelu_fwd``'s derivative ``d``, in place in
+    """dy * gelu'(x) from ``_gelu_grad``'s derivative ``d``, in place in
     ``dy``, which it returns: one ufunc pass that allocates nothing."""
     dy *= d
     return dy
@@ -363,24 +373,39 @@ def _dropout_apply(x, keep, p, out=None):
     return out2.reshape(x.shape)
 
 
-def _proj_fwd(state, i, proj, x, blk, training, rng, want, need_dx):
-    """y = x W^T + b for layer i's ``proj``, plus the scaled low-rank path
-    (with dropout on its input in training) when ``proj`` is adapted.
+def _proj_out(state, i, proj, x, u):
+    """y = x W^T + b for layer i's ``proj``, plus ``u B^T`` scaled by
+    alpha/r when ``u`` (the adapter's ``xd A^T``) is given.  The forward
+    pass forms a projection's output here, and backward rebuilds one here
+    from the same x and u, so the two are bitwise equal."""
+    cfg, P = state.config, state.params
+    w_name, b_name, _, b_up_name = _proj_names(i, proj)
+    y = x @ P[w_name].T
+    y += P[b_name]
+    if u is not None:
+        up = u @ P[b_up_name].T
+        up *= cfg.lora_alpha / cfg.lora_rank
+        y += up
+    return y
+
+
+def _proj_fwd(state, i, proj, x, blk, training, rng, want, need_dx, keep_x=False, keep_u=False):
+    """``_proj_out`` of layer i's ``proj``, with the low-rank path (dropout
+    on its input in training) when ``proj`` is adapted.
 
     The backward cache goes to ``blk[proj]`` as (x, u, keep), each None
     unless backward reads it.  The input ``x`` is kept by reference (query,
-    key and value share one) when ``want`` asks for the base weight's
-    gradient or for the adapter's A.  The dropped-out input ``xd`` is never
-    kept: it lives only until ``u = xd A^T`` is formed, and ``_proj_bwd``
-    rebuilds it from ``x`` and the dropout mask ``keep``.  An adapted
-    projection keeps ``u`` when its B is wanted, and ``keep`` (drawn only in
-    training with dropout; ``xd`` is ``x`` without it) when its A is wanted
-    or ``need_dx`` has the gradient flow to its input."""
+    key and value share one) when ``keep_x`` asks for it or ``want`` asks
+    for the base weight's gradient or for the adapter's A.  The dropped-out
+    input ``xd`` is never kept: it lives only until ``u = xd A^T`` is
+    formed, and ``_proj_bwd`` rebuilds it from ``x`` and the dropout mask
+    ``keep``.  An adapted projection keeps ``u`` when ``keep_u`` asks for
+    it or its B is wanted, and ``keep`` (drawn only in training with
+    dropout; ``xd`` is ``x`` without it) when its A is wanted or
+    ``need_dx`` has the gradient flow to its input."""
     cfg, P = state.config, state.params
-    w_name, b_name, a_name, b_up_name = _proj_names(i, proj)
-    y = x @ P[w_name].T
-    y += P[b_name]
-    cache_x = want(w_name)
+    w_name, _, a_name, b_up_name = _proj_names(i, proj)
+    cache_x = keep_x or want(w_name)
     u = keep = None
     if proj in cfg.adapted_projections:
         p = cfg.lora_dropout
@@ -389,14 +414,12 @@ def _proj_fwd(state, i, proj, x, blk, training, rng, want, need_dx):
             u = _dropout_apply(x, keep, p) @ P[a_name].T
         else:
             u = x @ P[a_name].T
-        up = u @ P[b_up_name].T
-        up *= cfg.lora_alpha / cfg.lora_rank
-        y += up
         cache_x = cache_x or want(a_name)
-        if not want(b_up_name):
-            u = None
-        if not (need_dx or want(a_name)):
-            keep = None
+    y = _proj_out(state, i, proj, x, u)
+    if not (keep_u or want(b_up_name)):
+        u = None
+    if not (need_dx or want(a_name)):
+        keep = None
     blk[proj] = (x if cache_x else None, u, keep)
     return y
 
@@ -623,8 +646,14 @@ def _wants(needs):
 
 # A layer's backward stages in forward order: ln1, then the query, key and
 # value projections side by side, output, ln2, ff_in and ff_out.
-_STAGES = (("ln1",), ("query", "key", "value"), ("output",), ("ln2",), ("ff_in",), ("ff_out",))
+_QKV = ("query", "key", "value")
+_STAGES = (("ln1",), _QKV, ("output",), ("ln2",), ("ff_in",), ("ff_out",))
 _STAGE_OF = {part: s for s, stage in enumerate(_STAGES) for part in stage}
+
+# The projections whose outputs backward rebuilds instead of the cache
+# keeping them: attention's inputs and GELU's input.  Each reads the layer
+# norm of the stage before it.
+_REBUILT = _QKV + ("ff_in",)
 
 
 def _stage_names(i: int, stage: tuple[str, ...]) -> list[str]:
@@ -662,8 +691,8 @@ def forward_hidden(
 
     Attention runs one block of whole sequences at a time (``_seq_blocks``),
     so its (batch, heads, time, time) probabilities never exist for the whole
-    batch.  The cache keeps each layer's per-head queries, keys and values but
-    no probabilities; ``backward_batch`` recomputes them block by block.
+    batch.  No cache keeps them; ``backward_batch`` recomputes them block by
+    block.
 
     Without ``past``, attention runs in causal query tiles
     (``_causal_tiles``): a tile of queries [lo, hi) computes its scores,
@@ -673,31 +702,42 @@ def forward_hidden(
     from this cache (all of them when None).  Each projection caches (x, u,
     keep) as ``_proj_fwd`` says: its input only when its base weight or its
     adapter's A is among them, by reference, and never a dropped-out copy
-    of it.  A layer's ln1 and ln2 statistics
-    are kept only when the gradient reaches that norm (``_first_wanted``).
+    of it.  A layer's ln1 and ln2 statistics are kept only when the
+    gradient reaches that norm (``_first_wanted``).
+
+    Such a backward cache keeps no per-head query, key or value and no GELU
+    derivative.  Where the gradient reaches the output of query, key, value
+    or ``ff_in`` (``_REBUILT``), backward rebuilds that output, bitwise,
+    from the layer norm output the projection read and its adapter's u,
+    which such a projection always keeps.  The norm output is a
+    projection's cached input, else ``xhat * gamma + beta`` from the norm's
+    cache; when neither is kept for a gradient (only a bias or an adapter's
+    B of that stage is wanted first), the projection keeps its input.  GELU
+    runs value-only, in place on ``ff_in``'s output.
+
     When training only the default adapters (query and value, with
     dropout), each layer keeps its ln1 output once, for both adapters' A
-    gradients, beside their two boolean masks; no layer keeps its attention
-    output or its feed-forward inputs, whose only reader would be a frozen
-    weight's gradient, and layer 0 keeps no ln1 statistics.  GELU runs in
-    place on ``ff_in``'s output; a layer that the gradient passes back
-    through keeps its derivative (one d_ff-wide array) and nothing else of
-    the GELU, and no other layer computes it.
+    gradients and the rebuild, beside their two boolean masks and u's; no
+    layer keeps its attention output, whose only reader would be a frozen
+    weight's gradient, and layer 0 keeps no ln1 statistics.
 
     Every other activation is dropped at its last use: the ln1 output once
-    query, key and value have read it (unless cached), the attention output
-    after the output projection, the ln2 output after ``ff_in`` and the
-    GELU output after ``ff_out``; both residual adds run in place.  So the
-    pass holds, beyond its cache, about one layer's working set.
+    query, key and value have read it (unless cached), the per-head query,
+    key and value after attention, the attention output after the output
+    projection, the ln2 output after ``ff_in`` and the GELU output after
+    ``ff_out``; both residual adds run in place.  So the pass holds, beyond
+    its cache, about one layer's working set.
 
-    ``past`` is the cache of an earlier call on the preceding positions of
-    the same sequences (the key/value cache of incremental decoding).  The
-    new ids then sit at positions ``T0 .. T0 + time - 1``, where T0 is the
-    length ``past`` covers, and attend to ``past``'s keys and values as well
-    as their own.  The returned cache holds the keys and values of all T0 +
-    time positions, so it can serve as the next call's ``past``, but
-    ``backward_batch`` rejects it, so it keeps nothing for a backward pass
-    (as ``needs=frozenset()`` does without ``past``).
+    A decode cache, built with ``needs=frozenset()`` or on a ``past``,
+    keeps each layer's keys and values instead, and nothing for a backward
+    pass.  ``past`` is such a cache of an earlier call on the preceding
+    positions of the same sequences (the key/value cache of incremental
+    decoding); any other cache raises ValueError.  The new ids then sit at
+    positions ``T0 .. T0 + time - 1``, where T0 is the length ``past``
+    covers, and attend to ``past``'s keys and values as well as their own.
+    The returned cache holds the keys and values of all T0 + time positions,
+    so it can serve as the next call's ``past``; ``backward_batch`` rejects
+    it.
     """
     cfg = state.config
     P = state.params
@@ -705,6 +745,10 @@ def forward_hidden(
     if ids.ndim != 2 or ids.shape[1] < 1:
         raise ValueError(f"ids must be (batch, time >= 1), got {ids.shape}")
     B, T = ids.shape
+    if past is not None:
+        if past["needs"] != frozenset():
+            raise ValueError("past must be a decode cache (built with needs=frozenset() or on a past)")
+        needs = frozenset()
     T0 = 0 if past is None else past["t0"] + past["ids"].shape[1]
     if T0 + T > cfg.max_seq_len:
         raise ValueError(
@@ -716,15 +760,20 @@ def forward_hidden(
         raise ValueError("rng required for dropout in training mode")
 
     head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    # a cache built on ``past`` serves no backward, so it keeps nothing for
-    # one; a decode step also skips _first_wanted's scan of the tensor names
-    # (about 30 us at the default config when nothing is wanted)
-    want = _wants(needs if past is None else frozenset())
-    first = (cfg.n_layers, 0) if past is not None else _first_wanted(cfg, want)
+    decode = needs is not None and not needs
+    want = _wants(needs)
+    # a decode step skips _first_wanted's scan of the tensor names (about
+    # 30 us at the default config when nothing is wanted)
+    first = (cfg.n_layers, 0) if decode else _first_wanted(cfg, want)
 
     def proj_fwd(i, proj, x, blk):
-        need_dx = first < (i, _STAGE_OF[proj])
-        return _proj_fwd(state, i, proj, x, blk, training, rng, want, need_dx)
+        s = _STAGE_OF[proj]
+        rebuild = proj in _REBUILT and first < (i, s + 1)
+        # x is the output of the layer norm before the stage, and one
+        # reference serves the whole stage
+        keep_x = rebuild and not first <= (i, s - 1) and proj == _STAGES[s][0]
+        return _proj_fwd(state, i, proj, x, blk, training, rng, want, first < (i, s),
+                         keep_x=keep_x, keep_u=rebuild)
 
     x = P["tok_emb"][ids] + P["pos_emb"][T0 : T0 + T]
     cache: dict = {
@@ -738,10 +787,7 @@ def forward_hidden(
         if first <= (i, 0):
             blk["ln1"] = ln1
         del ln1
-        qh, kh, vh = (
-            _split_heads(proj_fwd(i, proj, a, blk), cfg.n_heads)
-            for proj in ("query", "key", "value")
-        )
+        qh, kh, vh = (_split_heads(proj_fwd(i, proj, a, blk), cfg.n_heads) for proj in _QKV)
         del a
         if past is not None:
             kh = np.concatenate((past["blocks"][i]["kh"], kh), axis=2)
@@ -750,18 +796,17 @@ def forward_hidden(
         oh = _split_heads(o, cfg.n_heads)  # a view: blocks written here land in o
         for sl in _attn_blocks(qh, kh):
             _attn_fwd(qh[sl], kh[sl], vh[sl], head_scale, oh[sl])
-        blk["qh"], blk["kh"], blk["vh"] = qh, kh, vh
-        del oh
+        if decode:
+            blk["kh"], blk["vh"] = kh, vh
+        del oh, qh, kh, vh
         x += proj_fwd(i, "output", o, blk)
         del o
         f, ln2 = _layer_norm_fwd(x, P[f"{pre}.ln2.gamma"], P[f"{pre}.ln2.beta"])
         if first <= (i, _STAGE_OF["ln2"]):
             blk["ln2"] = ln2
         del ln2
-        g, dgelu = _gelu_fwd(proj_fwd(i, "ff_in", f, blk), first < (i, _STAGE_OF["ff_out"]))
+        g = _gelu_fwd(proj_fwd(i, "ff_in", f, blk))
         del f
-        if dgelu is not None:
-            blk["dgelu"] = dgelu
         x += proj_fwd(i, "ff_out", g, blk)
         del g
         cache["blocks"].append(blk)
@@ -789,13 +834,20 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     ``forward_hidden`` built ``cache`` for (all tensors when None), given its
     gradient ``dxf`` wrt the final layer norm's output.  ``out_w`` is not
     among them: its gradient comes from ``head_loss``.  A cache built on a
-    ``past`` is rejected.
+    ``past`` is rejected.  ``dxf`` is consumed too: the final layer norm's
+    backward writes its dx into it, and the residual stream's gradient
+    accumulates there.
 
-    The cache holds no attention probabilities: each block of whole sequences
-    recomputes its own in the forward's causal tiles, bitwise equal to the
-    forward's, and ``_attn_bwd`` writes the block's query, key and value
-    gradients straight into whole-batch arrays, so the result matches the
-    unblocked whole-row pass bitwise.
+    The cache holds no per-head queries, keys and values and no GELU
+    derivative: each layer rebuilds them just before it reads them and
+    drops them after, with the forward's own steps (``_proj_out``, then
+    ``_gelu_grad`` in place on the rebuilt ``ff_in`` output), from the
+    layer norm output and the u's the forward kept for that.  Nor does it
+    hold attention probabilities: each block of whole sequences recomputes
+    its own in the forward's causal tiles, bitwise equal to the forward's,
+    and ``_attn_bwd`` writes the block's query, key and value gradients
+    straight into whole-batch arrays, so the result matches the unblocked
+    whole-row pass bitwise.
 
     Only what ``needs`` reads is computed: a layer norm's ``dgamma``/``dbeta``
     only when wanted, and no activation gradient below the first wanted
@@ -825,14 +877,24 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     grads: dict[str, np.ndarray] = {}
 
     def layer_norm(dy, name, ln_cache, need_dx):
-        """dx of layer norm ``name`` (None unless ``need_dx``); its wanted
-        parameter gradients go to ``grads``."""
+        """dx of layer norm ``name`` in place in ``dy`` (None unless
+        ``need_dx``); its wanted parameter gradients go to ``grads``."""
         if want(f"{name}.gamma"):
             xhat = ln_cache[0]
             grads[f"{name}.gamma"] = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
         if want(f"{name}.beta"):
             grads[f"{name}.beta"] = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
         return _layer_norm_bwd(dy, ln_cache, P[f"{name}.gamma"]) if need_dx else None
+
+    def rebuild(i, blk, projs, norm):
+        """Layer i's ``projs`` outputs as the forward formed them, from the
+        output of its layer norm ``norm`` that they read: the input one of
+        them cached, else ``xhat * gamma + beta`` from the norm's cache."""
+        x = next((blk[proj][0] for proj in projs if blk[proj][0] is not None), None)
+        if x is None:
+            x = blk[norm][0] * P[f"layers.{i}.{norm}.gamma"]
+            x += P[f"layers.{i}.{norm}.beta"]
+        return [_proj_out(state, i, proj, x, blk[proj][1]) for proj in projs]
 
     dx = layer_norm(dxf, "ln_f", cache.pop("ln_f"), flows(cfg.n_layers, 0))
     for i in reversed(range(cfg.n_layers)):
@@ -845,8 +907,9 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
         dgact = _proj_bwd(state, i, "ff_out", dx, blk, grads, want, flows(i, 5))
         if dgact is None:
             break
-        dh1 = _gelu_bwd(dgact, blk.pop("dgelu"))  # in place in dgact
-        del dgact
+        (h1,) = rebuild(i, blk, ("ff_in",), "ln2")
+        dh1 = _gelu_bwd(dgact, _gelu_grad(h1))  # in place in dgact
+        del dgact, h1
         df = _proj_bwd(state, i, "ff_in", dh1, blk, grads, want, flows(i, 4))
         del dh1
         if df is None:
@@ -863,22 +926,22 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
         if do is None:
             break
         doh = _split_heads(do, cfg.n_heads)
-        qh, kh, vh = blk.pop("qh"), blk.pop("kh"), blk.pop("vh")
+        qh, kh, vh = (_split_heads(y, cfg.n_heads) for y in rebuild(i, blk, _QKV, "ln1"))
         dqkv = {
             proj: np.empty(do.shape, dtype=do.dtype)
-            for proj in ("query", "key", "value")
+            for proj in _QKV
             if flows(i, 1) or any(map(want, _proj_names(i, proj)))
         }
         dqh, dkh, dvh = (
             _split_heads(dqkv[proj], cfg.n_heads) if proj in dqkv else None
-            for proj in ("query", "key", "value")
+            for proj in _QKV
         )
         for sl in _attn_blocks(qh, kh):
             _attn_bwd(qh[sl], kh[sl], vh[sl], doh[sl], head_scale,
                       *(None if d is None else d[sl] for d in (dqh, dkh, dvh)))
         del do, doh, dqh, dkh, dvh, qh, kh, vh
         da = None
-        for proj in ("query", "key", "value"):
+        for proj in _QKV:
             if proj in dqkv:
                 d = _proj_bwd(state, i, proj, dqkv.pop(proj), blk, grads, want, flows(i, 1))
                 if da is None:

@@ -236,7 +236,9 @@ def _batch_grads(
     is not finite).  The forward pass caches only what the gradients in
     ``needs`` read, and ``backward_batch`` frees it layer by layer; the
     cache and the activation gradients are locals here, so nothing of them
-    outlives the batch."""
+    outlives the batch.  ``backward_batch`` consumes ``dxf`` too, writing
+    the residual stream's gradient into it, so no second buffer of its
+    size lives through the backward pass."""
     xf, cache = forward_hidden(state, ids, training=True, rng=rng, needs=needs)
     loss, dxf, grads = head_loss(state, xf, ids, mask, needs)
     del xf

@@ -375,7 +375,7 @@ def _reference_head(state, ids, mask, needs):
 def _fused_head(state, ids, mask, needs):
     xf, cache = forward_hidden(state, ids, needs=needs)
     loss, dxf, head_grads = head_loss(state, xf, ids, mask, needs)
-    grads = backward_batch(state, cache, dxf)
+    grads = backward_batch(state, cache, dxf.copy())  # it consumes dxf
     return loss, dxf, grads, head_grads
 
 
@@ -549,39 +549,46 @@ def _gelu_fwd_expression(x):
     return 0.5 * x * (1.0 + t), t
 
 
-def _gelu_bwd_expression(dy, x, t):
+def _gelu_grad_expression(x, t):
+    """gelu'(x) as one whole-array expression, given the forward's t."""
     inner = lora_model._GELU_C * (1.0 + 3.0 * lora_model._GELU_A * x * x)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * inner)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * inner
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("extra", [None, 0, 1])  # one row, one chunk, one chunk + 1
-def test_gelu_chunks_match_whole_array_expression_bitwise(dtype, extra):
+def _gelu_case(dtype, extra):
+    """(x, dy) of 96-wide rows: one row when ``extra`` is None, else one
+    ``CHUNK_BYTES`` chunk of rows plus ``extra``."""
     d = 96
     per_chunk = lora_model.CHUNK_BYTES // (d * np.dtype(dtype).itemsize)
     rows = 1 if extra is None else per_chunk + extra
     rng = np.random.default_rng(rows)
     x = rng.normal(0.0, 3.0, (rows, d)).astype(dtype)
     x[0, :4] = (0.0, -0.0, 30.0, -30.0)  # zeros and saturated tanh
-    dy = rng.normal(size=(rows, d)).astype(dtype)
-    for shape in ((rows, d), (1, rows, d)):
+    return x, rng.normal(size=(rows, d)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+# one row, one chunk, one chunk + 1 row, and 2.5 (float32) or 3.9 (float64)
+# chunks, the last one partial
+@pytest.mark.parametrize("extra", [None, 0, 1, 1000])
+def test_gelu_chunks_match_whole_array_expression_bitwise(dtype, extra):
+    """``_gelu_fwd`` and ``_gelu_grad`` each overwrite x, with gelu(x) and
+    with gelu'(x), bitwise the whole-array expressions (the derivative the
+    forward computed beside the value when the cache kept it)."""
+    x, dy = _gelu_case(dtype, extra)
+    for shape in (x.shape, (1,) + x.shape):
         g_r, t_r = _gelu_fwd_expression(x.reshape(shape))
-        dx_r = _gelu_bwd_expression(dy.reshape(shape), x.reshape(shape), t_r)
-        for derivative in (False, True):
+        d_r = _gelu_grad_expression(x.reshape(shape), t_r)
+        for kernel, ref in ((lora_model._gelu_fwd, g_r), (lora_model._gelu_grad, d_r)):
             h1 = x.reshape(shape).copy()
-            g, d_gelu = lora_model._gelu_fwd(h1, derivative)
-            assert np.shares_memory(g, h1)  # in place
-            assert g.shape == shape and g.dtype == dtype
-            assert g.tobytes() == g_r.tobytes()
-            if not derivative:
-                assert d_gelu is None
-                continue
-            assert d_gelu.shape == shape and d_gelu.dtype == dtype
-            dy_in = dy.reshape(shape).copy()
-            dx = lora_model._gelu_bwd(dy_in, d_gelu)
-            assert np.shares_memory(dx, dy_in)  # in place
-            assert dx.shape == shape and dx.dtype == dtype
-            assert dx.tobytes() == dx_r.tobytes()
+            out = kernel(h1)
+            assert np.shares_memory(out, h1)  # in place
+            assert out.shape == shape and out.dtype == dtype
+            assert out.tobytes() == ref.tobytes(), kernel.__name__
+        dy_in = dy.reshape(shape).copy()
+        dx = lora_model._gelu_bwd(dy_in, out)
+        assert np.shares_memory(dx, dy_in)  # in place
+        assert dx.tobytes() == (dy.reshape(shape) * d_r).tobytes()
 
 
 def test_gelu_never_holds_whole_batch_temporaries():
@@ -590,7 +597,7 @@ def test_gelu_never_holds_whole_batch_temporaries():
     rng = np.random.default_rng(0)
     h1 = rng.normal(size=(B, T, config.d_ff)).astype(np.float32)
     dy = rng.normal(size=h1.shape).astype(np.float32)
-    _, d_gelu = lora_model._gelu_fwd(h1.copy(), True)
+    d_gelu = lora_model._gelu_grad(h1.copy())
 
     def peak(fn, *args):
         tracemalloc.start()
@@ -600,15 +607,16 @@ def test_gelu_never_holds_whole_batch_temporaries():
         finally:
             tracemalloc.stop()
 
-    # forward writes gelu(x) into x and holds at most three chunks (the tanh
-    # term, the next chunk's, and the derivative's inner factor) beside the
-    # derivative it returns: measured 1x + 3 chunks, 2 chunks without the
-    # derivative (returning a new activation and t took 2.06x); backward
-    # multiplies into dy and allocates nothing
+    # forward writes gelu(x) into x and holds at most two chunks (the tanh
+    # term and the next chunk's); the derivative overwrites x and holds at
+    # most four (t, its inner factor, 1 - t*t and the next chunk's t):
+    # measured 4.01 chunks; backward multiplies into dy and allocates
+    # nothing.  Returning the forward's derivative beside gelu(x) held 1x
+    # + 3 chunks, a new activation and t 2.06x.
     chunk = lora_model.CHUNK_BYTES
     assert chunk * 8 <= h1.nbytes  # chunks are small beside the activation
-    assert peak(lora_model._gelu_fwd, h1.copy(), True) < h1.nbytes + 4 * chunk
-    assert peak(lora_model._gelu_fwd, h1.copy(), False) < 3 * chunk
+    assert peak(lora_model._gelu_fwd, h1.copy()) < 3 * chunk
+    assert peak(lora_model._gelu_grad, h1.copy()) < 5 * chunk
     assert peak(lora_model._gelu_bwd, dy, d_gelu) < chunk
 
 
@@ -743,7 +751,8 @@ def _assert_chained_past_matches_one_call(dtype):
     state = _live_adapter_state(SMALL, dtype, seed=4)
     ids = random_ids(np.random.default_rng(5), SMALL, (2, 12))
     full, _ = forward_hidden(state, ids)
-    xf, cache = forward_hidden(state, ids[:, :5])
+    # only a decode cache serves as past; a backward cache keeps no keys
+    xf, cache = forward_hidden(state, ids[:, :5], needs=frozenset())
     parts = [xf]
     for lo, hi in ((5, 6), (6, 10), (10, 12)):
         xf, cache = forward_hidden(state, ids[:, lo:hi], past=cache)
@@ -767,14 +776,22 @@ def test_forward_with_past_matches_one_call_one_sequence_per_block(monkeypatch, 
 
 def test_forward_with_past_validation():
     state = init_model(SMALL, seed=1)
-    _, cache = forward_hidden(state, np.full((1, 10), 4))
-    with pytest.raises(ValueError):
-        forward_hidden(state, np.full((1, 7), 4), past=cache)  # beyond max_seq_len
+    _, cache = forward_hidden(state, np.full((1, 10), 4), needs=frozenset())
+    with pytest.raises(ValueError, match="max_seq_len"):
+        forward_hidden(state, np.full((1, 7), 4), past=cache)
+
+
+@pytest.mark.parametrize("needs", [None, {"layers.0.lora.query.a"}, {"ln_f.gamma"}])
+def test_forward_rejects_a_backward_cache_as_past(needs):
+    state = init_model(SMALL, seed=1)
+    _, cache = forward_hidden(state, np.full((1, 4), 5), needs=needs)
+    with pytest.raises(ValueError, match="decode cache"):
+        forward_hidden(state, np.full((1, 2), 6), past=cache)
 
 
 def test_backward_rejects_a_cache_built_on_past():
     state = init_model(SMALL, seed=1)
-    _, cache = forward_hidden(state, np.full((1, 4), 5))
+    _, cache = forward_hidden(state, np.full((1, 4), 5), needs=frozenset())
     xf, cache = forward_hidden(state, np.full((1, 2), 6), past=cache)
     with pytest.raises(ValueError):
         backward_batch(state, cache, np.ones_like(xf))
@@ -1087,8 +1104,9 @@ def test_dropout_and_layer_norm_chunks_match_whole_array_expressions_bitwise(dty
     for out, ref in ((y, y_r), (xhat, xhat_r), (inv, inv_r)):
         assert out.shape == ref.shape and out.dtype == ref.dtype == dtype
         assert out.tobytes() == ref.tobytes()
-    dx = lora_model._layer_norm_bwd(dy, (xhat, inv), gamma)
     dx_r = _layer_norm_bwd_expression(dy, xhat, inv, gamma)
+    dx = lora_model._layer_norm_bwd(dy, (xhat, inv), gamma)
+    assert np.shares_memory(dx, dy)  # in place
     assert dx.shape == x.shape and dx.dtype == dtype
     assert dx.tobytes() == dx_r.tobytes()
 
@@ -1162,6 +1180,38 @@ def test_needs_aware_step_matches_full_pass_bitwise(
     assert rng.bit_generator.state == whole.bit_generator.state
 
 
+REBUILD_NEEDS = {
+    "default adapters": {f"layers.{i}.lora.{proj}.{m}" for i in range(3)
+                         for proj in ("query", "value") for m in "ab"},
+    "ln1 gamma": {"layers.0.ln1.gamma"},
+    "value weight": {"layers.1.attn.wv"},
+    "ff_in adapter": {"layers.1.lora.ff_in.a", "layers.1.lora.ff_in.b"},
+    # the first wanted tensor keeps no input and no norm statistics: the
+    # projection keeps its input for the rebuild
+    "value bias": {"layers.1.attn.bv"},
+    "ff_in B": {"layers.2.lora.ff_in.b"},
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("needs", list(REBUILD_NEEDS))
+def test_rebuilt_heads_and_gelu_derivative_match_the_full_pass_bitwise(dtype, needs):
+    """Every needs set rebuilds the per-head query, key and value and the
+    GELU derivative from what its own cache keeps (a projection's input, a
+    layer norm's statistics, the adapters' u), and its gradients are the
+    ``needs=None`` pass's, bitwise: all six projections adapted, dropout
+    on, in training."""
+    state, ids, mask = _step_case(dtype, ADAPTABLE_PROJECTIONS)
+    needs = REBUILD_NEEDS[needs]
+    loss_r, grads_r = trainer._batch_grads(state, ids, mask, None, np.random.default_rng(3))
+    loss, grads = trainer._batch_grads(state, ids, mask, needs, np.random.default_rng(3))
+    assert loss == loss_r
+    assert set(grads) == needs
+    for name in needs:
+        assert grads[name].dtype == dtype, name
+        assert grads[name].tobytes() == grads_r[name].tobytes(), name
+
+
 def _gelu_arrays(blk, d_ff):
     """Names of a cache block's whole-batch feed-forward (d_ff wide) arrays."""
     return [k for k, v in blk.items() if isinstance(v, np.ndarray) and v.shape[-1] == d_ff]
@@ -1182,20 +1232,18 @@ def test_forward_keeps_only_the_cache_entries_backward_reads():
     reference, and keep their dropout masks in every layer, layer 0
     included, since their A gradients rebuild the dropped-out input from
     them.  Under adapters-only training backward never reaches layer 0's
-    ln1, which keeps no statistics.  Every layer that backward passes
-    through keeps one GELU array, the derivative, and no other; a cache
-    built on ``past`` keeps nothing for a backward pass.  A wanted ln1 gamma
-    keeps its layer's statistics, bitwise as the full pass computes it."""
+    ln1, which keeps no statistics.  A backward cache keeps no per-head
+    query, key or value and no GELU array: backward rebuilds them from the
+    kept norm outputs and u's.  A decode cache keeps each layer's keys and
+    values and nothing for a backward pass.  A wanted ln1 gamma keeps its
+    layer's statistics, bitwise as the full pass computes it."""
     state, ids, mask = _step_case(np.float64, ("query", "value"))
     cfg = state.config
     needs = set(adapter_param_names(cfg))
     _, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(0), needs=needs)
-    first, *later = cache["blocks"]
-    assert "ln1" not in first
-    for blk in later:
-        assert "ln1" in blk
     wide = ids.shape + (cfg.d_model,)
-    for blk in cache["blocks"]:
+    for i, blk in enumerate(cache["blocks"]):
+        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"ln2"} | ({"ln1"} if i else set())
         x = blk["query"][0]
         assert blk["value"][0] is x and x.shape == wide
         for proj in ("query", "value"):
@@ -1208,27 +1256,43 @@ def test_forward_keeps_only_the_cache_entries_backward_reads():
         held = _model_wide_arrays(blk, wide)
         expected = [x, blk["ln2"][0]] + ([blk["ln1"][0]] if "ln1" in blk else [])
         assert sorted(map(id, held)) == sorted(map(id, expected))
-        assert _gelu_arrays(blk, cfg.d_ff) == ["dgelu"]
-        assert "h1" not in blk and "t" not in blk
-    # only the last layer's value adapter: the layers below keep no
-    # derivative, no norm statistics and no projection input
+        assert _gelu_arrays(blk, cfg.d_ff) == []
+    # every tensor: still no per-head array and no GELU array
+    _, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(0))
+    for blk in cache["blocks"]:
+        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"ln1", "ln2"}
+        assert _gelu_arrays(blk, cfg.d_ff) == []
+    # only the last layer's value adapter: the layers below keep nothing;
+    # that layer keeps its ln2 statistics for the ff_in rebuild, and, with
+    # no ln1 statistics, the query/key/value input (once, under query)
+    # beside the adapters' u
     _, cache = forward_hidden(state, ids, needs={"layers.2.lora.value.b"})
-    assert [_gelu_arrays(blk, cfg.d_ff) for blk in cache["blocks"]] == [[], [], ["dgelu"]]
     for blk in cache["blocks"][:2]:
-        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"qh", "kh", "vh"}
+        assert set(blk) == set(ADAPTABLE_PROJECTIONS)
         assert all(blk[proj] == (None, None, None) for proj in ADAPTABLE_PROJECTIONS)
-    _, cache = forward_hidden(state, ids[:, :5])
+    last = cache["blocks"][2]
+    assert set(last) == set(ADAPTABLE_PROJECTIONS) | {"ln2"}
+    assert last["query"][0].shape == wide and last["value"][0] is None
+    for proj in ("query", "value"):
+        assert last[proj][1].shape == ids.shape + (cfg.lora_rank,) and last[proj][2] is None
+    for proj in ("key", "output", "ff_in", "ff_out"):
+        assert last[proj] == (None, None, None), proj
+    # a decode cache: the keys and values of every position so far
+    _, cache = forward_hidden(state, ids[:, :5], needs=frozenset())
     _, cache = forward_hidden(state, ids[:, 5:], past=cache)
     for blk in cache["blocks"]:
-        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"qh", "kh", "vh"}
+        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"kh", "vh"}
+        assert blk["kh"].shape == blk["vh"].shape == (
+            ids.shape[0], cfg.n_heads, ids.shape[1], cfg.d_model // cfg.n_heads)
         assert all(blk[proj] == (None, None, None) for proj in ADAPTABLE_PROJECTIONS)
+    assert cache["needs"] == frozenset()
     xf, cache = forward_hidden(state, ids)
     _, dxf, _ = head_loss(state, xf, ids, mask)
-    full = backward_batch(state, cache, dxf)
+    full = backward_batch(state, cache, dxf.copy())
     for name in ("layers.0.ln1.gamma", "layers.1.ln1.beta"):
         xf, cache = forward_hidden(state, ids, needs={name})
         assert "ln1" in cache["blocks"][int(name.split(".")[1])]
-        assert backward_batch(state, cache, dxf)[name].tobytes() == full[name].tobytes()
+        assert backward_batch(state, cache, dxf.copy())[name].tobytes() == full[name].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1272,38 +1336,39 @@ def test_adapter_gradient_rebuilds_the_forward_dropout_bitwise(monkeypatch, dtyp
     assert set(grads) == {a_name} and grads[a_name].tobytes() == expected.tobytes()
 
 
+def _recording_gelu(monkeypatch):
+    """Names of the GELU kernels called from here on, in call order."""
+    calls = []
+    for name in ("_gelu_fwd", "_gelu_grad"):
+        inner = getattr(lora_model, name)
+
+        def recording(x, inner=inner, name=name):
+            calls.append(name)
+            return inner(x)
+
+        monkeypatch.setattr(lora_model, name, recording)
+    return calls
+
+
 def test_greedy_generate_computes_no_gelu_derivative(monkeypatch):
     state = init_model(SMALL, seed=0)
-    calls = []
-    inner = lora_model._gelu_fwd
-
-    def recording(x, derivative):
-        calls.append(derivative)
-        return inner(x, derivative)
-
-    monkeypatch.setattr(lora_model, "_gelu_fwd", recording)
+    calls = _recording_gelu(monkeypatch)
     greedy_generate(state, [BOS_ID, 5, 6, 7], 4)
-    assert len(calls) > SMALL.n_layers and not any(calls)
+    assert len(calls) > SMALL.n_layers and set(calls) == {"_gelu_fwd"}
 
 
 def test_forward_batch_and_model_forward_compute_no_gelu_derivative(monkeypatch):
     # their logits feed no backward pass (gradcheck's finite differences
-    # call forward_batch once per probed element)
+    # call forward_batch once per probed element); forward_batch's cache is
+    # a decode cache: each layer's keys and values, nothing for a backward
     state = init_model(SMALL, seed=0)
-    calls = []
-    inner = lora_model._gelu_fwd
-
-    def recording(x, derivative):
-        calls.append(derivative)
-        return inner(x, derivative)
-
-    monkeypatch.setattr(lora_model, "_gelu_fwd", recording)
+    calls = _recording_gelu(monkeypatch)
     ids = np.array([[BOS_ID, 5, 6, 7], [BOS_ID, 8, 9, 10]])
     _, cache = forward_batch(state, ids)
     model_forward(state, [BOS_ID, 5, 6, 7])
-    assert calls == [False] * (2 * SMALL.n_layers)
+    assert calls == ["_gelu_fwd"] * (2 * SMALL.n_layers)
     for blk in cache["blocks"]:
-        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"qh", "kh", "vh"}
+        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"kh", "vh"}
         assert all(blk[proj] == (None, None, None) for proj in ADAPTABLE_PROJECTIONS)
 
 
@@ -1312,17 +1377,19 @@ def test_backward_differentiates_the_forward_needs_and_consumes_its_cache():
     needs = set(adapter_param_names(state.config))
     xf, cache = forward_hidden(state, ids, needs=needs)
     _, dxf, _ = head_loss(state, xf, ids, mask)
-    assert sorted(backward_batch(state, cache, dxf)) == sorted(needs)
+    assert sorted(backward_batch(state, cache, dxf.copy())) == sorted(needs)
     with pytest.raises(ValueError, match="consumed"):
-        backward_batch(state, cache, dxf)
+        backward_batch(state, cache, dxf.copy())
     # without needs, every tensor but out_w (whose gradient is head_loss's)
     _, cache = forward_hidden(state, ids)
-    assert sorted(backward_batch(state, cache, dxf)) == sorted(
+    assert sorted(backward_batch(state, cache, dxf.copy())) == sorted(
         set(param_names(state.config)) - {"out_w"}
     )
-    # forward_batch's cache serves no backward pass
+    # forward_batch's cache serves no backward pass, and leaves dxf as it is
     _, cache = forward_batch(state, ids)
+    before = dxf.copy()
     assert backward_batch(state, cache, dxf) == {}
+    assert dxf.tobytes() == before.tobytes()
 
 
 def test_backward_stops_at_the_first_wanted_tensor(monkeypatch):
@@ -1347,32 +1414,49 @@ def test_backward_stops_at_the_first_wanted_tensor(monkeypatch):
         assert needs is None or set(grads) == needs
 
 
-def test_training_step_peak_memory():
+def _traced_step_peak(needs):
+    """Traced peak bytes of one default-model training step at B=16, T=256."""
     B, T = 16, 256
     config = ModelConfig(vocab_size=4100, max_seq_len=T)
     state = init_model(config, seed=0)
     ids = random_ids(np.random.default_rng(0), config, (B, T))
-    needs = set(trainable_param_names(config))
+    if needs is not None:
+        needs = set(needs(config))
     tracemalloc.start()
     try:
         trainer._batch_grads(state, ids, np.ones((B, T - 1)), needs, np.random.default_rng(1))
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 40.6 MiB; caching each adapter's dropped-out input and holding
-    # dead forward activations peaked at 42.1, keeping each layer's GELU
-    # input and tanh term in place of its derivative at 46, caching every
-    # projection's input and holding every layer's cache and activation
-    # gradients through backward at 90
-    assert peak < 41.5 * 2**20
+
+
+def test_training_step_peak_memory():
+    peak = _traced_step_peak(trainable_param_names)
+    # about 32.6 MiB; caching each layer's per-head query, key and value and
+    # its GELU derivative peaked at 40.6, caching each adapter's dropped-out
+    # input and holding dead forward activations at 42.1, keeping each
+    # layer's GELU input and tanh term in place of its derivative at 46,
+    # caching every projection's input and holding every layer's cache and
+    # activation gradients through backward at 90
+    assert peak < 33.5 * 2**20
+
+
+def test_full_parameter_step_peak_memory():
+    """A step that differentiates every tensor (``needs=None``) caches
+    every projection's input and u and both norms' statistics, but no
+    per-head array and no GELU derivative."""
+    peak = _traced_step_peak(None)
+    # about 40.7 MiB; caching the per-head query, key and value and the GELU
+    # derivative peaked at 48.7
+    assert peak < 42 * 2**20
 
 
 def test_forward_peak_memory():
     """The forward pass of a default adapters-only step holds, beside its
-    cache, little more than one layer's working set: one cached GELU
-    derivative per layer, GELU in place, layer norms over row chunks, one
-    cached input shared by the query and value adapters, and every other
-    activation dropped at its last use."""
+    cache, little more than one layer's working set: no per-head array and
+    no GELU derivative cached, GELU in place, layer norms over row chunks,
+    one cached input shared by the query and value adapters, and every
+    other activation dropped at its last use."""
     B, T = 16, 256
     config = ModelConfig(vocab_size=4100, max_seq_len=T)
     state = init_model(config, seed=0)
@@ -1386,14 +1470,15 @@ def test_forward_peak_memory():
     finally:
         tracemalloc.stop()
     del out
-    # measured 6.83x and 5.64x, 1.18x above what it holds; caching each
-    # adapter's dropped-out input and holding dead activations to the next
-    # layer read 8.70x and 6.02x (2.68x above), and keeping each layer's
-    # GELU input and tanh term, and whole-batch layer-norm temporaries,
-    # 10.58x and 8.02x
-    assert peak < 7.5 * h1_bytes
-    assert held < 5.9 * h1_bytes
-    assert peak - held < 1.5 * h1_bytes
+    # measured 3.26x and 2.14x, 1.12x above what it holds; caching the
+    # per-head query, key and value and the GELU derivative read 6.83x and
+    # 5.64x (1.18x above), caching each adapter's dropped-out input and
+    # holding dead activations to the next layer 8.70x and 6.02x (2.68x
+    # above), and keeping each layer's GELU input and tanh term, and
+    # whole-batch layer-norm temporaries, 10.58x and 8.02x
+    assert peak < 3.5 * h1_bytes
+    assert held < 2.3 * h1_bytes
+    assert peak - held < 1.3 * h1_bytes
 
 
 # ---------------------------------------------------------------------------
