@@ -71,6 +71,10 @@ class ModelConfig:
         for field in ("d_model", "n_heads", "d_ff"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers must be >= 0, got {self.n_layers}")
+        if not math.isfinite(self.lora_alpha):
+            raise ValueError(f"lora_alpha must be finite, got {self.lora_alpha}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.max_seq_len < 2:
@@ -129,8 +133,10 @@ class ModelConfig:
 # ---------------------------------------------------------------------------
 # Full model state
 
+@functools.lru_cache(maxsize=None)
 def _proj_names(i: int, proj: str) -> tuple[str, str, str, str]:
-    """(weight, bias, adapter A, adapter B) tensor names of layer i's ``proj``."""
+    """(weight, bias, adapter A, adapter B) tensor names of layer i's
+    ``proj``; cached, since every projection of every call asks for them."""
     w, b = PROJECTION_TENSORS[proj]
     pre = f"layers.{i}"
     return f"{pre}.{w}", f"{pre}.{b}", f"{pre}.lora.{proj}.a", f"{pre}.lora.{proj}.b"
@@ -232,7 +238,7 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelState:
 def _row_chunks(x):
     """``x`` as (rows, last axis), and ``_seq_blocks`` slices of its rows that
     hold at most ``CHUNK_BYTES`` each."""
-    x2 = x.reshape(-1, x.shape[-1])
+    x2 = _rows(x)
     return x2, _seq_blocks(len(x2), x2.shape[1] * x2.itemsize, CHUNK_BYTES)
 
 
@@ -347,15 +353,15 @@ def _gelu_bwd(dy, d):
     return dy
 
 
-def _dropout_mask(x, p, rng):
-    """The dropout mask ``keep = rng.random(x.shape) >= p`` of ``x``, drawn
-    one row chunk at a time.  ``Generator.random`` draws in row order, so
-    the chunks consume the stream exactly as one whole-array draw does."""
-    x2, chunks = _row_chunks(x)
-    keep = np.empty(x2.shape, dtype=bool)
-    for sl in chunks:
-        np.greater_equal(rng.random(keep[sl].shape), p, out=keep[sl])
-    return keep.reshape(x.shape)
+def _dropout_mask(shape, p, rng):
+    """The dropout mask ``keep = rng.random(shape) >= p``, drawn one row
+    chunk at a time.  ``Generator.random`` draws in row order, so the
+    chunks consume the stream exactly as one whole-array draw does."""
+    keep = np.empty(shape, dtype=bool)
+    keep2 = _rows(keep)
+    for sl in _seq_blocks(len(keep2), keep2.shape[1] * 8, CHUNK_BYTES):  # float64 draws
+        np.greater_equal(rng.random(keep2[sl].shape), p, out=keep2[sl])
+    return keep
 
 
 def _dropout_apply(x, keep, p, out=None):
@@ -389,80 +395,75 @@ def _proj_out(state, i, proj, x, u):
     return y
 
 
-def _proj_fwd(state, i, proj, x, blk, training, rng, want, need_dx, keep_x=False, keep_u=False):
-    """``_proj_out`` of layer i's ``proj``, with the low-rank path (dropout
-    on its input in training) when ``proj`` is adapted.
+def _proj_fwd(state, i, proj, x, keep):
+    """``(_proj_out, u)`` of layer i's ``proj`` on the rows of ``x``, where
+    u is the adapter's ``xd A^T`` (None unless ``proj`` is adapted) and
+    ``xd`` is ``x`` through the dropout mask ``keep`` (``x`` itself when
+    None).  Every step works row by row, so ``x`` may be one block of whole
+    sequences and ``keep`` that block of the mask.  ``xd`` lives only until
+    u is formed: backward rebuilds it from x and keep."""
+    cfg, P = state.config, state.params
+    u = None
+    if proj in cfg.adapted_projections:
+        a_name = _proj_names(i, proj)[2]
+        xd = x if keep is None else _dropout_apply(x, keep, cfg.lora_dropout)
+        u = xd @ P[a_name].T
+    return _proj_out(state, i, proj, x, u), u
 
-    The backward cache goes to ``blk[proj]`` as (x, u, keep), each None
-    unless backward reads it.  The input ``x`` is kept by reference (query,
-    key and value share one) when ``keep_x`` asks for it or ``want`` asks
-    for the base weight's gradient or for the adapter's A.  The dropped-out
-    input ``xd`` is never kept: it lives only until ``u = xd A^T`` is
-    formed, and ``_proj_bwd`` rebuilds it from ``x`` and the dropout mask
-    ``keep``.  An adapted projection keeps ``u`` when ``keep_u`` asks for
-    it or its B is wanted, and ``keep`` (drawn only in training with
-    dropout; ``xd`` is ``x`` without it) when its A is wanted or
-    ``need_dx`` has the gradient flow to its input."""
+
+def _proj_dx(state, i, proj, dy, keep):
+    """dx of layer i's ``proj`` given its output gradient ``dy`` and its
+    dropout mask ``keep`` (None without dropout).  Every step works row by
+    row, so ``dy`` may be one block of whole sequences and ``keep`` that
+    block of the mask."""
     cfg, P = state.config, state.params
     w_name, _, a_name, b_up_name = _proj_names(i, proj)
-    cache_x = keep_x or want(w_name)
-    u = keep = None
+    dx = dy @ P[w_name]
     if proj in cfg.adapted_projections:
-        p = cfg.lora_dropout
-        if training and p > 0.0:
-            keep = _dropout_mask(x, p, rng)
-            u = _dropout_apply(x, keep, p) @ P[a_name].T
-        else:
-            u = x @ P[a_name].T
-        cache_x = cache_x or want(a_name)
-    y = _proj_out(state, i, proj, x, u)
-    if not (keep_u or want(b_up_name)):
-        u = None
-    if not (need_dx or want(a_name)):
-        keep = None
-    blk[proj] = (x if cache_x else None, u, keep)
-    return y
+        du = cfg.lora_alpha / cfg.lora_rank * (dy @ P[b_up_name])
+        dxd = du @ P[a_name]
+        if keep is not None:
+            _dropout_apply(dxd, keep, cfg.lora_dropout, out=dxd)
+        dx += dxd
+    return dx
 
 
-def _proj_bwd(state, i, proj, dy, blk, grads, want, need_dx):
-    """Layer i's ``proj`` backward from ``blk[proj]``, which it removes:
-    accumulates the gradients ``want`` asks for into ``grads`` and returns
-    dx, or None when not ``need_dx``.  An adapter's A gradient rebuilds the
-    forward's dropped-out input ``xd = x * keep / (1 - p)`` from the cache
-    (``_dropout_apply``, bitwise the forward's) and drops it after its GEMM."""
+def _proj_grads(state, i, proj, dy, blk, grads, want):
+    """Accumulates into ``grads`` the gradients of layer i's ``proj`` that
+    ``want`` asks for, from its whole-batch output gradient ``dy`` (None
+    when none is wanted) and its cache entry ``blk[proj] = (x, u, keep)``,
+    which it removes; returns ``keep``, which the blocks' ``_proj_dx`` may
+    still read.  Each gradient is one GEMM or sum over every row of the batch.
+    An adapter's A gradient rebuilds the forward's dropped-out input ``xd =
+    x * keep / (1 - p)`` (``_dropout_apply``, bitwise the forward's) and
+    drops it after its GEMM."""
     cfg, P = state.config, state.params
     x, u, keep = blk.pop(proj)
     w_name, b_name, a_name, b_up_name = _proj_names(i, proj)
-    din = P[w_name].shape[1]
-    dout = dy.shape[-1]
-    dy_flat = dy.reshape(-1, dout)
-    dx = dy @ P[w_name] if need_dx else None
     if want(w_name):
-        grads[w_name] = grads.get(w_name, 0) + dy_flat.T @ x.reshape(-1, din)
+        grads[w_name] = grads.get(w_name, 0) + _rows(dy).T @ _rows(x)
     if want(b_name):
-        grads[b_name] = grads.get(b_name, 0) + dy_flat.sum(axis=0)
+        grads[b_name] = grads.get(b_name, 0) + _rows(dy).sum(axis=0)
     if proj in cfg.adapted_projections:
         scale, p = cfg.lora_alpha / cfg.lora_rank, cfg.lora_dropout
-        a_mat, b_mat = P[a_name], P[b_up_name]
         if want(b_up_name):
-            grads[b_up_name] = grads.get(b_up_name, 0) + scale * (
-                dy_flat.T @ u.reshape(-1, u.shape[-1])
-            )
-        if not (need_dx or want(a_name)):
-            return dx
-        du = scale * (dy @ b_mat)
+            grads[b_up_name] = grads.get(b_up_name, 0) + scale * (_rows(dy).T @ _rows(u))
         if want(a_name):
+            du = scale * (dy @ P[b_up_name])
             xd = x if keep is None else _dropout_apply(x, keep, p)
-            grads[a_name] = grads.get(a_name, 0) + du.reshape(
-                -1, du.shape[-1]
-            ).T @ xd.reshape(-1, din)
+            grads[a_name] = grads.get(a_name, 0) + _rows(du).T @ _rows(xd)
             del xd
-        if need_dx:
-            dxd = du @ a_mat
-            if keep is not None:
-                _dropout_apply(dxd, keep, p, out=dxd)
-            dx += dxd
-    return dx
+    return keep
+
+
+def _rows(x):
+    """``x`` as (rows, last axis)."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _part(x, sl):
+    """``x[sl]``, or None for None."""
+    return None if x is None else x[sl]
 
 
 def _split_heads(x, n_heads):
@@ -471,11 +472,12 @@ def _split_heads(x, n_heads):
 
 
 # Bytes that one block of whole sequences may give its largest temporary; it
-# sizes both the blocks of ``head_loss`` (the logits) and those of attention
-# (the scores), and a block holds at least one sequence.  Smaller blocks stay
-# in cache: at B=128, T=256, V=4100 on 2 cores the head takes about 0.7 s with
-# 8 MB and 1.2 s with 32 MB.  At H=4 and T=256, 8 MB holds the attention of 8
-# float32 sequences.
+# sizes both the blocks of ``head_loss`` (the logits) and those of each layer
+# (the attention scores or the feed-forward hidden array, ``_layer_blocks``),
+# and a block holds at least one sequence.  Smaller blocks stay in cache: at
+# B=128, T=256, V=4100 on 2 cores the head takes about 0.7 s with 8 MB and
+# 1.2 s with 32 MB.  At H=4 and T=256, 8 MB holds the attention of 8 float32
+# sequences.
 BLOCK_BYTES = 8 * 2**20
 
 # Bytes of one row chunk of an elementwise kernel (GELU, LoRA dropout, the
@@ -632,10 +634,11 @@ def _attn_bwd(qh, kh, vh, doh, head_scale, dqh, dkh, dvh):
             ) * head_scale
 
 
-def _attn_blocks(qh, kh):
-    """``_seq_blocks`` for attention: sized by the (heads, t, tk) scores."""
-    B, H, T, _ = qh.shape
-    return _seq_blocks(B, H * T * kh.shape[2] * qh.itemsize)
+def _layer_blocks(cfg, batch, t, tk, itemsize):
+    """``_seq_blocks`` for one layer over ``t`` new positions of ``tk`` keys:
+    sized by the larger of a sequence's attention scores (heads, t, tk) and
+    its feed-forward hidden array (t, d_ff)."""
+    return _seq_blocks(batch, max(cfg.n_heads * tk, cfg.d_ff) * t * itemsize)
 
 
 def _wants(needs):
@@ -676,6 +679,64 @@ def _first_wanted(cfg: ModelConfig, want) -> tuple[int, int]:
     return (cfg.n_layers, 0)
 
 
+def _store(whole, sl, part):
+    """``whole[sl] = part`` unless ``whole`` is None: a block loop fills a
+    whole-batch array only where the batch of it is kept."""
+    if whole is not None:
+        whole[sl] = part
+
+
+def _layer_cache(state, i, shape, dtype, first, want, rng):
+    """Layer i's backward cache, allocated for ``forward_hidden``'s blocks to
+    fill, and the layer's dropout masks (None each when ``rng`` is None).
+
+    Returns (blk, masks, inputs).  ``blk`` maps each projection to (x, u,
+    keep), each a whole-batch array or None: its input only when its base
+    weight or its adapter's A is wanted, or the stage's first projection
+    keeps it for the rebuild of ``_REBUILT`` outputs when the norm before
+    the stage keeps no statistics; u when the adapter's B is wanted or the
+    output is rebuilt; the mask when A is wanted or the gradient flows to
+    the input.  ``blk["ln1"]``/``blk["ln2"]`` is a norm's (xhat, inv) when
+    the gradient reaches it.  ``inputs`` maps the first projection of a
+    stage to the stage's kept input, one array that serves the whole stage
+    (query, key and value share theirs).  The masks are drawn whole, one
+    per adapted projection in forward order."""
+    masks = dict.fromkeys(ADAPTABLE_PROJECTIONS)
+    if rng is None and first >= (i + 1, 0):
+        # the gradient reaches neither the layer nor any of its tensors (as
+        # in every decode call): nothing to keep and no mask to draw
+        return dict.fromkeys(ADAPTABLE_PROJECTIONS, (None, None, None)), masks, {}
+    cfg = state.config
+
+    def whole(width):
+        return np.empty(shape + (width,), dtype)
+
+    blk, inputs = {}, {}
+    for norm in ("ln1", "ln2"):
+        if first <= (i, _STAGE_OF[norm]):
+            blk[norm] = (whole(cfg.d_model), whole(1))
+    for proj in ADAPTABLE_PROJECTIONS:
+        s = _STAGE_OF[proj]
+        w_name, _, a_name, b_up_name = _proj_names(i, proj)
+        d_in = cfg.projection_dims(proj)[1]
+        adapted = proj in cfg.adapted_projections
+        rebuild = proj in _REBUILT and first < (i, s + 1)
+        keep_x = rebuild and not first <= (i, s - 1) and proj == _STAGES[s][0]
+        if adapted and rng is not None:
+            masks[proj] = _dropout_mask(shape + (d_in,), cfg.lora_dropout, rng)
+        x = u = None
+        if keep_x or want(w_name) or (adapted and want(a_name)):
+            stage = _STAGES[s][0]
+            if stage not in inputs:
+                inputs[stage] = whole(d_in)
+            x = inputs[stage]
+        if adapted and (rebuild or want(b_up_name)):
+            u = whole(cfg.lora_rank)
+        keep = masks[proj] if first < (i, s) or want(a_name) else None
+        blk[proj] = (x, u, keep)
+    return blk, masks, inputs
+
+
 def forward_hidden(
     state: ModelState,
     ids: np.ndarray,
@@ -689,10 +750,21 @@ def forward_hidden(
 
     Returns (xf, cache); position i's hidden state depends only on ids[:, :i+1].
 
-    Attention runs one block of whole sequences at a time (``_seq_blocks``),
-    so its (batch, heads, time, time) probabilities never exist for the whole
-    batch.  No cache keeps them; ``backward_batch`` recomputes them block by
-    block.
+    Each layer runs one block of whole sequences at a time
+    (``_layer_blocks``, sized by ``BLOCK_BYTES``): ln1, query, key and
+    value, attention, output, ln2, ff_in, GELU and ff_out all run on a block
+    before the next block starts.  Every step works within a sequence, and
+    each projection multiplies a (sequences, time, d) array by a matrix,
+    which NumPy does one sequence at a time, so the result is bitwise the
+    unblocked pass's.  Only three kinds of array span the whole batch: the
+    residual stream, which each block updates in place; the backward cache,
+    which each block fills; and a layer's dropout masks, drawn whole before
+    its blocks (``_layer_cache``), so that the rng stream is consumed as by
+    one whole-array draw per adapted projection.  The per-head query, key
+    and value, the attention probabilities and output, the ln1 and ln2
+    outputs, ff_in's output and the GELU output live one block at a time,
+    unless the cache keeps one as a projection's input.  A decode call (one
+    sequence) is one block.
 
     Without ``past``, attention runs in causal query tiles
     (``_causal_tiles``): a tile of queries [lo, hi) computes its scores,
@@ -700,10 +772,10 @@ def forward_hidden(
 
     ``needs`` names the tensors whose gradients ``backward_batch`` computes
     from this cache (all of them when None).  Each projection caches (x, u,
-    keep) as ``_proj_fwd`` says: its input only when its base weight or its
-    adapter's A is among them, by reference, and never a dropped-out copy
-    of it.  A layer's ln1 and ln2 statistics are kept only when the
-    gradient reaches that norm (``_first_wanted``).
+    keep) as ``_layer_cache`` says: its input only when its base weight or
+    its adapter's A is among them, and never a dropped-out copy of it.  A
+    layer's ln1 and ln2 statistics are kept only when the gradient reaches
+    that norm (``_first_wanted``).
 
     Such a backward cache keeps no per-head query, key or value and no GELU
     derivative.  Where the gradient reaches the output of query, key, value
@@ -720,13 +792,6 @@ def forward_hidden(
     gradients and the rebuild, beside their two boolean masks and u's; no
     layer keeps its attention output, whose only reader would be a frozen
     weight's gradient, and layer 0 keeps no ln1 statistics.
-
-    Every other activation is dropped at its last use: the ln1 output once
-    query, key and value have read it (unless cached), the per-head query,
-    key and value after attention, the attention output after the output
-    projection, the ln2 output after ``ff_in`` and the GELU output after
-    ``ff_out``; both residual adds run in place.  So the pass holds, beyond
-    its cache, about one layer's working set.
 
     A decode cache, built with ``needs=frozenset()`` or on a ``past``,
     keeps each layer's keys and values instead, and nothing for a backward
@@ -759,21 +824,14 @@ def forward_hidden(
     if training and cfg.lora_dropout > 0.0 and rng is None:
         raise ValueError("rng required for dropout in training mode")
 
-    head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+    H = cfg.n_heads
+    head_scale = 1.0 / math.sqrt(cfg.d_model // H)
     decode = needs is not None and not needs
     want = _wants(needs)
     # a decode step skips _first_wanted's scan of the tensor names (about
     # 30 us at the default config when nothing is wanted)
     first = (cfg.n_layers, 0) if decode else _first_wanted(cfg, want)
-
-    def proj_fwd(i, proj, x, blk):
-        s = _STAGE_OF[proj]
-        rebuild = proj in _REBUILT and first < (i, s + 1)
-        # x is the output of the layer norm before the stage, and one
-        # reference serves the whole stage
-        keep_x = rebuild and not first <= (i, s - 1) and proj == _STAGES[s][0]
-        return _proj_fwd(state, i, proj, x, blk, training, rng, want, first < (i, s),
-                         keep_x=keep_x, keep_u=rebuild)
+    drop_rng = rng if training and cfg.lora_dropout > 0.0 else None
 
     x = P["tok_emb"][ids] + P["pos_emb"][T0 : T0 + T]
     cache: dict = {
@@ -781,34 +839,47 @@ def forward_hidden(
         "needs": None if needs is None else frozenset(needs),
     }
     for i in range(cfg.n_layers):
-        blk: dict = {}
         pre = f"layers.{i}"
-        a, ln1 = _layer_norm_fwd(x, P[f"{pre}.ln1.gamma"], P[f"{pre}.ln1.beta"])
-        if first <= (i, 0):
-            blk["ln1"] = ln1
-        del ln1
-        qh, kh, vh = (_split_heads(proj_fwd(i, proj, a, blk), cfg.n_heads) for proj in _QKV)
-        del a
-        if past is not None:
-            kh = np.concatenate((past["blocks"][i]["kh"], kh), axis=2)
-            vh = np.concatenate((past["blocks"][i]["vh"], vh), axis=2)
-        o = np.empty((B, T, cfg.d_model), dtype=qh.dtype)
-        oh = _split_heads(o, cfg.n_heads)  # a view: blocks written here land in o
-        for sl in _attn_blocks(qh, kh):
-            _attn_fwd(qh[sl], kh[sl], vh[sl], head_scale, oh[sl])
+        blk, masks, inputs = _layer_cache(state, i, (B, T), x.dtype, first, want, drop_rng)
         if decode:
-            blk["kh"], blk["vh"] = kh, vh
-        del oh, qh, kh, vh
-        x += proj_fwd(i, "output", o, blk)
-        del o
-        f, ln2 = _layer_norm_fwd(x, P[f"{pre}.ln2.gamma"], P[f"{pre}.ln2.beta"])
-        if first <= (i, _STAGE_OF["ln2"]):
-            blk["ln2"] = ln2
-        del ln2
-        g = _gelu_fwd(proj_fwd(i, "ff_in", f, blk))
-        del f
-        x += proj_fwd(i, "ff_out", g, blk)
-        del g
+            for name in ("kh", "vh"):
+                blk[name] = np.empty((B, H, T0 + T, cfg.d_model // H), x.dtype)
+                if past is not None:
+                    blk[name][:, :, :T0] = past["blocks"][i][name]
+
+        def norm(name, xb, sl):
+            y, stats = _layer_norm_fwd(xb, P[f"{pre}.{name}.gamma"], P[f"{pre}.{name}.beta"])
+            if name in blk:
+                blk[name][0][sl], blk[name][1][sl] = stats
+            return y
+
+        def proj(name, xb, sl):
+            y, u = _proj_fwd(state, i, name, xb, _part(masks[name], sl))
+            _store(blk[name][1], sl, u)
+            return y
+
+        def run_block(sl):
+            """The layer on the sequences ``sl``; its arrays die on return."""
+            xb = x[sl]  # a view: both residual adds land in x
+            a = norm("ln1", xb, sl)
+            _store(inputs.get("query"), sl, a)
+            qh, kh, vh = (_split_heads(proj(name, a, sl), H) for name in _QKV)
+            if decode:
+                blk["kh"][sl, :, T0:], blk["vh"][sl, :, T0:] = kh, vh
+                if T0:  # attend to past's keys and values as well
+                    kh, vh = blk["kh"][sl], blk["vh"][sl]
+            o = inputs["output"][sl] if "output" in inputs else np.empty_like(xb)
+            _attn_fwd(qh, kh, vh, head_scale, _split_heads(o, H))
+            del qh, kh, vh
+            xb += proj("output", o, sl)
+            f = norm("ln2", xb, sl)
+            _store(inputs.get("ff_in"), sl, f)
+            g = _gelu_fwd(proj("ff_in", f, sl))
+            _store(inputs.get("ff_out"), sl, g)
+            xb += proj("ff_out", g, sl)
+
+        for sl in _layer_blocks(cfg, B, T, T0 + T, x.itemsize):
+            run_block(sl)
         cache["blocks"].append(blk)
     xf, cache["ln_f"] = _layer_norm_fwd(x, P["ln_f.gamma"], P["ln_f.beta"])
     return xf, cache
@@ -838,16 +909,30 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     backward writes its dx into it, and the residual stream's gradient
     accumulates there.
 
+    Each half of a layer (feed-forward, then attention) runs one block of
+    whole sequences at a time, as in the forward (``_layer_blocks``): the
+    chain from the half's output back to its input, through the layer
+    norm's backward and into the residual gradient, finishes on a block
+    before the next block starts.  Every step works within a sequence, so
+    each block's rows match the unblocked pass bitwise.  A whole-batch array
+    exists only for the residual stream's gradient, the cache, and the
+    operands of a gradient that sums over rows: the output gradient of a
+    projection with a wanted tensor (ff_out's and output's are the residual
+    gradient itself, taken before the half's blocks change it) and of a
+    layer norm whose gamma or beta is wanted.  The blocks fill those, and
+    each such gradient is then one GEMM or sum over the whole batch, as in
+    the unblocked pass.  Everything else (the rebuilt outputs, the GELU
+    derivative, the attention probabilities, ``do``, a dq/dk/dv whose
+    projection trains nothing, the norms' input gradients) lives one block
+    at a time.
+
     The cache holds no per-head queries, keys and values and no GELU
-    derivative: each layer rebuilds them just before it reads them and
-    drops them after, with the forward's own steps (``_proj_out``, then
-    ``_gelu_grad`` in place on the rebuilt ``ff_in`` output), from the
-    layer norm output and the u's the forward kept for that.  Nor does it
-    hold attention probabilities: each block of whole sequences recomputes
-    its own in the forward's causal tiles, bitwise equal to the forward's,
-    and ``_attn_bwd`` writes the block's query, key and value gradients
-    straight into whole-batch arrays, so the result matches the unblocked
-    whole-row pass bitwise.
+    derivative: each block rebuilds them just before it reads them, with
+    the forward's own steps (``_proj_out``, then ``_gelu_grad`` in place on
+    the rebuilt ``ff_in`` output), from the layer norm output and the u's
+    the forward kept for that.  Nor does it hold attention probabilities:
+    each block recomputes its own in the forward's causal tiles, bitwise
+    equal to the forward's.
 
     Only what ``needs`` reads is computed: a layer norm's ``dgamma``/``dbeta``
     only when wanted, and no activation gradient below the first wanted
@@ -856,9 +941,9 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     gradient, and skips its ln1 backward.  Every other result is the full
     pass's, bitwise.
 
-    The cache is consumed: each layer's block is dropped once that layer is
-    done, and each cached activation and activation gradient once it has
-    been read.  A second call on the same cache raises ValueError."""
+    The cache is consumed: each projection's entry is dropped once its
+    gradients are taken, and each layer's block once that layer is done.
+    A second call on the same cache raises ValueError."""
     if cache["t0"]:
         raise ValueError("cannot differentiate a forward pass built on a past cache")
     if "blocks" not in cache:
@@ -866,37 +951,58 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     blocks = cache.pop("blocks")
     cfg = state.config
     P = state.params
-    head_scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+    H = cfg.n_heads
+    head_scale = 1.0 / math.sqrt(cfg.d_model // H)
     want = _wants(cache["needs"])
     first = _first_wanted(cfg, want)
+    B, T = cache["ids"].shape
 
     def flows(i, stage):
         """Whether the gradient must reach the input of layer i's ``stage``."""
         return first < (i, stage)
 
+    def trains(i, proj):
+        return any(map(want, _proj_names(i, proj)))
+
+    def whole(width, keep=True):
+        """A whole-batch array of ``width`` for the blocks to fill, or None
+        unless ``keep``."""
+        return np.empty((B, T, width), dxf.dtype) if keep else None
+
     grads: dict[str, np.ndarray] = {}
 
-    def layer_norm(dy, name, ln_cache, need_dx):
-        """dx of layer norm ``name`` in place in ``dy`` (None unless
-        ``need_dx``); its wanted parameter gradients go to ``grads``."""
+    def norm_grads(dy, name, stats):
+        """The wanted gradients of layer norm ``name``'s gamma and beta, from
+        its whole-batch output gradient ``dy`` and its (xhat, inv)."""
         if want(f"{name}.gamma"):
-            xhat = ln_cache[0]
-            grads[f"{name}.gamma"] = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+            grads[f"{name}.gamma"] = _rows(dy * stats[0]).sum(axis=0)
         if want(f"{name}.beta"):
-            grads[f"{name}.beta"] = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-        return _layer_norm_bwd(dy, ln_cache, P[f"{name}.gamma"]) if need_dx else None
+            grads[f"{name}.beta"] = _rows(dy).sum(axis=0)
 
-    def rebuild(i, blk, projs, norm):
-        """Layer i's ``projs`` outputs as the forward formed them, from the
-        output of its layer norm ``norm`` that they read: the input one of
-        them cached, else ``xhat * gamma + beta`` from the norm's cache."""
+    def norm_dx(dy, name, stats, sl):
+        """dx of layer norm ``name`` on the sequences ``sl``, in place in
+        their ``dy``."""
+        xhat, inv = stats
+        return _layer_norm_bwd(dy, (xhat[sl], inv[sl]), P[f"{name}.gamma"])
+
+    def rebuild(i, blk, projs, norm, sl):
+        """Layer i's ``projs`` outputs on the sequences ``sl`` as the forward
+        formed them, from the output of its layer norm ``norm`` that they
+        read: the input one of them cached, else ``xhat * gamma + beta``
+        from the norm's cache."""
         x = next((blk[proj][0] for proj in projs if blk[proj][0] is not None), None)
         if x is None:
-            x = blk[norm][0] * P[f"layers.{i}.{norm}.gamma"]
+            x = blk[norm][0][sl] * P[f"layers.{i}.{norm}.gamma"]
             x += P[f"layers.{i}.{norm}.beta"]
-        return [_proj_out(state, i, proj, x, blk[proj][1]) for proj in projs]
+        else:
+            x = x[sl]
+        return [_proj_out(state, i, proj, x, _part(blk[proj][1], sl)) for proj in projs]
 
-    dx = layer_norm(dxf, "ln_f", cache.pop("ln_f"), flows(cfg.n_layers, 0))
+    ln_f = cache.pop("ln_f")
+    norm_grads(dxf, "ln_f", ln_f)
+    dx = _layer_norm_bwd(dxf, ln_f, P["ln_f.gamma"]) if flows(cfg.n_layers, 0) else None
+    del ln_f
+    slices = list(_layer_blocks(cfg, B, T, T, dxf.itemsize))
     for i in reversed(range(cfg.n_layers)):
         if not flows(i, len(_STAGES)):
             break
@@ -904,58 +1010,73 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
         pre = f"layers.{i}"
 
         # x_out = x_mid + ff(ln2(x_mid))
-        dgact = _proj_bwd(state, i, "ff_out", dx, blk, grads, want, flows(i, 5))
-        if dgact is None:
+        keep_out = _proj_grads(state, i, "ff_out", dx, blk, grads, want)
+        if not flows(i, 5):
             break
-        (h1,) = rebuild(i, blk, ("ff_in",), "ln2")
-        dh1 = _gelu_bwd(dgact, _gelu_grad(h1))  # in place in dgact
-        del dgact, h1
-        df = _proj_bwd(state, i, "ff_in", dh1, blk, grads, want, flows(i, 4))
-        del dh1
-        if df is None:
+        dh1_all = whole(cfg.d_ff, trains(i, "ff_in"))
+        df_all = whole(cfg.d_model, any(map(want, _stage_names(i, ("ln2",)))))
+
+        def ff_block(sl):
+            """The feed-forward half's backward on the sequences ``sl``."""
+            dh1 = _proj_dx(state, i, "ff_out", dx[sl], _part(keep_out, sl))
+            (h1,) = rebuild(i, blk, ("ff_in",), "ln2", sl)
+            _gelu_bwd(dh1, _gelu_grad(h1))  # in place in dh1
+            del h1
+            _store(dh1_all, sl, dh1)
+            if flows(i, 4):
+                df = _proj_dx(state, i, "ff_in", dh1, _part(blk["ff_in"][2], sl))
+                _store(df_all, sl, df)
+                if flows(i, 3):
+                    dxb = dx[sl]
+                    dxb += norm_dx(df, f"{pre}.ln2", blk["ln2"], sl)
+
+        for sl in slices:
+            ff_block(sl)
+        _proj_grads(state, i, "ff_in", dh1_all, blk, grads, want)
+        del dh1_all
+        norm_grads(df_all, f"{pre}.ln2", blk.pop("ln2", None))
+        del df_all
+        if not flows(i, 3):
             break
-        dx_mid = layer_norm(df, f"{pre}.ln2", blk.pop("ln2"), flows(i, 3))
-        del df
-        if dx_mid is None:
-            break
-        dx += dx_mid
-        del dx_mid
 
         # x_mid = x_in + attn(ln1(x_in))
-        do = _proj_bwd(state, i, "output", dx, blk, grads, want, flows(i, 2))
-        if do is None:
+        keep_o = _proj_grads(state, i, "output", dx, blk, grads, want)
+        if not flows(i, 2):
             break
-        doh = _split_heads(do, cfg.n_heads)
-        qh, kh, vh = (_split_heads(y, cfg.n_heads) for y in rebuild(i, blk, _QKV, "ln1"))
-        dqkv = {
-            proj: np.empty(do.shape, dtype=do.dtype)
-            for proj in _QKV
-            if flows(i, 1) or any(map(want, _proj_names(i, proj)))
-        }
-        dqh, dkh, dvh = (
-            _split_heads(dqkv[proj], cfg.n_heads) if proj in dqkv else None
-            for proj in _QKV
-        )
-        for sl in _attn_blocks(qh, kh):
-            _attn_bwd(qh[sl], kh[sl], vh[sl], doh[sl], head_scale,
-                      *(None if d is None else d[sl] for d in (dqh, dkh, dvh)))
-        del do, doh, dqh, dkh, dvh, qh, kh, vh
-        da = None
+        dqkv = {proj: whole(cfg.d_model) for proj in _QKV if trains(i, proj)}
+        da_all = whole(cfg.d_model, any(map(want, _stage_names(i, ("ln1",)))))
+
+        def attn_block(sl):
+            """The attention half's backward on the sequences ``sl``: dq, dk
+            and dv go to ``dqkv`` where their projection trains, else live
+            in this block only, and only when the gradient flows on."""
+            do = _proj_dx(state, i, "output", dx[sl], _part(keep_o, sl))
+            qh, kh, vh = (_split_heads(y, H) for y in rebuild(i, blk, _QKV, "ln1", sl))
+            dys = {
+                proj: dqkv[proj][sl] if proj in dqkv else np.empty_like(do)
+                for proj in _QKV
+                if proj in dqkv or flows(i, 1)
+            }
+            _attn_bwd(qh, kh, vh, _split_heads(do, H), head_scale,
+                      *(_split_heads(dys[proj], H) if proj in dys else None for proj in _QKV))
+            del do, qh, kh, vh
+            if flows(i, 1):
+                da = _proj_dx(state, i, "query", dys.pop("query"), _part(blk["query"][2], sl))
+                for proj in ("key", "value"):
+                    da += _proj_dx(state, i, proj, dys.pop(proj), _part(blk[proj][2], sl))
+                _store(da_all, sl, da)
+                if flows(i, 0):
+                    dxb = dx[sl]
+                    dxb += norm_dx(da, f"{pre}.ln1", blk["ln1"], sl)
+
+        for sl in slices:
+            attn_block(sl)
         for proj in _QKV:
-            if proj in dqkv:
-                d = _proj_bwd(state, i, proj, dqkv.pop(proj), blk, grads, want, flows(i, 1))
-                if da is None:
-                    da = d
-                else:
-                    da += d
-        if da is None:
+            _proj_grads(state, i, proj, dqkv.pop(proj, None), blk, grads, want)
+        norm_grads(da_all, f"{pre}.ln1", blk.pop("ln1", None))
+        del da_all
+        if not flows(i, 0):
             break
-        dx_in = layer_norm(da, f"{pre}.ln1", blk.pop("ln1"), flows(i, 0))
-        del da
-        if dx_in is None:
-            break
-        dx += dx_in
-        del dx_in
 
     ids = cache["ids"]
     if want("tok_emb"):

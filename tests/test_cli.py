@@ -17,6 +17,7 @@ from domainforge.lora_model import (
     ModelConfig,
     build_vocab,
     init_model,
+    load_checkpoint,
     save_checkpoint,
     save_vocab,
 )
@@ -229,6 +230,19 @@ def test_pretrain_resume_matches_straight_run(workspace, capsys):
         "--output", str(ws / "stage2.ckpt"), "--epochs", "2", *PRETRAIN_FLAGS,
     ]) == 0
     assert (ws / "stage2.ckpt").read_bytes() == (ws / "straight.ckpt").read_bytes()
+
+
+def test_pretrain_trains_an_embedding_only_model(workspace, capsys):
+    ws = workspace
+    prepare_selected_store(ws, capsys)
+    code, out, err = run([
+        "pretrain", "--store", str(ws / "selected.store"), "--output", str(ws / "emb.ckpt"),
+        "--epochs", "1", *PRETRAIN_FLAGS, "--n-layers", "0", "--train-embeddings",
+    ], capsys)
+    assert code == 0 and "error:" not in err
+    assert "steps=" in out
+    state, _, _, _ = load_checkpoint(ws / "emb.ckpt")
+    assert state.config.n_layers == 0
 
 
 def test_gradcheck_command(capsys):
@@ -566,6 +580,13 @@ def broken_inputs(tmp_path):
          "error: ValueError: d_ff must be >= 1, got 0"),
         (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--d-model", "0"],
          "error: ValueError: d_model must be >= 1, got 0"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--n-layers", "-1",
+          "--train-embeddings"],
+         "error: ValueError: n_layers must be >= 0, got -1"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--lora-alpha", "nan"],
+         "error: ValueError: lora_alpha must be finite, got nan"),
+        (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--lora-alpha", "inf"],
+         "error: ValueError: lora_alpha must be finite, got inf"),
     ],
     ids=["unknown-stored-tokenizer", "removed-tokenizer-flag", "unparseable-flag-value",
          "raw-without-body", "raw-null-body", "pair-without-response", "exam-without-options", "flipped-checkpoint", "eval-short-vocab",
@@ -573,7 +594,8 @@ def broken_inputs(tmp_path):
          "non-utf8-raw", "non-utf8-vocab", "non-utf8-keywords", "pretrain-zero-vocab-cap",
          "pretrain-negative-vocab-cap", "pretrain-nan-learning-rate", "pretrain-negative-grad-clip",
          "pretrain-zero-heads", "pretrain-negative-heads", "pretrain-zero-d-ff",
-         "pretrain-zero-d-model"],
+         "pretrain-zero-d-model", "pretrain-negative-layers", "pretrain-nan-lora-alpha",
+         "pretrain-infinite-lora-alpha"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
     argv = [str(broken_inputs / a)
