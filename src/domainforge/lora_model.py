@@ -12,10 +12,13 @@ phase tag, step, config JSON, and named float32 tensors in declaration order.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import math
+import os
 import struct
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -472,12 +475,19 @@ def _split_heads(x, n_heads):
 
 
 # Bytes that one block of whole sequences may give its largest temporary; it
-# sizes both the blocks of ``head_loss`` (the logits) and those of each layer
-# (the attention scores or the feed-forward hidden array, ``_layer_blocks``),
-# and a block holds at least one sequence.  Smaller blocks stay in cache: at
-# B=128, T=256, V=4100 on 2 cores the head takes about 0.7 s with 8 MB and
-# 1.2 s with 32 MB.  At H=4 and T=256, 8 MB holds the attention of 8 float32
-# sequences.
+# sizes the blocks of ``head_loss`` (the logits), and a layer's blocks (the
+# attention scores or the feed-forward hidden array, ``_layer_blocks``) get
+# ``BLOCK_BYTES / workers**2`` each; a block holds at least one sequence.
+# Smaller blocks stay in cache.  At B=128, T=256, V=4100 on 2 vCPUs (two
+# workers, one BLAS thread each) the head takes about 0.40 s with 8 MB blocks
+# and 0.42 s with 32 MB (0.6 and 0.9 s on one worker under two BLAS
+# threads), and a training forward 0.23-0.29 s with 8 MiB layer blocks per
+# worker, 0.25-0.29 s with 4 MiB, 0.33-0.35 s with the 2 MiB it gets and
+# 0.42 s with 1 MiB.  Larger layer blocks are faster but cost resident
+# memory: each pool thread allocates from its own malloc arena, and the bench
+# ``pretrain`` peak RSS read 143.9 MB with 4 MiB per worker, 137.4 MB with 2
+# MiB and 139.7 MB on one worker with 8 MiB.  At H=4 and T=256, 8 MB holds
+# the attention of 8 float32 sequences.
 BLOCK_BYTES = 8 * 2**20
 
 # Bytes of one row chunk of an elementwise kernel (GELU, LoRA dropout, the
@@ -518,6 +528,132 @@ def _seq_blocks(batch: int, seq_bytes: int, budget: int | None = None):
     per_block = max(1, (BLOCK_BYTES if budget is None else budget) // seq_bytes)
     for lo in range(0, batch, per_block):
         yield slice(lo, min(lo + per_block, batch))
+
+
+# Threads that run the blocks of a layer or of the vocab head side by side
+# (``_each``): the calling thread plus one pool thread per other usable core.
+# Each block writes its own slices of the whole-batch arrays, and NumPy
+# releases the interpreter lock inside its GEMMs and ufunc loops.
+WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+# Most blocks of the vocab head that run at once.  The head's blocks cannot
+# shrink per worker, since its partition fixes the bits of ``d out_w``, so
+# each holds a whole block's logits and its ``d out_w`` part: at 4 workers a
+# full-parameter step at B=16, T=256, V=4100 peaked at 46.0 MiB in the head
+# (``tracemalloc``), against about 35 MiB with two blocks at once and 39.7
+# MiB at its one-worker peak in backward.
+HEAD_WORKERS = 2
+
+# ``openblas_set_num_threads`` as the ``scipy_openblas`` builds that NumPy's
+# wheels bundle export it (64-bit and 32-bit integer interfaces).
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+_pool = None  # the ``_each`` threads, created by the first call that needs them
+_pool_size = 0
+_pool_lock = threading.Lock()
+_blas_pinned: bool | None = None  # decided by the first ``_workers`` call
+
+
+def _pin_blas() -> bool:
+    """Sets the OpenBLAS that NumPy has loaded to one thread, through its
+    ``openblas_set_num_threads``; False when no such entry point is found.
+
+    Under one BLAS thread a product's bits do not depend on
+    ``OPENBLAS_NUM_THREADS`` or the core count (OpenBLAS splits a product
+    by its thread count, and at some shapes the split changes the order of
+    a sum: ``dlogits @ out_w``, which contracts over the vocab, is one),
+    and the cores are left to ``_each``."""
+    for path in sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*")):
+        try:  # only a library that is already loaded
+            lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return True
+    return False
+
+
+def _workers() -> int:
+    """How many threads ``_each`` runs: ``WORKERS`` once OpenBLAS is pinned
+    to one thread (the first call pins it), else 1: unpinned, each worker's
+    products would start OpenBLAS's own threads on the same cores."""
+    global _blas_pinned
+    if _blas_pinned is None:
+        _blas_pinned = _pin_blas()
+    return WORKERS if _blas_pinned else 1
+
+
+def _pool_threads(n: int):
+    """The shared ``ThreadPoolExecutor``, with room for at least ``n``
+    threads.  Imported here: a process that never trains (the corpus
+    stages) never loads it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size < n:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool, _pool_size = ThreadPoolExecutor(n, thread_name_prefix="domainforge"), n
+        return _pool
+
+
+def _each(fn, slices, fold=None, most=None):
+    """Runs ``fn(sl)`` for every slice and returns once all have run: on the
+    calling thread plus ``_workers() - 1`` pool threads (``most`` threads in
+    all at most, when given), each taking the next slice when it finishes
+    one.  ``fold``, when given, gets the results one call at a time in slice
+    order, each as soon as it and every earlier one is in, so only a result
+    that finished ahead of an earlier slice waits.  The first exception that
+    a block raises stops the threads from taking more slices; it is raised
+    here once every thread is done.  One slice (a decode call) or one worker
+    runs inline, in slice order, and never touches the pool."""
+    slices = list(slices)
+    n = min(_workers(), len(slices), most or len(slices))
+    if n <= 1:
+        for sl in slices:
+            out = fn(sl)
+            if fold is not None:
+                fold(out)
+        return
+    lock = threading.Lock()
+    todo = iter(range(len(slices)))
+    done: dict = {}
+    errors: list[BaseException] = []
+    next_fold = 0
+
+    def work():
+        nonlocal next_fold
+        try:
+            while True:
+                with lock:
+                    k = None if errors else next(todo, None)
+                if k is None:
+                    return
+                out = fn(slices[k])
+                if fold is not None:
+                    with lock:
+                        done[k] = out
+                        while next_fold in done:
+                            fold(done.pop(next_fold))
+                            next_fold += 1
+        except BaseException as exc:  # re-raised by the calling thread below
+            with lock:
+                errors.append(exc)
+
+    pool = _pool_threads(n - 1)
+    futures = [pool.submit(work) for _ in range(n - 1)]
+    work()
+    for f in futures:
+        f.result()  # waits; work() keeps its own exceptions
+    if errors:
+        raise errors[0]
 
 
 def _causal_tiles(t, dtype, head_dim):
@@ -637,8 +773,12 @@ def _attn_bwd(qh, kh, vh, doh, head_scale, dqh, dkh, dvh):
 def _layer_blocks(cfg, batch, t, tk, itemsize):
     """``_seq_blocks`` for one layer over ``t`` new positions of ``tk`` keys:
     sized by the larger of a sequence's attention scores (heads, t, tk) and
-    its feed-forward hidden array (t, d_ff)."""
-    return _seq_blocks(batch, max(cfg.n_heads * tk, cfg.d_ff) * t * itemsize)
+    its feed-forward hidden array (t, d_ff), in a budget of ``BLOCK_BYTES``
+    over the square of the worker count, so that the bytes in flight fall
+    as workers are added (see ``BLOCK_BYTES``).  The blocks' bits do not
+    depend on their size."""
+    return _seq_blocks(batch, max(cfg.n_heads * tk, cfg.d_ff) * t * itemsize,
+                       BLOCK_BYTES // _workers() ** 2)
 
 
 def _wants(needs):
@@ -750,10 +890,11 @@ def forward_hidden(
 
     Returns (xf, cache); position i's hidden state depends only on ids[:, :i+1].
 
-    Each layer runs one block of whole sequences at a time
-    (``_layer_blocks``, sized by ``BLOCK_BYTES``): ln1, query, key and
-    value, attention, output, ln2, ff_in, GELU and ff_out all run on a block
-    before the next block starts.  Every step works within a sequence, and
+    Each layer runs in blocks of whole sequences (``_layer_blocks``, sized
+    by ``BLOCK_BYTES``), side by side on the ``_each`` workers: ln1, query,
+    key and value, attention, output, ln2, ff_in, GELU and ff_out all run on
+    a block before its worker takes the next.  Every step works within a
+    sequence, and
     each projection multiplies a (sequences, time, d) array by a matrix,
     which NumPy does one sequence at a time, so the result is bitwise the
     unblocked pass's.  Only three kinds of array span the whole batch: the
@@ -764,7 +905,7 @@ def forward_hidden(
     and value, the attention probabilities and output, the ln1 and ln2
     outputs, ff_in's output and the GELU output live one block at a time,
     unless the cache keeps one as a projection's input.  A decode call (one
-    sequence) is one block.
+    sequence) is one block, run on the calling thread.
 
     Without ``past``, attention runs in causal query tiles
     (``_causal_tiles``): a tile of queries [lo, hi) computes its scores,
@@ -878,8 +1019,7 @@ def forward_hidden(
             _store(inputs.get("ff_out"), sl, g)
             xb += proj("ff_out", g, sl)
 
-        for sl in _layer_blocks(cfg, B, T, T0 + T, x.itemsize):
-            run_block(sl)
+        _each(run_block, _layer_blocks(cfg, B, T, T0 + T, x.itemsize))
         cache["blocks"].append(blk)
     xf, cache["ln_f"] = _layer_norm_fwd(x, P["ln_f.gamma"], P["ln_f.beta"])
     return xf, cache
@@ -909,11 +1049,12 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     backward writes its dx into it, and the residual stream's gradient
     accumulates there.
 
-    Each half of a layer (feed-forward, then attention) runs one block of
-    whole sequences at a time, as in the forward (``_layer_blocks``): the
-    chain from the half's output back to its input, through the layer
-    norm's backward and into the residual gradient, finishes on a block
-    before the next block starts.  Every step works within a sequence, so
+    Each half of a layer (feed-forward, then attention) runs in blocks of
+    whole sequences side by side on the ``_each`` workers, as in the forward
+    (``_layer_blocks``): the chain from the half's output back to its input,
+    through the layer norm's backward and into the residual gradient,
+    finishes on a block before its worker takes the next, and the next half
+    starts once every block is done.  Every step works within a sequence, so
     each block's rows match the unblocked pass bitwise.  A whole-batch array
     exists only for the residual stream's gradient, the cache, and the
     operands of a gradient that sums over rows: the output gradient of a
@@ -1030,8 +1171,7 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
                     dxb = dx[sl]
                     dxb += norm_dx(df, f"{pre}.ln2", blk["ln2"], sl)
 
-        for sl in slices:
-            ff_block(sl)
+        _each(ff_block, slices)
         _proj_grads(state, i, "ff_in", dh1_all, blk, grads, want)
         del dh1_all
         norm_grads(df_all, f"{pre}.ln2", blk.pop("ln2", None))
@@ -1069,8 +1209,7 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
                     dxb = dx[sl]
                     dxb += norm_dx(da, f"{pre}.ln1", blk["ln1"], sl)
 
-        for sl in slices:
-            attn_block(sl)
+        _each(attn_block, slices)
         for proj in _QKV:
             _proj_grads(state, i, proj, dqkv.pop(proj, None), blk, grads, want)
         norm_grads(da_all, f"{pre}.ln1", blk.pop("ln1", None))
@@ -1124,13 +1263,31 @@ def _nll_block(rows, targets, weights):
     one row, so a row's results do not depend on which other rows share it.
     """
     rows -= rows.max(axis=-1, keepdims=True)
-    rows -= np.log(np.exp(rows).sum(axis=-1, keepdims=True))  # log-softmax
+    rows -= np.log(_sum_exp(rows))  # log-softmax
     at = (*np.indices(targets.shape, sparse=True), targets)
     nll = -rows[at]
     np.exp(rows, out=rows)
     rows[at] -= 1.0
     rows *= weights[..., None]
     return nll
+
+
+def _sum_exp(rows):
+    """``np.exp(rows).sum(axis=-1, keepdims=True)`` through one buffer of
+    ``CHUNK_BYTES``, a row chunk at a time: bitwise equal, since each row's
+    exponentials and their sum are the same whichever rows share a chunk.
+    ``rows`` (..., vocab) is only read, so it may be any view."""
+    *lead_shape, n, vocab = rows.shape
+    sums = np.empty((*lead_shape, n, 1), rows.dtype)
+    per = min(n, max(1, CHUNK_BYTES // (vocab * rows.itemsize)))
+    buf = np.empty((per, vocab), rows.dtype)
+    for lead in np.ndindex(*lead_shape):
+        r, s = rows[lead], sums[lead]
+        for lo in range(0, n, per):
+            hi = min(lo + per, n)
+            e = np.exp(r[lo:hi], out=buf[: hi - lo])
+            e.sum(axis=-1, keepdims=True, out=s[lo:hi])
+    return sums
 
 
 def _block_loss(logits, ids, mask, n, batch, dlogits):
@@ -1187,10 +1344,14 @@ def head_loss(
     (batch, time, vocab) logits never exist.
 
     Logits are computed, reduced and dropped one block of whole sequences at
-    a time; each sequence's GEMMs and row reductions are the same as on the
+    a time, ``HEAD_WORKERS`` blocks side by side on the ``_each`` workers;
+    each sequence's GEMMs and row reductions are the same as on the
     unblocked path, so the loss and ``dxf`` match it bitwise.  ``d out_w``
     (only when ``needs`` wants it) is a sum of per-block GEMMs, bitwise equal
-    only when the batch fits in one block.  Returns (loss, dxf, head_grads).
+    only when the batch fits in one block; the blocks are ``_seq_blocks`` of
+    ``BLOCK_BYTES`` whatever the worker count, and each part is added in
+    block order as soon as the parts before it are in, so its bits do not
+    depend on the worker count.  Returns (loss, dxf, head_grads).
 
     Both GEMMs run on every row of a block, but the log-softmax, the NLL and
     their gradient run only on the rows whose weight in ``target_mask`` is
@@ -1200,23 +1361,27 @@ def head_loss(
     zero fill, and its logits never reach the loss.
     """
     out_w = state.params["out_w"]
-    B, T, d = xf.shape
+    B, T = xf.shape[:2]
     mask, n = _target_weights(target_mask, xf.dtype)
     seq_loss = np.empty(B, dtype=xf.dtype)
     dxf = np.empty_like(xf)
-    dout_w = None
-    for sl in _seq_blocks(B, T * out_w.shape[0] * xf.itemsize):
+    want_out_w = needs is None or "out_w" in needs
+    head_grads: dict[str, np.ndarray] = {}
+
+    def block(sl):
         dlogits = xf[sl] @ out_w.T
         seq_loss[sl] = _block_loss(dlogits, ids[sl], mask[sl], n[sl], B, dlogits)
         dxf[sl] = dlogits @ out_w
-        if needs is None or "out_w" in needs:
-            part = dlogits.reshape(-1, dlogits.shape[-1]).T @ xf[sl].reshape(-1, d)
-            if dout_w is None:
-                dout_w = part
-            else:
-                dout_w += part
-        del dlogits
-    head_grads = {} if dout_w is None else {"out_w": dout_w}
+        return _rows(dlogits).T @ _rows(xf[sl]) if want_out_w else None
+
+    def add(part):
+        if "out_w" in head_grads:
+            head_grads["out_w"] += part
+        else:
+            head_grads["out_w"] = part
+
+    _each(block, _seq_blocks(B, T * out_w.shape[0] * xf.itemsize), add if want_out_w else None,
+          HEAD_WORKERS)
     return float(seq_loss.mean()), dxf, head_grads
 
 

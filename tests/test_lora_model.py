@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -470,6 +473,55 @@ def test_every_row_weighted_loss_matches_the_gathered_rows_bitwise(dtype):
         assert seq.tobytes() == seq_r.tobytes()
         assert dlogits.tobytes() == dlogits_r.tobytes()
         assert logits.tobytes() == before.tobytes()
+
+
+def _nll_block_expression(rows, targets, weights):
+    """``_nll_block`` with its log-sum-exp as one whole-array expression."""
+    rows -= rows.max(axis=-1, keepdims=True)
+    rows -= np.log(np.exp(rows).sum(axis=-1, keepdims=True))
+    at = (*np.indices(targets.shape, sparse=True), targets)
+    nll = -rows[at]
+    np.exp(rows, out=rows)
+    rows[at] -= 1.0
+    rows *= weights[..., None]
+    return nll
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+# one row, one chunk, one chunk + 1 row, and three sequences of one chunk + 3
+# rows each as the strided rows of a (sequences, time, vocab) buffer
+@pytest.mark.parametrize("extra", [None, 0, 1, "sequences"])
+def test_nll_block_chunks_match_whole_array_expression_bitwise(dtype, extra):
+    """``_nll_block`` takes its log-sum-exp one ``CHUNK_BYTES`` chunk of
+    rows at a time, through one buffer; the loss and the gradient it
+    writes into ``rows`` are bitwise the whole-array expression's, also
+    when ``rows`` is the strided ``dlogits[:, :-1]`` view that
+    ``_block_loss`` passes (a reshape of that view would copy it, and the
+    gradient written to the copy would be lost)."""
+    V = 300
+    per_chunk = lora_model.CHUNK_BYTES // (V * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng(per_chunk)
+    if extra == "sequences":
+        shape = (3, per_chunk + 3, V)  # rows of dlogits[:, :-1]
+    else:
+        shape = (1 if extra is None else per_chunk + extra, V)
+    logits = rng.normal(0.0, 4.0, shape).astype(dtype)
+    targets = rng.integers(0, V, shape[:-1])
+    weights = rng.uniform(0.1, 1.0, shape[:-1]).astype(dtype)
+    ref = logits.copy()
+    nll_r = _nll_block_expression(ref, targets, weights)
+    if extra == "sequences":
+        buf = np.zeros((shape[0], shape[1] + 1, V), dtype)
+        buf[:, :-1] = logits
+        rows = buf[:, :-1]
+        assert not rows.flags.c_contiguous
+    else:
+        rows = logits.copy()
+    nll = lora_model._nll_block(rows, targets, weights)
+    assert nll.dtype == dtype and nll.tobytes() == nll_r.tobytes()
+    assert rows.tobytes() == ref.tobytes()
+    if extra == "sequences":
+        assert not buf[:, -1].any()  # the row past each sequence is untouched
 
 
 def test_head_loss_requires_a_target_per_sequence():
@@ -1248,6 +1300,131 @@ def test_batch_grads_do_not_depend_on_the_block_size(
         assert one_grads[name].tobytes() == grads[name].tobytes(), name
 
 
+def _use_workers(monkeypatch, n):
+    """Runs ``_each`` on ``n`` threads until the test ends.  OpenBLAS is
+    pinned first where it can be, and taken as pinned where it cannot, so
+    that the threads run on every platform."""
+    lora_model._workers()
+    monkeypatch.setattr(lora_model, "WORKERS", n)
+    monkeypatch.setattr(lora_model, "_blas_pinned", True)
+
+
+def _recording_pool(monkeypatch):
+    """Wraps ``lora_model._pool_threads``; returns the thread count that
+    each ``_each`` that went to the pool asked it for."""
+    sizes = []
+    inner = lora_model._pool_threads
+
+    def recording(n):
+        sizes.append(n)
+        return inner(n)
+
+    monkeypatch.setattr(lora_model, "_pool_threads", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("needs", ["adapters", "all"])
+def test_batch_grads_do_not_depend_on_the_worker_count(monkeypatch, dtype, needs):
+    """The blocks of every layer and of the vocab head run on 1, 2 or 3
+    threads with the same bits.  The layer blocks shrink per worker (here 2
+    sequences at one worker, 1 at two or three), which changes no bit; the
+    head keeps its blocks of 2 sequences and adds the ``d out_w`` parts in
+    block order, so with ``needs=None`` ``out_w``, a sum over three blocks,
+    matches too."""
+    state, ids, mask = _step_case(dtype, ("query", "value"), dropout=0.1)
+    needs = set(adapter_param_names(state.config)) if needs == "adapters" else None
+    cfg = state.config
+    # a sequence's logits, attention scores and d_ff hidden array all hold
+    # 16 x 32 values
+    seq_bytes = cfg.max_seq_len * cfg.vocab_size * np.dtype(dtype).itemsize
+    runs = {}
+    for workers in (1, 2, 3):
+        with monkeypatch.context() as m:
+            _use_workers(m, workers)
+            pool = _recording_pool(m)
+            runs[workers] = _traced_block_sizes(
+                m, 2 * seq_bytes, trainer._batch_grads,
+                state, ids, mask, needs, np.random.default_rng(3),
+            )
+        if workers == 1:
+            assert pool == []
+        else:  # the layers on every worker, the head on two
+            assert max(pool) == workers - 1 and min(pool) == lora_model.HEAD_WORKERS - 1
+    (loss, grads), sizes = runs[1]
+    assert sizes == {1, 2}
+    for workers in (2, 3):
+        (other_loss, other_grads), other_sizes = runs[workers]
+        assert other_sizes == {1}
+        assert other_loss == loss
+        assert sorted(other_grads) == sorted(grads)
+        for name in grads:
+            assert other_grads[name].dtype == dtype, name
+            assert other_grads[name].tobytes() == grads[name].tobytes(), (workers, name)
+
+
+def test_each_runs_every_slice_once_on_every_worker_and_folds_in_slice_order(monkeypatch):
+    """Three workers (more than some hosts have cores), each made to hold a
+    slice until all three do, with a short switch interval: every slice
+    runs once, on three threads, and ``fold`` sees the results in slice
+    order, whatever order the slices finish in."""
+    _use_workers(monkeypatch, 3)
+    barrier = threading.Barrier(3, timeout=30)
+    delays = np.random.default_rng(0).uniform(0.0, 2e-3, 60)
+    ran, threads, folded = [], set(), []
+
+    def block(sl):
+        if sl.start < 3:
+            barrier.wait()  # the first three slices run side by side
+        time.sleep(delays[sl.start])
+        ran.append(sl.start)
+        threads.add(threading.get_ident())
+        return sl.start
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lora_model._each(block, [slice(k, k + 1) for k in range(60)], folded.append)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(60))
+    assert len(threads) == 3
+    assert folded == list(range(60))
+
+
+def test_each_passes_a_block_exception_to_the_caller(monkeypatch):
+    _use_workers(monkeypatch, 3)
+
+    def block(sl):
+        if sl.start == 7:
+            raise KeyError("block 7")
+        return sl.start
+
+    folded = []
+    with pytest.raises(KeyError, match="block 7"):
+        lora_model._each(block, [slice(k, k + 1) for k in range(40)], folded.append)
+    assert folded == list(range(len(folded))) and 7 not in folded
+    # the pool still serves the next call
+    folded.clear()
+    lora_model._each(block, [slice(k, k + 1) for k in range(7)], folded.append)
+    assert folded == list(range(7))
+
+
+def test_decode_runs_inline(monkeypatch):
+    """A decode call is one block of one sequence: it runs on the calling
+    thread and submits nothing to the pool, whatever the worker count."""
+    _use_workers(monkeypatch, 3)
+    pool = _recording_pool(monkeypatch)
+    state = _live_adapter_state(replace(SMALL, n_layers=2), np.float32, seed=1)
+    out = greedy_generate(state, [BOS_ID, 5, 6, 7], 8)
+    assert len(out) == 8
+    assert pool == []
+    # a batch of several sequences in several blocks does go to the pool
+    monkeypatch.setattr(lora_model, "BLOCK_BYTES", 1)
+    forward_hidden(state, random_ids(np.random.default_rng(1), state.config, (3, 8)))
+    assert pool == [2, 2]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("d_in, d_out", [(64, 64), (64, 8), (8, 64), (64, 256), (256, 64)])
 def test_projection_rows_do_not_depend_on_the_block_split(dtype, d_in, d_out):
@@ -1524,7 +1701,8 @@ def _traced_step_peak(needs):
 
 def test_training_step_peak_memory():
     peak = _traced_step_peak(trainable_param_names)
-    # about 30.1 MiB; running each layer but its attention over the whole
+    # about 30.1 MiB on one worker, 19.3 on two or four (smaller layer
+    # blocks); running each layer but its attention over the whole
     # batch at once peaked at 32.6, caching each layer's per-head query, key
     # and value and its GELU derivative at 40.6, caching each adapter's
     # dropped-out input and holding dead forward activations at 42.1,
@@ -1539,9 +1717,9 @@ def test_full_parameter_step_peak_memory():
     every projection's input and u and both norms' statistics, but no
     per-head array and no GELU derivative."""
     peak = _traced_step_peak(None)
-    # about 39.7 MiB; running each layer but its attention over the whole
-    # batch at once peaked at 40.7, caching the per-head query, key and value and the GELU
-    # derivative at 48.7
+    # about 39.7 MiB on one worker, 35.7 on two or four; running each layer
+    # but its attention over the whole batch at once peaked at 40.7, caching
+    # the per-head query, key and value and the GELU derivative at 48.7
     assert peak < 41 * 2**20
 
 
@@ -1564,7 +1742,8 @@ def test_forward_peak_memory():
     finally:
         tracemalloc.stop()
     del out
-    # measured 2.99x and 2.14x, 0.85x above what it holds; running each
+    # measured 2.99x and 2.14x, 0.85x above what it holds, on one worker
+    # (2.65x, 0.51x above, on two or four); running each
     # layer but its attention over the whole batch at once read 3.26x and
     # 2.14x (1.12x above), caching the per-head query, key and value and
     # the GELU derivative 6.83x and 5.64x (1.18x above), caching each
@@ -1575,6 +1754,21 @@ def test_forward_peak_memory():
     assert peak < 3.2 * h1_bytes
     assert held < 2.3 * h1_bytes
     assert peak - held < 1.0 * h1_bytes
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_peak_memory_bounds_hold_at_one_and_four_workers(monkeypatch, workers):
+    """The three guards above (which run on the host's worker count) on
+    one worker, as where OpenBLAS cannot be pinned, and on four: each
+    layer's blocks shrink to keep the bytes in flight, and the head runs
+    ``HEAD_WORKERS`` blocks at once, adding each ``d out_w`` part as soon
+    as the parts before it are in."""
+    _use_workers(monkeypatch, workers)
+    pool = _recording_pool(monkeypatch)
+    test_training_step_peak_memory()
+    test_full_parameter_step_peak_memory()
+    test_forward_peak_memory()
+    assert max(pool, default=0) == workers - 1
 
 
 # ---------------------------------------------------------------------------
