@@ -15,7 +15,7 @@ import configparser
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from . import __version__
@@ -105,6 +105,16 @@ class _Opt:
     help: str = ""
 
 
+# ``pretrain``'s model options: every ModelConfig field but the vocab size,
+# which the built vocab sets; the projection tuple is a comma-separated list.
+_MODEL_OPTS = [
+    _Opt(f.name, "str", ",".join(f.default), help="comma-separated projection names")
+    if isinstance(f.default, tuple)
+    else _Opt(f.name, type(f.default).__name__, f.default)
+    for f in fields(ModelConfig)
+    if f.name != "vocab_size"
+]
+
 _COMMANDS: dict[str, list[_Opt]] = {
     "ingest": [
         _Opt("input", required=True, help="raw records as JSONL"),
@@ -148,16 +158,7 @@ _COMMANDS: dict[str, list[_Opt]] = {
         _Opt("batch_size", "int", DEFAULT_BATCH_SIZE),
         _Opt("grad_clip", "float", DEFAULT_GRAD_CLIP),
         _Opt("train_embeddings", "bool", False),
-        _Opt("d_model", "int", 64),
-        _Opt("n_layers", "int", 2),
-        _Opt("n_heads", "int", 4),
-        _Opt("d_ff", "int", 256),
-        _Opt("max_seq_len", "int", 256),
-        _Opt("lora_rank", "int", 8),
-        _Opt("lora_alpha", "float", 32.0),
-        _Opt("lora_dropout", "float", 0.1),
-        _Opt("adapted_projections", "str", "query,value",
-             help="comma-separated projection names"),
+        *_MODEL_OPTS,
         _Opt("loss_history", help="loss TSV path (default: <output>.loss.tsv)"),
     ],
     "sft": [
@@ -336,6 +337,15 @@ def _cmd_retrieve(cfg: dict) -> int:
         raise ConfigError(
             f"index tokenizer {index.tokenizer_id!r} != store {store.tokenizer_id!r}"
         )
+    # one pass over the store: an index of another store of the same size
+    # would score these documents with that store's postings
+    stray = next((i for i, (doc, n) in enumerate(zip(store, index.doc_lengths))
+                  if doc.token_count != n), None)
+    if stray is not None:
+        raise ConfigError(
+            f"store document {stray} has {store.documents[stray].token_count} tokens "
+            f"but the index gives it {index.doc_lengths[stray]}"
+        )
     kset = load_keywords(cfg["keywords"])
     query = expand_query(kset, index.tokenizer_id)
     selection = select_corpus(index, store, query, token_budget=cfg["budget"])
@@ -393,22 +403,11 @@ def _cmd_pretrain(cfg: dict) -> int:
         vocab = _checkpoint_vocab(cfg["resume"], state)
     else:
         vocab = build_vocab((d.text for d in store), tokenizer, cap=cfg["vocab_cap"])
-        projections = tuple(
-            s.strip() for s in cfg["adapted_projections"].split(",") if s.strip()
+        model = {opt.name: cfg[opt.name] for opt in _MODEL_OPTS}
+        model["adapted_projections"] = tuple(
+            s.strip() for s in model["adapted_projections"].split(",") if s.strip()
         )
-        model_config = ModelConfig(
-            vocab_size=len(vocab),
-            d_model=cfg["d_model"],
-            n_layers=cfg["n_layers"],
-            n_heads=cfg["n_heads"],
-            d_ff=cfg["d_ff"],
-            max_seq_len=cfg["max_seq_len"],
-            lora_rank=cfg["lora_rank"],
-            lora_alpha=cfg["lora_alpha"],
-            lora_dropout=cfg["lora_dropout"],
-            adapted_projections=projections,
-        )
-        state = init_model(model_config, seed=cfg["seed"])
+        state = init_model(ModelConfig(vocab_size=len(vocab), **model), seed=cfg["seed"])
         step, opt_state = 0, None
     result = pretrain(
         state,

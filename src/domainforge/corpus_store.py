@@ -363,16 +363,22 @@ def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> list[T
     return out
 
 
+def as_str(name: str, value: Any) -> str:
+    """``value``, which a JSON-lines parser requires to be a string; anything
+    else raises a ``TypeError`` naming the field."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {type(value).__name__}")
+    return value
+
+
 def _parse_raw_record(obj: dict[str, Any]) -> RawRecord:
     source_id, body, title = obj["source_id"], obj["body"], obj.get("title", "")
     if isinstance(source_id, bool) or not isinstance(source_id, (str, int)):
         raise TypeError(
             f"source_id must be a string or an integer, got {type(source_id).__name__}"
         )
-    for name, value in (("title", title), ("body", body)):
-        if not isinstance(value, str):
-            raise TypeError(f"{name} must be a string, got {type(value).__name__}")
-    return RawRecord(source_id=str(source_id), title=title, body=body)
+    return RawRecord(source_id=str(source_id), title=as_str("title", title),
+                     body=as_str("body", body))
 
 
 def load_raw_records(path: str | Path) -> list[RawRecord]:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .artifact import write_lines
-from .corpus_store import Tokenizer, read_jsonl
+from .corpus_store import Tokenizer, as_str, read_jsonl
 from .lora_model import (
     BOS_ID,
     EOS_ID,
@@ -225,13 +225,16 @@ def save_exam(items: Iterable[McqItem], path: str | Path) -> None:
 
 
 def _parse_item(obj: dict) -> McqItem:
-    texts = [str(text) for text in obj["options"]]
+    options = obj["options"]
+    if not isinstance(options, list):
+        raise TypeError(f"options must be a list of strings, got {type(options).__name__}")
+    texts = [as_str("option", text) for text in options]
     if len(texts) > len(OPTION_LABELS):
         raise ValueError(f"need {MIN_OPTIONS}..{MAX_OPTIONS} options, got {len(texts)}")
     return McqItem(
-        stem=str(obj["stem"]),
+        stem=as_str("stem", obj["stem"]),
         options=tuple(zip(OPTION_LABELS, texts)),
-        gold=str(obj["gold"]),
+        gold=as_str("gold", obj["gold"]),
     )
 
 

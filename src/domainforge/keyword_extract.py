@@ -149,6 +149,7 @@ def keyword_weight(count: int) -> float:
 PROVENANCE_TASK = "task"
 PROVENANCE_LEXICON = "lexicon"
 PROVENANCE_BOTH = "both"
+PROVENANCES = (PROVENANCE_TASK, PROVENANCE_LEXICON, PROVENANCE_BOTH)
 
 
 @dataclass(frozen=True)
@@ -262,7 +263,8 @@ def save_keywords(kset: DomainKeywordSet, path: str | Path) -> None:
 
 
 def load_keywords(path: str | Path) -> DomainKeywordSet:
-    """Read the lines ``save_keywords`` writes; a malformed line raises
+    """Read the lines ``save_keywords`` writes; a malformed line, a negative
+    count, a non-finite weight or an unknown provenance raises
     ``ValueError`` naming the file and line."""
     entries = []
     lines = read_text(path).splitlines()
@@ -274,7 +276,14 @@ def load_keywords(path: str | Path) -> DomainKeywordSet:
             if len(fields) != 4:
                 raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
             kw, count, weight, prov = fields
-            entries.append(WeightedKeyword(kw, int(count), float(weight), prov))
+            count, weight = int(count), float(weight)
+            if count < 0:
+                raise ValueError(f"count must be >= 0, got {count}")
+            if not math.isfinite(weight):
+                raise ValueError(f"weight must be finite, got {weight!r}")
+            if prov not in PROVENANCES:
+                raise ValueError(f"provenance must be one of {PROVENANCES}, got {prov!r}")
+            entries.append(WeightedKeyword(kw, count, weight, prov))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return DomainKeywordSet(entries=_sorted_entries(entries))

@@ -20,7 +20,7 @@ import os
 import struct
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -112,19 +112,7 @@ class ModelConfig:
         raise ValueError(f"unknown projection: {proj}")
 
     def to_json(self) -> str:
-        obj = {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "max_seq_len": self.max_seq_len,
-            "lora_rank": self.lora_rank,
-            "lora_alpha": self.lora_alpha,
-            "lora_dropout": self.lora_dropout,
-            "adapted_projections": list(self.adapted_projections),
-        }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
@@ -145,21 +133,33 @@ def _proj_names(i: int, proj: str) -> tuple[str, str, str, str]:
     return f"{pre}.{w}", f"{pre}.{b}", f"{pre}.lora.{proj}.a", f"{pre}.lora.{proj}.b"
 
 
-def param_names(config: ModelConfig) -> list[str]:
-    """All tensor names in fixed declaration order (also the checkpoint order)."""
-    names = ["tok_emb", "pos_emb"]
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape by name, in fixed declaration order: the
+    checkpoint order and ``init_model``'s draw order."""
+    d, v, r = config.d_model, config.vocab_size, config.lora_rank
+
+    def norm(name):
+        return {f"{name}.gamma": (d,), f"{name}.beta": (d,)}
+
+    shapes = {"tok_emb": (v, d), "pos_emb": (config.max_seq_len, d)}
     for i in range(config.n_layers):
-        names += [f"layers.{i}.ln1.gamma", f"layers.{i}.ln1.beta"]
-        for proj in ("query", "key", "value", "output"):
-            names += _proj_names(i, proj)[:2]
-        names += [f"layers.{i}.ln2.gamma", f"layers.{i}.ln2.beta"]
-        for proj in ("ff_in", "ff_out"):
-            names += _proj_names(i, proj)[:2]
-    names += ["ln_f.gamma", "ln_f.beta", "out_w"]
+        # ln1 leads the four attention projections, ln2 the two feed-forward
+        for ln, projs in (("ln1", ADAPTABLE_PROJECTIONS[:4]), ("ln2", ADAPTABLE_PROJECTIONS[4:])):
+            shapes.update(norm(f"layers.{i}.{ln}"))
+            for proj in projs:
+                d1, d2 = config.projection_dims(proj)
+                shapes.update(zip(_proj_names(i, proj)[:2], ((d1, d2), (d1,))))
+    shapes.update(norm("ln_f"), out_w=(v, d))
     for i in range(config.n_layers):
         for proj in config.adapted_projections:
-            names += _proj_names(i, proj)[2:]
-    return names
+            d1, d2 = config.projection_dims(proj)
+            shapes.update(zip(_proj_names(i, proj)[2:], ((r, d2), (d1, r))))
+    return shapes
+
+
+def param_names(config: ModelConfig) -> list[str]:
+    """All tensor names in fixed declaration order (also the checkpoint order)."""
+    return list(param_shapes(config))
 
 
 def adapter_param_names(config: ModelConfig) -> list[str]:
@@ -184,55 +184,30 @@ class ModelState:
 
     config: ModelConfig
     params: dict[str, np.ndarray]
-    dtype: np.dtype = np.dtype(np.float32)
 
     def copy(self) -> "ModelState":
         return ModelState(
             config=self.config,
             params={k: v.copy() for k, v in self.params.items()},
-            dtype=self.dtype,
         )
-
-
-def _expected_shape(config: ModelConfig, name: str) -> tuple[int, ...]:
-    d, v, r = config.d_model, config.vocab_size, config.lora_rank
-    if name in ("tok_emb", "out_w"):
-        return (v, d)
-    if name == "pos_emb":
-        return (config.max_seq_len, d)
-    if name.endswith((".gamma", ".beta")):
-        return (d,)
-    if name.startswith("layers."):
-        i = int(name.split(".")[1])
-        for proj in ADAPTABLE_PROJECTIONS:
-            d1, d2 = config.projection_dims(proj)
-            shapes = dict(zip(_proj_names(i, proj), ((d1, d2), (d1,), (r, d2), (d1, r))))
-            if name in shapes:
-                return shapes[name]
-    raise ValueError(f"unknown parameter name: {name}")
 
 
 def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelState:
     """Seeded init; draws happen in declaration order so that configs which
-    differ only in adapters share identical base tensors for a given seed."""
+    differ only in adapters share identical base tensors for a given seed.
+    Norm gains start at one; norm shifts, biases and adapter B (``*.b``) at
+    zero."""
     rng = np.random.default_rng(seed)
-    dtype = np.dtype(dtype)
-    zero = set()
-    for i in range(config.n_layers):
-        for proj in ADAPTABLE_PROJECTIONS:
-            _, bias, _, b_up = _proj_names(i, proj)
-            zero |= {bias, b_up}
     params: dict[str, np.ndarray] = {}
-    for name in param_names(config):
-        shape = _expected_shape(config, name)
+    for name, shape in param_shapes(config).items():
         if name.endswith(".gamma"):
             arr = np.ones(shape)
-        elif name.endswith(".beta") or name in zero:
+        elif len(shape) == 1 or name.endswith(".b"):
             arr = np.zeros(shape)
         else:
             arr = rng.normal(0.0, _INIT_STD, shape)
         params[name] = arr.astype(dtype)
-    return ModelState(config=config, params=params, dtype=dtype)
+    return ModelState(config=config, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -1543,11 +1518,10 @@ def _parse_checkpoint(cursor: Cursor):
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
 
     params: dict[str, np.ndarray] = {}
-    for name in param_names(config):
+    for name, expected in param_shapes(config).items():
         if name not in tensors:
             raise ValueError(f"missing tensor {name!r}")
         arr = tensors.pop(name)
-        expected = _expected_shape(config, name)
         if arr.shape != expected:
             raise ValueError(f"tensor {name!r} has shape {arr.shape}, expected {expected}")
         params[name] = arr
@@ -1566,8 +1540,7 @@ def _parse_checkpoint(cursor: Cursor):
         opt_state[name] = (m, v)
     if tensors:
         raise ValueError(f"unexpected tensor {next(iter(tensors))!r}")
-    state = ModelState(config=config, params=params, dtype=np.dtype(np.float32))
-    return state, phase, step, opt_state
+    return ModelState(config=config, params=params), phase, step, opt_state
 
 
 def load_checkpoint(path: str | Path):

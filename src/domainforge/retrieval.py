@@ -108,16 +108,20 @@ def _run_starts(col: np.ndarray) -> np.ndarray:
     return np.flatnonzero(start)
 
 
+def _check_bm25(k1: float, b: float) -> None:
+    if not 0.0 < k1 < math.inf:
+        raise ValueError(f"k1 must be positive and finite, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"b must be in [0, 1], got {b}")
+
+
 def build_index(
     store: CorpusStore, k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> InvertedIndex:
     """Build the complete inverted index over a non-empty store."""
     if len(store) == 0:
         raise EmptyCorpusError("cannot index an empty corpus (avgdl undefined)")
-    if k1 <= 0.0:
-        raise ValueError(f"k1 must be positive, got {k1}")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"b must be in [0, 1], got {b}")
+    _check_bm25(k1, b)
     tokenizer = get_tokenizer(store.tokenizer_id)
     codes, lengths, term = tokenizer.term_codes(doc.text for doc in store)
     # one (term code, doc id) key per token: sorted, the keys group by term
@@ -313,6 +317,7 @@ def _parse_index(cursor: Cursor) -> InvertedIndex:
     doc_lengths = list(cursor.unpack(f"<{num_docs}Q"))
     if avgdl != sum(doc_lengths) / num_docs:
         raise ValueError(f"avgdl {avgdl!r} is not the mean document length")
+    _check_bm25(k1, b)
     (num_terms,) = cursor.unpack("<Q")
     postings: dict[str, Postings] = {}
     for _ in range(num_terms):

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .artifact import write_lines
-from .corpus_store import Tokenizer, read_jsonl
+from .corpus_store import Tokenizer, as_str, read_jsonl
 from .errors import NonFiniteLossError
 from .lora_model import (
     ADAPTABLE_PROJECTIONS,
@@ -132,10 +132,12 @@ class SftExample:
 
 
 def load_sft_examples(path: str | Path) -> list[SftExample]:
-    """Read JSONL lines of {"prompt": ..., "response": ...}."""
+    """Read JSONL lines of {"prompt": ..., "response": ...}, both strings."""
     return read_jsonl(
         path,
-        lambda obj: SftExample(prompt=str(obj["prompt"]), response=str(obj["response"])),
+        lambda obj: SftExample(
+            prompt=as_str("prompt", obj["prompt"]), response=as_str("response", obj["response"])
+        ),
     )
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -266,11 +267,38 @@ def test_retrieve_without_matches_reports_diagnostic(workspace, capsys):
     assert "no positive-score documents" in err
 
 
+def test_retrieve_rejects_an_index_of_another_store(tmp_path, capsys):
+    # as many documents and the same tokenizer, but other documents: the
+    # index would score this store's documents with the other's postings
+    tok = CjkCharTokenizer()
+    ours = ingest([RawRecord(f"o{i}", "", OUT_CHARS) for i in range(5)], tok, min_tokens=1)
+    theirs = ingest([RawRecord(f"i{i}", "", IN_CHARS * 2) for i in range(5)], tok, min_tokens=1)
+    save_store(ours, tmp_path / "ours.store")
+    save_index(build_index(theirs), tmp_path / "theirs.idx")
+    (tmp_path / "kw.tsv").write_text("脉\t1\t1.0\ttask\n", encoding="utf-8")
+    code, _, err = run([
+        "retrieve", "--index", str(tmp_path / "theirs.idx"),
+        "--store", str(tmp_path / "ours.store"), "--keywords", str(tmp_path / "kw.tsv"),
+        "--budget", "100", "--output", str(tmp_path / "never.store"),
+    ], capsys)
+    assert code == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: ConfigError: store document 0 has 11 tokens but the index gives it 20"
+    ]
+    assert not (tmp_path / "never.store").exists()
+
+
 @pytest.mark.parametrize(
     "line, problem",
     [("脉", "expected 4 tab-separated fields, got 1"),
-     ("脉\tmany\t1.0\ttask", "invalid literal for int()")],
-    ids=["one-field", "non-integer-count"],
+     ("脉\tmany\t1.0\ttask", "invalid literal for int()"),
+     ("脉\t-1\t1.0\ttask", "count must be >= 0, got -1"),
+     ("脉\t1\tnan\ttask", "weight must be finite, got nan"),
+     ("脉\t1\t-inf\ttask", "weight must be finite, got -inf"),
+     ("脉\t1\t1.0\tbogus",
+      "provenance must be one of ('task', 'lexicon', 'both'), got 'bogus'")],
+    ids=["one-field", "non-integer-count", "negative-count", "nan-weight",
+         "negative-infinite-weight", "unknown-provenance"],
 )
 def test_malformed_keyword_line_names_file_and_line(workspace, capsys, line, problem):
     ws = workspace
@@ -509,6 +537,11 @@ def broken_inputs(tmp_path):
         b"DFVOCAB1\n" + latin1 + b"\n" + "\n".join(IN_CHARS[1:]).encode("utf-8") + b"\n"
     )
     (tmp_path / "latin1.tsv").write_bytes("脉\t1\t1.0\ttask\n".encode("utf-8") + latin1 + b"\n")
+    (tmp_path / "kw_inf.tsv").write_text("脉\t1\tinf\ttask\n", encoding="utf-8")
+    # a checksum-valid index of "one.store" but for its BM25 k1
+    body = struct.pack("<Qddd", 1, 1.0, math.nan, 0.75) + pack_text("cjk-char-v1")
+    body += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 0, 1)
+    write_artifact(tmp_path / "nan_k1.idx", b"DFIDX1", body)
 
     def jsonl(name, good, bad):
         (tmp_path / name).write_text(
@@ -521,9 +554,16 @@ def broken_inputs(tmp_path):
           {"source_id": "b", "title": "无正文"})
     jsonl("raw_null.jsonl", {"source_id": "a", "body": IN_CHARS},
           {"source_id": "b", "body": None})
-    jsonl("pairs.jsonl", {"prompt": "脉弦", "response": "弦"}, {"prompt": "脉迟"})
-    jsonl("exam_bad.jsonl", {"stem": "问", "options": ["甲", "乙"], "gold": "A"},
-          {"stem": "问", "gold": "A"})
+    pair = {"prompt": "脉弦", "response": "弦"}
+    jsonl("pairs.jsonl", pair, {"prompt": "脉迟"})
+    jsonl("pairs_null_prompt.jsonl", pair, {"prompt": None, "response": "弦"})
+    jsonl("pairs_list_response.jsonl", pair, {"prompt": "脉迟", "response": ["a"]})
+    item = {"stem": "问", "options": ["甲", "乙"], "gold": "A"}
+    jsonl("exam_bad.jsonl", item, {"stem": "问", "gold": "A"})
+    jsonl("exam_str_options.jsonl", item, {**item, "options": "甲乙"})
+    jsonl("exam_dict_options.jsonl", item, {**item, "options": {"甲": 1, "乙": 2}})
+    jsonl("exam_int_option.jsonl", item, {**item, "options": ["甲", 1]})
+    jsonl("exam_null_stem.jsonl", item, {**item, "stem": None})
     return tmp_path
 
 
@@ -587,6 +627,34 @@ def broken_inputs(tmp_path):
          "error: ValueError: lora_alpha must be finite, got nan"),
         (["pretrain", "--store", "one.store", "--output", "o.ckpt", "--lora-alpha", "inf"],
          "error: ValueError: lora_alpha must be finite, got inf"),
+        (["retrieve", "--index", "one.idx", "--store", "one.store",
+          "--keywords", "kw_inf.tsv", "--budget", "10", "--output", "o.store"],
+         "kw_inf.tsv:1: weight must be finite, got inf"),
+        (["index", "--store", "one.store", "--output", "o.idx", "--k1", "nan"],
+         "error: ValueError: k1 must be positive and finite, got nan"),
+        (["index", "--store", "one.store", "--output", "o.idx", "--k1", "inf"],
+         "error: ValueError: k1 must be positive and finite, got inf"),
+        (["retrieve", "--index", "nan_k1.idx", "--store", "one.store",
+          "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
+         "error: TruncatedArtifactError"),
+        (["sft", "--checkpoint", "model.ckpt", "--data", "pairs_null_prompt.jsonl",
+          "--output", "o.ckpt"],
+         "pairs_null_prompt.jsonl:2: prompt must be a string, got NoneType"),
+        (["sft", "--checkpoint", "model.ckpt", "--data", "pairs_list_response.jsonl",
+          "--output", "o.ckpt"],
+         "pairs_list_response.jsonl:2: response must be a string, got list"),
+        (["eval", "--checkpoint", "model.ckpt", "--exam", "exam_str_options.jsonl",
+          "--responder", "gold"],
+         "exam_str_options.jsonl:2: options must be a list of strings, got str"),
+        (["eval", "--checkpoint", "model.ckpt", "--exam", "exam_dict_options.jsonl",
+          "--responder", "gold"],
+         "exam_dict_options.jsonl:2: options must be a list of strings, got dict"),
+        (["eval", "--checkpoint", "model.ckpt", "--exam", "exam_int_option.jsonl",
+          "--responder", "gold"],
+         "exam_int_option.jsonl:2: option must be a string, got int"),
+        (["eval", "--checkpoint", "model.ckpt", "--exam", "exam_null_stem.jsonl",
+          "--responder", "gold"],
+         "exam_null_stem.jsonl:2: stem must be a string, got NoneType"),
     ],
     ids=["unknown-stored-tokenizer", "removed-tokenizer-flag", "unparseable-flag-value",
          "raw-without-body", "raw-null-body", "pair-without-response", "exam-without-options", "flipped-checkpoint", "eval-short-vocab",
@@ -595,7 +663,10 @@ def broken_inputs(tmp_path):
          "pretrain-negative-vocab-cap", "pretrain-nan-learning-rate", "pretrain-negative-grad-clip",
          "pretrain-zero-heads", "pretrain-negative-heads", "pretrain-zero-d-ff",
          "pretrain-zero-d-model", "pretrain-negative-layers", "pretrain-nan-lora-alpha",
-         "pretrain-infinite-lora-alpha"],
+         "pretrain-infinite-lora-alpha", "retrieve-infinite-keyword-weight", "index-nan-k1",
+         "index-infinite-k1", "retrieve-nan-k1-index", "pair-null-prompt",
+         "pair-list-response", "exam-string-options", "exam-dict-options",
+         "exam-int-option", "exam-null-stem"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
     argv = [str(broken_inputs / a)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 import threading
@@ -1890,6 +1891,33 @@ def test_checkpoint_resave_is_byte_identical(tmp_path):
     loaded, phase, step, opt = load_checkpoint(p1)
     save_checkpoint(p2, loaded, phase, step, opt or None)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+GOLDEN_CONFIG = ModelConfig(
+    vocab_size=8, d_model=4, n_layers=2, n_heads=2, d_ff=6, max_seq_len=5,
+    lora_rank=2, lora_alpha=4.0, lora_dropout=0.05,
+    adapted_projections=ADAPTABLE_PROJECTIONS,
+)
+GOLDEN_CONFIG_JSON = (
+    '{"adapted_projections":["query","key","value","output","ff_in","ff_out"],'
+    '"d_ff":6,"d_model":4,"lora_alpha":4.0,"lora_dropout":0.05,"lora_rank":2,'
+    '"max_seq_len":5,"n_heads":2,"n_layers":2,"vocab_size":8}'
+)
+GOLDEN_CHECKPOINT_SHA256 = "ea06d8624d7825f02e3b327a6dafba312d730dce5c8642c4a4d4016fe4a098ab"
+
+
+def test_checkpoint_bytes_match_the_golden_file(tmp_path):
+    # pins the config JSON, the tensor order, every shape and the init draws
+    assert GOLDEN_CONFIG.to_json() == GOLDEN_CONFIG_JSON
+    state = init_model(GOLDEN_CONFIG, seed=11)
+    rng = np.random.default_rng(12)
+    opt = {
+        name: (rng.normal(size=state.params[name].shape), rng.random(state.params[name].shape))
+        for name in adapter_param_names(GOLDEN_CONFIG)
+    }
+    path = tmp_path / "golden.ckpt"
+    save_checkpoint(path, state, "pretrain", step=9, opt_state=opt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT_SHA256
 
 
 def test_checkpoint_wrong_magic(tmp_path):

@@ -92,8 +92,9 @@ def test_build_index_empty_corpus():
 
 def test_build_index_parameter_validation():
     store = store_of(["a b"])
-    with pytest.raises(ValueError):
-        build_index(store, k1=0.0)
+    for k1 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="k1 must be positive and finite"):
+            build_index(store, k1=k1)
     with pytest.raises(ValueError):
         build_index(store, b=1.5)
 
@@ -475,10 +476,11 @@ def test_index_bytes_match_the_golden_file(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_INDEX_SHA256
 
 
-def write_forged_index(path, num_docs, pairs, avgdl=1.0, terms=("t",)):
+def write_forged_index(path, num_docs, pairs, avgdl=1.0, terms=("t",), k1=DEFAULT_K1,
+                       b=DEFAULT_B):
     """A checksum-valid index over ``num_docs`` one-token documents whose
     terms each have the given raw (doc id delta, tf) pairs."""
-    body = struct.pack("<Qddd", num_docs, avgdl, DEFAULT_K1, DEFAULT_B)
+    body = struct.pack("<Qddd", num_docs, avgdl, k1, b)
     body += pack_text(TOK.tokenizer_id) + struct.pack(f"<{num_docs}Q", *[1] * num_docs)
     body += struct.pack("<Q", len(terms))
     for term in terms:
@@ -515,8 +517,14 @@ def test_checksum_valid_malformed_postings_are_rejected(tmp_path, num_docs, pair
     [
         ({"avgdl": 0.0}, "avgdl 0.0 is not the mean"),
         ({"terms": ("t", "t")}, "term 't' is listed twice"),
+        ({"k1": math.nan}, "k1 must be positive and finite, got nan"),
+        ({"k1": math.inf}, "k1 must be positive and finite, got inf"),
+        ({"k1": 0.0}, "k1 must be positive and finite, got 0.0"),
+        ({"b": 1.5}, r"b must be in \[0, 1\], got 1.5"),
+        ({"b": math.nan}, r"b must be in \[0, 1\], got nan"),
     ],
-    ids=["avgdl-off-the-mean", "term-twice"],
+    ids=["avgdl-off-the-mean", "term-twice", "nan-k1", "infinite-k1", "zero-k1", "wide-b",
+         "nan-b"],
 )
 def test_checksum_valid_inconsistent_index_is_rejected(tmp_path, forged, message):
     path = tmp_path / "forged.idx"
