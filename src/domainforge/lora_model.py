@@ -20,7 +20,7 @@ import os
 import struct
 import threading
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -69,6 +69,12 @@ class ModelConfig:
     adapted_projections: tuple[str, ...] = ("query", "value")
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a size must be an int: a float such as 4.0 compares equal to
+            # its int, so tensor shapes would pass and the first forward fail
+            if f.type in (int, "int") and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.vocab_size < len(SPECIAL_TOKENS):
             raise ValueError(f"vocab_size must be >= {len(SPECIAL_TOKENS)}")
         for field in ("d_model", "n_heads", "d_ff"):
@@ -220,18 +226,25 @@ def _row_chunks(x):
     return x2, _seq_blocks(len(x2), x2.shape[1] * x2.itemsize, CHUNK_BYTES)
 
 
-def _layer_norm_fwd(x, gamma, beta):
+def _layer_norm_fwd(x, gamma, beta, out=None):
     """(y, (xhat, inv)) of a layer norm over the last axis, one row chunk at
     a time; bitwise equal to ``xhat * gamma + beta`` with ``xhat = (x - mu)
     * inv`` and ``inv = 1 / sqrt(var + eps)`` over the whole array, since
     every reduction runs within a row.  Each chunk runs that allocating
     expression, whose temporaries then span one chunk; the whole-array
     outputs are preallocated and filled only when there is more than one
-    chunk, so a short input (a decode step's one row) pays no copy."""
+    chunk, so a short input (a decode step's one row) pays no copy.  y is
+    written to ``out`` when given (a contiguous array; ``x`` itself works in
+    place, since a chunk is read whole before its y is stored)."""
     if x.nbytes <= CHUNK_BYTES:
-        return _layer_norm_rows(x, gamma, beta)
+        y, stats = _layer_norm_rows(x, gamma, beta)
+        if out is not None:
+            out[...] = y
+            y = out
+        return y, stats
     x2, chunks = _row_chunks(x)
-    y, xhat = np.empty_like(x2), np.empty_like(x2)
+    y = np.empty_like(x2) if out is None else out.reshape(x2.shape)
+    xhat = np.empty_like(x2)
     inv = np.empty((len(x2), 1), dtype=x2.dtype)
     for sl in chunks:
         y[sl], (xhat[sl], inv[sl]) = _layer_norm_rows(x2[sl], gamma, beta)
@@ -406,31 +419,50 @@ def _proj_dx(state, i, proj, dy, keep):
     return dx
 
 
+def _norm_out(state, i, norm, stats, sl=slice(None)):
+    """Layer i's ``norm`` output on the sequences ``sl``, rebuilt from its
+    cached (xhat, inv) as ``xhat * gamma + beta``: the forward's own
+    expression, so bitwise the array the forward formed."""
+    y = stats[0][sl] * state.params[f"layers.{i}.{norm}.gamma"]
+    y += state.params[f"layers.{i}.{norm}.beta"]
+    return y
+
+
 def _proj_grads(state, i, proj, dy, blk, grads, want):
     """Accumulates into ``grads`` the gradients of layer i's ``proj`` that
     ``want`` asks for, from its whole-batch output gradient ``dy`` (None
     when none is wanted) and its cache entry ``blk[proj] = (x, u, keep)``,
     which it removes; returns ``keep``, which the blocks' ``_proj_dx`` may
     still read.  Each gradient is one GEMM or sum over every row of the batch.
-    An adapter's A gradient rebuilds the forward's dropped-out input ``xd =
-    x * keep / (1 - p)`` (``_dropout_apply``, bitwise the forward's) and
-    drops it after its GEMM."""
+
+    Where the layer norm before the stage keeps its statistics, the cache
+    holds no x (``_layer_cache``): when the weight's or A's gradient reads
+    it, x is rebuilt here once, whole-batch, with ``_norm_out``.  An
+    adapter's A gradient rebuilds the forward's dropped-out input ``xd = x *
+    keep / (1 - p)`` (``_dropout_apply``, bitwise the forward's), in place
+    on such a rebuilt x, else in a new array, since a cached x serves the
+    stage's other projections; it drops xd after its GEMM."""
     cfg, P = state.config, state.params
     x, u, keep = blk.pop(proj)
     w_name, b_name, a_name, b_up_name = _proj_names(i, proj)
+    adapted = proj in cfg.adapted_projections
+    rebuilt = x is None and (want(w_name) or (adapted and want(a_name)))
+    if rebuilt:
+        norm = _NORM_BEFORE[proj]
+        x = _norm_out(state, i, norm, blk[norm])
     if want(w_name):
         grads[w_name] = grads.get(w_name, 0) + _rows(dy).T @ _rows(x)
     if want(b_name):
         grads[b_name] = grads.get(b_name, 0) + _rows(dy).sum(axis=0)
-    if proj in cfg.adapted_projections:
+    if adapted:
         scale, p = cfg.lora_alpha / cfg.lora_rank, cfg.lora_dropout
         if want(b_up_name):
             grads[b_up_name] = grads.get(b_up_name, 0) + scale * (_rows(dy).T @ _rows(u))
         if want(a_name):
             du = scale * (dy @ P[b_up_name])
-            xd = x if keep is None else _dropout_apply(x, keep, p)
-            grads[a_name] = grads.get(a_name, 0) + _rows(du).T @ _rows(xd)
-            del xd
+            if keep is not None:
+                x = _dropout_apply(x, keep, p, out=x if rebuilt else None)
+            grads[a_name] = grads.get(a_name, 0) + _rows(du).T @ _rows(x)
     return keep
 
 
@@ -460,9 +492,11 @@ def _split_heads(x, n_heads):
 # worker, 0.25-0.29 s with 4 MiB, 0.33-0.35 s with the 2 MiB it gets and
 # 0.42 s with 1 MiB.  Larger layer blocks are faster but cost resident
 # memory: each pool thread allocates from its own malloc arena, and the bench
-# ``pretrain`` peak RSS read 143.9 MB with 4 MiB per worker, 137.4 MB with 2
-# MiB and 139.7 MB on one worker with 8 MiB.  At H=4 and T=256, 8 MB holds
-# the attention of 8 float32 sequences.
+# ``pretrain`` (2 workers) read a median peak RSS of 122.1 MB and ``pass_s``
+# of 2.34 s with 2 MiB per worker, 125.6 MB and 2.25 s with 4 MiB, and 134.6
+# MB and 2.29 s with 8 MiB (5 runs each); one worker with 8 MiB read 121.0
+# MB and 3.4 s.  At H=4 and T=256, 8 MB holds the attention of 8 float32
+# sequences.
 BLOCK_BYTES = 8 * 2**20
 
 # Bytes of one row chunk of an elementwise kernel (GELU, LoRA dropout, the
@@ -516,9 +550,9 @@ WORKERS = (
 # Most blocks of the vocab head that run at once.  The head's blocks cannot
 # shrink per worker, since its partition fixes the bits of ``d out_w``, so
 # each holds a whole block's logits and its ``d out_w`` part: at 4 workers a
-# full-parameter step at B=16, T=256, V=4100 peaked at 46.0 MiB in the head
-# (``tracemalloc``), against about 35 MiB with two blocks at once and 39.7
-# MiB at its one-worker peak in backward.
+# full-parameter step at B=16, T=256, V=4100 peaked at 42.9 MiB in the head
+# (``tracemalloc``), against 30.8 MiB with two blocks at once and 28.7 MiB
+# on one worker.
 HEAD_WORKERS = 2
 
 # ``openblas_set_num_threads`` as the ``scipy_openblas`` builds that NumPy's
@@ -714,34 +748,46 @@ def _attn_bwd(qh, kh, vh, doh, head_scale, dqh, dkh, dvh):
     The probabilities are recomputed per query tile; ``ds`` and ``dq`` run on
     the tile's keys [0, hi).  Key tile [lo, hi) of ``dv`` and ``dk`` reads only
     the query rows from lo on, above which its probabilities are zero, out
-    of a (batch, heads, t, t) buffer of the tiles' probabilities (or of
-    ``ds``) whose entries above the diagonal tiles are never written."""
+    of one (batch, heads, t, t) buffer whose entries above the diagonal
+    tiles are never written (with one tile, that tile's own array).  The
+    tiles fill it with their probabilities; ``dv`` reads them; then each
+    tile's ``ds``, formed from its own rows of probabilities, overwrites
+    those rows, and ``dk`` reads that.  Without ``dv`` the tiles store ``ds``
+    straight away."""
     b, H, T, dh = qh.shape
     tiles = _causal_tiles(T, qh.dtype, dh)
-    buffered = len(tiles) > 1  # else the one tile's own arrays serve
-    probs = np.empty((b, H, T, T), qh.dtype) if buffered and dvh is not None else None
-    dscores = np.empty((b, H, T, T), qh.dtype) if buffered and dkh is not None else None
+    kept = len(tiles) > 1 and (dvh is not None or dkh is not None)
+    buf = np.empty((b, H, T, T), qh.dtype) if kept else None
+    grad_s = dqh is not None or dkh is not None
+
+    def dscores(lo, hi, attn):
+        """The tile's ``ds`` from its probabilities ``attn``, and its dq."""
+        ds = doh[:, :, lo:hi] @ vh[:, :, :hi].transpose(0, 1, 3, 2)  # d attn, then d scores
+        ds -= _row_sums(ds * attn, T)
+        ds *= attn
+        if dqh is not None:
+            dqh[:, :, lo:hi] = (ds @ kh[:, :, :hi]) * head_scale
+        return ds
+
     for lo, hi in tiles:
         attn = _attn_tile(qh[:, :, lo:hi], kh[:, :, :hi], head_scale, T)
-        ds = None
-        if dqh is not None or dkh is not None:
-            ds = doh[:, :, lo:hi] @ vh[:, :, :hi].transpose(0, 1, 3, 2)  # d attn, then d scores
-            ds -= _row_sums(ds * attn, T)
-            ds *= attn
-            if dqh is not None:
-                dqh[:, :, lo:hi] = (ds @ kh[:, :, :hi]) * head_scale
-        if probs is not None:
-            probs[:, :, lo:hi, :hi] = attn
-        if dscores is not None:
-            dscores[:, :, lo:hi, :hi] = ds
-    if not buffered:
-        probs, dscores = attn, ds
-    for lo, hi in tiles:
-        if dvh is not None:
-            dvh[:, :, lo:hi] = probs[:, :, lo:, lo:hi].transpose(0, 1, 3, 2) @ doh[:, :, lo:]
-        if dkh is not None:
+        if dvh is None and grad_s:
+            attn = dscores(lo, hi, attn)
+        if kept:
+            buf[:, :, lo:hi, :hi] = attn
+    if not kept:
+        buf = attn  # the one tile's array; with several tiles, read no more
+    if dvh is not None:
+        for lo, hi in tiles:
+            dvh[:, :, lo:hi] = buf[:, :, lo:, lo:hi].transpose(0, 1, 3, 2) @ doh[:, :, lo:]
+        if grad_s:
+            for lo, hi in tiles:
+                rows = buf[:, :, lo:hi, :hi]
+                rows[...] = dscores(lo, hi, rows)
+    if dkh is not None:
+        for lo, hi in tiles:
             dkh[:, :, lo:hi] = (
-                dscores[:, :, lo:, lo:hi].transpose(0, 1, 3, 2) @ qh[:, :, lo:]
+                buf[:, :, lo:, lo:hi].transpose(0, 1, 3, 2) @ qh[:, :, lo:]
             ) * head_scale
 
 
@@ -770,8 +816,9 @@ _STAGE_OF = {part: s for s, stage in enumerate(_STAGES) for part in stage}
 
 # The projections whose outputs backward rebuilds instead of the cache
 # keeping them: attention's inputs and GELU's input.  Each reads the layer
-# norm of the stage before it.
+# norm of the stage before it, which ``_NORM_BEFORE`` names.
 _REBUILT = _QKV + ("ff_in",)
+_NORM_BEFORE = {proj: _STAGES[_STAGE_OF[proj] - 1][0] for proj in _REBUILT}
 
 
 def _stage_names(i: int, stage: tuple[str, ...]) -> list[str]:
@@ -808,14 +855,16 @@ def _layer_cache(state, i, shape, dtype, first, want, rng):
     Returns (blk, masks, inputs).  ``blk`` maps each projection to (x, u,
     keep), each a whole-batch array or None: its input only when its base
     weight or its adapter's A is wanted, or the stage's first projection
-    keeps it for the rebuild of ``_REBUILT`` outputs when the norm before
-    the stage keeps no statistics; u when the adapter's B is wanted or the
-    output is rebuilt; the mask when A is wanted or the gradient flows to
-    the input.  ``blk["ln1"]``/``blk["ln2"]`` is a norm's (xhat, inv) when
-    the gradient reaches it.  ``inputs`` maps the first projection of a
-    stage to the stage's kept input, one array that serves the whole stage
-    (query, key and value share theirs).  The masks are drawn whole, one
-    per adapted projection in forward order."""
+    keeps it for the rebuild of ``_REBUILT`` outputs; u when the adapter's
+    B is wanted or the output is rebuilt; the mask when A is wanted or the
+    gradient flows to the input.  ``blk["ln1"]``/``blk["ln2"]`` is a norm's
+    (xhat, inv) when the gradient reaches it.  A norm output is never kept
+    beside those statistics, which rebuild it bitwise (``_norm_out``): a
+    ``_REBUILT`` projection keeps its input only when the norm before its
+    stage keeps none.  ``inputs`` maps the first projection of a stage to
+    the stage's kept input, one array that serves the whole stage (query,
+    key and value share theirs).  The masks are drawn whole, one per
+    adapted projection in forward order."""
     masks = dict.fromkeys(ADAPTABLE_PROJECTIONS)
     if rng is None and first >= (i + 1, 0):
         # the gradient reaches neither the layer nor any of its tensors (as
@@ -836,11 +885,12 @@ def _layer_cache(state, i, shape, dtype, first, want, rng):
         d_in = cfg.projection_dims(proj)[1]
         adapted = proj in cfg.adapted_projections
         rebuild = proj in _REBUILT and first < (i, s + 1)
-        keep_x = rebuild and not first <= (i, s - 1) and proj == _STAGES[s][0]
+        norm_kept = proj in _REBUILT and first <= (i, s - 1)
+        reads_x = (rebuild and proj == _STAGES[s][0]) or want(w_name) or (adapted and want(a_name))
         if adapted and rng is not None:
             masks[proj] = _dropout_mask(shape + (d_in,), cfg.lora_dropout, rng)
         x = u = None
-        if keep_x or want(w_name) or (adapted and want(a_name)):
+        if reads_x and not norm_kept:
             stage = _STAGES[s][0]
             if stage not in inputs:
                 inputs[stage] = whole(d_in)
@@ -879,8 +929,9 @@ def forward_hidden(
     one whole-array draw per adapted projection.  The per-head query, key
     and value, the attention probabilities and output, the ln1 and ln2
     outputs, ff_in's output and the GELU output live one block at a time,
-    unless the cache keeps one as a projection's input.  A decode call (one
-    sequence) is one block, run on the calling thread.
+    unless the cache keeps one as a projection's input.  The final layer
+    norm writes xf over the residual stream, which dies there.  A decode
+    call (one sequence) is one block, run on the calling thread.
 
     Without ``past``, attention runs in causal query tiles
     (``_causal_tiles``): a tile of queries [lo, hi) computes its scores,
@@ -893,21 +944,24 @@ def forward_hidden(
     layer's ln1 and ln2 statistics are kept only when the gradient reaches
     that norm (``_first_wanted``).
 
-    Such a backward cache keeps no per-head query, key or value and no GELU
-    derivative.  Where the gradient reaches the output of query, key, value
-    or ``ff_in`` (``_REBUILT``), backward rebuilds that output, bitwise,
-    from the layer norm output the projection read and its adapter's u,
-    which such a projection always keeps.  The norm output is a
-    projection's cached input, else ``xhat * gamma + beta`` from the norm's
-    cache; when neither is kept for a gradient (only a bias or an adapter's
-    B of that stage is wanted first), the projection keeps its input.  GELU
-    runs value-only, in place on ``ff_in``'s output.
+    Such a backward cache keeps no per-head query, key or value, no GELU
+    derivative, and no layer norm output beside that norm's statistics.
+    Where the gradient reaches the output of query, key, value or ``ff_in``
+    (``_REBUILT``), backward rebuilds that output, bitwise, from the layer
+    norm output the projection read and its adapter's u, which such a
+    projection always keeps.  Where the norm keeps its statistics, the norm
+    output is ``xhat * gamma + beta`` rebuilt from them (``_norm_out``),
+    per block for the rebuilt outputs and whole-batch for a weight's or an
+    A's gradient; else the stage's first projection keeps it, once, when
+    any gradient reads it.  GELU runs value-only, in place on ``ff_in``'s
+    output.
 
     When training only the default adapters (query and value, with
-    dropout), each layer keeps its ln1 output once, for both adapters' A
-    gradients and the rebuild, beside their two boolean masks and u's; no
-    layer keeps its attention output, whose only reader would be a frozen
-    weight's gradient, and layer 0 keeps no ln1 statistics.
+    dropout), layer 0, whose ln1 keeps no statistics, keeps its ln1 output
+    once, for both adapters' A gradients and the rebuild; every other layer
+    keeps ln1's statistics instead.  Each layer keeps the two boolean masks
+    and u's; no layer keeps its attention output, whose only reader would
+    be a frozen weight's gradient.
 
     A decode cache, built with ``needs=frozenset()`` or on a ``past``,
     keeps each layer's keys and values instead, and nothing for a backward
@@ -996,7 +1050,8 @@ def forward_hidden(
 
         _each(run_block, _layer_blocks(cfg, B, T, T0 + T, x.itemsize))
         cache["blocks"].append(blk)
-    xf, cache["ln_f"] = _layer_norm_fwd(x, P["ln_f.gamma"], P["ln_f.beta"])
+    # the residual stream dies here: xf overwrites it
+    xf, cache["ln_f"] = _layer_norm_fwd(x, P["ln_f.gamma"], P["ln_f.beta"], out=x)
     return xf, cache
 
 
@@ -1037,7 +1092,9 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     gradient itself, taken before the half's blocks change it) and of a
     layer norm whose gamma or beta is wanted.  The blocks fill those, and
     each such gradient is then one GEMM or sum over the whole batch, as in
-    the unblocked pass.  Everything else (the rebuilt outputs, the GELU
+    the unblocked pass; a weight's or an A's gradient whose input the cache
+    does not keep rebuilds it whole-batch, one projection at a time
+    (``_proj_grads``).  Everything else (the rebuilt outputs, the GELU
     derivative, the attention probabilities, ``do``, a dq/dk/dv whose
     projection trains nothing, the norms' input gradients) lives one block
     at a time.
@@ -1104,14 +1161,10 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     def rebuild(i, blk, projs, norm, sl):
         """Layer i's ``projs`` outputs on the sequences ``sl`` as the forward
         formed them, from the output of its layer norm ``norm`` that they
-        read: the input one of them cached, else ``xhat * gamma + beta``
-        from the norm's cache."""
+        read: the input one of them cached, else ``_norm_out`` from the
+        norm's cache."""
         x = next((blk[proj][0] for proj in projs if blk[proj][0] is not None), None)
-        if x is None:
-            x = blk[norm][0][sl] * P[f"layers.{i}.{norm}.gamma"]
-            x += P[f"layers.{i}.{norm}.beta"]
-        else:
-            x = x[sl]
+        x = _norm_out(state, i, norm, blk[norm], sl) if x is None else x[sl]
         return [_proj_out(state, i, proj, x, _part(blk[proj][1], sl)) for proj in projs]
 
     ln_f = cache.pop("ln_f")
@@ -1328,6 +1381,11 @@ def head_loss(
     block order as soon as the parts before it are in, so its bits do not
     depend on the worker count.  Returns (loss, dxf, head_grads).
 
+    ``xf`` is consumed, as ``backward_batch`` consumes ``dxf``: each block
+    forms its ``d out_w`` part first, when wanted, and then writes
+    ``dlogits @ out_w`` over its own rows of ``xf``, so the returned
+    ``dxf`` is ``xf`` itself and no second array of its size exists.
+
     Both GEMMs run on every row of a block, but the log-softmax, the NLL and
     their gradient run only on the rows whose weight in ``target_mask`` is
     non-zero.  The block's logits buffer becomes its ``dlogits``: the
@@ -1339,15 +1397,16 @@ def head_loss(
     B, T = xf.shape[:2]
     mask, n = _target_weights(target_mask, xf.dtype)
     seq_loss = np.empty(B, dtype=xf.dtype)
-    dxf = np.empty_like(xf)
     want_out_w = needs is None or "out_w" in needs
     head_grads: dict[str, np.ndarray] = {}
 
     def block(sl):
-        dlogits = xf[sl] @ out_w.T
+        x = xf[sl]  # a view: the block's dxf lands in its own rows of xf
+        dlogits = x @ out_w.T
         seq_loss[sl] = _block_loss(dlogits, ids[sl], mask[sl], n[sl], B, dlogits)
-        dxf[sl] = dlogits @ out_w
-        return _rows(dlogits).T @ _rows(xf[sl]) if want_out_w else None
+        part = _rows(dlogits).T @ _rows(x) if want_out_w else None
+        x[...] = dlogits @ out_w
+        return part
 
     def add(part):
         if "out_w" in head_grads:
@@ -1357,7 +1416,7 @@ def head_loss(
 
     _each(block, _seq_blocks(B, T * out_w.shape[0] * xf.itemsize), add if want_out_w else None,
           HEAD_WORKERS)
-    return float(seq_loss.mean()), dxf, head_grads
+    return float(seq_loss.mean()), xf, head_grads
 
 
 def greedy_generate(

@@ -238,12 +238,12 @@ def _batch_grads(
     is not finite).  The forward pass caches only what the gradients in
     ``needs`` read, and ``backward_batch`` frees it layer by layer; the
     cache and the activation gradients are locals here, so nothing of them
-    outlives the batch.  ``backward_batch`` consumes ``dxf`` too, writing
-    the residual stream's gradient into it, so no second buffer of its
-    size lives through the backward pass."""
+    outlives the batch.  One (batch, time, d_model) buffer serves the whole
+    step: the forward writes xf over the residual stream, ``head_loss``
+    writes ``dxf`` over xf, and ``backward_batch`` writes the residual
+    stream's gradient into ``dxf``."""
     xf, cache = forward_hidden(state, ids, training=True, rng=rng, needs=needs)
     loss, dxf, grads = head_loss(state, xf, ids, mask, needs)
-    del xf
     if not math.isfinite(loss):
         return loss, None
     grads.update(backward_batch(state, cache, dxf))

@@ -148,10 +148,10 @@ def test_checksum_valid_garbage_checkpoint_is_designated_error(tmp_path, body):
         load_checkpoint(path)
 
 
-def _tensor_entries(entries) -> bytes:
+def _tensor_entries(entries, config_json: str = TINY.to_json()) -> bytes:
     """``save_checkpoint``'s tensor records of (name, array) pairs, after
     their count, behind ``_checkpoint_body``'s header."""
-    out = _checkpoint_body(TINY.to_json(), count=len(entries))
+    out = _checkpoint_body(config_json, count=len(entries))
     for name, arr in entries:
         arr = np.asarray(arr, dtype="<f4")
         out += pack_text(name) + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape)
@@ -185,6 +185,26 @@ def test_checkpoint_tensor_list_is_checked(tmp_path, extra, problem):
     with pytest.raises(TruncatedArtifactError) as exc:
         load_checkpoint(path)
     assert problem in str(exc.value)
+
+
+_SIZED = ModelConfig(vocab_size=6, d_model=4, n_layers=1, n_heads=2, d_ff=4, max_seq_len=3,
+                     lora_rank=1, lora_dropout=0.0)
+
+
+@pytest.mark.parametrize("field, value", [("d_model", 4.0), ("n_heads", 2.0), ("n_layers", True)])
+def test_checkpoint_with_a_size_that_is_no_int_is_designated_error(tmp_path, field, value):
+    """Every tensor has its shape, but the config JSON gives a size as a
+    float or a bool equal to it: the shapes compare equal, and only the
+    config's type check stops the load."""
+    params = init_model(_SIZED, seed=0).params
+    entries = [(name, params[name]) for name in param_names(_SIZED)]
+    path = tmp_path / "sized.ckpt"
+    write_artifact(path, CHECKPOINT_MAGIC, _tensor_entries(entries, _SIZED.to_json()))
+    load_checkpoint(path)  # the hand-built body is valid
+    forged = json.dumps({**json.loads(_SIZED.to_json()), field: value})
+    write_artifact(path, CHECKPOINT_MAGIC, _tensor_entries(entries, forged))
+    with pytest.raises(TruncatedArtifactError, match=f"{field} must be an integer"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("kind", ["store", "index", "checkpoint"])

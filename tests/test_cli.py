@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from domainforge.artifact import pack_text, write_artifact
+from domainforge.artifact import pack_text, read_artifact, write_artifact
 from domainforge.cli import main
 from domainforge.corpus_store import CjkCharTokenizer, RawRecord, ingest, load_store, save_store
 from domainforge.evaluator import McqItem, save_exam
 from domainforge.lora_model import (
+    CHECKPOINT_MAGIC,
     SPECIAL_TOKENS,
     ModelConfig,
     build_vocab,
@@ -503,6 +504,13 @@ def broken_inputs(tmp_path):
     data[bytes(data).index(b'"adapted_projections"') + 1] ^= 0x01
     (tmp_path / "flipped.ckpt").write_bytes(bytes(data))
     (tmp_path / "flipped.ckpt.vocab").write_bytes(Path(f"{ckpt}.vocab").read_bytes())
+    # checksum-valid copies whose config gives a size as a float equal to it
+    body = bytes(read_artifact(ckpt, CHECKPOINT_MAGIC))
+    for name, field in (("float_d_model", "d_model"), ("float_heads", "n_heads")):
+        forged = json.dumps({**json.loads(config.to_json()), field: float(getattr(config, field))})
+        write_artifact(tmp_path / f"{name}.ckpt", CHECKPOINT_MAGIC,
+                       body.replace(pack_text(config.to_json()), pack_text(forged), 1))
+        (tmp_path / f"{name}.ckpt.vocab").write_bytes(Path(f"{ckpt}.vocab").read_bytes())
     # the checkpoint again, each copy beside a malformed vocab
     for name in ("short", "dup", "blank", "latin1"):
         (tmp_path / f"{name}.ckpt").write_bytes(ckpt.read_bytes())
@@ -556,6 +564,7 @@ def broken_inputs(tmp_path):
           {"source_id": "b", "body": None})
     pair = {"prompt": "脉弦", "response": "弦"}
     jsonl("pairs.jsonl", pair, {"prompt": "脉迟"})
+    jsonl("good_pairs.jsonl", pair, pair)
     jsonl("pairs_null_prompt.jsonl", pair, {"prompt": None, "response": "弦"})
     jsonl("pairs_list_response.jsonl", pair, {"prompt": "脉迟", "response": ["a"]})
     item = {"stem": "问", "options": ["甲", "乙"], "gold": "A"}
@@ -588,6 +597,12 @@ def broken_inputs(tmp_path):
          "exam_bad.jsonl:2: missing field 'options'"),
         (["eval", "--checkpoint", "flipped.ckpt", "--exam", "exam.jsonl"],
          "error: ChecksumMismatchError"),
+        (["eval", "--checkpoint", "float_d_model.ckpt", "--exam", "exam.jsonl",
+          "--responder", "model"],
+         "float_d_model.ckpt: malformed body: d_model must be an integer, got 8.0"),
+        (["sft", "--checkpoint", "float_heads.ckpt", "--data", "good_pairs.jsonl",
+          "--output", "o.ckpt"],
+         "float_heads.ckpt: malformed body: n_heads must be an integer, got 2.0"),
         (["eval", "--checkpoint", "short.ckpt", "--exam", "exam.jsonl", "--responder", "model"],
          "error: ConfigError: vocabulary has 7 entries but the checkpoint expects 14"),
         (["eval", "--checkpoint", "dup.ckpt", "--exam", "exam.jsonl", "--responder", "model"],
@@ -657,7 +672,8 @@ def broken_inputs(tmp_path):
          "exam_null_stem.jsonl:2: stem must be a string, got NoneType"),
     ],
     ids=["unknown-stored-tokenizer", "removed-tokenizer-flag", "unparseable-flag-value",
-         "raw-without-body", "raw-null-body", "pair-without-response", "exam-without-options", "flipped-checkpoint", "eval-short-vocab",
+         "raw-without-body", "raw-null-body", "pair-without-response", "exam-without-options",
+         "flipped-checkpoint", "eval-float-d-model", "sft-float-n-heads", "eval-short-vocab",
          "eval-duplicate-vocab", "eval-blank-vocab", "index-doc-out-of-range",
          "non-utf8-raw", "non-utf8-vocab", "non-utf8-keywords", "pretrain-zero-vocab-cap",
          "pretrain-negative-vocab-cap", "pretrain-nan-learning-rate", "pretrain-negative-grad-clip",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -98,6 +99,14 @@ def test_config_head_divisibility():
 def test_config_rejects_negative_layers_and_non_finite_alpha(field, value, message):
     with pytest.raises(ValueError, match=message):
         replace(SMALL, **{field: value})
+
+
+@pytest.mark.parametrize("value", [4.0, True, "4", None])
+def test_config_rejects_a_size_that_is_no_int(value):
+    for field in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len",
+                  "lora_rank"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            replace(SMALL, **{field: value})
 
 
 def test_config_allows_an_embedding_only_model():
@@ -438,6 +447,49 @@ def test_head_loss_out_w_gradient(monkeypatch, dtype):
     assert err < 1e-6
 
 
+def _allocating_head(state, xf, ids, mask, needs):
+    """``head_loss`` with ``dxf`` in a new array, ``xf`` left as it is: the
+    same blocks, in order on one thread, and ``d out_w`` (None unless
+    wanted) summed in block order."""
+    out_w = state.params["out_w"]
+    B, T = xf.shape[:2]
+    weights, n = lora_model._target_weights(mask, xf.dtype)
+    seq_loss = np.empty(B, xf.dtype)
+    dxf, dout_w = np.empty_like(xf), None
+    for sl in lora_model._seq_blocks(B, T * out_w.shape[0] * xf.itemsize):
+        dlogits = xf[sl] @ out_w.T
+        seq_loss[sl] = lora_model._block_loss(dlogits, ids[sl], weights[sl], n[sl], B, dlogits)
+        dxf[sl] = dlogits @ out_w
+        if needs is None or "out_w" in needs:
+            part = dlogits.reshape(-1, out_w.shape[0]).T @ xf[sl].reshape(-1, xf.shape[-1])
+            dout_w = part if dout_w is None else dout_w + part
+    return float(seq_loss.mean()), dxf, dout_w
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("needs", ["all", "adapters"])
+def test_head_loss_writes_dxf_over_xf_bitwise(monkeypatch, dtype, needs):
+    """``head_loss`` consumes ``xf``: the ``dxf`` it returns is ``xf``
+    itself, each block's rows written after its ``d out_w`` part read them.
+    Two workers, one sequence per block: the loss, ``dxf`` and ``d out_w``
+    equal a run that keeps ``xf``, bitwise."""
+    monkeypatch.setattr(lora_model, "BLOCK_BYTES", 1)
+    _use_workers(monkeypatch, 2)
+    state, ids, mask = _head_case(dtype)
+    needs = None if needs == "all" else set(adapter_param_names(state.config))
+    xf, _ = forward_hidden(state, ids, needs=frozenset())
+    kept = xf.copy()
+    loss_r, dxf_r, dout_w_r = _allocating_head(state, kept, ids, mask, needs)
+    assert kept.tobytes() == xf.tobytes()
+    loss, dxf, head_grads = head_loss(state, xf, ids, mask, needs)
+    assert dxf is xf
+    assert loss == loss_r and dxf.tobytes() == dxf_r.tobytes()
+    if needs is None:
+        assert head_grads["out_w"].tobytes() == dout_w_r.tobytes()
+    else:
+        assert head_grads == {} and dout_w_r is None
+
+
 def _gathered_block_loss(logits, ids, mask, n, batch):
     """``_block_loss`` through the boolean gather and scatter of the
     weighted rows (its path for masks with zero weights): the reference for
@@ -587,7 +639,7 @@ def test_loss_kernel_sees_only_weighted_rows(monkeypatch, block_bytes):
     assert weighted < mask.size / 4
     rows = _recording_nll_block(monkeypatch)
     xf, _ = forward_hidden(state, ids)
-    head_loss(state, xf, ids, mask)
+    head_loss(state, xf.copy(), ids, mask)  # it consumes xf
     assert sum(rows) == weighted
     assert len(rows) == (len(ids) if block_bytes == 1 else 1)
     rows.clear()
@@ -897,7 +949,7 @@ def _attention_step(monkeypatch, state, ids, mask, block_bytes):
 
     rng = np.random.default_rng(3)
     xf, cache = blocked(forward_hidden, state, ids, training=True, rng=rng)
-    loss, dxf, grads = head_loss(state, xf, ids, mask)
+    loss, dxf, grads = head_loss(state, xf.copy(), ids, mask)  # it consumes xf
     grads.update(blocked(backward_batch, state, cache, dxf))
     return xf, loss, dxf, grads, calls
 
@@ -1035,6 +1087,43 @@ def test_causal_tiles_match_whole_rows_bitwise_at_named_lengths(
         assert _tiled_attention_mismatches(tk, dtype, head_dim, seed=1) == [], tk
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tk, tiles", [(20, (1, 1)), (97, (3, 3)), (200, (7, 1))])
+def test_attention_backward_writes_any_subset_of_its_gradients_bitwise(dtype, tk, tiles):
+    """``_attn_bwd`` with each of dq, dk and dv given or None writes the
+    given ones, bitwise the whole-row expressions: at one tile (20 keys),
+    at tiles whose lone last row joins the tile before it (97), and at 200
+    keys, in tiles in float32 and in whole rows in float64."""
+    assert len(lora_model._causal_tiles(tk, dtype, 16)) == tiles[dtype == np.float64]
+    rng = np.random.default_rng(tk)
+    qh, kh, vh, doh = (rng.normal(0.0, 1.0, (2, 2, tk, 16)).astype(dtype) for _ in range(4))
+    _, dv_r, dq_r, dk_r = _whole_row_attention(qh, kh, vh, doh, 0.25)
+    for given in itertools.product((False, True), repeat=3):
+        outs = [np.full_like(qh, np.nan) if g else None for g in given]
+        lora_model._attn_bwd(qh, kh, vh, doh, 0.25, *outs)
+        for name, out, ref in zip(("dq", "dk", "dv"), outs, (dq_r, dk_r, dv_r)):
+            assert out is None or out.tobytes() == ref.tobytes(), (given, name)
+
+
+def test_attention_backward_holds_one_score_buffer():
+    """At a tiled length, ``_attn_bwd`` keeps one (batch, heads, t, t)
+    buffer, not one of probabilities and one of ``ds``: with dq, dk and dv
+    all wanted it peaked at 1.38 buffers (2.38 with two), plus the tiles'
+    temporaries."""
+    b, H, T, dh = 2, 4, 256, 16
+    rng = np.random.default_rng(0)
+    qh, kh, vh, doh = (rng.normal(size=(b, H, T, dh)).astype(np.float32) for _ in range(4))
+    outs = [np.empty_like(qh) for _ in range(3)]
+    assert len(lora_model._causal_tiles(T, np.float32, dh)) > 1
+    tracemalloc.start()
+    try:
+        lora_model._attn_bwd(qh, kh, vh, doh, 0.25, *outs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * b * H * T * T * 4
+
+
 def test_untiled_shapes_keep_whole_rows():
     for dtype, head_dim in ((np.float32, 8), (np.float32, 32), (np.float16, 16)):
         assert lora_model._causal_tiles(200, dtype, head_dim) == [(0, 200)]
@@ -1079,7 +1168,7 @@ def test_tiled_training_step_matches_whole_rows_bitwise(monkeypatch, dtype):
         for tile in (8, 2**20):
             monkeypatch.setattr(lora_model, "ATTN_TILE", tile)
             xf, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(2))
-            loss, dxf, grads = head_loss(state, xf, ids, mask)
+            loss, dxf, grads = head_loss(state, xf.copy(), ids, mask)  # it consumes xf
             grads.update(backward_batch(state, cache, dxf))
             results.append((xf, loss, grads))
         (xf, loss, grads), (xf_r, loss_r, grads_r) = results
@@ -1180,6 +1269,12 @@ def test_dropout_and_layer_norm_chunks_match_whole_array_expressions_bitwise(dty
     for out, ref in ((y, y_r), (xhat, xhat_r), (inv, inv_r)):
         assert out.shape == ref.shape and out.dtype == ref.dtype == dtype
         assert out.tobytes() == ref.tobytes()
+    # y written over x itself, as the final layer norm does
+    x_in = x.copy()
+    y_in, (xhat_in, inv_in) = lora_model._layer_norm_fwd(x_in, gamma, beta, out=x_in)
+    assert np.shares_memory(y_in, x_in) and y_in.shape == x.shape
+    for out, ref in ((y_in, y), (xhat_in, xhat), (inv_in, inv)):
+        assert out.dtype == dtype and out.tobytes() == ref.tobytes()
     dx_r = _layer_norm_bwd_expression(dy, xhat, inv, gamma)
     dx = lora_model._layer_norm_bwd(dy, (xhat, inv), gamma)
     assert np.shares_memory(dx, dy)  # in place
@@ -1496,16 +1591,18 @@ def _model_wide_arrays(blk, shape):
 
 
 def test_forward_keeps_only_the_cache_entries_backward_reads():
-    """Each projection caches (x, u, keep), never a dropped-out input: the
-    query and value adapters share their input, the ln1 output, by
-    reference, and keep their dropout masks in every layer, layer 0
-    included, since their A gradients rebuild the dropped-out input from
-    them.  Under adapters-only training backward never reaches layer 0's
-    ln1, which keeps no statistics.  A backward cache keeps no per-head
-    query, key or value and no GELU array: backward rebuilds them from the
-    kept norm outputs and u's.  A decode cache keeps each layer's keys and
-    values and nothing for a backward pass.  A wanted ln1 gamma keeps its
-    layer's statistics, bitwise as the full pass computes it."""
+    """Each projection caches (x, u, keep), never a dropped-out input, and
+    never a layer norm's output beside that norm's statistics, which
+    rebuild it bitwise.  Under adapters-only training backward never
+    reaches layer 0's ln1, which keeps no statistics: there the query and
+    value adapters share their input, the ln1 output, by reference; every
+    other layer keeps ln1's statistics and no query/value input.  Every
+    layer keeps both adapters' dropout masks, since their A gradients
+    rebuild the dropped-out input from them.  A backward cache keeps no
+    per-head query, key or value and no GELU array: backward rebuilds them
+    from the norm outputs and u's.  A decode cache keeps each layer's keys
+    and values and nothing for a backward pass.  A wanted ln1 gamma keeps
+    its layer's statistics, bitwise as the full pass computes it."""
     state, ids, mask = _step_case(np.float64, ("query", "value"))
     cfg = state.config
     needs = set(adapter_param_names(cfg))
@@ -1514,23 +1611,30 @@ def test_forward_keeps_only_the_cache_entries_backward_reads():
     for i, blk in enumerate(cache["blocks"]):
         assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"ln2"} | ({"ln1"} if i else set())
         x = blk["query"][0]
-        assert blk["value"][0] is x and x.shape == wide
+        assert blk["value"][0] is x
+        assert x is None if i else x.shape == wide
         for proj in ("query", "value"):
             _, u, keep = blk[proj]
             assert u.shape == ids.shape + (cfg.lora_rank,)
             assert keep.dtype == bool and keep.shape == wide
         for proj in ("key", "output", "ff_in", "ff_out"):
             assert blk[proj] == (None, None, None), proj
-        # the shared input and the layer norms' xhat: no dropped-out copy
+        # the layer norms' xhat, and layer 0's shared input: no dropped-out
+        # copy, and no norm output beside its norm's statistics
         held = _model_wide_arrays(blk, wide)
-        expected = [x, blk["ln2"][0]] + ([blk["ln1"][0]] if "ln1" in blk else [])
+        expected = [blk["ln2"][0], blk["ln1"][0] if i else x]
         assert sorted(map(id, held)) == sorted(map(id, expected))
         assert _gelu_arrays(blk, cfg.d_ff) == []
-    # every tensor: still no per-head array and no GELU array
+    # every tensor: still no per-head array and no GELU array, and only the
+    # inputs that are no norm output (attention's and GELU's outputs)
     _, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(0))
     for blk in cache["blocks"]:
         assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"ln1", "ln2"}
         assert _gelu_arrays(blk, cfg.d_ff) == []
+        for proj in ("query", "key", "value", "ff_in"):
+            assert blk[proj][0] is None, proj
+        assert blk["output"][0].shape == wide
+        assert blk["ff_out"][0].shape == ids.shape + (cfg.d_ff,)
     # only the last layer's value adapter: the layers below keep nothing;
     # that layer keeps its ln2 statistics for the ff_in rebuild, and, with
     # no ln1 statistics, the query/key/value input (once, under query)
@@ -1702,34 +1806,43 @@ def _traced_step_peak(needs):
 
 def test_training_step_peak_memory():
     peak = _traced_step_peak(trainable_param_names)
-    # about 30.1 MiB on one worker, 19.3 on two or four (smaller layer
-    # blocks); running each layer but its attention over the whole
-    # batch at once peaked at 32.6, caching each layer's per-head query, key
-    # and value and its GELU derivative at 40.6, caching each adapter's
-    # dropped-out input and holding dead forward activations at 42.1,
-    # keeping each layer's GELU input and tanh term in place of its
-    # derivative at 46, caching every projection's input and holding every
-    # layer's cache and activation gradients through backward at 90
-    assert peak < 31 * 2**20
+    # about 21.1 MiB on one worker, 16.3 on two or four (smaller layer
+    # blocks); keeping a norm output beside its statistics, the residual
+    # stream beside xf, xf beside dxf and two attention score buffers per
+    # block peaked at 30.1 (19.3); running each layer but its attention
+    # over the whole batch at once peaked at 32.6, caching each layer's
+    # per-head query, key and value and its GELU derivative at 40.6,
+    # caching each adapter's dropped-out input and holding dead forward
+    # activations at 42.1, keeping each layer's GELU input and tanh term in
+    # place of its derivative at 46, caching every projection's input and
+    # holding every layer's cache and activation gradients through
+    # backward at 90
+    assert peak < 22 * 2**20
 
 
 def test_full_parameter_step_peak_memory():
     """A step that differentiates every tensor (``needs=None``) caches
-    every projection's input and u and both norms' statistics, but no
-    per-head array and no GELU derivative."""
+    the inputs of output and ff_out, every adapter's u and both norms'
+    statistics, but no norm output (the inputs of query, key, value and
+    ff_in), no per-head array and no GELU derivative."""
     peak = _traced_step_peak(None)
-    # about 39.7 MiB on one worker, 35.7 on two or four; running each layer
-    # but its attention over the whole batch at once peaked at 40.7, caching
-    # the per-head query, key and value and the GELU derivative at 48.7
-    assert peak < 41 * 2**20
+    # about 28.7 MiB on one worker, 30.8 on two or four (two head blocks at
+    # once); caching the norm outputs, keeping the residual stream beside
+    # xf, xf beside dxf and two attention score buffers per block peaked at
+    # 39.7 (35.7); running each layer but its attention over the whole
+    # batch at once peaked at 40.7, caching the per-head query, key and
+    # value and the GELU derivative at 48.7
+    assert peak < 32 * 2**20
 
 
 def test_forward_peak_memory():
     """The forward pass of a default adapters-only step holds, beside its
     cache, little more than one layer's working set: no per-head array and
     no GELU derivative cached, GELU in place, layer norms over row chunks,
-    one cached input shared by the query and value adapters, and every
-    other activation living one block of whole sequences at a time."""
+    one cached input shared by the query and value adapters in layer 0 and
+    none in the layers whose ln1 keeps statistics, xf written over the
+    residual stream, and every other activation living one block of whole
+    sequences at a time."""
     B, T = 16, 256
     config = ModelConfig(vocab_size=4100, max_seq_len=T)
     state = init_model(config, seed=0)
@@ -1743,8 +1856,10 @@ def test_forward_peak_memory():
     finally:
         tracemalloc.stop()
     del out
-    # measured 2.99x and 2.14x, 0.85x above what it holds, on one worker
-    # (2.65x, 0.51x above, on two or four); running each
+    # measured 2.74x and 1.89x, 0.85x above what it holds, on one worker
+    # (2.15x-2.26x, 0.26x-0.37x above, on two or four); keeping layer 1's
+    # and 2's ln1 output beside its statistics and the residual stream
+    # beside xf read 2.99x and 2.14x (2.65x on two or four); running each
     # layer but its attention over the whole batch at once read 3.26x and
     # 2.14x (1.12x above), caching the per-head query, key and value and
     # the GELU derivative 6.83x and 5.64x (1.18x above), caching each
@@ -1752,8 +1867,8 @@ def test_forward_peak_memory():
     # layer 8.70x and 6.02x (2.68x above), and keeping each layer's GELU
     # input and tanh term, and whole-batch layer-norm temporaries, 10.58x
     # and 8.02x
-    assert peak < 3.2 * h1_bytes
-    assert held < 2.3 * h1_bytes
+    assert peak < 2.95 * h1_bytes
+    assert held < 2.0 * h1_bytes
     assert peak - held < 1.0 * h1_bytes
 
 
