@@ -228,36 +228,37 @@ def _row_chunks(x):
 
 def _layer_norm_fwd(x, gamma, beta, out=None):
     """(y, (xhat, inv)) of a layer norm over the last axis, one row chunk at
-    a time; bitwise equal to ``xhat * gamma + beta`` with ``xhat = (x - mu)
-    * inv`` and ``inv = 1 / sqrt(var + eps)`` over the whole array, since
-    every reduction runs within a row.  Each chunk runs that allocating
-    expression, whose temporaries then span one chunk; the whole-array
-    outputs are preallocated and filled only when there is more than one
-    chunk, so a short input (a decode step's one row) pays no copy.  y is
-    written to ``out`` when given (a contiguous array; ``x`` itself works in
-    place, since a chunk is read whole before its y is stored)."""
-    if x.nbytes <= CHUNK_BYTES:
-        y, stats = _layer_norm_rows(x, gamma, beta)
-        if out is not None:
-            out[...] = y
-            y = out
-        return y, stats
+    a time into the preallocated outputs; bitwise equal to ``xhat * gamma +
+    beta`` with ``xhat = (x - mu) * inv`` and ``inv = 1 / sqrt(var + eps)``
+    over the whole array, since every reduction runs within a row and each
+    chunk takes that expression's rounding steps.  A chunk's mu and var go
+    to its rows of inv and its ``(x - mu)**2`` to its rows of y, so nothing
+    is allocated beyond the outputs.  A mean is ``mean``'s sum divided by
+    the row length, bitwise ``mean`` (which divides in float64: a float32
+    quotient rounds the same either way) without its Python-level cost of
+    about 3 us, which a decode step pays per layer norm.  y is written to
+    ``out`` when given (a contiguous array; ``x`` itself works in place,
+    since a chunk of x is read only to form its ``x - mu``)."""
     x2, chunks = _row_chunks(x)
     y = np.empty_like(x2) if out is None else out.reshape(x2.shape)
     xhat = np.empty_like(x2)
     inv = np.empty((len(x2), 1), dtype=x2.dtype)
+    d = x2.shape[1]
     for sl in chunks:
-        y[sl], (xhat[sl], inv[sl]) = _layer_norm_rows(x2[sl], gamma, beta)
+        yc, xc, ic = y[sl], xhat[sl], inv[sl]
+        np.add.reduce(x2[sl], axis=-1, keepdims=True, out=ic)
+        ic /= d
+        np.subtract(x2[sl], ic, out=xc)
+        np.multiply(xc, xc, out=yc)
+        np.add.reduce(yc, axis=-1, keepdims=True, out=ic)
+        ic /= d
+        ic += _LN_EPS
+        np.sqrt(ic, out=ic)
+        np.divide(1.0, ic, out=ic)
+        xc *= ic
+        np.multiply(xc, gamma, out=yc)
+        yc += beta
     return y.reshape(x.shape), (xhat.reshape(x.shape), inv.reshape(x.shape[:-1] + (1,)))
-
-
-def _layer_norm_rows(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return xhat * gamma + beta, (xhat, inv)
 
 
 def _layer_norm_bwd(dy, cache, gamma):
@@ -429,40 +430,38 @@ def _norm_out(state, i, norm, stats, sl=slice(None)):
 
 
 def _proj_grads(state, i, proj, dy, blk, grads, want):
-    """Accumulates into ``grads`` the gradients of layer i's ``proj`` that
+    """Writes into ``grads`` the gradients of layer i's ``proj`` that
     ``want`` asks for, from its whole-batch output gradient ``dy`` (None
     when none is wanted) and its cache entry ``blk[proj] = (x, u, keep)``,
     which it removes; returns ``keep``, which the blocks' ``_proj_dx`` may
     still read.  Each gradient is one GEMM or sum over every row of the batch.
 
-    Where the layer norm before the stage keeps its statistics, the cache
-    holds no x (``_layer_cache``): when the weight's or A's gradient reads
-    it, x is rebuilt here once, whole-batch, with ``_norm_out``.  An
-    adapter's A gradient rebuilds the forward's dropped-out input ``xd = x *
-    keep / (1 - p)`` (``_dropout_apply``, bitwise the forward's), in place
-    on such a rebuilt x, else in a new array, since a cached x serves the
-    stage's other projections; it drops xd after its GEMM."""
+    A projection that reads a layer norm's output caches no x
+    (``_layer_cache``): when the weight's or A's gradient reads it, x is
+    rebuilt here once, whole-batch, with ``_norm_out``.  An adapter's A
+    gradient rebuilds the forward's dropped-out input ``xd = x * keep / (1 -
+    p)`` (``_dropout_apply``, bitwise the forward's) in place on x, which
+    nothing reads after the weight's gradient, and drops it after its GEMM."""
     cfg, P = state.config, state.params
     x, u, keep = blk.pop(proj)
     w_name, b_name, a_name, b_up_name = _proj_names(i, proj)
     adapted = proj in cfg.adapted_projections
-    rebuilt = x is None and (want(w_name) or (adapted and want(a_name)))
-    if rebuilt:
+    if x is None and (want(w_name) or (adapted and want(a_name))):
         norm = _NORM_BEFORE[proj]
         x = _norm_out(state, i, norm, blk[norm])
     if want(w_name):
-        grads[w_name] = grads.get(w_name, 0) + _rows(dy).T @ _rows(x)
+        grads[w_name] = _rows(dy).T @ _rows(x)
     if want(b_name):
-        grads[b_name] = grads.get(b_name, 0) + _rows(dy).sum(axis=0)
+        grads[b_name] = _rows(dy).sum(axis=0)
     if adapted:
         scale, p = cfg.lora_alpha / cfg.lora_rank, cfg.lora_dropout
         if want(b_up_name):
-            grads[b_up_name] = grads.get(b_up_name, 0) + scale * (_rows(dy).T @ _rows(u))
+            grads[b_up_name] = scale * (_rows(dy).T @ _rows(u))
         if want(a_name):
             du = scale * (dy @ P[b_up_name])
             if keep is not None:
-                x = _dropout_apply(x, keep, p, out=x if rebuilt else None)
-            grads[a_name] = grads.get(a_name, 0) + _rows(du).T @ _rows(x)
+                x = _dropout_apply(x, keep, p, out=x)
+            grads[a_name] = _rows(du).T @ _rows(x)
     return keep
 
 
@@ -814,11 +813,10 @@ _QKV = ("query", "key", "value")
 _STAGES = (("ln1",), _QKV, ("output",), ("ln2",), ("ff_in",), ("ff_out",))
 _STAGE_OF = {part: s for s, stage in enumerate(_STAGES) for part in stage}
 
-# The projections whose outputs backward rebuilds instead of the cache
-# keeping them: attention's inputs and GELU's input.  Each reads the layer
-# norm of the stage before it, which ``_NORM_BEFORE`` names.
-_REBUILT = _QKV + ("ff_in",)
-_NORM_BEFORE = {proj: _STAGES[_STAGE_OF[proj] - 1][0] for proj in _REBUILT}
+# The projections that read a layer norm's output, and that norm: backward
+# rebuilds their input from the norm's statistics, and their outputs
+# (attention's inputs and GELU's input) from that input and their u's.
+_NORM_BEFORE = {"query": "ln1", "key": "ln1", "value": "ln1", "ff_in": "ln2"}
 
 
 def _stage_names(i: int, stage: tuple[str, ...]) -> list[str]:
@@ -852,54 +850,46 @@ def _layer_cache(state, i, shape, dtype, first, want, rng):
     """Layer i's backward cache, allocated for ``forward_hidden``'s blocks to
     fill, and the layer's dropout masks (None each when ``rng`` is None).
 
-    Returns (blk, masks, inputs).  ``blk`` maps each projection to (x, u,
-    keep), each a whole-batch array or None: its input only when its base
-    weight or its adapter's A is wanted, or the stage's first projection
-    keeps it for the rebuild of ``_REBUILT`` outputs; u when the adapter's
-    B is wanted or the output is rebuilt; the mask when A is wanted or the
+    Returns (blk, masks).  ``blk`` maps each projection to (x, u, keep),
+    each a whole-batch array or None: x only for output and ff_out, when
+    their base weight or their adapter's A is wanted; u when the adapter's B
+    is wanted or the output is rebuilt; the mask when A is wanted or the
     gradient flows to the input.  ``blk["ln1"]``/``blk["ln2"]`` is a norm's
-    (xhat, inv) when the gradient reaches it.  A norm output is never kept
-    beside those statistics, which rebuild it bitwise (``_norm_out``): a
-    ``_REBUILT`` projection keeps its input only when the norm before its
-    stage keeps none.  ``inputs`` maps the first projection of a stage to
-    the stage's kept input, one array that serves the whole stage (query,
-    key and value share theirs).  The masks are drawn whole, one per
-    adapted projection in forward order."""
+    (xhat, inv) when the gradient reaches the projections that read its
+    output, which keep no x: backward rebuilds it from those statistics,
+    bitwise (``_norm_out``).  The masks are drawn whole, one per adapted
+    projection in forward order."""
     masks = dict.fromkeys(ADAPTABLE_PROJECTIONS)
     if rng is None and first >= (i + 1, 0):
         # the gradient reaches neither the layer nor any of its tensors (as
         # in every decode call): nothing to keep and no mask to draw
-        return dict.fromkeys(ADAPTABLE_PROJECTIONS, (None, None, None)), masks, {}
+        return dict.fromkeys(ADAPTABLE_PROJECTIONS, (None, None, None)), masks
     cfg = state.config
 
     def whole(width):
         return np.empty(shape + (width,), dtype)
 
-    blk, inputs = {}, {}
+    blk = {}
     for norm in ("ln1", "ln2"):
-        if first <= (i, _STAGE_OF[norm]):
+        if first <= (i, _STAGE_OF[norm] + 1):
             blk[norm] = (whole(cfg.d_model), whole(1))
     for proj in ADAPTABLE_PROJECTIONS:
         s = _STAGE_OF[proj]
         w_name, _, a_name, b_up_name = _proj_names(i, proj)
         d_in = cfg.projection_dims(proj)[1]
         adapted = proj in cfg.adapted_projections
-        rebuild = proj in _REBUILT and first < (i, s + 1)
-        norm_kept = proj in _REBUILT and first <= (i, s - 1)
-        reads_x = (rebuild and proj == _STAGES[s][0]) or want(w_name) or (adapted and want(a_name))
         if adapted and rng is not None:
             masks[proj] = _dropout_mask(shape + (d_in,), cfg.lora_dropout, rng)
+        reads_norm = proj in _NORM_BEFORE
+        rebuild = reads_norm and first < (i, s + 1)
         x = u = None
-        if reads_x and not norm_kept:
-            stage = _STAGES[s][0]
-            if stage not in inputs:
-                inputs[stage] = whole(d_in)
-            x = inputs[stage]
+        if not reads_norm and (want(w_name) or (adapted and want(a_name))):
+            x = whole(d_in)
         if adapted and (rebuild or want(b_up_name)):
             u = whole(cfg.lora_rank)
         keep = masks[proj] if first < (i, s) or want(a_name) else None
         blk[proj] = (x, u, keep)
-    return blk, masks, inputs
+    return blk, masks
 
 
 def forward_hidden(
@@ -929,9 +919,10 @@ def forward_hidden(
     one whole-array draw per adapted projection.  The per-head query, key
     and value, the attention probabilities and output, the ln1 and ln2
     outputs, ff_in's output and the GELU output live one block at a time,
-    unless the cache keeps one as a projection's input.  The final layer
-    norm writes xf over the residual stream, which dies there.  A decode
-    call (one sequence) is one block, run on the calling thread.
+    but for the attention and GELU outputs that the cache keeps as output's
+    and ff_out's inputs.  The final layer norm writes xf over the residual
+    stream, which dies there.  A decode call (one sequence) is one block,
+    run on the calling thread.
 
     Without ``past``, attention runs in causal query tiles
     (``_causal_tiles``): a tile of queries [lo, hi) computes its scores,
@@ -939,29 +930,25 @@ def forward_hidden(
 
     ``needs`` names the tensors whose gradients ``backward_batch`` computes
     from this cache (all of them when None).  Each projection caches (x, u,
-    keep) as ``_layer_cache`` says: its input only when its base weight or
-    its adapter's A is among them, and never a dropped-out copy of it.  A
-    layer's ln1 and ln2 statistics are kept only when the gradient reaches
-    that norm (``_first_wanted``).
+    keep) as ``_layer_cache`` says, and never a dropped-out copy of x.  Only
+    output and ff_out cache x, each its own, when their base weight or
+    their adapter's A is among them.  Query, key, value and ff_in read a
+    layer norm's output (``_NORM_BEFORE``), which no cache keeps: that norm
+    keeps its statistics wherever the gradient reaches those projections
+    (``_first_wanted``), and backward rebuilds its output from them as
+    ``xhat * gamma + beta`` (``_norm_out``), bitwise, per block to rebuild
+    the projections' outputs and whole-batch for a weight's or an A's
+    gradient.
 
-    Such a backward cache keeps no per-head query, key or value, no GELU
-    derivative, and no layer norm output beside that norm's statistics.
-    Where the gradient reaches the output of query, key, value or ``ff_in``
-    (``_REBUILT``), backward rebuilds that output, bitwise, from the layer
-    norm output the projection read and its adapter's u, which such a
-    projection always keeps.  Where the norm keeps its statistics, the norm
-    output is ``xhat * gamma + beta`` rebuilt from them (``_norm_out``),
-    per block for the rebuilt outputs and whole-batch for a weight's or an
-    A's gradient; else the stage's first projection keeps it, once, when
-    any gradient reads it.  GELU runs value-only, in place on ``ff_in``'s
-    output.
-
+    Such a backward cache keeps no per-head query, key or value and no GELU
+    derivative either.  Where the gradient reaches the output of query,
+    key, value or ``ff_in``, backward rebuilds that output, bitwise, from
+    the rebuilt norm output and its adapter's u, which such a projection
+    always keeps.  GELU runs value-only, in place on ``ff_in``'s output.
     When training only the default adapters (query and value, with
-    dropout), layer 0, whose ln1 keeps no statistics, keeps its ln1 output
-    once, for both adapters' A gradients and the rebuild; every other layer
-    keeps ln1's statistics instead.  Each layer keeps the two boolean masks
-    and u's; no layer keeps its attention output, whose only reader would
-    be a frozen weight's gradient.
+    dropout), each layer keeps ln1's and ln2's statistics, the two boolean
+    masks and u's; no layer keeps its attention output, whose only reader
+    would be a frozen weight's gradient.
 
     A decode cache, built with ``needs=frozenset()`` or on a ``past``,
     keeps each layer's keys and values instead, and nothing for a backward
@@ -1010,7 +997,7 @@ def forward_hidden(
     }
     for i in range(cfg.n_layers):
         pre = f"layers.{i}"
-        blk, masks, inputs = _layer_cache(state, i, (B, T), x.dtype, first, want, drop_rng)
+        blk, masks = _layer_cache(state, i, (B, T), x.dtype, first, want, drop_rng)
         if decode:
             for name in ("kh", "vh"):
                 blk[name] = np.empty((B, H, T0 + T, cfg.d_model // H), x.dtype)
@@ -1032,20 +1019,18 @@ def forward_hidden(
             """The layer on the sequences ``sl``; its arrays die on return."""
             xb = x[sl]  # a view: both residual adds land in x
             a = norm("ln1", xb, sl)
-            _store(inputs.get("query"), sl, a)
             qh, kh, vh = (_split_heads(proj(name, a, sl), H) for name in _QKV)
             if decode:
                 blk["kh"][sl, :, T0:], blk["vh"][sl, :, T0:] = kh, vh
                 if T0:  # attend to past's keys and values as well
                     kh, vh = blk["kh"][sl], blk["vh"][sl]
-            o = inputs["output"][sl] if "output" in inputs else np.empty_like(xb)
+            o = np.empty_like(xb) if blk["output"][0] is None else blk["output"][0][sl]
             _attn_fwd(qh, kh, vh, head_scale, _split_heads(o, H))
             del qh, kh, vh
             xb += proj("output", o, sl)
             f = norm("ln2", xb, sl)
-            _store(inputs.get("ff_in"), sl, f)
             g = _gelu_fwd(proj("ff_in", f, sl))
-            _store(inputs.get("ff_out"), sl, g)
+            _store(blk["ff_out"][0], sl, g)
             xb += proj("ff_out", g, sl)
 
         _each(run_block, _layer_blocks(cfg, B, T, T0 + T, x.itemsize))
@@ -1102,8 +1087,8 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     The cache holds no per-head queries, keys and values and no GELU
     derivative: each block rebuilds them just before it reads them, with
     the forward's own steps (``_proj_out``, then ``_gelu_grad`` in place on
-    the rebuilt ``ff_in`` output), from the layer norm output and the u's
-    the forward kept for that.  Nor does it hold attention probabilities:
+    the rebuilt ``ff_in`` output), from the layer norms' statistics and the
+    u's the forward kept for that.  Nor does it hold attention probabilities:
     each block recomputes its own in the forward's causal tiles, bitwise
     equal to the forward's.
 
@@ -1158,13 +1143,12 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
         xhat, inv = stats
         return _layer_norm_bwd(dy, (xhat[sl], inv[sl]), P[f"{name}.gamma"])
 
-    def rebuild(i, blk, projs, norm, sl):
+    def rebuild(i, blk, projs, sl):
         """Layer i's ``projs`` outputs on the sequences ``sl`` as the forward
-        formed them, from the output of its layer norm ``norm`` that they
-        read: the input one of them cached, else ``_norm_out`` from the
-        norm's cache."""
-        x = next((blk[proj][0] for proj in projs if blk[proj][0] is not None), None)
-        x = _norm_out(state, i, norm, blk[norm], sl) if x is None else x[sl]
+        formed them, from the output of the layer norm that they read,
+        itself rebuilt from the norm's statistics (``_norm_out``)."""
+        norm = _NORM_BEFORE[projs[0]]
+        x = _norm_out(state, i, norm, blk[norm], sl)
         return [_proj_out(state, i, proj, x, _part(blk[proj][1], sl)) for proj in projs]
 
     ln_f = cache.pop("ln_f")
@@ -1188,7 +1172,7 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
         def ff_block(sl):
             """The feed-forward half's backward on the sequences ``sl``."""
             dh1 = _proj_dx(state, i, "ff_out", dx[sl], _part(keep_out, sl))
-            (h1,) = rebuild(i, blk, ("ff_in",), "ln2", sl)
+            (h1,) = rebuild(i, blk, ("ff_in",), sl)
             _gelu_bwd(dh1, _gelu_grad(h1))  # in place in dh1
             del h1
             _store(dh1_all, sl, dh1)
@@ -1219,7 +1203,7 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
             and dv go to ``dqkv`` where their projection trains, else live
             in this block only, and only when the gradient flows on."""
             do = _proj_dx(state, i, "output", dx[sl], _part(keep_o, sl))
-            qh, kh, vh = (_split_heads(y, H) for y in rebuild(i, blk, _QKV, "ln1", sl))
+            qh, kh, vh = (_split_heads(y, H) for y in rebuild(i, blk, _QKV, sl))
             dys = {
                 proj: dqkv[proj][sl] if proj in dqkv else np.empty_like(do)
                 for proj in _QKV

@@ -1239,8 +1239,8 @@ def _layer_norm_bwd_expression(dy, xhat, inv, gamma):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("extra", [None, 0, 1])  # one row, one chunk, one chunk + 1
-def test_dropout_and_layer_norm_chunks_match_whole_array_expressions_bitwise(dtype, extra):
-    d = 64
+@pytest.mark.parametrize("d", [64, 48])  # a row mean divides by a power of two, or not
+def test_dropout_and_layer_norm_chunks_match_whole_array_expressions_bitwise(dtype, extra, d):
     per_chunk = lora_model.CHUNK_BYTES // (d * np.dtype(dtype).itemsize)
     rows = 1 if extra is None else per_chunk + extra
     rng = np.random.default_rng(rows)
@@ -1294,9 +1294,10 @@ def test_layer_norm_forward_holds_only_its_outputs():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # y and xhat (2x) plus inv and chunk temporaries: measured 2x + 4.2
-    # chunks; the whole-array expression peaked at 4.06x
-    assert peak < 2 * x.nbytes + 6 * chunk
+    # y and xhat (2x) plus inv, with no chunk temporary: measured 2x + 0.38
+    # chunks; each chunk running the allocating expression peaked at 2x +
+    # 4.4 chunks, the whole-array expression at 4.06x
+    assert peak < 2 * x.nbytes + 1 * chunk
 
 
 def _step_case(dtype, projections, seed=4, dropout=0.2):
@@ -1550,8 +1551,8 @@ REBUILD_NEEDS = {
     "ln1 gamma": {"layers.0.ln1.gamma"},
     "value weight": {"layers.1.attn.wv"},
     "ff_in adapter": {"layers.1.lora.ff_in.a", "layers.1.lora.ff_in.b"},
-    # the first wanted tensor keeps no input and no norm statistics: the
-    # projection keeps its input for the rebuild
+    # the first wanted tensor is a bias: only the norm before it keeps its
+    # statistics, for the rebuild
     "value bias": {"layers.1.attn.bv"},
     "ff_in B": {"layers.2.lora.ff_in.b"},
 }
@@ -1591,39 +1592,35 @@ def _model_wide_arrays(blk, shape):
 
 
 def test_forward_keeps_only_the_cache_entries_backward_reads():
-    """Each projection caches (x, u, keep), never a dropped-out input, and
-    never a layer norm's output beside that norm's statistics, which
-    rebuild it bitwise.  Under adapters-only training backward never
-    reaches layer 0's ln1, which keeps no statistics: there the query and
-    value adapters share their input, the ln1 output, by reference; every
-    other layer keeps ln1's statistics and no query/value input.  Every
-    layer keeps both adapters' dropout masks, since their A gradients
-    rebuild the dropped-out input from them.  A backward cache keeps no
-    per-head query, key or value and no GELU array: backward rebuilds them
-    from the norm outputs and u's.  A decode cache keeps each layer's keys
-    and values and nothing for a backward pass.  A wanted ln1 gamma keeps
-    its layer's statistics, bitwise as the full pass computes it."""
+    """Each projection caches (x, u, keep), never a dropped-out input and
+    never a layer norm's output: query, key, value and ff_in cache no x,
+    and a norm keeps its statistics wherever the gradient reaches the
+    projections that read its output, which backward rebuilds from them
+    bitwise.  Under adapters-only training every layer, layer 0 included,
+    keeps ln1's and ln2's statistics and both adapters' dropout masks,
+    since their A gradients rebuild the dropped-out input from them.  A
+    backward cache keeps no per-head query, key or value and no GELU array:
+    backward rebuilds them from the norms' statistics and u's.  A decode
+    cache keeps each layer's keys and values and nothing for a backward
+    pass.  A wanted ln1 gamma keeps its layer's statistics, bitwise as the
+    full pass computes it."""
     state, ids, mask = _step_case(np.float64, ("query", "value"))
     cfg = state.config
     needs = set(adapter_param_names(cfg))
     _, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(0), needs=needs)
     wide = ids.shape + (cfg.d_model,)
-    for i, blk in enumerate(cache["blocks"]):
-        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"ln2"} | ({"ln1"} if i else set())
-        x = blk["query"][0]
-        assert blk["value"][0] is x
-        assert x is None if i else x.shape == wide
+    for blk in cache["blocks"]:
+        assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"ln1", "ln2"}
         for proj in ("query", "value"):
-            _, u, keep = blk[proj]
+            x, u, keep = blk[proj]
+            assert x is None, proj
             assert u.shape == ids.shape + (cfg.lora_rank,)
             assert keep.dtype == bool and keep.shape == wide
         for proj in ("key", "output", "ff_in", "ff_out"):
             assert blk[proj] == (None, None, None), proj
-        # the layer norms' xhat, and layer 0's shared input: no dropped-out
-        # copy, and no norm output beside its norm's statistics
+        # the layer norms' xhat only: no dropped-out copy, no norm output
         held = _model_wide_arrays(blk, wide)
-        expected = [blk["ln2"][0], blk["ln1"][0] if i else x]
-        assert sorted(map(id, held)) == sorted(map(id, expected))
+        assert sorted(map(id, held)) == sorted(map(id, [blk["ln1"][0], blk["ln2"][0]]))
         assert _gelu_arrays(blk, cfg.d_ff) == []
     # every tensor: still no per-head array and no GELU array, and only the
     # inputs that are no norm output (attention's and GELU's outputs)
@@ -1636,18 +1633,19 @@ def test_forward_keeps_only_the_cache_entries_backward_reads():
         assert blk["output"][0].shape == wide
         assert blk["ff_out"][0].shape == ids.shape + (cfg.d_ff,)
     # only the last layer's value adapter: the layers below keep nothing;
-    # that layer keeps its ln2 statistics for the ff_in rebuild, and, with
-    # no ln1 statistics, the query/key/value input (once, under query)
-    # beside the adapters' u
+    # that layer keeps its ln1 statistics for the query/key/value rebuild
+    # and its ln2 statistics for the ff_in rebuild, beside the adapters' u,
+    # and no input
     _, cache = forward_hidden(state, ids, needs={"layers.2.lora.value.b"})
     for blk in cache["blocks"][:2]:
         assert set(blk) == set(ADAPTABLE_PROJECTIONS)
         assert all(blk[proj] == (None, None, None) for proj in ADAPTABLE_PROJECTIONS)
     last = cache["blocks"][2]
-    assert set(last) == set(ADAPTABLE_PROJECTIONS) | {"ln2"}
-    assert last["query"][0].shape == wide and last["value"][0] is None
+    assert set(last) == set(ADAPTABLE_PROJECTIONS) | {"ln1", "ln2"}
     for proj in ("query", "value"):
-        assert last[proj][1].shape == ids.shape + (cfg.lora_rank,) and last[proj][2] is None
+        x, u, keep = last[proj]
+        assert x is None and keep is None, proj
+        assert u.shape == ids.shape + (cfg.lora_rank,)
     for proj in ("key", "output", "ff_in", "ff_out"):
         assert last[proj] == (None, None, None), proj
     # a decode cache: the keys and values of every position so far
@@ -1669,43 +1667,85 @@ def test_forward_keeps_only_the_cache_entries_backward_reads():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_each_single_tensor_step_matches_the_full_pass_bitwise(monkeypatch, dtype):
+    """Each of the 89 tensors alone (``needs={name}``), all six projections
+    adapted, dropout on: its gradient is the ``needs=None`` pass's,
+    bitwise, wherever in the model the gradient first enters.  No cache
+    entry of query, key, value or ff_in holds an x under any of these
+    needs: their input is the layer norm's output, which backward always
+    rebuilds from the norm's statistics."""
+    state, ids, mask = _step_case(dtype, ADAPTABLE_PROJECTIONS, dropout=0.1)
+    kept = []
+    inner = lora_model._layer_cache
+
+    def recording(*args):
+        blk, masks = inner(*args)
+        kept.extend(proj for proj in ("query", "key", "value", "ff_in") if blk[proj][0] is not None)
+        return blk, masks
+
+    monkeypatch.setattr(lora_model, "_layer_cache", recording)
+    loss_r, grads_r = trainer._batch_grads(state, ids, mask, None, np.random.default_rng(3))
+    names = param_names(state.config)
+    assert len(names) == 89
+    for name in names:
+        loss, grads = trainer._batch_grads(state, ids, mask, {name}, np.random.default_rng(3))
+        assert loss == loss_r, name
+        assert set(grads) == {name}
+        assert grads[name].dtype == dtype, name
+        assert grads[name].tobytes() == grads_r[name].tobytes(), name
+    assert kept == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("extra", [None, 0, 1])  # one row, one chunk, one chunk + 1
-def test_adapter_gradient_rebuilds_the_forward_dropout_bitwise(monkeypatch, dtype, extra):
-    """``_proj_grads`` rebuilds the adapter's dropped-out input from the
-    cached input and mask, bitwise the array the forward formed, and takes
-    its A gradient as one GEMM on it."""
+@pytest.mark.parametrize("proj", ["query", "output"])
+def test_adapter_gradient_rebuilds_the_forward_dropout_bitwise(monkeypatch, dtype, extra, proj):
+    """``_proj_grads`` rebuilds the adapter's dropped-out input in place on
+    x, bitwise the array the forward formed, and takes its A gradient as
+    one GEMM on it.  For query, x is the ln1 output, rebuilt from ln1's
+    statistics; for output, x is the input the cache kept, which nothing
+    reads after this."""
     config = replace(SMALL, d_model=64, n_heads=4, d_ff=64, lora_rank=4,
-                     lora_alpha=6.0, lora_dropout=0.3, adapted_projections=("query",))
+                     lora_alpha=6.0, lora_dropout=0.3, adapted_projections=(proj,))
     state = _live_adapter_state(config, dtype, 0)
+    P = state.params
     d = config.d_model
     per_chunk = lora_model.CHUNK_BYTES // (d * np.dtype(dtype).itemsize)
     rows = 1 if extra is None else per_chunk + extra
     rng = np.random.default_rng(rows)
     x = rng.normal(0.0, 3.0, (1, rows, d)).astype(dtype)
     dy = rng.normal(size=x.shape).astype(dtype)
+    keep = lora_model._dropout_mask(x.shape, 0.3, np.random.default_rng(5))
+    if proj == "query":
+        x, stats = lora_model._layer_norm_fwd(x, P["layers.0.ln1.gamma"], P["layers.0.ln1.beta"])
+        blk = {"query": (None, None, keep), "ln1": stats}
+    else:
+        blk = {"output": (x.copy(), None, keep)}
+    cached = blk[proj][0]
     built = []
     inner = lora_model._dropout_apply
 
     def recording(x, keep, p, out=None):
         result = inner(x, keep, p, out)
-        if out is None:
-            built.append(result)
+        built.append((result, out))
         return result
 
     monkeypatch.setattr(lora_model, "_dropout_apply", recording)
-    _, _, a_name, b_name = lora_model._proj_names(0, "query")
+    _, _, a_name, b_name = lora_model._proj_names(0, proj)
     want = lora_model._wants({a_name})
-    keep = lora_model._dropout_mask(x.shape, 0.3, np.random.default_rng(5))
-    lora_model._proj_fwd(state, 0, "query", x, keep)
-    blk, grads = {"query": (x, None, keep)}, {}
-    assert lora_model._proj_grads(state, 0, "query", dy, blk, grads, want) is keep
-    assert blk == {}
-    forward, rebuilt = built
-    assert rebuilt is not forward
+    lora_model._proj_fwd(state, 0, proj, x, keep)
     xd_r, _ = _dropout_expression(x, 0.3, np.random.default_rng(5))
+    grads = {}
+    assert lora_model._proj_grads(state, 0, proj, dy, blk, grads, want) is keep
+    assert proj not in blk
+    (forward, forward_out), (rebuilt, rebuilt_out) = built
+    assert forward_out is None and rebuilt_out is not None
+    assert np.shares_memory(rebuilt, rebuilt_out) and not np.shares_memory(rebuilt, x)
+    if cached is not None:  # the cached x, dropped out in place
+        assert np.shares_memory(rebuilt, cached)
     assert forward.dtype == rebuilt.dtype == dtype
     assert forward.tobytes() == rebuilt.tobytes() == xd_r.tobytes()
-    du = config.lora_alpha / config.lora_rank * (dy @ state.params[b_name])
+    du = config.lora_alpha / config.lora_rank * (dy @ P[b_name])
     expected = du.reshape(-1, config.lora_rank).T @ xd_r.reshape(-1, d)
     assert set(grads) == {a_name} and grads[a_name].tobytes() == expected.tobytes()
 
@@ -1823,8 +1863,8 @@ def test_training_step_peak_memory():
 def test_full_parameter_step_peak_memory():
     """A step that differentiates every tensor (``needs=None``) caches
     the inputs of output and ff_out, every adapter's u and both norms'
-    statistics, but no norm output (the inputs of query, key, value and
-    ff_in), no per-head array and no GELU derivative."""
+    statistics in every layer, but no norm output (the inputs of query,
+    key, value and ff_in), no per-head array and no GELU derivative."""
     peak = _traced_step_peak(None)
     # about 28.7 MiB on one worker, 30.8 on two or four (two head blocks at
     # once); caching the norm outputs, keeping the residual stream beside
@@ -1839,10 +1879,9 @@ def test_forward_peak_memory():
     """The forward pass of a default adapters-only step holds, beside its
     cache, little more than one layer's working set: no per-head array and
     no GELU derivative cached, GELU in place, layer norms over row chunks,
-    one cached input shared by the query and value adapters in layer 0 and
-    none in the layers whose ln1 keeps statistics, xf written over the
-    residual stream, and every other activation living one block of whole
-    sequences at a time."""
+    no cached input in any layer (each keeps its ln1 statistics instead),
+    xf written over the residual stream, and every other activation living
+    one block of whole sequences at a time."""
     B, T = 16, 256
     config = ModelConfig(vocab_size=4100, max_seq_len=T)
     state = init_model(config, seed=0)
@@ -1856,13 +1895,14 @@ def test_forward_peak_memory():
     finally:
         tracemalloc.stop()
     del out
-    # measured 2.74x and 1.89x, 0.85x above what it holds, on one worker
-    # (2.15x-2.26x, 0.26x-0.37x above, on two or four); keeping layer 1's
-    # and 2's ln1 output beside its statistics and the residual stream
-    # beside xf read 2.99x and 2.14x (2.65x on two or four); running each
-    # layer but its attention over the whole batch at once read 3.26x and
-    # 2.14x (1.12x above), caching the per-head query, key and value and
-    # the GELU derivative 6.83x and 5.64x (1.18x above), caching each
+    # measured 2.75x and 1.90x, 0.85x above what it holds, on one worker
+    # (2.23x-2.27x, 0.34x-0.37x above, on two or four); caching layer 0's
+    # ln1 output in place of its statistics read 2.74x and 1.89x; keeping
+    # layer 1's and 2's ln1 output beside its statistics and the residual
+    # stream beside xf read 2.99x and 2.14x (2.65x on two or four); running
+    # each layer but its attention over the whole batch at once read 3.26x
+    # and 2.14x (1.12x above), caching the per-head query, key and value
+    # and the GELU derivative 6.83x and 5.64x (1.18x above), caching each
     # adapter's dropped-out input and holding dead activations to the next
     # layer 8.70x and 6.02x (2.68x above), and keeping each layer's GELU
     # input and tanh term, and whole-batch layer-norm temporaries, 10.58x
