@@ -36,17 +36,23 @@ PHASES = ("init", "pretrain", "sft")
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
-# Each adaptable projection's base weight and bias under ``layers.{i}.``, in
-# the order the forward pass applies them (and draws their dropout masks).
+# Each adaptable projection's base weight and bias under ``layers.{i}.`` and
+# the ``ModelConfig`` fields of its weight's (d_out, d_in), in the order the
+# forward pass applies them (and draws their dropout masks).
 PROJECTION_TENSORS = {
-    "query": ("attn.wq", "attn.bq"),
-    "key": ("attn.wk", "attn.bk"),
-    "value": ("attn.wv", "attn.bv"),
-    "output": ("attn.wo", "attn.bo"),
-    "ff_in": ("ff.w1", "ff.b1"),
-    "ff_out": ("ff.w2", "ff.b2"),
+    "query": ("attn.wq", "attn.bq", "d_model", "d_model"),
+    "key": ("attn.wk", "attn.bk", "d_model", "d_model"),
+    "value": ("attn.wv", "attn.bv", "d_model", "d_model"),
+    "output": ("attn.wo", "attn.bo", "d_model", "d_model"),
+    "ff_in": ("ff.w1", "ff.b1", "d_ff", "d_model"),
+    "ff_out": ("ff.w2", "ff.b2", "d_model", "d_ff"),
 }
 ADAPTABLE_PROJECTIONS = tuple(PROJECTION_TENSORS)
+
+# A layer as its two residual halves in forward order, each a row (norm,
+# projs, out) of ``x += out(inner(projs(norm(x))))``: attention reads query,
+# key and value off ln1, GELU reads ff_in off ln2.
+LAYER_HALVES = (("ln1", ("query", "key", "value"), "output"), ("ln2", ("ff_in",), "ff_out"))
 
 _LN_EPS = 1e-5
 _INIT_STD = 0.02
@@ -109,13 +115,10 @@ class ModelConfig:
 
     def projection_dims(self, proj: str) -> tuple[int, int]:
         """(d_out, d_in) of a projection's base weight matrix."""
-        if proj in ("query", "key", "value", "output"):
-            return self.d_model, self.d_model
-        if proj == "ff_in":
-            return self.d_ff, self.d_model
-        if proj == "ff_out":
-            return self.d_model, self.d_ff
-        raise ValueError(f"unknown projection: {proj}")
+        if proj not in PROJECTION_TENSORS:
+            raise ValueError(f"unknown projection: {proj}")
+        d_out, d_in = PROJECTION_TENSORS[proj][2:]
+        return getattr(self, d_out), getattr(self, d_in)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -134,7 +137,7 @@ class ModelConfig:
 def _proj_names(i: int, proj: str) -> tuple[str, str, str, str]:
     """(weight, bias, adapter A, adapter B) tensor names of layer i's
     ``proj``; cached, since every projection of every call asks for them."""
-    w, b = PROJECTION_TENSORS[proj]
+    w, b = PROJECTION_TENSORS[proj][:2]
     pre = f"layers.{i}"
     return f"{pre}.{w}", f"{pre}.{b}", f"{pre}.lora.{proj}.a", f"{pre}.lora.{proj}.b"
 
@@ -149,10 +152,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
     shapes = {"tok_emb": (v, d), "pos_emb": (config.max_seq_len, d)}
     for i in range(config.n_layers):
-        # ln1 leads the four attention projections, ln2 the two feed-forward
-        for ln, projs in (("ln1", ADAPTABLE_PROJECTIONS[:4]), ("ln2", ADAPTABLE_PROJECTIONS[4:])):
+        for ln, projs, out in LAYER_HALVES:
             shapes.update(norm(f"layers.{i}.{ln}"))
-            for proj in projs:
+            for proj in (*projs, out):
                 d1, d2 = config.projection_dims(proj)
                 shapes.update(zip(_proj_names(i, proj)[:2], ((d1, d2), (d1,))))
     shapes.update(norm("ln_f"), out_w=(v, d))
@@ -336,13 +338,6 @@ def _gelu_grad(x):
         np.multiply(tc, 0.5, out=inner)
         xc += inner
     return x2.reshape(x.shape)
-
-
-def _gelu_bwd(dy, d):
-    """dy * gelu'(x) from ``_gelu_grad``'s derivative ``d``, in place in
-    ``dy``, which it returns: one ufunc pass that allocates nothing."""
-    dy *= d
-    return dy
 
 
 def _dropout_mask(shape, p, rng):
@@ -558,9 +553,6 @@ HEAD_WORKERS = 2
 # wheels bundle export it (64-bit and 32-bit integer interfaces).
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
 
-_pool = None  # the ``_each`` threads, created by the first call that needs them
-_pool_size = 0
-_pool_lock = threading.Lock()
 _blas_pinned: bool | None = None  # decided by the first ``_workers`` call
 
 
@@ -597,19 +589,16 @@ def _workers() -> int:
     return WORKERS if _blas_pinned else 1
 
 
-def _pool_threads(n: int):
-    """The shared ``ThreadPoolExecutor``, with room for at least ``n``
-    threads.  Imported here: a process that never trains (the corpus
-    stages) never loads it."""
+@functools.cache
+def _pool(workers: int):
+    """The ``ThreadPoolExecutor`` of ``_each`` under ``workers`` workers:
+    ``workers - 1`` threads, made on first use.  Its threads start as work
+    is submitted, so a call that runs n threads starts no more than n - 1.
+    Imported here: a process that never trains (the corpus stages) never
+    loads it."""
     from concurrent.futures import ThreadPoolExecutor
 
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool_size < n:
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool, _pool_size = ThreadPoolExecutor(n, thread_name_prefix="domainforge"), n
-        return _pool
+    return ThreadPoolExecutor(workers - 1, thread_name_prefix="domainforge")
 
 
 def _each(fn, slices, fold=None, most=None):
@@ -623,7 +612,8 @@ def _each(fn, slices, fold=None, most=None):
     here once every thread is done.  One slice (a decode call) or one worker
     runs inline, in slice order, and never touches the pool."""
     slices = list(slices)
-    n = min(_workers(), len(slices), most or len(slices))
+    workers = _workers()
+    n = min(workers, len(slices), most or len(slices))
     if n <= 1:
         for sl in slices:
             out = fn(sl)
@@ -655,7 +645,7 @@ def _each(fn, slices, fold=None, most=None):
             with lock:
                 errors.append(exc)
 
-    pool = _pool_threads(n - 1)
+    pool = _pool(workers)
     futures = [pool.submit(work) for _ in range(n - 1)]
     work()
     for f in futures:
@@ -807,16 +797,16 @@ def _wants(needs):
     return lambda name: needs is None or name in needs
 
 
-# A layer's backward stages in forward order: ln1, then the query, key and
-# value projections side by side, output, ln2, ff_in and ff_out.
-_QKV = ("query", "key", "value")
-_STAGES = (("ln1",), _QKV, ("output",), ("ln2",), ("ff_in",), ("ff_out",))
+# A layer's backward stages in forward order, three per half of
+# ``LAYER_HALVES``: its norm, its projs side by side, its out.
+_STAGES = tuple(stage for norm, projs, out in LAYER_HALVES for stage in ((norm,), projs, (out,)))
 _STAGE_OF = {part: s for s, stage in enumerate(_STAGES) for part in stage}
+_QKV = LAYER_HALVES[0][1]
 
 # The projections that read a layer norm's output, and that norm: backward
 # rebuilds their input from the norm's statistics, and their outputs
 # (attention's inputs and GELU's input) from that input and their u's.
-_NORM_BEFORE = {"query": "ln1", "key": "ln1", "value": "ln1", "ff_in": "ln2"}
+_NORM_BEFORE = {proj: norm for norm, projs, _ in LAYER_HALVES for proj in projs}
 
 
 def _stage_names(i: int, stage: tuple[str, ...]) -> list[str]:
@@ -870,7 +860,7 @@ def _layer_cache(state, i, shape, dtype, first, want, rng):
         return np.empty(shape + (width,), dtype)
 
     blk = {}
-    for norm in ("ln1", "ln2"):
+    for norm, _, _ in LAYER_HALVES:
         if first <= (i, _STAGE_OF[norm] + 1):
             blk[norm] = (whole(cfg.d_model), whole(1))
     for proj in ADAPTABLE_PROJECTIONS:
@@ -1064,25 +1054,25 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     backward writes its dx into it, and the residual stream's gradient
     accumulates there.
 
-    Each half of a layer (feed-forward, then attention) runs in blocks of
-    whole sequences side by side on the ``_each`` workers, as in the forward
-    (``_layer_blocks``): the chain from the half's output back to its input,
-    through the layer norm's backward and into the residual gradient,
-    finishes on a block before its worker takes the next, and the next half
-    starts once every block is done.  Every step works within a sequence, so
-    each block's rows match the unblocked pass bitwise.  A whole-batch array
+    Both halves of a layer (the rows of ``LAYER_HALVES``, last first) run
+    through one routine, ``half``, in blocks of whole sequences side by side
+    on the ``_each`` workers, as in the forward (``_layer_blocks``): the
+    chain from the residual gradient back through the half's out, inner
+    kernel, projs and norm, and into the residual gradient, finishes on a
+    block before its worker takes the next, and the next half starts once
+    every block is done.  Every step works within a sequence, so each
+    block's rows match the unblocked pass bitwise.  A whole-batch array
     exists only for the residual stream's gradient, the cache, and the
     operands of a gradient that sums over rows: the output gradient of a
-    projection with a wanted tensor (ff_out's and output's are the residual
-    gradient itself, taken before the half's blocks change it) and of a
-    layer norm whose gamma or beta is wanted.  The blocks fill those, and
-    each such gradient is then one GEMM or sum over the whole batch, as in
-    the unblocked pass; a weight's or an A's gradient whose input the cache
-    does not keep rebuilds it whole-batch, one projection at a time
-    (``_proj_grads``).  Everything else (the rebuilt outputs, the GELU
-    derivative, the attention probabilities, ``do``, a dq/dk/dv whose
-    projection trains nothing, the norms' input gradients) lives one block
-    at a time.
+    projection with a wanted tensor (out's is the residual gradient itself,
+    taken before the half's blocks change it) and of a layer norm whose
+    gamma or beta is wanted.  The blocks fill those, and each such gradient
+    is then one GEMM or sum over the whole batch, as in the unblocked pass;
+    a weight's or an A's gradient whose input the cache does not keep
+    rebuilds it whole-batch, one projection at a time (``_proj_grads``).
+    Everything else (the rebuilt outputs, the inner kernel's temporaries,
+    the output gradient of a projection that trains nothing, the norm's
+    input gradient) lives one block at a time.
 
     The cache holds no per-head queries, keys and values and no GELU
     derivative: each block rebuilds them just before it reads them, with
@@ -1115,12 +1105,9 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     first = _first_wanted(cfg, want)
     B, T = cache["ids"].shape
 
-    def flows(i, stage):
-        """Whether the gradient must reach the input of layer i's ``stage``."""
-        return first < (i, stage)
-
-    def trains(i, proj):
-        return any(map(want, _proj_names(i, proj)))
+    def flows(i, part):
+        """Whether the gradient must reach the input of layer i's ``part``."""
+        return first < (i, _STAGE_OF[part])
 
     def whole(width, keep=True):
         """A whole-batch array of ``width`` for the blocks to fill, or None
@@ -1137,97 +1124,76 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
         if want(f"{name}.beta"):
             grads[f"{name}.beta"] = _rows(dy).sum(axis=0)
 
-    def norm_dx(dy, name, stats, sl):
-        """dx of layer norm ``name`` on the sequences ``sl``, in place in
-        their ``dy``."""
-        xhat, inv = stats
-        return _layer_norm_bwd(dy, (xhat[sl], inv[sl]), P[f"{name}.gamma"])
+    def attend(do, ys, dys):
+        """Attention's backward: the q/k/v output gradients ``dys`` (None
+        each where not needed) from ``do`` and the rebuilt q, k and v."""
+        _attn_bwd(*(_split_heads(y, H) for y in ys), _split_heads(do, H), head_scale,
+                  *(None if dy is None else _split_heads(dy, H) for dy in dys))
 
-    def rebuild(i, blk, projs, sl):
-        """Layer i's ``projs`` outputs on the sequences ``sl`` as the forward
-        formed them, from the output of the layer norm that they read,
-        itself rebuilt from the norm's statistics (``_norm_out``)."""
-        norm = _NORM_BEFORE[projs[0]]
-        x = _norm_out(state, i, norm, blk[norm], sl)
-        return [_proj_out(state, i, proj, x, _part(blk[proj][1], sl)) for proj in projs]
+    def gelu(dg, ys, dys):
+        """GELU's backward: ff_in's output gradient from the GELU output's
+        ``dg`` and the rebuilt ff_in output, whose derivative overwrites it."""
+        np.multiply(dg, _gelu_grad(ys[0]), out=dys[0])
+
+    def half(i, blk, norm, projs, out, inner):
+        """The backward of layer i's half ``x += out(inner(projs(norm(x))))``
+        (a row of ``LAYER_HALVES``, with its ``inner`` kernel), given the
+        residual gradient ``dx``: out's gradients, then per block ``dx``
+        back through out, inner, projs and norm, and into ``dx``, then the
+        gradients of projs and norm.  The projs' output gradients go to
+        whole-batch arrays where they train, else to block arrays where the
+        gradient flows on.  Returns whether it flows on past norm."""
+        keep_out = _proj_grads(state, i, out, dx, blk, grads, want)
+        if not flows(i, out):
+            return False
+        dys_all = {
+            p: whole(cfg.projection_dims(p)[0]) for p in projs if any(map(want, _proj_names(i, p)))
+        }
+        dn_all = whole(cfg.d_model, any(map(want, _stage_names(i, (norm,)))))
+
+        def block(sl):
+            dz = _proj_dx(state, i, out, dx[sl], _part(keep_out, sl))
+            # projs' outputs as the forward formed them, on norm's output
+            # rebuilt from its statistics
+            x = _norm_out(state, i, norm, blk[norm], sl)
+            ys = [_proj_out(state, i, p, x, _part(blk[p][1], sl)) for p in projs]
+            del x
+            dys = [
+                dys_all[p][sl] if p in dys_all else np.empty_like(y) if flows(i, p) else None
+                for p, y in zip(projs, ys)
+            ]
+            inner(dz, ys, dys)
+            del dz, ys
+            if flows(i, projs[0]):
+                dns = (_proj_dx(state, i, p, dy, _part(blk[p][2], sl)) for p, dy in zip(projs, dys))
+                dn = next(dns)
+                for d in dns:
+                    dn += d
+                _store(dn_all, sl, dn)
+                if flows(i, norm):
+                    dxb = dx[sl]
+                    dxb += _layer_norm_bwd(dn, (blk[norm][0][sl], blk[norm][1][sl]),
+                                           P[f"layers.{i}.{norm}.gamma"])
+
+        _each(block, slices)
+        for p in projs:
+            _proj_grads(state, i, p, dys_all.pop(p, None), blk, grads, want)
+        norm_grads(dn_all, f"layers.{i}.{norm}", blk.pop(norm, None))
+        return flows(i, norm)
 
     ln_f = cache.pop("ln_f")
     norm_grads(dxf, "ln_f", ln_f)
-    dx = _layer_norm_bwd(dxf, ln_f, P["ln_f.gamma"]) if flows(cfg.n_layers, 0) else None
+    dx = _layer_norm_bwd(dxf, ln_f, P["ln_f.gamma"]) if first[0] < cfg.n_layers else None
     del ln_f
     slices = list(_layer_blocks(cfg, B, T, T, dxf.itemsize))
+    halves = tuple(zip(LAYER_HALVES, (attend, gelu)))[::-1]  # in backward order
     for i in reversed(range(cfg.n_layers)):
-        if not flows(i, len(_STAGES)):
+        if first[0] > i:  # no tensor at or below layer i is wanted
             break
         blk = blocks.pop()
-        pre = f"layers.{i}"
-
-        # x_out = x_mid + ff(ln2(x_mid))
-        keep_out = _proj_grads(state, i, "ff_out", dx, blk, grads, want)
-        if not flows(i, 5):
-            break
-        dh1_all = whole(cfg.d_ff, trains(i, "ff_in"))
-        df_all = whole(cfg.d_model, any(map(want, _stage_names(i, ("ln2",)))))
-
-        def ff_block(sl):
-            """The feed-forward half's backward on the sequences ``sl``."""
-            dh1 = _proj_dx(state, i, "ff_out", dx[sl], _part(keep_out, sl))
-            (h1,) = rebuild(i, blk, ("ff_in",), sl)
-            _gelu_bwd(dh1, _gelu_grad(h1))  # in place in dh1
-            del h1
-            _store(dh1_all, sl, dh1)
-            if flows(i, 4):
-                df = _proj_dx(state, i, "ff_in", dh1, _part(blk["ff_in"][2], sl))
-                _store(df_all, sl, df)
-                if flows(i, 3):
-                    dxb = dx[sl]
-                    dxb += norm_dx(df, f"{pre}.ln2", blk["ln2"], sl)
-
-        _each(ff_block, slices)
-        _proj_grads(state, i, "ff_in", dh1_all, blk, grads, want)
-        del dh1_all
-        norm_grads(df_all, f"{pre}.ln2", blk.pop("ln2", None))
-        del df_all
-        if not flows(i, 3):
-            break
-
-        # x_mid = x_in + attn(ln1(x_in))
-        keep_o = _proj_grads(state, i, "output", dx, blk, grads, want)
-        if not flows(i, 2):
-            break
-        dqkv = {proj: whole(cfg.d_model) for proj in _QKV if trains(i, proj)}
-        da_all = whole(cfg.d_model, any(map(want, _stage_names(i, ("ln1",)))))
-
-        def attn_block(sl):
-            """The attention half's backward on the sequences ``sl``: dq, dk
-            and dv go to ``dqkv`` where their projection trains, else live
-            in this block only, and only when the gradient flows on."""
-            do = _proj_dx(state, i, "output", dx[sl], _part(keep_o, sl))
-            qh, kh, vh = (_split_heads(y, H) for y in rebuild(i, blk, _QKV, sl))
-            dys = {
-                proj: dqkv[proj][sl] if proj in dqkv else np.empty_like(do)
-                for proj in _QKV
-                if proj in dqkv or flows(i, 1)
-            }
-            _attn_bwd(qh, kh, vh, _split_heads(do, H), head_scale,
-                      *(_split_heads(dys[proj], H) if proj in dys else None for proj in _QKV))
-            del do, qh, kh, vh
-            if flows(i, 1):
-                da = _proj_dx(state, i, "query", dys.pop("query"), _part(blk["query"][2], sl))
-                for proj in ("key", "value"):
-                    da += _proj_dx(state, i, proj, dys.pop(proj), _part(blk[proj][2], sl))
-                _store(da_all, sl, da)
-                if flows(i, 0):
-                    dxb = dx[sl]
-                    dxb += norm_dx(da, f"{pre}.ln1", blk["ln1"], sl)
-
-        _each(attn_block, slices)
-        for proj in _QKV:
-            _proj_grads(state, i, proj, dqkv.pop(proj, None), blk, grads, want)
-        norm_grads(da_all, f"{pre}.ln1", blk.pop("ln1", None))
-        del da_all
-        if not flows(i, 0):
-            break
+        for (norm, projs, out), inner in halves:
+            if not half(i, blk, norm, projs, out, inner):
+                break
 
     ids = cache["ids"]
     if want("tok_emb"):
@@ -1302,32 +1268,29 @@ def _sum_exp(rows):
     return sums
 
 
-def _block_loss(logits, ids, mask, n, batch, dlogits):
+def _block_loss(logits, ids, mask, n, batch):
     """Loss of a block of whole sequences of a batch of ``batch``.
 
-    Returns each sequence's masked mean next-token NLL, and writes the
-    gradient of the batch loss (the mean of those over the whole batch) wrt
-    ``logits`` to ``dlogits``, which may be ``logits`` itself.  Only the rows
-    with a non-zero weight in ``mask`` go through ``_nll_block``; every other
-    row of ``dlogits`` is exactly +0.0, so gradients never depend on target
-    ids that carry zero weight, nor on those rows' logits.  When every row is
-    weighted (as in pretraining), ``_nll_block`` works in place on a view of
-    ``dlogits`` instead of a gathered copy, with the same bits.
+    Returns each sequence's masked mean next-token NLL, and overwrites
+    ``logits`` with the gradient of the batch loss (the mean of those over
+    the whole batch) wrt them.  Only the rows with a non-zero weight in
+    ``mask`` go through ``_nll_block``; every other row becomes exactly
+    +0.0, so gradients never depend on target ids that carry zero weight,
+    nor on those rows' logits.  When every row is weighted (as in
+    pretraining), ``_nll_block`` works in place on a view of ``logits``
+    instead of a gathered copy, with the same bits.
     """
     weights = mask / n[:, None] / batch
-    dlogits[:, -1] = 0.0
+    logits[:, -1] = 0.0
     if mask.all():
-        rows = dlogits[:, :-1]
-        if dlogits is not logits:
-            rows[...] = logits[:, :-1]
-        nll = _nll_block(rows, ids[:, 1:], weights)
+        nll = _nll_block(logits[:, :-1], ids[:, 1:], weights)
     else:
         weighted = mask != 0.0
         rows = logits[:, :-1][weighted]
         nll = np.zeros_like(mask)
         nll[weighted] = _nll_block(rows, ids[:, 1:][weighted], weights[weighted])
-        dlogits[:, :-1][~weighted] = 0.0
-        dlogits[:, :-1][weighted] = rows
+        logits[:, :-1][~weighted] = 0.0
+        logits[:, :-1][weighted] = rows
     return (nll * mask).sum(axis=1) / n
 
 
@@ -1340,8 +1303,8 @@ def masked_next_token_loss(
     Returns (loss, dlogits).
     """
     mask, n = _target_weights(target_mask, logits.dtype)
-    dlogits = np.empty_like(logits)
-    seq_loss = _block_loss(logits, ids, mask, n, logits.shape[0], dlogits)
+    dlogits = logits.copy()
+    seq_loss = _block_loss(dlogits, ids, mask, n, logits.shape[0])
     return float(seq_loss.mean()), dlogits
 
 
@@ -1387,7 +1350,7 @@ def head_loss(
     def block(sl):
         x = xf[sl]  # a view: the block's dxf lands in its own rows of xf
         dlogits = x @ out_w.T
-        seq_loss[sl] = _block_loss(dlogits, ids[sl], mask[sl], n[sl], B, dlogits)
+        seq_loss[sl] = _block_loss(dlogits, ids[sl], mask[sl], n[sl], B)
         part = _rows(dlogits).T @ _rows(x) if want_out_w else None
         x[...] = dlogits @ out_w
         return part

@@ -424,14 +424,10 @@ def gradient_check(seed: int = 0) -> GradCheckReport:
 
     modes = (("clm", full_mask), ("sft", sft_mask))
 
-    # analytic: the fused training path; finite differences: the reference
-    # forward_batch -> masked_next_token_loss, one forward serving both masks
-    analytic = []
-    for _, mask in modes:
-        xf, cache = forward_hidden(state, ids)
-        _, dxf, grads = head_loss(state, xf, ids, mask)
-        grads.update(backward_batch(state, cache, dxf))
-        analytic.append(grads)
+    # analytic: the training step's own path (the model has no dropout);
+    # finite differences: the reference forward_batch ->
+    # masked_next_token_loss, one forward serving both masks
+    analytic = [_batch_grads(state, ids, mask, None, None)[1] for _, mask in modes]
 
     def losses_at() -> list[float]:
         lg, _ = forward_batch(state, ids)

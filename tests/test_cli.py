@@ -248,7 +248,8 @@ def test_pretrain_trains_an_embedding_only_model(workspace, capsys):
 
 
 def test_gradcheck_command(capsys):
-    code, out, _ = run(["gradcheck", "--seed", "0"], capsys)
+    # seed 3: criterion 2 of the acceptance suite already checks seed 0
+    code, out, _ = run(["gradcheck", "--seed", "3"], capsys)
     assert code == 0
     assert "passed=True" in out
 

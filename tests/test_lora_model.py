@@ -458,7 +458,7 @@ def _allocating_head(state, xf, ids, mask, needs):
     dxf, dout_w = np.empty_like(xf), None
     for sl in lora_model._seq_blocks(B, T * out_w.shape[0] * xf.itemsize):
         dlogits = xf[sl] @ out_w.T
-        seq_loss[sl] = lora_model._block_loss(dlogits, ids[sl], weights[sl], n[sl], B, dlogits)
+        seq_loss[sl] = lora_model._block_loss(dlogits, ids[sl], weights[sl], n[sl], B)
         dxf[sl] = dlogits @ out_w
         if needs is None or "out_w" in needs:
             part = dlogits.reshape(-1, out_w.shape[0]).T @ xf[sl].reshape(-1, xf.shape[-1])
@@ -514,18 +514,10 @@ def test_every_row_weighted_loss_matches_the_gathered_rows_bitwise(dtype):
     for mask in (np.ones((B, T - 1)), rng.uniform(0.5, 2.0, (B, T - 1))):
         mask, n = lora_model._target_weights(mask, dtype)
         seq_r, dlogits_r = _gathered_block_loss(logits, ids, mask, n, 5)
-        # in place, as head_loss calls it
-        inplace = logits.copy()
-        seq = lora_model._block_loss(inplace, ids, mask, n, 5, inplace)
-        assert seq.tobytes() == seq_r.tobytes()
-        assert inplace.tobytes() == dlogits_r.tobytes()
-        # into a separate buffer, leaving the logits as they were
-        before = logits.copy()
-        dlogits = np.full_like(logits, np.nan)
-        seq = lora_model._block_loss(logits, ids, mask, n, 5, dlogits)
+        dlogits = logits.copy()
+        seq = lora_model._block_loss(dlogits, ids, mask, n, 5)
         assert seq.tobytes() == seq_r.tobytes()
         assert dlogits.tobytes() == dlogits_r.tobytes()
-        assert logits.tobytes() == before.tobytes()
 
 
 def _nll_block_expression(rows, targets, weights):
@@ -548,14 +540,14 @@ def test_nll_block_chunks_match_whole_array_expression_bitwise(dtype, extra):
     """``_nll_block`` takes its log-sum-exp one ``CHUNK_BYTES`` chunk of
     rows at a time, through one buffer; the loss and the gradient it
     writes into ``rows`` are bitwise the whole-array expression's, also
-    when ``rows`` is the strided ``dlogits[:, :-1]`` view that
+    when ``rows`` is the strided ``logits[:, :-1]`` view that
     ``_block_loss`` passes (a reshape of that view would copy it, and the
     gradient written to the copy would be lost)."""
     V = 300
     per_chunk = lora_model.CHUNK_BYTES // (V * np.dtype(dtype).itemsize)
     rng = np.random.default_rng(per_chunk)
     if extra == "sequences":
-        shape = (3, per_chunk + 3, V)  # rows of dlogits[:, :-1]
+        shape = (3, per_chunk + 3, V)  # rows of logits[:, :-1]
     else:
         shape = (1 if extra is None else per_chunk + extra, V)
     logits = rng.normal(0.0, 4.0, shape).astype(dtype)
@@ -684,7 +676,7 @@ def _gelu_grad_expression(x, t):
 
 
 def _gelu_case(dtype, extra):
-    """(x, dy) of 96-wide rows: one row when ``extra`` is None, else one
+    """x of 96-wide rows: one row when ``extra`` is None, else one
     ``CHUNK_BYTES`` chunk of rows plus ``extra``."""
     d = 96
     per_chunk = lora_model.CHUNK_BYTES // (d * np.dtype(dtype).itemsize)
@@ -692,7 +684,7 @@ def _gelu_case(dtype, extra):
     rng = np.random.default_rng(rows)
     x = rng.normal(0.0, 3.0, (rows, d)).astype(dtype)
     x[0, :4] = (0.0, -0.0, 30.0, -30.0)  # zeros and saturated tanh
-    return x, rng.normal(size=(rows, d)).astype(dtype)
+    return x
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -703,7 +695,7 @@ def test_gelu_chunks_match_whole_array_expression_bitwise(dtype, extra):
     """``_gelu_fwd`` and ``_gelu_grad`` each overwrite x, with gelu(x) and
     with gelu'(x), bitwise the whole-array expressions (the derivative the
     forward computed beside the value when the cache kept it)."""
-    x, dy = _gelu_case(dtype, extra)
+    x = _gelu_case(dtype, extra)
     for shape in (x.shape, (1,) + x.shape):
         g_r, t_r = _gelu_fwd_expression(x.reshape(shape))
         d_r = _gelu_grad_expression(x.reshape(shape), t_r)
@@ -713,10 +705,6 @@ def test_gelu_chunks_match_whole_array_expression_bitwise(dtype, extra):
             assert np.shares_memory(out, h1)  # in place
             assert out.shape == shape and out.dtype == dtype
             assert out.tobytes() == ref.tobytes(), kernel.__name__
-        dy_in = dy.reshape(shape).copy()
-        dx = lora_model._gelu_bwd(dy_in, out)
-        assert np.shares_memory(dx, dy_in)  # in place
-        assert dx.tobytes() == (dy.reshape(shape) * d_r).tobytes()
 
 
 def test_gelu_never_holds_whole_batch_temporaries():
@@ -724,8 +712,6 @@ def test_gelu_never_holds_whole_batch_temporaries():
     config = ModelConfig(vocab_size=4100, max_seq_len=T)
     rng = np.random.default_rng(0)
     h1 = rng.normal(size=(B, T, config.d_ff)).astype(np.float32)
-    dy = rng.normal(size=h1.shape).astype(np.float32)
-    d_gelu = lora_model._gelu_grad(h1.copy())
 
     def peak(fn, *args):
         tracemalloc.start()
@@ -738,14 +724,12 @@ def test_gelu_never_holds_whole_batch_temporaries():
     # forward writes gelu(x) into x and holds at most two chunks (the tanh
     # term and the next chunk's); the derivative overwrites x and holds at
     # most four (t, its inner factor, 1 - t*t and the next chunk's t):
-    # measured 4.01 chunks; backward multiplies into dy and allocates
-    # nothing.  Returning the forward's derivative beside gelu(x) held 1x
+    # measured 4.01 chunks.  Returning the forward's derivative beside gelu(x) held 1x
     # + 3 chunks, a new activation and t 2.06x.
     chunk = lora_model.CHUNK_BYTES
     assert chunk * 8 <= h1.nbytes  # chunks are small beside the activation
     assert peak(lora_model._gelu_fwd, h1.copy()) < 3 * chunk
     assert peak(lora_model._gelu_grad, h1.copy()) < 5 * chunk
-    assert peak(lora_model._gelu_bwd, dy, d_gelu) < chunk
 
 
 # ---------------------------------------------------------------------------
@@ -1407,16 +1391,21 @@ def _use_workers(monkeypatch, n):
 
 
 def _recording_pool(monkeypatch):
-    """Wraps ``lora_model._pool_threads``; returns the thread count that
-    each ``_each`` that went to the pool asked it for."""
+    """Wraps ``lora_model._pool``; returns the number of pool threads that
+    each ``_each`` that went to the pool ran its work on."""
     sizes = []
-    inner = lora_model._pool_threads
+    inner = lora_model._pool
 
-    def recording(n):
-        sizes.append(n)
-        return inner(n)
+    class Recording:
+        def __init__(self, pool):
+            self.pool = pool
+            sizes.append(0)
 
-    monkeypatch.setattr(lora_model, "_pool_threads", recording)
+        def submit(self, fn):
+            sizes[-1] += 1
+            return self.pool.submit(fn)
+
+    monkeypatch.setattr(lora_model, "_pool", lambda workers: Recording(inner(workers)))
     return sizes
 
 
@@ -1808,23 +1797,36 @@ def test_backward_differentiates_the_forward_needs_and_consumes_its_cache():
 
 def test_backward_stops_at_the_first_wanted_tensor(monkeypatch):
     state, ids, mask = _step_case(np.float64, ("query", "value"))
-    calls = []
-    inner = lora_model._layer_norm_bwd
+    calls = {"_layer_norm_bwd": 0, "_proj_dx": 0}
+    for name in calls:
+        inner = getattr(lora_model, name)
 
-    def counting(dy, *args):
-        calls.append(dy.shape)
-        return inner(dy, *args)
+        def counting(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
 
-    monkeypatch.setattr(lora_model, "_layer_norm_bwd", counting)
-    # ln_f, then ln2 and ln1 per layer; only adapters: no ln1 in layer 0;
-    # only the last layer's value adapter: ln_f and that layer's ln2
+        monkeypatch.setattr(lora_model, name, counting)
+    # (layer norm backwards, projection dx's), in one block per layer: ln_f,
+    # then ln2 and ln1 and all six projections per layer; only adapters: no
+    # ln1 and no query, key or value dx in layer 0; only the last layer's
+    # value adapter: ln_f and that layer's ln2, ff_out, ff_in and output.
+    # Then one set per stage of layer 1, which runs layer 2 whole and layer
+    # 1 down to the input of the stage's part that holds the wanted tensor
     adapters = set(adapter_param_names(state.config))
-    for needs, count in ((None, 7), (adapters, 6), ({"layers.2.lora.value.b"}, 2), (set(), 0)):
-        calls.clear()
+    for needs, counts in (
+        (None, (7, 18)), (adapters, (6, 15)), ({"layers.2.lora.value.b"}, (2, 3)), (set(), (0, 0)),
+        ({"layers.1.ln1.gamma"}, (4, 12)),
+        ({"layers.1.attn.wk"}, (4, 9)), ({"layers.1.lora.query.a"}, (4, 9)),
+        ({"layers.1.attn.bo"}, (4, 8)),
+        ({"layers.1.ln2.beta"}, (3, 8)),
+        ({"layers.1.ff.w1"}, (3, 7)),
+        ({"layers.1.ff.b2"}, (3, 6)),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
         xf, cache = forward_hidden(state, ids, needs=needs)
         _, dxf, _ = head_loss(state, xf, ids, mask, needs)
         grads = backward_batch(state, cache, dxf)
-        assert len(calls) == count, needs
+        assert (calls["_layer_norm_bwd"], calls["_proj_dx"]) == counts, needs
         assert needs is None or set(grads) == needs
 
 
