@@ -23,6 +23,7 @@ from .artifact import read_text, write_lines
 from .corpus_store import (
     DEFAULT_MIN_TOKENS,
     DEFAULT_TOKENIZER_ID,
+    STORE_MAGIC,
     get_tokenizer,
     ingest,
     load_raw_records,
@@ -52,7 +53,9 @@ from .keyword_extract import (
     save_keywords,
 )
 from .lora_model import (
+    CHECKPOINT_MAGIC,
     DEFAULT_VOCAB_CAP,
+    VOCAB_MAGIC,
     ModelConfig,
     ModelState,
     Vocab,
@@ -66,6 +69,7 @@ from .lora_model import (
 from .retrieval import (
     DEFAULT_B,
     DEFAULT_K1,
+    INDEX_MAGIC,
     build_index,
     expand_query,
     load_index,
@@ -91,8 +95,8 @@ from .trainer import (
 logger = logging.getLogger("domainforge")
 
 VERSION_LINE = (
-    f"domainforge {__version__} "
-    "(formats: store DFSTORE1, index DFIDX1, checkpoint DFCKPT1, vocab DFVOCAB1)"
+    f"domainforge {__version__} (formats: store {STORE_MAGIC.decode()}, "
+    f"index {INDEX_MAGIC.decode()}, checkpoint {CHECKPOINT_MAGIC.decode()}, vocab {VOCAB_MAGIC})"
 )
 
 

@@ -102,10 +102,11 @@ def textrank_iterations(
         raise ValueError(f"damping must be in (0, 1), got {damping}")
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     adj = graph.adjacency
     strength = {v: float(sum(nbrs.values())) for v, nbrs in adj.items()}
     scores = {v: 1.0 for v in adj}
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         new: dict[str, float] = {}
         for v, nbrs in adj.items():

@@ -229,60 +229,55 @@ def _row_chunks(x):
 
 
 def _layer_norm_fwd(x, gamma, beta, out=None):
-    """(y, (xhat, inv)) of a layer norm over the last axis, one row chunk at
-    a time into the preallocated outputs; bitwise equal to ``xhat * gamma +
-    beta`` with ``xhat = (x - mu) * inv`` and ``inv = 1 / sqrt(var + eps)``
-    over the whole array, since every reduction runs within a row and each
-    chunk takes that expression's rounding steps.  A chunk's mu and var go
-    to its rows of inv and its ``(x - mu)**2`` to its rows of y, so nothing
-    is allocated beyond the outputs.  A mean is ``mean``'s sum divided by
-    the row length, bitwise ``mean`` (which divides in float64: a float32
+    """(y, (xhat, inv)) of a layer norm over the last axis, written into
+    preallocated outputs: ``xhat * gamma + beta`` with ``xhat = (x - mu) *
+    inv`` and ``inv = 1 / sqrt(var + eps)``, in that expression's rounding
+    steps.  mu and var go to inv and ``(x - mu)**2`` to y, so nothing is
+    allocated beyond the outputs.  A mean is ``mean``'s sum divided by the
+    row length, bitwise ``mean`` (which divides in float64: a float32
     quotient rounds the same either way) without its Python-level cost of
     about 3 us, which a decode step pays per layer norm.  y is written to
     ``out`` when given (a contiguous array; ``x`` itself works in place,
-    since a chunk of x is read only to form its ``x - mu``)."""
-    x2, chunks = _row_chunks(x)
+    since x is read only to form ``x - mu``)."""
+    x2 = _rows(x)
     y = np.empty_like(x2) if out is None else out.reshape(x2.shape)
     xhat = np.empty_like(x2)
     inv = np.empty((len(x2), 1), dtype=x2.dtype)
     d = x2.shape[1]
-    for sl in chunks:
-        yc, xc, ic = y[sl], xhat[sl], inv[sl]
-        np.add.reduce(x2[sl], axis=-1, keepdims=True, out=ic)
-        ic /= d
-        np.subtract(x2[sl], ic, out=xc)
-        np.multiply(xc, xc, out=yc)
-        np.add.reduce(yc, axis=-1, keepdims=True, out=ic)
-        ic /= d
-        ic += _LN_EPS
-        np.sqrt(ic, out=ic)
-        np.divide(1.0, ic, out=ic)
-        xc *= ic
-        np.multiply(xc, gamma, out=yc)
-        yc += beta
+    np.add.reduce(x2, axis=-1, keepdims=True, out=inv)
+    inv /= d
+    np.subtract(x2, inv, out=xhat)
+    np.multiply(xhat, xhat, out=y)
+    np.add.reduce(y, axis=-1, keepdims=True, out=inv)
+    inv /= d
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma, out=y)
+    y += beta
     return y.reshape(x.shape), (xhat.reshape(x.shape), inv.reshape(x.shape[:-1] + (1,)))
 
 
 def _layer_norm_bwd(dy, cache, gamma):
-    """dx of a layer norm, one row chunk at a time in place in ``dy``, which
-    it returns; bitwise equal to ``(dxhat - m1 - xhat * m2) * inv`` over the
-    whole array, where ``dxhat = dy * gamma`` and m1, m2 are the row means
-    of ``dxhat`` and ``dxhat * xhat``.  A chunk of dy is read only to form
-    its ``dxhat``, so dx can overwrite it.  The parameter gradients sum
-    across rows and are left to the caller, who reads dy before this."""
+    """dx of a layer norm, written over ``dy`` (as its (rows, last axis)
+    view, which it returns in dy's shape): ``(dxhat - m1 - xhat * m2) *
+    inv``, where ``dxhat = dy * gamma`` and m1, m2 are the row means of
+    ``dxhat`` and ``dxhat * xhat``, in that expression's rounding steps.  dy
+    is read only to form ``dxhat``, so dx can overwrite it.  The parameter
+    gradients sum across rows and are left to the caller, who reads dy
+    before this."""
     xhat, inv = cache
-    dy2, chunks = _row_chunks(dy)
-    xhat2, inv2 = xhat.reshape(dy2.shape), inv.reshape(-1, 1)
-    for sl in chunks:
-        xc, dc = xhat2[sl], dy2[sl]
-        dxhat = np.multiply(dy2[sl], gamma)
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        np.multiply(dxhat, xc, out=dc)
-        m2 = dc.mean(axis=-1, keepdims=True)
-        dxhat -= m1
-        np.multiply(xc, m2, out=dc)
-        np.subtract(dxhat, dc, out=dc)
-        dc *= inv2[sl]
+    dy2 = _rows(dy)
+    xhat2 = xhat.reshape(dy2.shape)
+    dxhat = np.multiply(dy2, gamma)
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    np.multiply(dxhat, xhat2, out=dy2)
+    m2 = dy2.mean(axis=-1, keepdims=True)
+    dxhat -= m1
+    np.multiply(xhat2, m2, out=dy2)
+    np.subtract(dxhat, dy2, out=dy2)
+    dy2 *= inv.reshape(-1, 1)
     return dy2.reshape(dy.shape)
 
 
@@ -352,18 +347,13 @@ def _dropout_mask(shape, p, rng):
 
 
 def _dropout_apply(x, keep, p, out=None):
-    """``x * keep / (1 - p)`` one row chunk at a time, written to ``out`` (a
-    new array when None; ``x`` itself works in place), which it returns.
-    Each rounding step is the whole-array expression's, so the forward's
+    """``x * keep / (1 - p)``, written to ``out`` (a new array when None;
+    ``x`` itself works in place), which it returns.  The forward's
     dropped-out input, its rebuild in backward and the gradient through the
-    mask all take the same bits."""
-    x2, chunks = _row_chunks(x)
-    keep2 = keep.reshape(x2.shape)
-    out2 = np.empty_like(x2) if out is None else out.reshape(x2.shape)
-    for sl in chunks:
-        np.multiply(x2[sl], keep2[sl], out=out2[sl])
-        out2[sl] /= 1.0 - p
-    return out2.reshape(x.shape)
+    mask all take these rounding steps, so the same bits."""
+    out = np.multiply(x, keep, out=out)
+    out /= 1.0 - p
+    return out
 
 
 def _proj_out(state, i, proj, x, u):
@@ -493,12 +483,20 @@ def _split_heads(x, n_heads):
 # sequences.
 BLOCK_BYTES = 8 * 2**20
 
-# Bytes of one row chunk of an elementwise kernel (GELU, LoRA dropout, the
-# layer norm and its backward), whose temporaries then stay in the L2 cache.  At
-# B=128, T=256 and d_ff=256 in float32 (one thread of a 2-vCPU Xeon with 2 MiB
-# of L2 per core), GELU forward plus backward takes about 76 ms per layer in
-# 256 KiB chunks, 111 ms in chunks of ``BLOCK_BYTES`` and 206 ms unchunked;
-# at d_model=64 the layer-norm backward takes 12 ms against 17 ms unchunked.
+# Bytes of one row chunk of the kernels that still run in chunks: GELU
+# (``_gelu_fwd``, ``_gelu_grad``), whose temporaries then stay in the L2
+# cache, and the float64 dropout draws (``_dropout_mask``) and the head's
+# log-sum-exp (``_sum_exp``), whose temporaries then never span a whole
+# batch or block.  The layer norm and the dropout product run whole-array,
+# on a layer block (128 to 280 KiB at the bench's shapes) and, for the final
+# norm, on the whole batch, whose forward and backward read 7-11 ms either
+# way at (128, 256, 64).  On one thread of a 2-vCPU Xeon (2 MiB of L2 per
+# core) in float32, best of 15, the GELU derivative takes 0.8-1.0 ms on an
+# SFT block (10, 110, 256) in 256 KiB chunks against 1.2-1.4 ms whole, and
+# 0.34-0.42 ms on a pretraining block (2, 256, 256) against 0.37-0.51 ms;
+# its forward 0.43-0.47 ms against 0.52-0.68 ms on the SFT block.  The
+# draws for a (128, 256, 64) mask would be a 16 MiB temporary whole, and
+# the exponentials of an 8 MB head block one of its size.
 CHUNK_BYTES = 256 * 2**10
 
 # Query rows per causal tile of attention (a multiple of 8; see
@@ -609,17 +607,12 @@ def _each(fn, slices, fold=None, most=None):
     order, each as soon as it and every earlier one is in, so only a result
     that finished ahead of an earlier slice waits.  The first exception that
     a block raises stops the threads from taking more slices; it is raised
-    here once every thread is done.  One slice (a decode call) or one worker
-    runs inline, in slice order, and never touches the pool."""
+    here once every thread is done.  With one thread (one slice, as in a
+    decode call, or one worker) the calling thread runs every slice in
+    order and the pool is never made or touched."""
     slices = list(slices)
     workers = _workers()
     n = min(workers, len(slices), most or len(slices))
-    if n <= 1:
-        for sl in slices:
-            out = fn(sl)
-            if fold is not None:
-                fold(out)
-        return
     lock = threading.Lock()
     todo = iter(range(len(slices)))
     done: dict = {}
@@ -645,7 +638,7 @@ def _each(fn, slices, fold=None, most=None):
             with lock:
                 errors.append(exc)
 
-    pool = _pool(workers)
+    pool = _pool(workers) if n > 1 else None
     futures = [pool.submit(work) for _ in range(n - 1)]
     work()
     for f in futures:
@@ -885,7 +878,6 @@ def _layer_cache(state, i, shape, dtype, first, want, rng):
 def forward_hidden(
     state: ModelState,
     ids: np.ndarray,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     past: dict | None = None,
     needs: set[str] | None = None,
@@ -894,6 +886,8 @@ def forward_hidden(
     the final layer norm.
 
     Returns (xf, cache); position i's hidden state depends only on ids[:, :i+1].
+    Each adapter's input drops out (training mode) exactly when ``rng`` is
+    given and ``lora_dropout > 0``; without ``rng`` the pass is eval mode.
 
     Each layer runs in blocks of whole sequences (``_layer_blocks``, sized
     by ``BLOCK_BYTES``), side by side on the ``_each`` workers: ln1, query,
@@ -968,8 +962,6 @@ def forward_hidden(
         )
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError("token id out of vocabulary range")
-    if training and cfg.lora_dropout > 0.0 and rng is None:
-        raise ValueError("rng required for dropout in training mode")
 
     H = cfg.n_heads
     head_scale = 1.0 / math.sqrt(cfg.d_model // H)
@@ -978,7 +970,7 @@ def forward_hidden(
     # a decode step skips _first_wanted's scan of the tensor names (about
     # 30 us at the default config when nothing is wanted)
     first = (cfg.n_layers, 0) if decode else _first_wanted(cfg, want)
-    drop_rng = rng if training and cfg.lora_dropout > 0.0 else None
+    drop_rng = rng if cfg.lora_dropout > 0.0 else None
 
     x = P["tok_emb"][ids] + P["pos_emb"][T0 : T0 + T]
     cache: dict = {
@@ -1030,18 +1022,13 @@ def forward_hidden(
     return xf, cache
 
 
-def forward_batch(
-    state: ModelState,
-    ids: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-):
-    """Causal forward pass over a (batch, time) id array.
+def forward_batch(state: ModelState, ids: np.ndarray):
+    """Eval-mode causal forward pass over a (batch, time) id array.
 
     Returns (logits, cache); position i's logits depend only on ids[:, :i+1].
     The cache serves as a ``past`` but keeps nothing for a backward pass.
     """
-    xf, cache = forward_hidden(state, ids, training=training, rng=rng, needs=frozenset())
+    xf, cache = forward_hidden(state, ids, needs=frozenset())
     return xf @ state.params["out_w"].T, cache
 
 
@@ -1207,15 +1194,11 @@ def backward_batch(state: ModelState, cache: dict, dxf: np.ndarray) -> dict[str,
     return grads
 
 
-def model_forward(
-    state: ModelState,
-    tokens: Sequence[int],
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Logits per position for a single token sequence, shape (len, vocab)."""
+def model_forward(state: ModelState, tokens: Sequence[int]) -> np.ndarray:
+    """Eval-mode logits per position for a single token sequence, shape
+    (len, vocab)."""
     ids = np.asarray(tokens, dtype=np.int64)[None, :]
-    logits, _ = forward_batch(state, ids, training=training, rng=rng)
+    logits, _ = forward_batch(state, ids)
     return logits[0]
 
 

@@ -242,7 +242,7 @@ def _batch_grads(
     step: the forward writes xf over the residual stream, ``head_loss``
     writes ``dxf`` over xf, and ``backward_batch`` writes the residual
     stream's gradient into ``dxf``."""
-    xf, cache = forward_hidden(state, ids, training=True, rng=rng, needs=needs)
+    xf, cache = forward_hidden(state, ids, rng=rng, needs=needs)
     loss, dxf, grads = head_loss(state, xf, ids, mask, needs)
     if not math.isfinite(loss):
         return loss, None

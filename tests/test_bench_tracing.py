@@ -1,7 +1,7 @@
 """The benchmark's tracer wraps package functions by name; every name it
 probes must still resolve, or a traced benchmark run crashes on start.  The
 same holds for every name the benchmark's input generator and workloads
-import from the package."""
+import from the package, and every counter must fit the call it wraps."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from domainforge import evaluator, lora_model, trainer
 from domainforge.corpus_store import CjkCharTokenizer, RawRecord, ingest
 from domainforge.retrieval import ExpandedQuery, build_index, retrieve_top_n
 
@@ -71,3 +74,33 @@ def test_benchmark_generator_and_workloads_import(monkeypatch):
     assert {("lora_model", "load_vocab"), ("evaluator", "greedy_generate")} <= used
     for module, attr in sorted(used):
         assert hasattr(getattr(workload, module), attr), f"{module}.{attr}"
+
+
+def test_model_probes_count_what_their_calls_did():
+    # forward_batch and model_forward are probed by their positional ids;
+    # a probe whose hook no longer fits its call would only show in a
+    # traced benchmark run
+    tracing = _load_tracing()
+    config = lora_model.ModelConfig(vocab_size=12, d_model=8, n_layers=1, n_heads=2, d_ff=16,
+                                    max_seq_len=16, lora_rank=2)
+    state = lora_model.init_model(config, seed=0)
+    state.params["out_w"][lora_model.EOS_ID] = -1.0  # decode runs to its budget
+    ids = np.array([[1, 5, 6, 7, 8], [1, 9, 10, 11, 4]])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        logits, _ = lora_model.forward_batch(state, ids)
+        trainer.masked_next_token_loss(logits, ids, np.ones((2, 4)))
+        lora_model.model_forward(state, [1, 5, 6])  # counted by its forward_batch
+        generated = evaluator.greedy_generate(state, [1, 5, 6, 7], 3)
+    finally:
+        tracer.restore()
+    metrics = tracer.layer_metrics(1)
+    assert metrics["lora_model.forward_calls"] == 2
+    assert metrics["lora_model.forward_positions"] == ids.size + 3
+    assert metrics["lora_model.logits_mb"] == logits.nbytes / 2**20
+    assert metrics["trainer.steps"] == 1
+    assert metrics["evaluator.prompt_tokens"] == 4
+    assert metrics["lora_model.generated_tokens"] == len(generated) == 3
+    for span in ("lora_model.forward_s", "lora_model.loss_s", "lora_model.generate_s"):
+        assert metrics[span] > 0.0, span

@@ -11,11 +11,19 @@ import pytest
 
 from domainforge.artifact import pack_text, read_artifact, write_artifact
 from domainforge.cli import main
-from domainforge.corpus_store import CjkCharTokenizer, RawRecord, ingest, load_store, save_store
+from domainforge.corpus_store import (
+    STORE_MAGIC,
+    CjkCharTokenizer,
+    RawRecord,
+    ingest,
+    load_store,
+    save_store,
+)
 from domainforge.evaluator import McqItem, save_exam
 from domainforge.lora_model import (
     CHECKPOINT_MAGIC,
     SPECIAL_TOKENS,
+    VOCAB_MAGIC,
     ModelConfig,
     build_vocab,
     init_model,
@@ -23,7 +31,7 @@ from domainforge.lora_model import (
     save_checkpoint,
     save_vocab,
 )
-from domainforge.retrieval import build_index, save_index
+from domainforge.retrieval import INDEX_MAGIC, build_index, save_index
 
 IN_CHARS = "脉弦滑数迟细濡涩浮沉"
 OUT_CHARS = "星球轨道宇宙火箭发射天"
@@ -485,9 +493,11 @@ def test_version_lists_artifact_formats(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    out = capsys.readouterr().out
-    for tag in ("DFSTORE1", "DFIDX1", "DFCKPT1", "DFVOCAB1"):
-        assert tag in out
+    out = " ".join(capsys.readouterr().out.split())  # argparse wraps the line
+    formats = (("store", STORE_MAGIC.decode()), ("index", INDEX_MAGIC.decode()),
+               ("checkpoint", CHECKPOINT_MAGIC.decode()), ("vocab", VOCAB_MAGIC))
+    for kind, magic in formats:
+        assert f"{kind} {magic}" in out
 
 
 @pytest.fixture
@@ -725,3 +735,15 @@ def test_malformed_keywords_input_prints_one_error_line(
     if expected.startswith("error: UnicodeDecodeError"):
         assert errors[0].endswith(f"{culprit}:3")  # the line of the Latin-1 byte
     assert not (ws / "k.tsv").exists()
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-2"])
+def test_keywords_rejects_a_max_iter_below_one(workspace, capsys, max_iter):
+    # no TextRank sweep would run: every score would stay 1.0
+    argv = ["keywords", "--samples", str(workspace / "samples.txt"),
+            "--output", str(workspace / "k.tsv"), "--max-iter", max_iter]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: ValueError: max_iter must be >= 1, got {max_iter}"]
+    assert not (workspace / "k.tsv").exists()

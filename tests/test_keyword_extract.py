@@ -113,6 +113,9 @@ def test_textrank_parameter_validation():
         textrank(graph, damping=1.0)
     with pytest.raises(ValueError):
         textrank(graph, tol=0.0)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            textrank_iterations(graph, max_iter=max_iter)
 
 
 def test_textrank_permutation_equivariance_is_exact():

@@ -27,6 +27,7 @@ from domainforge.lora_model import (
     SPECIAL_TOKENS,
     UNK_ID,
     ModelConfig,
+    ModelState,
     Vocab,
     adapter_param_names,
     backward_batch,
@@ -233,13 +234,35 @@ def test_forward_dropout_reproducible_and_distinct():
         if name.endswith(".b"):
             state.params[name][:] = 0.5
     ids = random_ids(np.random.default_rng(4), config, (2, 6))
-    eval_logits, _ = forward_batch(state, ids)
-    t1, _ = forward_batch(state, ids, training=True, rng=np.random.default_rng(8))
-    t2, _ = forward_batch(state, ids, training=True, rng=np.random.default_rng(8))
-    t3, _ = forward_batch(state, ids, training=True, rng=np.random.default_rng(9))
+    eval_xf, _ = forward_hidden(state, ids)
+    t1, _ = forward_hidden(state, ids, rng=np.random.default_rng(8))
+    t2, _ = forward_hidden(state, ids, rng=np.random.default_rng(8))
+    t3, _ = forward_hidden(state, ids, rng=np.random.default_rng(9))
     assert t1.tobytes() == t2.tobytes()
-    assert not np.array_equal(t1, eval_logits)
+    assert not np.array_equal(t1, eval_xf)
     assert not np.array_equal(t1, t3)
+
+
+def test_forward_hidden_without_rng_never_drops_out(monkeypatch):
+    """Dropout follows the rng alone: without one, a model with
+    ``lora_dropout > 0`` runs exactly as the same weights without dropout,
+    draws no mask and caches none, for a training and a decode cache."""
+    config = replace(SMALL, lora_dropout=0.5)
+    state = _live_adapter_state(config, np.float64, 1)
+    undropped = ModelState(replace(config, lora_dropout=0.0), state.params)
+    ids = random_ids(np.random.default_rng(4), config, (2, 6))
+    dropped, _ = forward_hidden(state, ids, rng=np.random.default_rng(8))
+
+    def no_draw(*args):
+        raise AssertionError("a dropout mask was drawn")
+
+    monkeypatch.setattr(lora_model, "_dropout_mask", no_draw)
+    for needs in (None, frozenset()):
+        xf, cache = forward_hidden(state, ids, needs=needs)
+        reference, _ = forward_hidden(undropped, ids, needs=needs)
+        assert xf.tobytes() == reference.tobytes()
+        assert not np.array_equal(xf, dropped)
+        assert all(blk[p][2] is None for blk in cache["blocks"] for p in ADAPTABLE_PROJECTIONS)
 
 
 @pytest.mark.parametrize("projections", [ADAPTABLE_PROJECTIONS, ("query", "value")])
@@ -277,9 +300,6 @@ def test_forward_validation():
         forward_batch(state, np.full((1, 17), 4))  # beyond max_seq_len
     with pytest.raises(ValueError):
         forward_batch(state, np.array([[1, 99]]))  # id out of range
-    dropped = init_model(replace(SMALL, lora_dropout=0.5), seed=1)
-    with pytest.raises(ValueError):
-        forward_batch(dropped, np.array([[1, 2]]), training=True)
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +952,7 @@ def _attention_step(monkeypatch, state, ids, mask, block_bytes):
             return fn(*args, **kwargs)
 
     rng = np.random.default_rng(3)
-    xf, cache = blocked(forward_hidden, state, ids, training=True, rng=rng)
+    xf, cache = blocked(forward_hidden, state, ids, rng=rng)
     loss, dxf, grads = head_loss(state, xf.copy(), ids, mask)  # it consumes xf
     grads.update(blocked(backward_batch, state, cache, dxf))
     return xf, loss, dxf, grads, calls
@@ -971,7 +991,7 @@ def test_training_step_never_holds_whole_batch_attention():
     probs_bytes = math.prod(whole) * 4  # one layer's float32 probabilities
     tracemalloc.start()
     try:
-        xf, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(1))
+        xf, cache = forward_hidden(state, ids, rng=np.random.default_rng(1))
         # before backward_batch consumes the cache
         for blk in cache["blocks"]:
             for entry in blk.values():
@@ -1151,7 +1171,7 @@ def test_tiled_training_step_matches_whole_rows_bitwise(monkeypatch, dtype):
         results = []
         for tile in (8, 2**20):
             monkeypatch.setattr(lora_model, "ATTN_TILE", tile)
-            xf, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(2))
+            xf, cache = forward_hidden(state, ids, rng=np.random.default_rng(2))
             loss, dxf, grads = head_loss(state, xf.copy(), ids, mask)  # it consumes xf
             grads.update(backward_batch(state, cache, dxf))
             results.append((xf, loss, grads))
@@ -1174,7 +1194,7 @@ def test_tiled_dropout_gradients_match_finite_differences(monkeypatch):
     mask = np.ones((2, 36))
 
     def forward():
-        return forward_hidden(state, ids, training=True, rng=np.random.default_rng(4))
+        return forward_hidden(state, ids, rng=np.random.default_rng(4))
 
     xf, cache = forward()
     _, dxf, grads = head_loss(state, xf, ids, mask)
@@ -1222,16 +1242,15 @@ def _layer_norm_bwd_expression(dy, xhat, inv, gamma):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("extra", [None, 0, 1])  # one row, one chunk, one chunk + 1
+@pytest.mark.parametrize("shape", [(1, 1), (2, 256), (16, 256)],
+                         ids=["one row", "one block", "whole batch"])
 @pytest.mark.parametrize("d", [64, 48])  # a row mean divides by a power of two, or not
-def test_dropout_and_layer_norm_chunks_match_whole_array_expressions_bitwise(dtype, extra, d):
-    per_chunk = lora_model.CHUNK_BYTES // (d * np.dtype(dtype).itemsize)
-    rows = 1 if extra is None else per_chunk + extra
-    rng = np.random.default_rng(rows)
-    x = rng.normal(0.0, 3.0, (1, rows, d)).astype(dtype)
+def test_dropout_and_layer_norm_kernels_match_whole_array_expressions_bitwise(dtype, shape, d):
+    rng = np.random.default_rng(shape[0] * d)
+    x = rng.normal(0.0, 3.0, shape + (d,)).astype(dtype)
     x[0, 0, :2] = (0.0, -0.0)  # signed zeros, kept or dropped
-    if rows > 1:
-        x[0, -1] = 2.5  # a constant row: variance 0, xhat all zeros
+    if x.size > d:
+        x[-1, -1] = 2.5  # a constant row: variance 0, xhat all zeros
     dy = rng.normal(size=x.shape).astype(dtype)
     drawn, reference = np.random.default_rng(1), np.random.default_rng(1)
     keep = lora_model._dropout_mask(x.shape, 0.3, drawn)
@@ -1260,6 +1279,12 @@ def test_dropout_and_layer_norm_chunks_match_whole_array_expressions_bitwise(dty
     for out, ref in ((y_in, y), (xhat_in, xhat), (inv_in, inv)):
         assert out.dtype == dtype and out.tobytes() == ref.tobytes()
     dx_r = _layer_norm_bwd_expression(dy, xhat, inv, gamma)
+    # a dy whose rows are no (rows, d) view is written through a copy: the
+    # array returned is the one written
+    padded = np.zeros((shape[0], shape[1] + 1, d), dtype)
+    padded[:, :-1] = dy
+    dx_view = lora_model._layer_norm_bwd(padded[:, :-1], (xhat, inv), gamma)
+    assert dx_view.shape == x.shape and dx_view.tobytes() == dx_r.tobytes()
     dx = lora_model._layer_norm_bwd(dy, (xhat, inv), gamma)
     assert np.shares_memory(dx, dy)  # in place
     assert dx.shape == x.shape and dx.dtype == dtype
@@ -1270,18 +1295,16 @@ def test_layer_norm_forward_holds_only_its_outputs():
     B, T, d = 64, 256, 64
     x = np.random.default_rng(0).normal(size=(B, T, d)).astype(np.float32)
     gamma, beta = np.ones(d, np.float32), np.zeros(d, np.float32)
-    chunk = lora_model.CHUNK_BYTES
-    assert chunk * 8 <= x.nbytes
+    inv_bytes = x.nbytes // d
     tracemalloc.start()
     try:
         lora_model._layer_norm_fwd(x, gamma, beta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # y and xhat (2x) plus inv, with no chunk temporary: measured 2x + 0.38
-    # chunks; each chunk running the allocating expression peaked at 2x +
-    # 4.4 chunks, the whole-array expression at 4.06x
-    assert peak < 2 * x.nbytes + 1 * chunk
+    # y and xhat (2x) plus inv, with no temporary of x's size: measured 2x +
+    # 1.5 inv; the allocating whole-array expression peaked at 4.06x
+    assert peak < 2 * x.nbytes + 2 * inv_bytes
 
 
 def _step_case(dtype, projections, seed=4, dropout=0.2):
@@ -1315,7 +1338,7 @@ def test_needs_aware_step_matches_full_pass_bitwise(
     # the reference: a whole-array (one chunk) forward and backward that
     # caches and differentiates every tensor
     monkeypatch.setattr(lora_model, "CHUNK_BYTES", 2**40)
-    xf, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(3))
+    xf, cache = forward_hidden(state, ids, rng=np.random.default_rng(3))
     loss_r, dxf, grads_r = head_loss(state, xf, ids, mask)
     grads_r.update(backward_batch(state, cache, dxf))
     row_bytes = config.d_model * np.dtype(dtype).itemsize
@@ -1449,19 +1472,24 @@ def test_batch_grads_do_not_depend_on_the_worker_count(monkeypatch, dtype, needs
             assert other_grads[name].tobytes() == grads[name].tobytes(), (workers, name)
 
 
-def test_each_runs_every_slice_once_on_every_worker_and_folds_in_slice_order(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_each_runs_every_slice_once_on_every_worker_and_folds_in_slice_order(
+    monkeypatch, workers
+):
     """Three workers (more than some hosts have cores), each made to hold a
     slice until all three do, with a short switch interval: every slice
     runs once, on three threads, and ``fold`` sees the results in slice
-    order, whatever order the slices finish in."""
-    _use_workers(monkeypatch, 3)
-    barrier = threading.Barrier(3, timeout=30)
+    order, whatever order the slices finish in.  One worker runs every
+    slice in order on the calling thread, and no pool is made."""
+    _use_workers(monkeypatch, workers)
+    pool = _recording_pool(monkeypatch)
+    barrier = threading.Barrier(workers, timeout=30)
     delays = np.random.default_rng(0).uniform(0.0, 2e-3, 60)
     ran, threads, folded = [], set(), []
 
     def block(sl):
-        if sl.start < 3:
-            barrier.wait()  # the first three slices run side by side
+        if sl.start < workers:
+            barrier.wait()  # the first slices run side by side
         time.sleep(delays[sl.start])
         ran.append(sl.start)
         threads.add(threading.get_ident())
@@ -1474,14 +1502,23 @@ def test_each_runs_every_slice_once_on_every_worker_and_folds_in_slice_order(mon
     finally:
         sys.setswitchinterval(interval)
     assert sorted(ran) == list(range(60))
-    assert len(threads) == 3
+    assert len(threads) == workers
     assert folded == list(range(60))
+    if workers == 1:
+        assert ran == folded and threads == {threading.get_ident()}
+        assert pool == []
+    else:
+        assert pool == [workers - 1]
 
 
-def test_each_passes_a_block_exception_to_the_caller(monkeypatch):
-    _use_workers(monkeypatch, 3)
+@pytest.mark.parametrize("workers", [1, 3])
+def test_each_passes_a_block_exception_to_the_caller(monkeypatch, workers):
+    _use_workers(monkeypatch, workers)
+    pool = _recording_pool(monkeypatch)
+    ran = []
 
     def block(sl):
+        ran.append(sl.start)
         if sl.start == 7:
             raise KeyError("block 7")
         return sl.start
@@ -1490,10 +1527,13 @@ def test_each_passes_a_block_exception_to_the_caller(monkeypatch):
     with pytest.raises(KeyError, match="block 7"):
         lora_model._each(block, [slice(k, k + 1) for k in range(40)], folded.append)
     assert folded == list(range(len(folded))) and 7 not in folded
-    # the pool still serves the next call
+    if workers == 1:  # in order, and no slice after the failing one
+        assert ran == list(range(8)) and folded == list(range(7))
+    # the pool, where there is one, still serves the next call
     folded.clear()
     lora_model._each(block, [slice(k, k + 1) for k in range(7)], folded.append)
     assert folded == list(range(7))
+    assert pool == ([] if workers == 1 else [workers - 1] * 2)
 
 
 def test_decode_runs_inline(monkeypatch):
@@ -1596,7 +1636,7 @@ def test_forward_keeps_only_the_cache_entries_backward_reads():
     state, ids, mask = _step_case(np.float64, ("query", "value"))
     cfg = state.config
     needs = set(adapter_param_names(cfg))
-    _, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(0), needs=needs)
+    _, cache = forward_hidden(state, ids, rng=np.random.default_rng(0), needs=needs)
     wide = ids.shape + (cfg.d_model,)
     for blk in cache["blocks"]:
         assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"ln1", "ln2"}
@@ -1613,7 +1653,7 @@ def test_forward_keeps_only_the_cache_entries_backward_reads():
         assert _gelu_arrays(blk, cfg.d_ff) == []
     # every tensor: still no per-head array and no GELU array, and only the
     # inputs that are no norm output (attention's and GELU's outputs)
-    _, cache = forward_hidden(state, ids, training=True, rng=np.random.default_rng(0))
+    _, cache = forward_hidden(state, ids, rng=np.random.default_rng(0))
     for blk in cache["blocks"]:
         assert set(blk) == set(ADAPTABLE_PROJECTIONS) | {"ln1", "ln2"}
         assert _gelu_arrays(blk, cfg.d_ff) == []
@@ -1892,7 +1932,7 @@ def test_forward_peak_memory():
     h1_bytes = B * T * config.d_ff * np.dtype(np.float32).itemsize
     tracemalloc.start()
     try:
-        out = forward_hidden(state, ids, training=True, rng=np.random.default_rng(1), needs=needs)
+        out = forward_hidden(state, ids, rng=np.random.default_rng(1), needs=needs)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
