@@ -5,8 +5,9 @@ digest covering every byte before it.  A reader checks the magic, then that
 the file holds the declared length (``TruncatedArtifactError``), then the
 digest (``ChecksumMismatchError``), and only then parses the body; a body
 that passes the digest but does not parse is a ``TruncatedArtifactError``
-too.  A write goes to a sibling temp file that replaces the target only once
-it is complete, so an interrupted write leaves the old file in place.
+too.  A write goes to a sibling temp file, unique to the writer, that
+replaces the target only once it is complete, so an interrupted write leaves
+the old file in place and two writers of one path never mix their bytes.
 
 The plain-text outputs (keywords, provenance, vocab, loss history, exam, and
 the eval report) are written the same way by ``write_lines``, and text
@@ -18,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -32,17 +34,27 @@ _PARSE_ERRORS = (ValueError, KeyError, TypeError, ArithmeticError, struct.error)
 T = TypeVar("T")
 
 
+def _umask() -> int:
+    """The process umask, which can only be read by setting it."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def _replace_file(path: str | Path, *chunks: bytes | bytearray) -> None:
-    """Write ``chunks`` to a sibling temp file, then move it over ``path``."""
+    """Write ``chunks`` to a sibling temp file of this writer's own, then move
+    it over ``path``.  The file gets the mode a plain ``open`` would give it:
+    ``mkstemp`` creates it readable by its owner alone."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
     try:
-        with open(tmp, "wb") as fh:
+        with open(fd, "wb") as fh:
+            os.chmod(tmp, 0o666 & ~_umask())
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
 
 
 def write_artifact(path: str | Path, magic: bytes, body: bytes | bytearray) -> None:

@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import __version__
 from .artifact import read_text, write_lines
 from .corpus_store import (
@@ -260,13 +262,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+class _VersionAction(argparse.Action):
+    """Prints ``VERSION_LINE`` as one line and exits; argparse's own version
+    action wraps it at the terminal width."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0,
+                         help="print the version and artifact formats, then exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(VERSION_LINE)
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="domainforge",
         allow_abbrev=False,
         description="Keyword-guided corpus selection and adapter training.",
     )
-    parser.add_argument("--version", action="version", version=VERSION_LINE)
+    parser.add_argument("--version", action=_VersionAction)
     parser.add_argument("--config", help="INI file with per-subcommand sections")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, opts in _COMMANDS.items():
@@ -341,14 +356,15 @@ def _cmd_retrieve(cfg: dict) -> int:
         raise ConfigError(
             f"index tokenizer {index.tokenizer_id!r} != store {store.tokenizer_id!r}"
         )
-    # one pass over the store: an index of another store of the same size
-    # would score these documents with that store's postings
-    stray = next((i for i, (doc, n) in enumerate(zip(store, index.doc_lengths))
-                  if doc.token_count != n), None)
-    if stray is not None:
+    # an index of another store of the same size would score these
+    # documents with that store's postings
+    counts = store.documents.token_counts
+    stray = np.flatnonzero(counts != np.asarray(index.doc_lengths, dtype=np.uint64))
+    if stray.size:
+        i = int(stray[0])
         raise ConfigError(
-            f"store document {stray} has {store.documents[stray].token_count} tokens "
-            f"but the index gives it {index.doc_lengths[stray]}"
+            f"store document {i} has {counts[i]} tokens "
+            f"but the index gives it {index.doc_lengths[i]}"
         )
     kset = load_keywords(cfg["keywords"])
     query = expand_query(kset, index.tokenizer_id)
@@ -406,7 +422,7 @@ def _cmd_pretrain(cfg: dict) -> int:
             raise ConfigError(f"cannot resume pretraining from a {phase!r} checkpoint")
         vocab = _checkpoint_vocab(cfg["resume"], state)
     else:
-        vocab = build_vocab((d.text for d in store), tokenizer, cap=cfg["vocab_cap"])
+        vocab = build_vocab(store.documents.texts, tokenizer, cap=cfg["vocab_cap"])
         model = {opt.name: cfg[opt.name] for opt in _MODEL_OPTS}
         model["adapted_projections"] = tuple(
             s.strip() for s in model["adapted_projections"].split(",") if s.strip()
@@ -415,7 +431,7 @@ def _cmd_pretrain(cfg: dict) -> int:
         step, opt_state = 0, None
     result = pretrain(
         state,
-        (d.text for d in store),
+        store.documents.texts,
         vocab,
         tokenizer,
         _train_config(cfg, "pretrain"),

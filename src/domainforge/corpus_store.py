@@ -1,29 +1,42 @@
 """Corpus ingestion: text cleaning, tokenization, and the store format.
 
+In memory and on disk a store is columnar (see ``DocumentColumns``): each
+document's token count in one integer column, and its title and text as
+slices of one joined string per field, so loading, indexing and selecting
+make no Python object per document.  A ``Document`` is made only for a
+document that is read.
+
 A store file is an artifact envelope (see ``artifact.py``) under magic
-``DFSTORE1`` whose body holds the document count, the total token count, and
-the tokenizer id, then each document as doc id, token count, title, and text
-(the strings length-prefixed UTF-8).
+``DFSTORE2`` whose little-endian body holds the document count, the total
+token count and the tokenizer id (length-prefixed UTF-8), then three
+``<u8`` columns of one entry per document: the token counts, the title end
+offsets and the text end offsets.  Last come the title blob and the text
+blob, each as a ``<Q`` byte length and the UTF-8 of every document's title
+(text) joined in doc id order.  An offset counts code points of the decoded
+blob; document ``i``'s title is the blob's code points from the previous
+title's end offset (0 for document 0) to its own.  Doc ids are positions.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 import struct
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar
 
 import numpy as np
 
 from .artifact import Cursor, load_artifact, pack_text, read_text, write_artifact
 from .errors import DuplicateSourceIdError
 
-STORE_MAGIC = b"DFSTORE1"
+STORE_MAGIC = b"DFSTORE2"
 DEFAULT_MIN_TOKENS = 10
 
 T = TypeVar("T")
@@ -68,7 +81,6 @@ _URL_RE = re.compile(
 )
 # Control characters other than \t, \n, \r (those collapse as whitespace below).
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
-_WS_RE = re.compile(r"\s+")
 
 
 def _may_hold_url(text: str) -> bool:
@@ -101,7 +113,8 @@ def clean_text(raw: str) -> str:
             text = _URL_RE.sub(" ", text)
         text = _BRACE_RE.sub(" ", text)
         text = _TAG_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
+    # str.split() splits at runs of the codepoints regex \s matches
+    return " ".join(text.split())
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +251,124 @@ class Document:
     token_count: int
 
 
+class StringColumn:
+    """A column of strings held as one joined string and each string's end
+    offset in code points (an ``int64`` array), so the column costs one
+    Python object however many strings it holds."""
+
+    __slots__ = ("joined", "ends")
+
+    def __init__(self, joined: str, ends: np.ndarray):
+        self.joined = joined
+        self.ends = ends
+
+    @classmethod
+    def of(cls, strings: Sequence[str]) -> StringColumn:
+        lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+        return cls("".join(strings), np.cumsum(lengths))
+
+    def __getitem__(self, i: int) -> str:
+        """The ``i``-th string; ``0 <= i < len(self)``."""
+        return self.joined[int(self.ends[i - 1]) if i else 0 : int(self.ends[i])]
+
+    def __iter__(self) -> Iterator[str]:
+        start = 0
+        for end in self.ends.tolist():
+            yield self.joined[start:end]
+            start = end
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StringColumn):
+            return NotImplemented
+        return self.joined == other.joined and np.array_equal(self.ends, other.ends)
+
+
+class DocumentColumns(Sequence[Document]):
+    """A store's documents as a title column, a text column and a ``uint64``
+    token-count column; document ``i`` has doc id ``i``.  Indexing or
+    iterating makes each ``Document`` as it is read."""
+
+    __slots__ = ("titles", "texts", "token_counts", "total_tokens")
+
+    def __init__(self, titles: StringColumn, texts: StringColumn, token_counts: np.ndarray):
+        self.titles = titles
+        self.texts = texts
+        self.token_counts = token_counts
+        self.total_tokens = sum(token_counts.tolist())
+
+    @classmethod
+    def from_lists(
+        cls, titles: Sequence[str], texts: Sequence[str], token_counts: Sequence[int]
+    ) -> DocumentColumns:
+        return cls(
+            StringColumn.of(titles),
+            StringColumn.of(texts),
+            np.array(token_counts, dtype=np.uint64),
+        )
+
+    @classmethod
+    def of(cls, documents: Iterable[Document]) -> DocumentColumns:
+        """The columns of ``documents``, whose doc ids must be their positions."""
+        docs = tuple(documents)
+        for i, doc in enumerate(docs):
+            if doc.doc_id != i:
+                raise ValueError(f"document at position {i} has doc_id {doc.doc_id}")
+        return cls.from_lists(
+            [d.title for d in docs], [d.text for d in docs], [d.token_count for d in docs]
+        )
+
+    def take(self, ids: Sequence[int]) -> DocumentColumns:
+        """The documents at ``ids``, in that order and renumbered densely."""
+        return DocumentColumns.from_lists(
+            [self.titles[i] for i in ids],
+            [self.texts[i] for i in ids],
+            self.token_counts[np.asarray(ids, dtype=np.intp)],
+        )
+
+    def __len__(self) -> int:
+        return len(self.token_counts)
+
+    def __getitem__(self, i: int) -> Document:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"document {i} out of range [0, {len(self)})")
+        return Document(i, self.titles[i], self.texts[i], int(self.token_counts[i]))
+
+    def __iter__(self) -> Iterator[Document]:
+        return map(
+            Document, itertools.count(), self.titles, self.texts, self.token_counts.tolist()
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DocumentColumns):
+            return NotImplemented
+        return (
+            self.titles == other.titles
+            and self.texts == other.texts
+            and np.array_equal(self.token_counts, other.token_counts)
+        )
+
+
 @dataclass(frozen=True)
 class CorpusStore:
-    """Immutable ordered document collection; iteration follows doc_id order."""
+    """Immutable ordered document collection; iteration follows doc_id order.
 
-    documents: tuple[Document, ...]
+    ``documents`` may be given as any sequence of ``Document``s whose doc ids
+    are their positions; the store holds it as ``DocumentColumns``.
+    """
+
+    documents: DocumentColumns
     tokenizer_id: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.documents, DocumentColumns):
+            object.__setattr__(self, "documents", DocumentColumns.of(self.documents))
 
     @property
     def total_tokens(self) -> int:
-        return sum(d.token_count for d in self.documents)
+        return self.documents.total_tokens
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -276,7 +397,9 @@ def ingest(
     if offenders:
         raise DuplicateSourceIdError(sorted(offenders))
 
-    docs: list[Document] = []
+    titles: list[str] = []
+    texts: list[str] = []
+    token_counts: list[int] = []
     for rec in records:
         text = clean_text(rec.body)
         if not text:
@@ -284,55 +407,76 @@ def ingest(
         token_count = tokenizer.count(text)
         if token_count < min_tokens:
             continue
-        docs.append(
-            Document(
-                doc_id=len(docs),
-                title=clean_text(rec.title),
-                text=text,
-                token_count=token_count,
-            )
-        )
-    return CorpusStore(documents=tuple(docs), tokenizer_id=tokenizer.tokenizer_id)
+        titles.append(clean_text(rec.title))
+        texts.append(text)
+        token_counts.append(token_count)
+    return CorpusStore(
+        documents=DocumentColumns.from_lists(titles, texts, token_counts),
+        tokenizer_id=tokenizer.tokenizer_id,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 
+def _pack_blob(column: StringColumn) -> bytes:
+    raw = column.joined.encode("utf-8")
+    return struct.pack("<Q", len(raw)) + raw
+
+
 def save_store(store: CorpusStore, path: str | Path) -> None:
     """Write a store file; identical stores produce byte-identical files."""
-    body = bytearray(struct.pack("<QQ", len(store.documents), store.total_tokens))
-    body += pack_text(store.tokenizer_id)
-    for doc in store.documents:
-        body += struct.pack("<QQ", doc.doc_id, doc.token_count)
-        body += pack_text(doc.title)
-        body += pack_text(doc.text)
+    docs = store.documents
+    body = b"".join((
+        struct.pack("<QQ", len(docs), store.total_tokens),
+        pack_text(store.tokenizer_id),
+        docs.token_counts.astype("<u8").tobytes(),
+        docs.titles.ends.astype("<u8").tobytes(),
+        docs.texts.ends.astype("<u8").tobytes(),
+        _pack_blob(docs.titles),
+        _pack_blob(docs.texts),
+    ))
     write_artifact(path, STORE_MAGIC, body)
+
+
+def _read_column(cursor: Cursor, count: int) -> np.ndarray:
+    """``count`` ``<u8`` values, copied out of the file's buffer."""
+    return np.frombuffer(cursor.take(8 * count), dtype="<u8").astype(np.uint64)
+
+
+def _read_blob(cursor: Cursor, ends: np.ndarray, field: str) -> StringColumn:
+    """The next blob as a column split at ``ends``, which must not decrease
+    and must end at the blob's length in code points."""
+    (size,) = cursor.unpack("<Q")
+    joined = str(cursor.take(size), "utf-8")
+    last = int(ends[-1]) if len(ends) else 0
+    if last != len(joined) or np.any(ends[1:] < ends[:-1]):
+        raise ValueError(
+            f"{field} offsets must not decrease and must end at the "
+            f"{len(joined)} code points of the {field} blob"
+        )
+    return StringColumn(joined, ends.astype(np.int64))
 
 
 def _parse_store(cursor: Cursor) -> CorpusStore:
     count, total = cursor.unpack("<QQ")
     tokenizer_id = cursor.text()
-    docs: list[Document] = []
-    for i in range(count):
-        doc_id, token_count = cursor.unpack("<QQ")
-        if doc_id != i:
-            raise ValueError(f"doc_id gap at position {i}")
-        docs.append(
-            Document(
-                doc_id=doc_id,
-                title=cursor.text(),
-                text=cursor.text(),
-                token_count=token_count,
-            )
-        )
-    store = CorpusStore(documents=tuple(docs), tokenizer_id=tokenizer_id)
-    if store.total_tokens != total:
-        raise ValueError(f"declares {total} tokens, found {store.total_tokens}")
-    return store
+    token_counts = _read_column(cursor, count)
+    title_ends = _read_column(cursor, count)
+    text_ends = _read_column(cursor, count)
+    documents = DocumentColumns(
+        _read_blob(cursor, title_ends, "title"),
+        _read_blob(cursor, text_ends, "text"),
+        token_counts,
+    )
+    if documents.total_tokens != total:
+        raise ValueError(f"declares {total} tokens, found {documents.total_tokens}")
+    return CorpusStore(documents=documents, tokenizer_id=tokenizer_id)
 
 
 def load_store(path: str | Path) -> CorpusStore:
-    """Read a store file, verifying magic, completeness, and checksum."""
+    """Read a store file, verifying magic, completeness, checksum, and that
+    every column and blob is well-formed; no ``Document`` is made."""
     return load_artifact(path, STORE_MAGIC, _parse_store)
 
 

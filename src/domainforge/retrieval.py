@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .artifact import Cursor, load_artifact, pack_text, write_artifact, write_lines
-from .corpus_store import CorpusStore, Document, get_tokenizer
+from .corpus_store import CorpusStore, get_tokenizer
 from .errors import EmptyCorpusError, NoPositiveScoreError, SelectionBudgetError
 from .keyword_extract import DomainKeywordSet
 
@@ -123,14 +123,14 @@ def build_index(
         raise EmptyCorpusError("cannot index an empty corpus (avgdl undefined)")
     _check_bm25(k1, b)
     tokenizer = get_tokenizer(store.tokenizer_id)
-    codes, lengths, term = tokenizer.term_codes(doc.text for doc in store)
+    codes, lengths, term = tokenizer.term_codes(store.documents.texts)
     # one (term code, doc id) key per token: sorted, the keys group by term
     # and each term's by ascending doc id, and a run of equal keys is one
     # posting
     keys = codes.astype(np.uint64)
     del codes
     keys <<= np.uint64(32)
-    keys |= np.repeat(np.array([doc.doc_id for doc in store], dtype=np.uint64), lengths)
+    keys |= np.repeat(np.arange(len(store), dtype=np.uint64), lengths)
     keys.sort()
     starts = _run_starts(keys)
     tf_col = np.diff(starts, append=len(keys)).astype(np.uint32)
@@ -261,30 +261,22 @@ def select_corpus(
             "no positive-score documents for the expanded query "
             f"({len(query)} query terms over {index.num_docs} documents)"
         )
-    docs: list[Document] = []
-    provenance: list[tuple[int, float]] = []
-    used = 0
-    for sd in ranked:
-        doc = store.documents[sd.doc_id]
-        if used + doc.token_count > token_budget:
-            break
-        docs.append(
-            Document(
-                doc_id=len(docs),
-                title=doc.title,
-                text=doc.text,
-                token_count=doc.token_count,
-            )
-        )
-        provenance.append((sd.doc_id, sd.score))
-        used += doc.token_count
-    if not docs:
-        top = store.documents[ranked[0].doc_id]
+    # the greedy walk down the ranking stops at the first document whose
+    # tokens would pass the budget: the longest prefix within it
+    ids = [sd.doc_id for sd in ranked]
+    used = np.cumsum(store.documents.token_counts[ids])
+    # every prefix sum is at most the store's total, so clamping the budget
+    # there changes no comparison and keeps it within uint64
+    taken = int(np.searchsorted(used, min(token_budget, store.total_tokens), side="right"))
+    if not taken:
         raise SelectionBudgetError(
             f"token budget {token_budget} is smaller than the top-ranked "
-            f"document (doc_id {top.doc_id}, {top.token_count} tokens)"
+            f"document (doc_id {ids[0]}, {used[0]} tokens)"
         )
-    new_store = CorpusStore(documents=tuple(docs), tokenizer_id=store.tokenizer_id)
+    new_store = CorpusStore(
+        documents=store.documents.take(ids[:taken]), tokenizer_id=store.tokenizer_id
+    )
+    provenance = [(sd.doc_id, sd.score) for sd in ranked[:taken]]
     return CorpusSelection(store=new_store, provenance=tuple(provenance))
 
 
@@ -298,15 +290,26 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     body += struct.pack("<ddd", index.avgdl, index.k1, index.b)
     body += pack_text(index.tokenizer_id)
     body += struct.pack(f"<{index.num_docs}Q", *index.doc_lengths)
-    body += struct.pack("<Q", len(index.postings))
-    for term in sorted(index.postings):
-        plist = index.postings[term]
+    terms = sorted(index.postings)
+    plists = [index.postings[term] for term in terms]
+    lengths = np.fromiter(map(len, plists), dtype=np.int64, count=len(plists))
+    ends = np.cumsum(lengths)
+    # every term's (doc id delta, tf) pairs in one array: one diff over the
+    # concatenated doc ids, reset at each term's first posting
+    pairs = np.empty((int(lengths.sum()), 2), dtype="<u4")
+    if plists:
+        np.concatenate([p.doc_ids for p in plists], out=pairs[:, 0])
+        np.concatenate([p.tfs for p in plists], out=pairs[:, 1])
+    firsts = (ends - lengths)[lengths > 0]
+    first_ids = pairs[firsts, 0]
+    pairs[1:, 0] -= pairs[:-1, 0]
+    pairs[firsts, 0] = first_ids
+    raw = memoryview(pairs).cast("B")
+    body += struct.pack("<Q", len(terms))
+    for term, n, end in zip(terms, lengths.tolist(), ends.tolist()):
         body += pack_text(term)
-        body += struct.pack("<Q", len(plist))
-        pairs = np.empty((len(plist), 2), dtype="<u4")
-        pairs[:, 0] = np.diff(plist.doc_ids, prepend=0)
-        pairs[:, 1] = plist.tfs
-        body += pairs.tobytes()
+        body += struct.pack("<Q", n)
+        body += raw[8 * (end - n) : 8 * end]
     write_artifact(path, INDEX_MAGIC, body)
 
 

@@ -4,13 +4,14 @@ import contextlib
 import io
 import json
 import os
+import stat
 import struct
 
 import numpy as np
 import pytest
 
 from domainforge import artifact
-from domainforge.artifact import pack_text, read_artifact, write_artifact
+from domainforge.artifact import pack_text, read_artifact, write_artifact, write_lines
 from domainforge.cli import main
 from domainforge.corpus_store import (
     STORE_MAGIC,
@@ -241,6 +242,52 @@ def test_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch, where):
     assert path.read_bytes() == before
     assert load_store(path) == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.store"]
+
+
+def test_two_writers_of_one_path_do_not_mix(tmp_path, monkeypatch):
+    # writer B runs whole while writer A holds its temp file open, between
+    # A's header and body: the last to finish wins, with its own bytes
+    path = tmp_path / "shared.bin"
+    real_open = open
+    b_done = []
+
+    class WriterA:
+        def __init__(self, *args):
+            self.fh = real_open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            self.fh.write(chunk)
+            if not b_done:  # after A's first chunk
+                b_done.append(True)
+                monkeypatch.undo()  # B writes through the real open
+                write_lines(path, ["b1", "bbbb2"])
+                assert path.read_text(encoding="utf-8") == "b1\nbbbb2\n"
+
+    monkeypatch.setattr(artifact, "open", WriterA, raising=False)
+    write_artifact(path, b"MAGIC", b"a1\na2\n")
+    assert bytes(read_artifact(path, b"MAGIC")) == b"a1\na2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.bin"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+def test_written_files_get_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_lines(tmp_path / "out.txt", ["x"])
+        write_artifact(tmp_path / "out.bin", b"MAGIC", b"x")
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("out.txt", "out.bin", "plain")}
+    assert modes == {0o666 & ~umask}
 
 
 def test_short_file_that_is_not_a_magic_prefix_is_magic_mismatch(tmp_path):

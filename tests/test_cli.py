@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from domainforge import __version__
 from domainforge.artifact import pack_text, read_artifact, write_artifact
 from domainforge.cli import main
 from domainforge.corpus_store import (
@@ -489,15 +490,18 @@ def test_eval_without_the_model_responder_reads_no_checkpoint(workspace, capsys,
     assert f"n=3 {summary}" in out
 
 
-def test_version_lists_artifact_formats(capsys):
+def test_version_lists_artifact_formats(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "60")  # narrower than the line
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    out = " ".join(capsys.readouterr().out.split())  # argparse wraps the line
-    formats = (("store", STORE_MAGIC.decode()), ("index", INDEX_MAGIC.decode()),
-               ("checkpoint", CHECKPOINT_MAGIC.decode()), ("vocab", VOCAB_MAGIC))
-    for kind, magic in formats:
-        assert f"{kind} {magic}" in out
+    assert capsys.readouterr().out == (
+        f"domainforge {__version__} (formats: store DFSTORE2, index DFIDX1, "
+        "checkpoint DFCKPT1, vocab DFVOCAB1)\n"
+    )
+    formats = (STORE_MAGIC.decode(), INDEX_MAGIC.decode(), CHECKPOINT_MAGIC.decode(),
+               VOCAB_MAGIC)
+    assert formats == ("DFSTORE2", "DFIDX1", "DFCKPT1", "DFVOCAB1")
 
 
 @pytest.fixture
@@ -543,6 +547,9 @@ def broken_inputs(tmp_path):
     save_store(one, tmp_path / "one.store")
     save_store(replace(one, tokenizer_id="nope"), tmp_path / "nope.store")
     (tmp_path / "kw.tsv").write_text("脉\t1\t1.0\ttask\n", encoding="utf-8")
+    # a store of the previous format: one document, each field length-prefixed
+    old = struct.pack("<QQ", 1, 1) + pack_text("cjk-char-v1") + struct.pack("<QQ", 0, 1)
+    write_artifact(tmp_path / "old.store", b"DFSTORE1", old + pack_text("") + pack_text("脉"))
     body = struct.pack("<Qddd", 1, 1.0, 1.2, 0.75) + pack_text("cjk-char-v1")
     body += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 5, 1)
     write_artifact(tmp_path / "stray.idx", b"DFIDX1", body)
@@ -681,6 +688,8 @@ def broken_inputs(tmp_path):
         (["eval", "--checkpoint", "model.ckpt", "--exam", "exam_null_stem.jsonl",
           "--responder", "gold"],
          "exam_null_stem.jsonl:2: stem must be a string, got NoneType"),
+        (["index", "--store", "old.store", "--output", "o.idx"],
+         "error: MagicMismatchError"),
     ],
     ids=["unknown-stored-tokenizer", "removed-tokenizer-flag", "unparseable-flag-value",
          "raw-without-body", "raw-null-body", "pair-without-response", "exam-without-options",
@@ -693,7 +702,7 @@ def broken_inputs(tmp_path):
          "pretrain-infinite-lora-alpha", "retrieve-infinite-keyword-weight", "index-nan-k1",
          "index-infinite-k1", "retrieve-nan-k1-index", "pair-null-prompt",
          "pair-list-response", "exam-string-options", "exam-dict-options",
-         "exam-int-option", "exam-null-stem"],
+         "exam-int-option", "exam-null-stem", "index-previous-store-format"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
     argv = [str(broken_inputs / a)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import struct
 from collections import Counter
 from dataclasses import dataclass
 
@@ -10,8 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from domainforge import corpus_store
+from domainforge.artifact import pack_text, write_artifact
 from domainforge.corpus_store import (
     _PUNCT_TABLE,
+    STORE_MAGIC,
     CjkCharTokenizer,
     CorpusStore,
     Document,
@@ -56,6 +60,32 @@ def test_clean_folds_fullwidth_punctuation():
 
 def test_clean_collapses_whitespace_and_trims():
     assert clean_text("  a\t\n b   c  ") == "a b c"
+
+
+_WS_REGEX = re.compile(r"\s+")
+_WHITESPACE = [ch for ch in map(chr, range(0x110000)) if _WS_REGEX.match(ch) or ch.isspace()]
+
+
+def _regex_collapse(text):
+    """The whitespace step ``clean_text`` had: a regex substitution, then a strip."""
+    return _WS_REGEX.sub(" ", text).strip()
+
+
+def test_whitespace_collapse_is_the_regex_on_every_whitespace_codepoint():
+    # regex \s and str.isspace agree on every codepoint: the set above holds
+    # exactly the isspace ones, and each collapses the same way in any place
+    assert _WHITESPACE == [ch for ch in map(chr, range(0x110000)) if ch.isspace()]
+    assert len(_WHITESPACE) > 20
+    for ch in _WHITESPACE:
+        for text in (ch, f"{ch}a{ch}{ch}b{ch}", f"a{ch}\u3000{ch} b"):
+            assert " ".join(text.split()) == _regex_collapse(text), hex(ord(ch))
+    for text in _every_codepoint_block():
+        assert " ".join(text.split()) == _regex_collapse(text), hex(ord(text[1]))
+
+
+@given(st.text(alphabet=st.characters() | st.sampled_from(_WHITESPACE)))
+def test_whitespace_collapse_is_the_regex_on_arbitrary_text(text):
+    assert " ".join(text.split()) == _regex_collapse(text)
 
 
 def test_clean_removes_control_characters():
@@ -398,6 +428,110 @@ def test_store_round_trip_arbitrary_text(tmp_path_factory, texts):
     path = tmp_path_factory.mktemp("stores") / "fuzz.store"
     save_store(store, path)
     assert load_store(path) == store
+
+
+# titles and texts with empty strings, astral and combining characters,
+# tabs and newlines
+_STORE_TEXT = st.lists(
+    st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from(["𠀀", "😀", "e\u0301", "\u0307", "\t", "\n", "脉"]),
+    max_size=12,
+).map("".join)
+
+
+@given(st.lists(st.tuples(_STORE_TEXT, _STORE_TEXT, st.integers(0, 2**40)), max_size=6))
+def test_store_round_trip_keeps_every_field(tmp_path_factory, rows):
+    docs = [Document(i, title, text, count) for i, (title, text, count) in enumerate(rows)]
+    store = CorpusStore(documents=docs, tokenizer_id="cjk-char-v1")
+    path = tmp_path_factory.mktemp("stores") / "rows.store"
+    save_store(store, path)
+    loaded = load_store(path)
+    assert loaded == store
+    assert list(loaded) == docs
+    assert [loaded.documents[i] for i in range(-len(docs), 0)] == docs
+    assert loaded.total_tokens == sum(count for _, _, count in rows)
+
+
+@given(st.lists(st.tuples(_STORE_TEXT, _STORE_TEXT), max_size=6))
+def test_ingested_store_round_trips(tmp_path_factory, pairs):
+    records = [RawRecord(f"s{i}", title, body) for i, (title, body) in enumerate(pairs)]
+    store = ingest(records, CjkCharTokenizer(), min_tokens=0)
+    path = tmp_path_factory.mktemp("stores") / "ingested.store"
+    save_store(store, path)
+    loaded = load_store(path)
+    assert loaded == store
+    assert list(loaded) == list(store)
+
+
+def test_store_rejects_ids_that_are_not_positions():
+    doc = Document(doc_id=1, title="", text="脉", token_count=1)
+    with pytest.raises(ValueError, match="position 0 has doc_id 1"):
+        CorpusStore(documents=[doc], tokenizer_id="cjk-char-v1")
+
+
+def _store_body(counts, title_ends, text_ends, titles, texts, *, count=None, total=None):
+    """A DFSTORE2 body packed field by field; ``titles`` and ``texts`` are
+    the blobs' bytes."""
+    return b"".join((
+        struct.pack("<QQ", len(counts) if count is None else count,
+                    sum(counts) if total is None else total),
+        pack_text("cjk-char-v1"),
+        *(struct.pack(f"<{len(col)}Q", *col) for col in (counts, title_ends, text_ends)),
+        struct.pack("<Q", len(titles)), titles,
+        struct.pack("<Q", len(texts)), texts,
+    ))
+
+
+# three documents: titles "t0", "", "题" and texts "脉象", "", "𠀀a"
+_GOOD_FIELDS = ([2, 0, 2], [2, 2, 3], [2, 2, 4], "t0题".encode(), "脉象𠀀a".encode())
+
+
+@pytest.mark.parametrize(
+    "fields, extra, problem",
+    [
+        (([2, 0, 2], [2, 2, 3], [2, 1, 4], *_GOOD_FIELDS[3:]), {}, "text offsets"),
+        (([2, 0, 2], [3, 2, 3], *_GOOD_FIELDS[2:]), {}, "title offsets"),
+        (([2, 0, 2], [2, 2, 3], [2, 2, 5], *_GOOD_FIELDS[3:]), {}, "text offsets"),
+        (([2, 0, 2], [2, 2, 3], [2, 2, 3], *_GOOD_FIELDS[3:]), {}, "text offsets"),
+        (([2, 0, 2], [2, 2, 4], *_GOOD_FIELDS[2:]), {}, "title offsets"),
+        (_GOOD_FIELDS, {"total": 5}, "declares 5 tokens, found 4"),
+        (([2, 0], *_GOOD_FIELDS[1:]), {"count": 3, "total": 4}, "body ends early"),
+        ((*_GOOD_FIELDS[:4], b"\xe8\x84\x89\xff\xf0\xa0\x80\x80a"), {}, "utf-8"),
+        ((*_GOOD_FIELDS[:3], b"t0\xe9\xa2", _GOOD_FIELDS[4]), {}, "utf-8"),
+        (_GOOD_FIELDS, {"trailing": b"\x00"}, "trailing"),
+    ],
+    ids=["text-offset-decreases", "title-offset-decreases", "text-offset-past-blob",
+         "text-offset-short-of-blob", "title-offset-past-blob", "total-differs",
+         "column-shorter-than-count", "text-blob-not-utf8", "title-blob-not-utf8",
+         "trailing-bytes"],
+)
+def test_forged_store_body_is_truncated_artifact(tmp_path, fields, extra, problem):
+    path = tmp_path / "forged.store"
+    write_artifact(path, STORE_MAGIC, _store_body(*_GOOD_FIELDS))
+    assert [(d.title, d.text, d.token_count) for d in load_store(path)] == [
+        ("t0", "脉象", 2), ("", "", 0), ("题", "𠀀a", 2)
+    ]
+    extra = dict(extra)
+    trailing = extra.pop("trailing", b"")
+    write_artifact(path, STORE_MAGIC, _store_body(*fields, **extra) + trailing)
+    with pytest.raises(TruncatedArtifactError, match=problem):
+        load_store(path)
+
+
+def test_store_body_layout_is_the_columns_then_the_blobs(tmp_path):
+    docs = [Document(0, "t0", "脉象", 2), Document(1, "", "", 0), Document(2, "题", "𠀀a", 2)]
+    path = tmp_path / "saved.store"
+    save_store(CorpusStore(documents=docs, tokenizer_id="cjk-char-v1"), path)
+    forged = tmp_path / "packed.store"
+    write_artifact(forged, STORE_MAGIC, _store_body(*_GOOD_FIELDS))
+    assert path.read_bytes() == forged.read_bytes()
+
+
+def test_store_of_the_previous_format_is_magic_mismatch(tmp_path):
+    path = tmp_path / "old.store"
+    write_artifact(path, b"DFSTORE1", struct.pack("<QQ", 0, 0) + pack_text("cjk-char-v1"))
+    with pytest.raises(MagicMismatchError):
+        load_store(path)
 
 
 def test_store_wrong_magic(tmp_path, tok):

@@ -12,7 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from domainforge.artifact import pack_text, write_artifact
-from domainforge.corpus_store import CjkCharTokenizer, RawRecord, ingest
+from domainforge.corpus_store import (
+    CjkCharTokenizer,
+    Document,
+    RawRecord,
+    ingest,
+    load_store,
+    save_store,
+)
 from domainforge.errors import (
     ChecksumMismatchError,
     EmptyCorpusError,
@@ -421,6 +428,56 @@ def test_select_budget_validation():
     index = build_index(store)
     with pytest.raises(ValueError):
         select_corpus(index, store, ExpandedQuery({"t": 1}), token_budget=0)
+
+
+@given(
+    st.lists(st.sampled_from(["t", "t t", "t a b c", "a b", "t " * 7, "脉 t"]), max_size=12),
+    st.integers(1, 40),
+)
+def test_select_is_the_greedy_walk_down_the_ranking(texts, budget):
+    store = store_of(["t a", *texts])
+    index = build_index(store)
+    query = ExpandedQuery({"t": 1})
+    ranked = retrieve_top_n(index, query, n=len(store))
+    taken, used = [], 0
+    for sd in ranked:
+        count = store.documents[sd.doc_id].token_count
+        if used + count > budget:
+            break
+        taken.append((sd.doc_id, sd.score))
+        used += count
+    if not taken:
+        with pytest.raises(SelectionBudgetError):
+            select_corpus(index, store, query, token_budget=budget)
+        return
+    selection = select_corpus(index, store, query, token_budget=budget)
+    assert selection.provenance == tuple(taken)
+    assert [(d.title, d.text, d.token_count) for d in selection.store] == [
+        (d.title, d.text, d.token_count) for d in (store.documents[i] for i, _ in taken)
+    ]
+    assert selection.selected_tokens == used
+
+
+def test_index_and_select_make_no_document_of_a_loaded_store(tmp_path, monkeypatch):
+    store = store_of([f"t {i} " * (i % 4 + 1) + "脉" for i in range(30)])
+    path = tmp_path / "corpus.store"
+    save_store(store, path)
+    made = []
+    init = Document.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Document, "__init__", counted)
+    loaded = load_store(path)
+    index = build_index(loaded)
+    assert made == []
+    selection = select_corpus(index, load_store(path), ExpandedQuery({"t": 1}), token_budget=20)
+    save_store(selection.store, tmp_path / "selected.store")
+    assert made == []
+    assert 0 < len(selection.store) < len(store)
+    assert len(list(selection.store)) == len(made)  # reading one makes one
 
 
 # ---------------------------------------------------------------------------
