@@ -276,8 +276,8 @@ def select_corpus(
     new_store = CorpusStore(
         documents=store.documents.take(ids[:taken]), tokenizer_id=store.tokenizer_id
     )
-    provenance = [(sd.doc_id, sd.score) for sd in ranked[:taken]]
-    return CorpusSelection(store=new_store, provenance=tuple(provenance))
+    provenance = tuple((sd.doc_id, sd.score) for sd in ranked[:taken])
+    return CorpusSelection(store=new_store, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
