@@ -4,7 +4,10 @@ In memory and on disk a store is columnar (see ``DocumentColumns``): each
 document's token count in one integer column, and its title and text as
 slices of one joined string per field, so loading, indexing and selecting
 make no Python object per document.  A ``Document`` is made only for a
-document that is read.
+document that is read.  The tokenizer counts and codes a whole column in one
+pass over its codepoints (``_scan_column``), so neither ``ingest`` nor
+``build_index`` runs a regex per document unless the document holds a
+non-CJK token.
 
 A store file is an artifact envelope (see ``artifact.py``) under magic
 ``DFSTORE2`` whose little-endian body holds the document count, the total
@@ -27,7 +30,6 @@ import struct
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar
 
@@ -129,10 +131,12 @@ def _is_cjk(cp: int) -> bool:
     )
 
 
-# The same ranges as _is_cjk.  A token is one CJK codepoint or a maximal run
-# of other alphanumerics: in ``re``, [^\W_] is exactly str.isalnum.  The scan
-# matches maximal runs of either kind, so a CJK run is split afterwards.
-_CJK_RANGES = "\u4e00-\u9fff\u3400-\u4dbf\uf900-\ufaff\U00020000-\U0003134f"
+# The same ranges as _is_cjk, as inclusive codepoint bounds.  A token is one
+# CJK codepoint or a maximal run of other alphanumerics: in ``re``, [^\W_] is
+# exactly str.isalnum.  The scan matches maximal runs of either kind, so a CJK
+# run is split afterwards.
+_CJK_BLOCKS = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0xF900, 0xFAFF), (0x20000, 0x3134F))
+_CJK_RANGES = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_BLOCKS)
 _RUN_RE = re.compile(f"([{_CJK_RANGES}]+)|([^\\W_{_CJK_RANGES}]+)")
 
 
@@ -140,6 +144,59 @@ def _token_runs(text: str) -> list[tuple[str, str]]:
     """The token runs of lowercased ``text``, in order, as (CJK run, other run)
     pairs with exactly one of the two non-empty."""
     return _RUN_RE.findall(text.lower())
+
+
+# Per codepoint, 0 until first seen, then 1 + whether ``chr(cp).lower()``
+# holds an alphanumeric: a text with no such codepoint has no token but its
+# CJK codepoints.
+_LOWERS_TO_ALNUM = np.zeros(0x110000, dtype=np.int8)
+
+
+def _lowers_to_alnum(cps: np.ndarray) -> np.ndarray:
+    """The mask of ``cps`` whose lowercase holds an alphanumeric, testing
+    each codepoint once per process."""
+    fresh = np.unique(cps[_LOWERS_TO_ALNUM[cps] == 0]).tolist()
+    _LOWERS_TO_ALNUM[fresh] = [1 + any(map(str.isalnum, chr(cp).lower())) for cp in fresh]
+    return _LOWERS_TO_ALNUM[cps] == 2
+
+
+def _scan_column(
+    column: StringColumn,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Iterator[tuple[int, list[str]]]]:
+    """One pass over every codepoint of ``column``: the codepoints as a
+    ``uint32`` array, the mask of the CJK ones, each string's CJK token count
+    (``int64``), and the other (non-CJK) runs of each string that may hold
+    one, as ``(index, runs)`` pairs in index order, made as they are read.
+
+    Lowercasing makes and unmakes no CJK codepoint, so a string's CJK tokens
+    are its own CJK codepoints.  Only a string holding a codepoint that
+    ``_lowers_to_alnum`` can hold another token, and only those strings go
+    through ``_token_runs``.
+    """
+    cps = np.frombuffer(column.joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    cjk = np.zeros(len(cps), dtype=bool)
+    inside = np.empty_like(cjk)
+    below = np.empty_like(cjk)
+    for lo, hi in _CJK_BLOCKS:
+        np.greater_equal(cps, lo, out=inside)
+        np.less_equal(cps, hi, out=below)
+        inside &= below
+        cjk |= inside
+    del below
+    other = np.flatnonzero(np.logical_not(cjk, out=inside))
+    del inside
+    # the string each non-CJK codepoint falls in
+    owner = np.searchsorted(column.ends, other, side="right")
+    lengths = np.diff(column.ends, prepend=0)
+    cjk_counts = lengths - np.bincount(owner, minlength=len(lengths))
+    ids = np.unique(owner[_lowers_to_alnum(cps[other])]).tolist()
+    del other, owner
+    runs = ((i, [run for _, run in _token_runs(column[i]) if run]) for i in ids)
+    return cps, cjk, cjk_counts, runs
+
+
+def _column(texts: Iterable[str]) -> StringColumn:
+    return texts if isinstance(texts, StringColumn) else StringColumn.of(list(texts))
 
 
 DEFAULT_TOKENIZER_ID = "cjk-char-v1"
@@ -159,14 +216,14 @@ class Tokenizer(Protocol):
 
     def tokenize(self, text: str) -> list[str]: ...
 
-    def count(self, text: str) -> int:
-        """``len(self.tokenize(text))``."""
+    def counts(self, texts: Iterable[str]) -> np.ndarray:
+        """Each text's ``len(self.tokenize(text))``, as an ``int64`` column."""
         ...
 
     def term_codes(self, texts: Iterable[str]) -> TermCodes:
         """Every token of ``texts`` as an integer code, without a string per
         token: a ``uint32`` column of codes grouped by text (in no set order
-        within a text), each text's ``count`` as an ``int64`` column, and
+        within a text), each text's token count as an ``int64`` column, and
         ``term(code)``, the token a code stands for."""
         ...
 
@@ -187,38 +244,33 @@ class CjkCharTokenizer:
                 tokens.append(other)
         return tokens
 
-    def count(self, text: str) -> int:
-        return sum(len(cjk) or 1 for cjk, _ in _token_runs(text))
+    # counts and term_codes scan the texts as one StringColumn (one is used
+    # as it is): see _scan_column
+    def counts(self, texts: Iterable[str]) -> np.ndarray:
+        _, _, counts, runs = _scan_column(_column(texts))
+        for i, others in runs:
+            counts[i] += len(others)
+        return counts
 
     def term_codes(self, texts: Iterable[str]) -> TermCodes:
-        # each text's CJK tokens first, then its other runs; the CJK codes
-        # come from one encode of all CJK runs, not a string per token
-        cjk_parts: list[str] = []
+        cps, cjk, cjk_counts, runs = _scan_column(_column(texts))
+        cjk_codes = cps[cjk]
+        del cps, cjk
         run_codes: defaultdict[str, int] = defaultdict(itertools.count(_RUN_CODE_BASE).__next__)
+        other_counts = np.zeros(len(cjk_counts), dtype=np.int64)
         other_codes: list[int] = []
-        kind_lens: list[tuple[int, int]] = []
-        for text in texts:
-            runs = _token_runs(text)
-            cjk = "".join(map(itemgetter(0), runs))
-            others = list(filter(None, map(itemgetter(1), runs)))
-            cjk_parts.append(cjk)
+        for i, others in runs:
+            other_counts[i] = len(others)
             other_codes.extend(map(run_codes.__getitem__, others))
-            kind_lens.append((len(cjk), len(others)))
-        joined = "".join(cjk_parts)
-        del cjk_parts
-        cjk_codes = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
-        del joined
-        per_kind = np.array(kind_lens, dtype=np.int64).reshape(-1, 2)
-        is_cjk = np.repeat(np.tile([True, False], len(per_kind)), per_kind.ravel())
-        codes = np.empty(len(is_cjk), dtype=np.uint32)
-        codes[is_cjk] = cjk_codes
-        codes[~is_cjk] = other_codes
+        # each text's CJK codes, then the codes of its other runs
+        at = np.repeat(np.cumsum(cjk_counts), other_counts)
+        codes = np.insert(cjk_codes, at, other_codes)
         runs_by_code = list(run_codes)
 
         def term(code: int) -> str:
             return chr(code) if code < _RUN_CODE_BASE else runs_by_code[code - _RUN_CODE_BASE]
 
-        return codes, per_kind.sum(axis=1), term
+        return codes, cjk_counts + other_counts, term
 
 
 def get_tokenizer(tokenizer_id: str) -> Tokenizer:
@@ -397,21 +449,16 @@ def ingest(
     if offenders:
         raise DuplicateSourceIdError(sorted(offenders))
 
-    titles: list[str] = []
-    texts: list[str] = []
-    token_counts: list[int] = []
-    for rec in records:
-        text = clean_text(rec.body)
-        if not text:
-            continue
-        token_count = tokenizer.count(text)
-        if token_count < min_tokens:
-            continue
-        titles.append(clean_text(rec.title))
-        texts.append(text)
-        token_counts.append(token_count)
+    texts = [clean_text(rec.body) for rec in records]
+    counts = tokenizer.counts(texts)
+    keep = [i for i, (text, n) in enumerate(zip(texts, counts.tolist()))
+            if text and n >= min_tokens]
     return CorpusStore(
-        documents=DocumentColumns.from_lists(titles, texts, token_counts),
+        documents=DocumentColumns.from_lists(
+            [clean_text(records[i].title) for i in keep],
+            [texts[i] for i in keep],
+            counts[keep],
+        ),
         tokenizer_id=tokenizer.tokenizer_id,
     )
 

@@ -255,7 +255,13 @@ def select_corpus(
     """
     if token_budget < 1:
         raise ValueError(f"token_budget must be >= 1, got {token_budget}")
-    ranked = retrieve_top_n(index, query, n=max(1, index.num_docs))
+    # each document holds at least the store's fewest tokens, m, so at most
+    # budget // m documents fit and the ranking past one more is never read
+    counts = store.documents.token_counts
+    budget = min(token_budget, store.total_tokens)
+    fewest = int(counts.min()) if len(counts) else 0
+    n = index.num_docs if fewest == 0 else min(index.num_docs, budget // fewest + 1)
+    ranked = retrieve_top_n(index, query, n=max(1, n))
     if not ranked:
         raise NoPositiveScoreError(
             "no positive-score documents for the expanded query "
@@ -264,10 +270,10 @@ def select_corpus(
     # the greedy walk down the ranking stops at the first document whose
     # tokens would pass the budget: the longest prefix within it
     ids = [sd.doc_id for sd in ranked]
-    used = np.cumsum(store.documents.token_counts[ids])
+    used = np.cumsum(counts[ids])
     # every prefix sum is at most the store's total, so clamping the budget
     # there changes no comparison and keeps it within uint64
-    taken = int(np.searchsorted(used, min(token_budget, store.total_tokens), side="right"))
+    taken = int(np.searchsorted(used, budget, side="right"))
     if not taken:
         raise SelectionBudgetError(
             f"token budget {token_budget} is smaller than the top-ranked "
@@ -285,11 +291,6 @@ def select_corpus(
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write the versioned binary index; saves are byte-deterministic."""
-    body = bytearray()
-    body += struct.pack("<Q", index.num_docs)
-    body += struct.pack("<ddd", index.avgdl, index.k1, index.b)
-    body += pack_text(index.tokenizer_id)
-    body += struct.pack(f"<{index.num_docs}Q", *index.doc_lengths)
     terms = sorted(index.postings)
     plists = [index.postings[term] for term in terms]
     lengths = np.fromiter(map(len, plists), dtype=np.int64, count=len(plists))
@@ -305,12 +306,16 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     pairs[1:, 0] -= pairs[:-1, 0]
     pairs[firsts, 0] = first_ids
     raw = memoryview(pairs).cast("B")
-    body += struct.pack("<Q", len(terms))
+    parts = [
+        struct.pack("<Q", index.num_docs),
+        struct.pack("<ddd", index.avgdl, index.k1, index.b),
+        pack_text(index.tokenizer_id),
+        struct.pack(f"<{index.num_docs}Q", *index.doc_lengths),
+        struct.pack("<Q", len(terms)),
+    ]
     for term, n, end in zip(terms, lengths.tolist(), ends.tolist()):
-        body += pack_text(term)
-        body += struct.pack("<Q", n)
-        body += raw[8 * (end - n) : 8 * end]
-    write_artifact(path, INDEX_MAGIC, body)
+        parts += (pack_text(term) + struct.pack("<Q", n), raw[8 * (end - n) : 8 * end])
+    write_artifact(path, INDEX_MAGIC, b"".join(parts))
 
 
 def _parse_index(cursor: Cursor) -> InvertedIndex:

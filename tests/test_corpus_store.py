@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 import struct
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from domainforge.corpus_store import (
     CorpusStore,
     Document,
     RawRecord,
+    StringColumn,
     clean_text,
     ingest,
     load_raw_records,
@@ -224,19 +226,97 @@ def _named_term_codes(tok, texts):
 def test_count_is_the_token_list_length_on_every_codepoint():
     tok = CjkCharTokenizer()
     texts = list(_every_codepoint_block())
-    for text, named, length in zip(texts, *_named_term_codes(tok, texts), strict=True):
+    counts = tok.counts(texts)
+    assert counts.dtype == np.int64
+    for text, named, length, count in zip(
+        texts, *_named_term_codes(tok, texts), counts.tolist(), strict=True
+    ):
         tokens = tok.tokenize(text)
-        assert tok.count(text) == len(tokens) == length, hex(ord(text[1]))
+        assert count == len(tokens) == length, hex(ord(text[1]))
         assert Counter(named) == Counter(tokens), hex(ord(text[1]))
+
+
+def test_count_of_each_codepoint_alone():
+    # one text per codepoint: a text without a codepoint that lowercases to an
+    # alphanumeric takes the scan's CJK-only path, so each codepoint is
+    # classified on its own, not with the Latin letters around it
+    tok = CjkCharTokenizer()
+    texts = list(map(chr, range(0x110000)))
+    lengths = tok.term_codes(texts)[1].tolist()
+    assert tok.counts(texts).tolist() == lengths == [len(tok.tokenize(t)) for t in texts]
 
 
 def test_count_is_the_token_list_length_on_mixed_text():
     tok = CjkCharTokenizer()
     texts = list(_mixed_texts(5000))
-    for text, named, length in zip(texts, *_named_term_codes(tok, texts), strict=True):
+    counts = tok.counts(texts).tolist()
+    for text, named, length, count in zip(
+        texts, *_named_term_codes(tok, texts), counts, strict=True
+    ):
         tokens = tok.tokenize(text)
-        assert tok.count(text) == len(tokens) == len(_loop_tokenize(text)) == length, text
+        assert count == len(tokens) == len(_loop_tokenize(text)) == length, text
         assert Counter(named) == Counter(tokens), text
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["脉ab", "cd脉"],             # a Latin run ends one text, another starts the next
+        ["ab", "cd", "ef"],
+        ["", "脉", "", "", "a", ""],  # empty texts, first and last too
+        [""],
+        ["a\ud800b", "\udfff脉\ud800"],  # lone surrogates split runs, count nothing
+        ["\ud840", "\udc00"],       # the halves of 𠀀 in two texts stay two codepoints
+        ["İ", "脉İ脉", "ıI", "İ脉"],  # İ lowercases to i and a combining dot
+        ["𠀀", "𠀀𠀀a𠀀", "a𠀀"],     # a CJK codepoint past the BMP
+        ["Σ", "ΑΣ ΣΑ", ",,", "1,2"],
+    ],
+)
+def test_counts_and_term_codes_at_text_boundaries(texts):
+    tok = CjkCharTokenizer()
+    named, lengths = _named_term_codes(tok, texts)
+    assert tok.counts(texts).tolist() == lengths == [len(_loop_tokenize(t)) for t in texts]
+    assert [sorted(n) for n in named] == [sorted(tok.tokenize(t)) for t in texts]
+    column = StringColumn.of(texts)
+    assert tok.counts(column).tolist() == lengths
+    assert _named_term_codes(tok, column) == (named, lengths)
+
+
+def _store_shaped_texts(n, seed=7, length=400):
+    # CJK with a comma every 24 codepoints or so, as the cleaned bench corpus
+    rng = np.random.default_rng(seed)
+    cps = rng.integers(0x4E00, 0xA000, n * length).astype(np.uint32)
+    cps[rng.random(n * length) < 1 / 24] = ord(",")
+    joined = cps.tobytes().decode("utf-32-le")
+    return StringColumn(joined, np.arange(1, n + 1, dtype=np.int64) * length)
+
+
+def _peak_bytes(fn, arg):
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the bounds were fixed from the scan's arrays before the first run: four
+# bytes of codepoint and three of masks per codepoint, eight plus eight plus
+# four per non-CJK codepoint, and term_codes' four-byte code per token
+@pytest.mark.parametrize(
+    "texts, method, bound",
+    [
+        (_store_shaped_texts(1000), "counts", 12),
+        (_store_shaped_texts(1000), "term_codes", 16),
+        (StringColumn.of(list(_mixed_texts(5000, seed=3, max_len=160))), "counts", 48),
+    ],
+    ids=["store-shaped counts", "store-shaped term_codes", "mixed counts"],
+)
+def test_column_scan_peak_memory_per_codepoint(texts, method, bound):
+    tok = CjkCharTokenizer()
+    getattr(tok, method)(texts)  # warm the per-codepoint cache
+    per_codepoint = _peak_bytes(getattr(tok, method), texts) / len(texts.joined)
+    assert per_codepoint <= bound, per_codepoint
 
 
 def test_term_codes_of_a_batch_with_empty_and_tokenless_texts():
@@ -299,8 +379,8 @@ class _LoopTokenizer:
     def tokenize(self, text):
         return _loop_tokenize(text)
 
-    def count(self, text):
-        return len(_loop_tokenize(text))
+    def counts(self, texts):
+        return np.array([len(_loop_tokenize(text)) for text in texts], dtype=np.int64)
 
 
 def test_store_bytes_match_the_translate_and_loop_reference(tmp_path, monkeypatch, tok):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from domainforge import retrieval
 from domainforge.artifact import pack_text, write_artifact
 from domainforge.corpus_store import (
     CjkCharTokenizer,
@@ -431,11 +432,12 @@ def test_select_budget_validation():
 
 
 @given(
-    st.lists(st.sampled_from(["t", "t t", "t a b c", "a b", "t " * 7, "脉 t"]), max_size=12),
+    st.lists(st.sampled_from(["t", "t t", "t a b c", "a b", "t " * 7, "脉 t", "!!"]), max_size=12),
     st.integers(1, 40),
 )
 def test_select_is_the_greedy_walk_down_the_ranking(texts, budget):
-    store = store_of(["t a", *texts])
+    # "!!" is a document of 0 tokens, kept with min_tokens=0
+    store = store_of(["t a", *texts], min_tokens=0)
     index = build_index(store)
     query = ExpandedQuery({"t": 1})
     ranked = retrieve_top_n(index, query, n=len(store))
@@ -456,6 +458,34 @@ def test_select_is_the_greedy_walk_down_the_ranking(texts, budget):
         (d.title, d.text, d.token_count) for d in (store.documents[i] for i, _ in taken)
     ]
     assert selection.selected_tokens == used
+
+
+@pytest.mark.parametrize(
+    "texts, budget, asked",
+    [
+        (["t a b"] * 10, 7, 3),          # 3 tokens each: at most 2 fit
+        (["t a b"] * 10, 1000, 10),      # the whole store fits: every document
+        (["t a", "t b c d"] * 5, 9, 5),  # the fewest is 2 tokens: at most 4 fit
+        (["t a", "!!", "t"], 2, 3),      # a 0-token document: every document
+    ],
+)
+def test_select_ranks_only_what_the_budget_can_take(monkeypatch, texts, budget, asked):
+    store = store_of(texts, min_tokens=0)
+    index = build_index(store)
+    query = ExpandedQuery({"t": 1})
+    full = select_corpus(index, store, query, token_budget=budget)
+    calls = []
+
+    def recorded(index, query, n):
+        calls.append(n)
+        return retrieve_top_n(index, query, n)
+
+    monkeypatch.setattr(retrieval, "retrieve_top_n", recorded)
+    assert select_corpus(index, store, query, token_budget=budget) == full
+    assert calls == [asked]
+    assert full.provenance == tuple(
+        (sd.doc_id, sd.score) for sd in retrieve_top_n(index, query, len(store))
+    )[: len(full.store)]
 
 
 def test_index_and_select_make_no_document_of_a_loaded_store(tmp_path, monkeypatch):
