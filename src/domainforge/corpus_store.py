@@ -148,7 +148,7 @@ def _token_runs(text: str) -> list[tuple[str, str]]:
 
 # Per codepoint, 0 until first seen, then 1 + whether ``chr(cp).lower()``
 # holds an alphanumeric: a text with no such codepoint has no token but its
-# CJK codepoints.
+# CJK codepoints.  A memo of a pure function, so callers may share it.
 _LOWERS_TO_ALNUM = np.zeros(0x110000, dtype=np.int8)
 
 

@@ -300,9 +300,10 @@ def _peak_bytes(fn, arg):
         tracemalloc.stop()
 
 
-# the bounds were fixed from the scan's arrays before the first run: four
-# bytes of codepoint and three of masks per codepoint, eight plus eight plus
-# four per non-CJK codepoint, and term_codes' four-byte code per token
+# the bounds follow from the scan's arrays, with room to spare: 4 bytes of
+# codepoint and 3 of masks per codepoint, 8 + 8 + 4 per non-CJK codepoint,
+# and term_codes' 4-byte code per token.  A Python object per codepoint
+# exceeds every bound, and an int64 array per codepoint the store-shaped ones
 @pytest.mark.parametrize(
     "texts, method, bound",
     [
