@@ -5,7 +5,9 @@ digest covering every byte before it.  A reader checks the magic, then that
 the file holds the declared length (``TruncatedArtifactError``), then the
 digest (``ChecksumMismatchError``), and only then parses the body; a body
 that passes the digest but does not parse is a ``TruncatedArtifactError``
-too.  A write goes to a sibling temp file, unique to the writer, that
+too.  The ``Cursor`` it parses from carries the file's digest, so a loaded
+artifact can name the exact bytes it came from without hashing them again.
+A write goes to a sibling temp file, unique to the writer, that
 replaces the target only once it is complete, so an interrupted write leaves
 the old file in place and two writers of one path never mix their bytes.
 
@@ -26,6 +28,8 @@ from typing import Callable, Iterable, TypeVar
 from .errors import ChecksumMismatchError, MagicMismatchError, TruncatedArtifactError
 
 _DIGEST_SIZE = 8
+# The digest named by an artifact built in memory, which no file holds
+NO_FILE_DIGEST = bytes(_DIGEST_SIZE)
 _LENGTH = struct.Struct("<Q")
 # What a parser can raise on a body that passed the checksum but was not
 # written by the matching saver (e.g. a config JSON with n_heads = 0).
@@ -83,8 +87,9 @@ def read_text(path: str | Path) -> str:
         ) from None
 
 
-def read_artifact(path: str | Path, magic: bytes) -> memoryview:
-    """Verify magic, declared length, and checksum; return the body."""
+def read_artifact(path: str | Path, magic: bytes) -> Cursor:
+    """Verify magic, declared length, and checksum; return a cursor over the
+    body that carries the file's digest."""
     path = Path(path)
     data = memoryview(path.read_bytes())
     if data[: len(magic)] != magic[: len(data)]:
@@ -101,7 +106,7 @@ def read_artifact(path: str | Path, magic: bytes) -> memoryview:
     # a trailing surplus also lands here: the "digest" is then longer than 8 bytes
     if hashlib.blake2b(data[:end], digest_size=_DIGEST_SIZE).digest() != data[end:]:
         raise ChecksumMismatchError(path, "checksum mismatch")
-    return data[head_len:end]
+    return Cursor(data[head_len:end], bytes(data[end:]))
 
 
 def pack_text(text: str) -> bytes:
@@ -113,10 +118,12 @@ def pack_text(text: str) -> bytes:
 class Cursor:
     """Sequential reader over an artifact body; a short or malformed read
     raises ``ValueError`` (or ``struct.error``), which :func:`load_artifact`
-    reports as a ``TruncatedArtifactError``."""
+    reports as a ``TruncatedArtifactError``.  ``digest`` is the envelope
+    digest of the file the body was read from."""
 
-    def __init__(self, body: memoryview):
+    def __init__(self, body: memoryview, digest: bytes):
         self.body = body
+        self.digest = digest
         self.pos = 0
 
     def take(self, n: int) -> memoryview:
@@ -140,7 +147,7 @@ class Cursor:
 
 def load_artifact(path: str | Path, magic: bytes, parse: Callable[[Cursor], T]) -> T:
     """Read and verify an artifact, then parse its whole body with ``parse``."""
-    cursor = Cursor(read_artifact(path, magic))
+    cursor = read_artifact(path, magic)
     try:
         result = parse(cursor)
         cursor.done()

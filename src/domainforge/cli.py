@@ -18,8 +18,6 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import __version__
 from .artifact import read_text, write_lines
 from .corpus_store import (
@@ -348,26 +346,14 @@ def _cmd_index(cfg: dict) -> int:
 def _cmd_retrieve(cfg: dict) -> int:
     index = load_index(cfg["index"])
     store = load_store(cfg["store"])
-    if index.num_docs != len(store):
+    # an index of any other store would score these documents with its postings
+    if index.store_digest != store.digest:
         raise ConfigError(
-            f"index covers {index.num_docs} documents but store has {len(store)}"
-        )
-    if index.tokenizer_id != store.tokenizer_id:
-        raise ConfigError(
-            f"index tokenizer {index.tokenizer_id!r} != store {store.tokenizer_id!r}"
-        )
-    # an index of another store of the same size would score these
-    # documents with that store's postings
-    counts = store.documents.token_counts
-    stray = np.flatnonzero(counts != np.asarray(index.doc_lengths, dtype=np.uint64))
-    if stray.size:
-        i = int(stray[0])
-        raise ConfigError(
-            f"store document {i} has {counts[i]} tokens "
-            f"but the index gives it {index.doc_lengths[i]}"
+            f"index {cfg['index']} was built from the store of digest "
+            f"{index.store_digest.hex()}, not from {cfg['store']} ({store.digest.hex()})"
         )
     kset = load_keywords(cfg["keywords"])
-    query = expand_query(kset, index.tokenizer_id)
+    query = expand_query(kset, store.tokenizer_id)
     selection = select_corpus(index, store, query, token_budget=cfg["budget"])
     save_store(selection.store, cfg["output"])
     if cfg["provenance"]:

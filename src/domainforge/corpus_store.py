@@ -29,13 +29,13 @@ import re
 import struct
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar
 
 import numpy as np
 
-from .artifact import Cursor, load_artifact, pack_text, read_text, write_artifact
+from .artifact import NO_FILE_DIGEST, Cursor, load_artifact, pack_text, read_text, write_artifact
 from .errors import DuplicateSourceIdError
 
 STORE_MAGIC = b"DFSTORE2"
@@ -274,8 +274,7 @@ class CjkCharTokenizer:
 
 
 def get_tokenizer(tokenizer_id: str) -> Tokenizer:
-    """The tokenizer a store or index names; ``DEFAULT_TOKENIZER_ID`` is the
-    only one."""
+    """The tokenizer a store names; ``DEFAULT_TOKENIZER_ID`` is the only one."""
     if tokenizer_id != DEFAULT_TOKENIZER_ID:
         raise ValueError(f"unknown tokenizer_id: {tokenizer_id!r}")
     return CjkCharTokenizer()
@@ -409,10 +408,13 @@ class CorpusStore:
 
     ``documents`` may be given as any sequence of ``Document``s whose doc ids
     are their positions; the store holds it as ``DocumentColumns``.
+    ``digest`` is the envelope digest of the file the store was loaded from
+    (``NO_FILE_DIGEST`` for one built in memory); equality ignores it.
     """
 
     documents: DocumentColumns
     tokenizer_id: str
+    digest: bytes = field(default=NO_FILE_DIGEST, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.documents, DocumentColumns):
@@ -518,7 +520,7 @@ def _parse_store(cursor: Cursor) -> CorpusStore:
     )
     if documents.total_tokens != total:
         raise ValueError(f"declares {total} tokens, found {documents.total_tokens}")
-    return CorpusStore(documents=documents, tokenizer_id=tokenizer_id)
+    return CorpusStore(documents=documents, tokenizer_id=tokenizer_id, digest=cursor.digest)
 
 
 def load_store(path: str | Path) -> CorpusStore:

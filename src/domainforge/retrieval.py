@@ -7,10 +7,12 @@ Python object per posting.  ``build_index`` takes every token of the store as
 the tokenizer's integer term code (``Tokenizer.term_codes``) and sorts one
 (term code, doc id) key per token, so it touches no Python object per token
 either; it names a term only once, for its postings.  The index file is an
-artifact envelope (see ``artifact.py``) under magic ``DFIDX1`` whose
-little-endian body holds the corpus stats, per-document lengths, and a
+artifact envelope (see ``artifact.py``) under magic ``DFIDX2`` whose
+little-endian body holds the document count, ``avgdl``, ``k1`` and ``b``
+(``<Qddd``), the 8-byte digest of the store file it indexes (whose tokenizer
+it uses), each document's length (``<Q``), then the term count and a
 length-prefixed term dictionary with each term's postings as ``<II`` (doc id
-delta, tf) pairs; the columns change nothing in that layout.
+delta, tf) pairs.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .artifact import Cursor, load_artifact, pack_text, write_artifact, write_lines
+from .artifact import NO_FILE_DIGEST, Cursor, load_artifact, pack_text, write_artifact, write_lines
 from .corpus_store import CorpusStore, get_tokenizer
 from .errors import EmptyCorpusError, NoPositiveScoreError, SelectionBudgetError
 from .keyword_extract import DomainKeywordSet
 
-INDEX_MAGIC = b"DFIDX1"
+INDEX_MAGIC = b"DFIDX2"
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 MAX_QUERY_REPETITIONS = 3
@@ -58,7 +60,8 @@ class InvertedIndex:
     """Postings, document lengths, and the BM25 parameters.
 
     Postings map term -> ``Postings`` columns sorted by doc_id;
-    ``doc_lengths[doc_id]`` is that document's token count.
+    ``doc_lengths[doc_id]`` is that document's token count, and
+    ``store_digest`` is the ``CorpusStore.digest`` of the store it indexes.
     """
 
     postings: dict[str, Postings]
@@ -66,7 +69,7 @@ class InvertedIndex:
     avgdl: float
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    tokenizer_id: str = ""
+    store_digest: bytes = NO_FILE_DIGEST
 
     @property
     def num_docs(self) -> int:
@@ -153,7 +156,7 @@ def build_index(
         avgdl=avgdl,
         k1=k1,
         b=b,
-        tokenizer_id=store.tokenizer_id,
+        store_digest=store.digest,
     )
 
 
@@ -195,7 +198,7 @@ def bm25_score(index: InvertedIndex, doc_id: int, query: ExpandedQuery) -> float
 def expand_query(kset: DomainKeywordSet, tokenizer_id: str) -> ExpandedQuery:
     """Repeat each keyword max(1, min(floor(weight), 3)) times.
 
-    Keywords are tokenized with the index tokenizer; a multi-token keyword
+    Keywords are tokenized with the store's tokenizer; a multi-token keyword
     contributes every one of its tokens at the keyword's multiplicity.
     """
     tokenizer = get_tokenizer(tokenizer_id)
@@ -255,6 +258,8 @@ def select_corpus(
     """
     if token_budget < 1:
         raise ValueError(f"token_budget must be >= 1, got {token_budget}")
+    if index.num_docs != len(store):
+        raise ValueError(f"index covers {index.num_docs} documents but the store has {len(store)}")
     # each document holds at least the store's fewest tokens, m, so at most
     # budget // m documents fit and the ranking past one more is never read
     counts = store.documents.token_counts
@@ -308,8 +313,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     raw = memoryview(pairs).cast("B")
     parts = [
         struct.pack("<Q", index.num_docs),
-        struct.pack("<ddd", index.avgdl, index.k1, index.b),
-        pack_text(index.tokenizer_id),
+        struct.pack("<ddd8s", index.avgdl, index.k1, index.b, index.store_digest),
         struct.pack(f"<{index.num_docs}Q", *index.doc_lengths),
         struct.pack("<Q", len(terms)),
     ]
@@ -320,8 +324,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 def _parse_index(cursor: Cursor) -> InvertedIndex:
     (num_docs,) = cursor.unpack("<Q")
-    avgdl, k1, b = cursor.unpack("<ddd")
-    tokenizer_id = cursor.text()
+    avgdl, k1, b, store_digest = cursor.unpack("<ddd8s")
     doc_lengths = list(cursor.unpack(f"<{num_docs}Q"))
     if avgdl != sum(doc_lengths) / num_docs:
         raise ValueError(f"avgdl {avgdl!r} is not the mean document length")
@@ -350,7 +353,7 @@ def _parse_index(cursor: Cursor) -> InvertedIndex:
         avgdl=avgdl,
         k1=k1,
         b=b,
-        tokenizer_id=tokenizer_id,
+        store_digest=store_digest,
     )
 
 

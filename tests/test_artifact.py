@@ -211,7 +211,7 @@ def test_checkpoint_with_a_size_that_is_no_int_is_designated_error(tmp_path, fie
 @pytest.mark.parametrize("kind", ["store", "index", "checkpoint"])
 def test_trailing_body_bytes_are_designated_error(tmp_path, kind):
     loader, magic = _write(kind, tmp_path / "good")
-    body = bytes(read_artifact(tmp_path / "good", magic))
+    body = bytes(read_artifact(tmp_path / "good", magic).body)
     write_artifact(tmp_path / "long", magic, body + b"\x00")
     with pytest.raises(TruncatedArtifactError, match="trailing"):
         loader(tmp_path / "long")
@@ -271,7 +271,7 @@ def test_two_writers_of_one_path_do_not_mix(tmp_path, monkeypatch):
 
     monkeypatch.setattr(artifact, "open", WriterA, raising=False)
     write_artifact(path, b"MAGIC", b"a1\na2\n")
-    assert bytes(read_artifact(path, b"MAGIC")) == b"a1\na2\n"
+    assert bytes(read_artifact(path, b"MAGIC").body) == b"a1\na2\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.bin"]
 
 

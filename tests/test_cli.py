@@ -278,25 +278,53 @@ def test_retrieve_without_matches_reports_diagnostic(workspace, capsys):
     assert "no positive-score documents" in err
 
 
-def test_retrieve_rejects_an_index_of_another_store(tmp_path, capsys):
-    # as many documents and the same tokenizer, but other documents: the
-    # index would score this store's documents with the other's postings
-    tok = CjkCharTokenizer()
-    ours = ingest([RawRecord(f"o{i}", "", OUT_CHARS) for i in range(5)], tok, min_tokens=1)
-    theirs = ingest([RawRecord(f"i{i}", "", IN_CHARS * 2) for i in range(5)], tok, min_tokens=1)
-    save_store(ours, tmp_path / "ours.store")
-    save_index(build_index(theirs), tmp_path / "theirs.idx")
+# three documents of 12 tokens each; only the first holds the keyword 脉
+SAME_LENGTH_TEXTS = ["脉弦滑数迟细濡涩浮沉洪大", "今天天气很好我们去公园玩", "星球轨道宇宙火箭发射天空"]
+
+
+def save_texts(path, texts):
+    """Ingest ``texts`` as one record each and save the store at ``path``."""
+    records = [RawRecord(f"r{i}", "", text) for i, text in enumerate(texts)]
+    save_store(ingest(records, CjkCharTokenizer(), min_tokens=1), path)
+
+
+def index_and_retrieve(tmp_path, capsys, indexed, store):
+    """Index the store file ``indexed``, then retrieve over ``store`` with that
+    index and the keyword 脉 under a one-document budget."""
+    assert run(["index", "--store", str(tmp_path / indexed),
+                "--output", str(tmp_path / "a.idx")], capsys)[0] == 0
     (tmp_path / "kw.tsv").write_text("脉\t1\t1.0\ttask\n", encoding="utf-8")
-    code, _, err = run([
-        "retrieve", "--index", str(tmp_path / "theirs.idx"),
-        "--store", str(tmp_path / "ours.store"), "--keywords", str(tmp_path / "kw.tsv"),
-        "--budget", "100", "--output", str(tmp_path / "never.store"),
+    return run([
+        "retrieve", "--index", str(tmp_path / "a.idx"), "--store", str(tmp_path / store),
+        "--keywords", str(tmp_path / "kw.tsv"), "--budget", "12",
+        "--output", str(tmp_path / "out.store"),
     ], capsys)
+
+
+def test_retrieve_rejects_an_index_of_another_store(tmp_path, capsys):
+    # the same documents in another order: as many documents, the same
+    # tokenizer and the same lengths, but the index would score the store's
+    # document 0 with the postings of its own document 0, the one with 脉
+    save_texts(tmp_path / "a.store", SAME_LENGTH_TEXTS)
+    save_texts(tmp_path / "b.store", SAME_LENGTH_TEXTS[1::-1] + SAME_LENGTH_TEXTS[2:])
+    code, _, err = index_and_retrieve(tmp_path, capsys, "a.store", "b.store")
     assert code == 1
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error: ConfigError: store document 0 has 11 tokens but the index gives it 20"
-    ]
-    assert not (tmp_path / "never.store").exists()
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: ConfigError: ")
+    assert str(tmp_path / "a.idx") in errors[0]
+    assert str(tmp_path / "b.store") in errors[0]
+    assert not (tmp_path / "out.store").exists()
+
+
+def test_retrieve_accepts_a_store_saved_again_from_the_same_documents(tmp_path, capsys):
+    save_texts(tmp_path / "a.store", SAME_LENGTH_TEXTS)
+    save_texts(tmp_path / "again.store", SAME_LENGTH_TEXTS)
+    assert (tmp_path / "again.store").read_bytes() == (tmp_path / "a.store").read_bytes()
+    code, out, _ = index_and_retrieve(tmp_path, capsys, "a.store", "again.store")
+    assert code == 0
+    assert out == "selected=1 tokens=12\n"
+    assert [d.text for d in load_store(tmp_path / "out.store")] == SAME_LENGTH_TEXTS[:1]
 
 
 @pytest.mark.parametrize(
@@ -496,12 +524,12 @@ def test_version_lists_artifact_formats(capsys, monkeypatch):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == (
-        f"domainforge {__version__} (formats: store DFSTORE2, index DFIDX1, "
+        f"domainforge {__version__} (formats: store DFSTORE2, index DFIDX2, "
         "checkpoint DFCKPT1, vocab DFVOCAB1)\n"
     )
     formats = (STORE_MAGIC.decode(), INDEX_MAGIC.decode(), CHECKPOINT_MAGIC.decode(),
                VOCAB_MAGIC)
-    assert formats == ("DFSTORE2", "DFIDX1", "DFCKPT1", "DFVOCAB1")
+    assert formats == ("DFSTORE2", "DFIDX2", "DFCKPT1", "DFVOCAB1")
 
 
 @pytest.fixture
@@ -520,7 +548,7 @@ def broken_inputs(tmp_path):
     (tmp_path / "flipped.ckpt").write_bytes(bytes(data))
     (tmp_path / "flipped.ckpt.vocab").write_bytes(Path(f"{ckpt}.vocab").read_bytes())
     # checksum-valid copies whose config gives a size as a float equal to it
-    body = bytes(read_artifact(ckpt, CHECKPOINT_MAGIC))
+    body = bytes(read_artifact(ckpt, CHECKPOINT_MAGIC).body)
     for name, field in (("float_d_model", "d_model"), ("float_heads", "n_heads")):
         forged = json.dumps({**json.loads(config.to_json()), field: float(getattr(config, field))})
         write_artifact(tmp_path / f"{name}.ckpt", CHECKPOINT_MAGIC,
@@ -550,10 +578,24 @@ def broken_inputs(tmp_path):
     # a store of the previous format: one document, each field length-prefixed
     old = struct.pack("<QQ", 1, 1) + pack_text("cjk-char-v1") + struct.pack("<QQ", 0, 1)
     write_artifact(tmp_path / "old.store", b"DFSTORE1", old + pack_text("") + pack_text("脉"))
-    body = struct.pack("<Qddd", 1, 1.0, 1.2, 0.75) + pack_text("cjk-char-v1")
+    # an index of the previous format, which held the tokenizer id instead of
+    # the store's digest
+    old = struct.pack("<Qddd", 1, 1.0, 1.2, 0.75) + pack_text("cjk-char-v1")
+    old += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 0, 1)
+    write_artifact(tmp_path / "old.idx", b"DFIDX1", old)
+    digest = load_store(tmp_path / "one.store").digest
+    body = struct.pack("<Qddd8s", 1, 1.0, 1.2, 0.75, digest)
     body += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 5, 1)
-    write_artifact(tmp_path / "stray.idx", b"DFIDX1", body)
+    write_artifact(tmp_path / "stray.idx", INDEX_MAGIC, body)
     save_index(build_index(load_store(tmp_path / "one.store")), tmp_path / "one.idx")
+    # a checksum-valid copy of "one.idx" whose store digest is a bit off, and
+    # an index that names "one.store" but claims three more documents
+    body = bytearray(read_artifact(tmp_path / "one.idx", INDEX_MAGIC).body)
+    body[32] ^= 0x01  # the store digest's first byte, after <Qddd
+    write_artifact(tmp_path / "flipped_digest.idx", INDEX_MAGIC, body)
+    body = struct.pack("<Qddd8s", 4, 1.0, 1.2, 0.75, digest)
+    body += struct.pack("<5Q", 1, 1, 1, 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 0, 1)
+    write_artifact(tmp_path / "extra_docs.idx", INDEX_MAGIC, body)
     # text inputs with a Latin-1 byte (not UTF-8) on their second line
     latin1 = "naïve".encode("latin-1")
     (tmp_path / "latin1_raw.jsonl").write_bytes(
@@ -565,9 +607,9 @@ def broken_inputs(tmp_path):
     (tmp_path / "latin1.tsv").write_bytes("脉\t1\t1.0\ttask\n".encode("utf-8") + latin1 + b"\n")
     (tmp_path / "kw_inf.tsv").write_text("脉\t1\tinf\ttask\n", encoding="utf-8")
     # a checksum-valid index of "one.store" but for its BM25 k1
-    body = struct.pack("<Qddd", 1, 1.0, math.nan, 0.75) + pack_text("cjk-char-v1")
+    body = struct.pack("<Qddd8s", 1, 1.0, math.nan, 0.75, digest)
     body += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 0, 1)
-    write_artifact(tmp_path / "nan_k1.idx", b"DFIDX1", body)
+    write_artifact(tmp_path / "nan_k1.idx", INDEX_MAGIC, body)
 
     def jsonl(name, good, bad):
         (tmp_path / name).write_text(
@@ -629,7 +671,7 @@ def broken_inputs(tmp_path):
          "blank.ckpt.vocab:5: blank vocab token"),
         (["retrieve", "--index", "stray.idx", "--store", "one.store",
           "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
-         "error: TruncatedArtifactError"),
+         "stray.idx: malformed body: postings of term '脉' are not strictly ascending"),
         (["ingest", "--input", "latin1_raw.jsonl", "--output", "o.store"],
          "latin1_raw.jsonl:2"),
         (["eval", "--checkpoint", "latin1.ckpt", "--exam", "exam.jsonl", "--responder", "model"],
@@ -669,7 +711,7 @@ def broken_inputs(tmp_path):
          "error: ValueError: k1 must be positive and finite, got inf"),
         (["retrieve", "--index", "nan_k1.idx", "--store", "one.store",
           "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
-         "error: TruncatedArtifactError"),
+         "nan_k1.idx: malformed body: k1 must be positive and finite, got nan"),
         (["sft", "--checkpoint", "model.ckpt", "--data", "pairs_null_prompt.jsonl",
           "--output", "o.ckpt"],
          "pairs_null_prompt.jsonl:2: prompt must be a string, got NoneType"),
@@ -690,6 +732,15 @@ def broken_inputs(tmp_path):
          "exam_null_stem.jsonl:2: stem must be a string, got NoneType"),
         (["index", "--store", "old.store", "--output", "o.idx"],
          "error: MagicMismatchError"),
+        (["retrieve", "--index", "old.idx", "--store", "one.store",
+          "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
+         "error: MagicMismatchError"),
+        (["retrieve", "--index", "flipped_digest.idx", "--store", "one.store",
+          "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
+         "error: ConfigError"),
+        (["retrieve", "--index", "extra_docs.idx", "--store", "one.store",
+          "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
+         "error: ValueError: index covers 4 documents but the store has 1"),
     ],
     ids=["unknown-stored-tokenizer", "removed-tokenizer-flag", "unparseable-flag-value",
          "raw-without-body", "raw-null-body", "pair-without-response", "exam-without-options",
@@ -702,7 +753,9 @@ def broken_inputs(tmp_path):
          "pretrain-infinite-lora-alpha", "retrieve-infinite-keyword-weight", "index-nan-k1",
          "index-infinite-k1", "retrieve-nan-k1-index", "pair-null-prompt",
          "pair-list-response", "exam-string-options", "exam-dict-options",
-         "exam-int-option", "exam-null-stem", "index-previous-store-format"],
+         "exam-int-option", "exam-null-stem", "index-previous-store-format",
+         "retrieve-previous-index-format", "retrieve-flipped-store-digest",
+         "retrieve-index-of-more-documents"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
     argv = [str(broken_inputs / a)

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from domainforge import retrieval
-from domainforge.artifact import pack_text, write_artifact
+from domainforge.artifact import NO_FILE_DIGEST, pack_text, write_artifact
 from domainforge.corpus_store import (
     CjkCharTokenizer,
     Document,
@@ -133,7 +133,6 @@ def _counter_index(store):
         },
         doc_lengths=doc_lengths,
         avgdl=sum(doc_lengths) / len(doc_lengths),
-        tokenizer_id=store.tokenizer_id,
     )
 
 
@@ -431,6 +430,16 @@ def test_select_budget_validation():
         select_corpus(index, store, ExpandedQuery({"t": 1}), token_budget=0)
 
 
+@pytest.mark.parametrize("indexed, held", [(4, 2), (2, 4)], ids=["more", "fewer"])
+def test_select_rejects_an_index_of_another_document_count(indexed, held):
+    texts = ["t a", "t b", "t c", "t d"]
+    index, store = build_index(store_of(texts[:indexed])), store_of(texts[:held])
+    with pytest.raises(
+        ValueError, match=f"index covers {indexed} documents but the store has {held}"
+    ):
+        select_corpus(index, store, ExpandedQuery({"t": 1}), token_budget=100)
+
+
 @given(
     st.lists(st.sampled_from(["t", "t t", "t a b c", "a b", "t " * 7, "脉 t", "!!"]), max_size=12),
     st.integers(1, 40),
@@ -546,7 +555,9 @@ def test_index_round_trip_rescoring_is_bitwise(tmp_path):
 
 # Mixed CJK and Latin text; the digest is that of the file written by the
 # row-at-a-time index (a list of (doc_id, tf) tuples per term, one
-# struct.pack per posting) that the columnar one replaced.
+# struct.pack per posting) that the columnar one replaced, moved to the
+# DFIDX2 layout: the DFIDX1 file (SHA-256 4ea6aa2a...) with its tokenizer id
+# replaced by the 8-byte digest of a store built in memory.
 GOLDEN_TEXTS = [
     "脉象弦滑 The pulse is wiry and slippery.",
     "气血两虚, qi and blood deficiency; 舌淡苔白 2023",
@@ -554,7 +565,7 @@ GOLDEN_TEXTS = [
     "无 Latin 的文档：只有中文 脉 脉 脉",
     "𠀀𠀁 extension-B 字 and café Ⅻ ½",
 ]
-GOLDEN_INDEX_SHA256 = "4ea6aa2ad59cd473b30510685838ffb6b4c27b2805823bc571ce151de31dd8d9"
+GOLDEN_INDEX_SHA256 = "407deb06d6051874bfa90a7e406bb5621232068e0eaea4fe7a22ae38339dc4cf"
 
 
 def test_index_bytes_match_the_golden_file(tmp_path):
@@ -565,10 +576,11 @@ def test_index_bytes_match_the_golden_file(tmp_path):
 
 def write_forged_index(path, num_docs, pairs, avgdl=1.0, terms=("t",), k1=DEFAULT_K1,
                        b=DEFAULT_B):
-    """A checksum-valid index over ``num_docs`` one-token documents whose
-    terms each have the given raw (doc id delta, tf) pairs."""
-    body = struct.pack("<Qddd", num_docs, avgdl, k1, b)
-    body += pack_text(TOK.tokenizer_id) + struct.pack(f"<{num_docs}Q", *[1] * num_docs)
+    """A checksum-valid index over ``num_docs`` one-token documents, naming
+    the in-memory store digest, whose terms each have the given raw (doc id
+    delta, tf) pairs."""
+    body = struct.pack("<Qddd8s", num_docs, avgdl, k1, b, NO_FILE_DIGEST)
+    body += struct.pack(f"<{num_docs}Q", *[1] * num_docs)
     body += struct.pack("<Q", len(terms))
     for term in terms:
         body += pack_text(term) + struct.pack("<Q", len(pairs))
@@ -641,11 +653,15 @@ def test_index_truncation(tmp_path):
 def test_index_bit_flip(tmp_path):
     path = tmp_path / "flip.idx"
     save_index(build_index(store_of(["a b c"])), path)
-    data = bytearray(path.read_bytes())
-    data[15] ^= 0xFF  # inside num_docs, the first body field after magic and length
-    path.write_bytes(bytes(data))
-    with pytest.raises(ChecksumMismatchError):
-        load_index(path)
+    good = path.read_bytes()
+    # inside num_docs, the first body field after magic and length; then
+    # inside the store digest, after num_docs, avgdl, k1 and b
+    for offset in (15, 14 + 32):
+        data = bytearray(good)
+        data[offset] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ChecksumMismatchError):
+            load_index(path)
 
 
 def test_save_provenance_format(tmp_path):
