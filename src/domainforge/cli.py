@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import logging
 import sys
 from dataclasses import dataclass, fields
@@ -496,7 +495,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         file_cfg = _read_config_file(args.config) if args.config else {}
         cfg = _resolve(args.command, args, file_cfg)
         return _HANDLERS[args.command](cfg)
-    except (DomainforgeError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (DomainforgeError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -122,20 +122,18 @@ def clean_text(raw: str) -> str:
 # ---------------------------------------------------------------------------
 # Tokenization
 
-def _is_cjk(cp: int) -> bool:
-    return (
-        0x4E00 <= cp <= 0x9FFF      # unified ideographs
-        or 0x3400 <= cp <= 0x4DBF   # extension A
-        or 0xF900 <= cp <= 0xFAFF   # compatibility ideographs
-        or 0x20000 <= cp <= 0x3134F # extensions B and beyond
-    )
-
-
-# The same ranges as _is_cjk, as inclusive codepoint bounds.  A token is one
-# CJK codepoint or a maximal run of other alphanumerics: in ``re``, [^\W_] is
-# exactly str.isalnum.  The scan matches maximal runs of either kind, so a CJK
-# run is split afterwards.
+# The CJK blocks as inclusive codepoint bounds: unified ideographs,
+# extension A, compatibility ideographs, and extensions B and beyond.
 _CJK_BLOCKS = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0xF900, 0xFAFF), (0x20000, 0x3134F))
+
+
+def _is_cjk(cp: int) -> bool:
+    return any(lo <= cp <= hi for lo, hi in _CJK_BLOCKS)
+
+
+# A token is one CJK codepoint or a maximal run of other alphanumerics: in
+# ``re``, [^\W_] is exactly str.isalnum.  The scan matches maximal runs of
+# either kind, so a CJK run is split afterwards.
 _CJK_RANGES = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_BLOCKS)
 _RUN_RE = re.compile(f"([{_CJK_RANGES}]+)|([^\\W_{_CJK_RANGES}]+)")
 
@@ -408,13 +406,14 @@ class CorpusStore:
 
     ``documents`` may be given as any sequence of ``Document``s whose doc ids
     are their positions; the store holds it as ``DocumentColumns``.
-    ``digest`` is the envelope digest of the file the store was loaded from
-    (``NO_FILE_DIGEST`` for one built in memory); equality ignores it.
+    ``digest`` is the envelope digest of the file the store was loaded from;
+    only ``load_store`` sets it, so a store built in memory or by
+    ``dataclasses.replace`` names ``NO_FILE_DIGEST``.  Equality ignores it.
     """
 
     documents: DocumentColumns
     tokenizer_id: str
-    digest: bytes = field(default=NO_FILE_DIGEST, compare=False, repr=False)
+    digest: bytes = field(default=NO_FILE_DIGEST, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.documents, DocumentColumns):
@@ -520,7 +519,9 @@ def _parse_store(cursor: Cursor) -> CorpusStore:
     )
     if documents.total_tokens != total:
         raise ValueError(f"declares {total} tokens, found {documents.total_tokens}")
-    return CorpusStore(documents=documents, tokenizer_id=tokenizer_id, digest=cursor.digest)
+    store = CorpusStore(documents=documents, tokenizer_id=tokenizer_id)
+    object.__setattr__(store, "digest", cursor.digest)
+    return store
 
 
 def load_store(path: str | Path) -> CorpusStore:

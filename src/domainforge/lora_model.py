@@ -6,8 +6,11 @@ causal mask) is plain numpy with hand-derived reverse-mode gradients; the
 finite-difference suite in the trainer is the correctness contract.
 
 Also home to the token vocabulary and the checkpoint format: an artifact
-envelope (see ``artifact.py``) under magic ``DFCKPT1`` whose body holds the
-phase tag, step, config JSON, and named float32 tensors in declaration order.
+envelope (see ``artifact.py``) under magic ``DFCKPT2`` whose body holds the
+phase tag, step, config JSON, one optimizer-moment flag byte per
+``param_shapes`` tensor, every tensor as float32 in table order, then the
+two moments of each flagged tensor.  The body names no tensor and gives no
+shape: both come from ``param_shapes(config)``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .artifact import Cursor, load_artifact, pack_text, read_text, write_artifac
 from .corpus_store import Tokenizer, _is_cjk
 from .errors import MagicMismatchError
 
-CHECKPOINT_MAGIC = b"DFCKPT1"
+CHECKPOINT_MAGIC = b"DFCKPT2"
 PHASES = ("init", "pretrain", "sft")
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -1460,32 +1463,27 @@ def save_checkpoint(
     step: int = 0,
     opt_state: Mapping[str, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> None:
-    """Write phase tag, step, config, then float32 tensors in declaration
-    order (optimizer moments, when present, follow as ``opt.m.<name>`` /
-    ``opt.v.<name>``)."""
+    """Write phase tag, step and config, one flag byte per ``param_shapes``
+    tensor (1: its optimizer moments follow), then every tensor as float32 in
+    table order, then the m and v moments of each flagged tensor.  The body
+    names no tensor and gives no shape, so a tensor or moment whose shape is
+    not the table's raises ``ValueError`` before anything is written."""
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-    body = bytearray()
-    body += pack_text(phase)
-    body += struct.pack("<Q", step)
-    body += pack_text(state.config.to_json())
-
-    def emit(name: str, arr: np.ndarray) -> None:
-        body.extend(pack_text(name))
-        body.extend(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
-        body.extend(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-    names = param_names(state.config)
-    count = len(names) + 2 * len(opt_state or {})
-    body += struct.pack("<I", count)
-    for name in names:
-        emit(name, state.params[name])
-    if opt_state:
-        for name in names:
-            if name in opt_state:
-                m, v = opt_state[name]
-                emit(f"opt.m.{name}", m)
-                emit(f"opt.v.{name}", v)
+    shapes = param_shapes(state.config)
+    opt_state = opt_state or {}
+    flagged = [name for name in shapes if name in opt_state]
+    if len(flagged) != len(opt_state):
+        raise ValueError(f"moments of no tensor: {sorted(opt_state.keys() - shapes.keys())}")
+    tensors = [(name, state.params[name]) for name in shapes]
+    tensors += [(name, moment) for name in flagged for moment in opt_state[name]]
+    for name, arr in tensors:
+        if np.shape(arr) != shapes[name]:
+            raise ValueError(f"tensor {name!r} has shape {np.shape(arr)}, expected {shapes[name]}")
+    body = bytearray(pack_text(phase) + struct.pack("<Q", step))
+    body += pack_text(state.config.to_json()) + bytes(name in opt_state for name in shapes)
+    for _, arr in tensors:
+        body += np.ascontiguousarray(arr, dtype="<f4").tobytes()
     write_artifact(path, CHECKPOINT_MAGIC, body)
 
 
@@ -1495,40 +1493,19 @@ def _parse_checkpoint(cursor: Cursor):
         raise ValueError(f"unknown phase tag {phase!r}")
     (step,) = cursor.unpack("<Q")
     config = ModelConfig.from_json(cursor.text())
-    (count,) = cursor.unpack("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = cursor.text()
-        if name in tensors:
-            raise ValueError(f"tensor {name!r} listed twice")
-        (ndim,) = cursor.unpack("<I")
-        shape = cursor.unpack(f"<{ndim}Q")
-        raw = cursor.take(4 * math.prod(shape))
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    shapes = param_shapes(config)
+    flags = bytes(cursor.take(len(shapes)))
+    if max(flags) > 1:
+        raise ValueError(f"moment flag {max(flags)} is neither 0 nor 1")
 
-    params: dict[str, np.ndarray] = {}
-    for name, expected in param_shapes(config).items():
-        if name not in tensors:
-            raise ValueError(f"missing tensor {name!r}")
-        arr = tensors.pop(name)
-        if arr.shape != expected:
-            raise ValueError(f"tensor {name!r} has shape {arr.shape}, expected {expected}")
-        params[name] = arr
-    opt_state: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name, arr in params.items():
-        m, v = tensors.pop(f"opt.m.{name}", None), tensors.pop(f"opt.v.{name}", None)
-        if m is None and v is None:
-            continue
-        for kind, moment in (("m", m), ("v", v)):
-            if moment is None:
-                raise ValueError(f"missing tensor 'opt.{kind}.{name}'")
-            if moment.shape != arr.shape:
-                raise ValueError(
-                    f"tensor 'opt.{kind}.{name}' has shape {moment.shape}, expected {arr.shape}"
-                )
-        opt_state[name] = (m, v)
-    if tensors:
-        raise ValueError(f"unexpected tensor {next(iter(tensors))!r}")
+    def tensor(shape):
+        return np.frombuffer(cursor.take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
+
+    params = {name: tensor(shape) for name, shape in shapes.items()}
+    opt_state = {
+        name: (tensor(shape), tensor(shape))
+        for (name, shape), flag in zip(shapes.items(), flags) if flag
+    }
     return ModelState(config=config, params=params), phase, step, opt_state
 
 

@@ -114,14 +114,17 @@ def test_every_bit_flip_and_prefix_is_rejected(tmp_path, kind):
     assert bad == []
 
 
-def _checkpoint_body(config_json: str, count: int = 0) -> bytes:
-    return (
-        pack_text("pretrain") + struct.pack("<Q", 0) + pack_text(config_json)
-        + struct.pack("<I", count)
-    )
+def _checkpoint_body(config_json: str, flags: bytes = b"", tensors=(), phase: str = "pretrain",
+                     step: int = 0) -> bytes:
+    """A ``DFCKPT2`` body as ``save_checkpoint`` packs it: phase, step, config
+    JSON, the moment flags, then each of ``tensors`` as float32, as given."""
+    head = pack_text(phase) + struct.pack("<Q", step) + pack_text(config_json) + flags
+    return head + b"".join(np.asarray(t, dtype="<f4").tobytes() for t in tensors)
 
 
 TINY_JSON = json.loads(TINY.to_json())
+_TINY_TENSORS = list(init_model(TINY, seed=0).params.values())
+_NO_FLAGS = bytes(len(_TINY_TENSORS))
 
 
 @pytest.mark.parametrize(
@@ -137,10 +140,11 @@ TINY_JSON = json.loads(TINY.to_json())
         _checkpoint_body(json.dumps({**TINY_JSON, "mystery": 1})),
         _checkpoint_body(json.dumps({k: v for k, v in TINY_JSON.items() if k != "d_ff"})),
         _checkpoint_body(TINY.to_json()),
-        _checkpoint_body(TINY.to_json(), count=1) + pack_text("x") + struct.pack("<I", 99),
+        _checkpoint_body(TINY.to_json(), _NO_FLAGS),
+        _checkpoint_body(TINY.to_json(), _NO_FLAGS) + b"\x00\x00",
     ],
     ids=["empty", "ones", "phase", "bad-utf8", "not-json", "json-list", "zero-heads",
-         "extra-key", "missing-key", "no-tensors", "bad-ndim"],
+         "extra-key", "missing-key", "no-flags", "no-tensors", "half-a-float"],
 )
 def test_checksum_valid_garbage_checkpoint_is_designated_error(tmp_path, body):
     path = tmp_path / "garbage.ckpt"
@@ -149,43 +153,42 @@ def test_checksum_valid_garbage_checkpoint_is_designated_error(tmp_path, body):
         load_checkpoint(path)
 
 
-def _tensor_entries(entries, config_json: str = TINY.to_json()) -> bytes:
-    """``save_checkpoint``'s tensor records of (name, array) pairs, after
-    their count, behind ``_checkpoint_body``'s header."""
-    out = _checkpoint_body(config_json, count=len(entries))
-    for name, arr in entries:
-        arr = np.asarray(arr, dtype="<f4")
-        out += pack_text(name) + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape)
-        out += arr.tobytes()
-    return out
-
-
-_TINY_PARAMS = init_model(TINY, seed=0).params
-_TINY_ENTRIES = [(name, _TINY_PARAMS[name]) for name in param_names(TINY)]
+# TINY's tensors, with moments for one adapter: (flags, tensors) of a valid body
 _MOMENT = "layers.0.lora.query.b"
+_MOMENT_AT = param_names(TINY).index(_MOMENT)
+_MOMENTS = (np.ones((2, 1)), np.full((2, 1), 0.5))
+_FLAGS = bytes(i == _MOMENT_AT for i in range(len(_TINY_TENSORS)))
+_TENSORS = _TINY_TENSORS + list(_MOMENTS)
+
+
+def test_checkpoint_body_layout_is_the_flags_then_the_tensors_then_the_moments(tmp_path):
+    path = tmp_path / "saved.ckpt"
+    save_checkpoint(path, init_model(TINY, seed=0), "sft", 3, {_MOMENT: _MOMENTS})
+    forged = tmp_path / "packed.ckpt"
+    write_artifact(forged, CHECKPOINT_MAGIC,
+                   _checkpoint_body(TINY.to_json(), _FLAGS, _TENSORS, "sft", 3))
+    assert path.read_bytes() == forged.read_bytes()
 
 
 @pytest.mark.parametrize(
-    "extra, problem",
+    "flags, tensors, problem",
     [
-        ([("tok_emb", _TINY_PARAMS["tok_emb"])], "tensor 'tok_emb' listed twice"),
-        ([("opt.m.nothing", [0.0]), ("opt.v.nothing", [0.0])],
-         "unexpected tensor 'opt.m.nothing'"),
-        ([(f"opt.m.{_MOMENT}", np.zeros((2, 1))), (f"opt.v.{_MOMENT}", np.zeros((1, 2)))],
-         f"tensor 'opt.v.{_MOMENT}' has shape (1, 2), expected (2, 1)"),
-        ([(f"opt.v.{_MOMENT}", np.zeros((2, 1)))], f"missing tensor 'opt.m.{_MOMENT}'"),
+        (_FLAGS.replace(b"\x01", b"\x02"), _TENSORS, "moment flag 2 is neither 0 nor 1"),
+        # the first tensor's first byte is read as the last flag
+        (_FLAGS[:-1], _TENSORS, "moment flag 16 is neither 0 nor 1|body ends early"),
+        (_FLAGS, _TENSORS[:-1] + [_MOMENTS[1][:1]], "body ends early"),
+        (_FLAGS, _TENSORS + [[0.0]], "4 trailing bytes"),
     ],
-    ids=["duplicate-name", "moments-of-no-parameter", "moment-shape", "lone-second-moment"],
+    ids=["flag-of-two", "flags-one-byte-short", "one-float-short", "one-float-long"],
 )
-def test_checkpoint_tensor_list_is_checked(tmp_path, extra, problem):
+def test_checkpoint_flags_and_tensor_run_are_checked(tmp_path, flags, tensors, problem):
     path = tmp_path / "hand.ckpt"
-    write_artifact(path, CHECKPOINT_MAGIC, _tensor_entries(_TINY_ENTRIES))
+    write_artifact(path, CHECKPOINT_MAGIC, _checkpoint_body(TINY.to_json(), _FLAGS, _TENSORS))
     state, _, _, opt_state = load_checkpoint(path)  # the hand-built body is valid
-    assert opt_state == {} and sorted(state.params) == sorted(_TINY_PARAMS)
-    write_artifact(path, CHECKPOINT_MAGIC, _tensor_entries(_TINY_ENTRIES + extra))
-    with pytest.raises(TruncatedArtifactError) as exc:
+    assert list(opt_state) == [_MOMENT] and list(state.params) == param_names(TINY)
+    write_artifact(path, CHECKPOINT_MAGIC, _checkpoint_body(TINY.to_json(), flags, tensors))
+    with pytest.raises(TruncatedArtifactError, match=problem):
         load_checkpoint(path)
-    assert problem in str(exc.value)
 
 
 _SIZED = ModelConfig(vocab_size=6, d_model=4, n_layers=1, n_heads=2, d_ff=4, max_seq_len=3,
@@ -194,16 +197,16 @@ _SIZED = ModelConfig(vocab_size=6, d_model=4, n_layers=1, n_heads=2, d_ff=4, max
 
 @pytest.mark.parametrize("field, value", [("d_model", 4.0), ("n_heads", 2.0), ("n_layers", True)])
 def test_checkpoint_with_a_size_that_is_no_int_is_designated_error(tmp_path, field, value):
-    """Every tensor has its shape, but the config JSON gives a size as a
-    float or a bool equal to it: the shapes compare equal, and only the
-    config's type check stops the load."""
-    params = init_model(_SIZED, seed=0).params
-    entries = [(name, params[name]) for name in param_names(_SIZED)]
+    """Every tensor has its size, but the config JSON gives a size as a
+    float or a bool equal to it: the table's shapes compare equal, and only
+    the config's type check stops the load."""
+    tensors = list(init_model(_SIZED, seed=0).params.values())
+    flags = bytes(len(tensors))
     path = tmp_path / "sized.ckpt"
-    write_artifact(path, CHECKPOINT_MAGIC, _tensor_entries(entries, _SIZED.to_json()))
+    write_artifact(path, CHECKPOINT_MAGIC, _checkpoint_body(_SIZED.to_json(), flags, tensors))
     load_checkpoint(path)  # the hand-built body is valid
     forged = json.dumps({**json.loads(_SIZED.to_json()), field: value})
-    write_artifact(path, CHECKPOINT_MAGIC, _tensor_entries(entries, forged))
+    write_artifact(path, CHECKPOINT_MAGIC, _checkpoint_body(forged, flags, tensors))
     with pytest.raises(TruncatedArtifactError, match=f"{field} must be an integer"):
         load_checkpoint(path)
 

@@ -525,11 +525,11 @@ def test_version_lists_artifact_formats(capsys, monkeypatch):
     assert exc.value.code == 0
     assert capsys.readouterr().out == (
         f"domainforge {__version__} (formats: store DFSTORE2, index DFIDX2, "
-        "checkpoint DFCKPT1, vocab DFVOCAB1)\n"
+        "checkpoint DFCKPT2, vocab DFVOCAB1)\n"
     )
     formats = (STORE_MAGIC.decode(), INDEX_MAGIC.decode(), CHECKPOINT_MAGIC.decode(),
                VOCAB_MAGIC)
-    assert formats == ("DFSTORE2", "DFIDX2", "DFCKPT1", "DFVOCAB1")
+    assert formats == ("DFSTORE2", "DFIDX2", "DFCKPT2", "DFVOCAB1")
 
 
 @pytest.fixture
@@ -554,6 +554,11 @@ def broken_inputs(tmp_path):
         write_artifact(tmp_path / f"{name}.ckpt", CHECKPOINT_MAGIC,
                        body.replace(pack_text(config.to_json()), pack_text(forged), 1))
         (tmp_path / f"{name}.ckpt.vocab").write_bytes(Path(f"{ckpt}.vocab").read_bytes())
+    # a checkpoint of the previous format, which named each tensor and gave
+    # its shape (here none), beside a good vocab
+    old = pack_text("pretrain") + struct.pack("<Q", 0) + pack_text(config.to_json())
+    write_artifact(tmp_path / "old.ckpt", b"DFCKPT1", old + struct.pack("<I", 0))
+    (tmp_path / "old.ckpt.vocab").write_bytes(Path(f"{ckpt}.vocab").read_bytes())
     # the checkpoint again, each copy beside a malformed vocab
     for name in ("short", "dup", "blank", "latin1"):
         (tmp_path / f"{name}.ckpt").write_bytes(ckpt.read_bytes())
@@ -741,6 +746,8 @@ def broken_inputs(tmp_path):
         (["retrieve", "--index", "extra_docs.idx", "--store", "one.store",
           "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
          "error: ValueError: index covers 4 documents but the store has 1"),
+        (["sft", "--checkpoint", "old.ckpt", "--data", "good_pairs.jsonl", "--output", "o.ckpt"],
+         "error: MagicMismatchError"),
     ],
     ids=["unknown-stored-tokenizer", "removed-tokenizer-flag", "unparseable-flag-value",
          "raw-without-body", "raw-null-body", "pair-without-response", "exam-without-options",
@@ -755,7 +762,7 @@ def broken_inputs(tmp_path):
          "pair-list-response", "exam-string-options", "exam-dict-options",
          "exam-int-option", "exam-null-stem", "index-previous-store-format",
          "retrieve-previous-index-format", "retrieve-flipped-store-digest",
-         "retrieve-index-of-more-documents"],
+         "retrieve-index-of-more-documents", "sft-previous-checkpoint-format"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
     argv = [str(broken_inputs / a)

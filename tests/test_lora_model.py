@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
+import struct
 import sys
 import threading
 import time
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from domainforge import lora_model, trainer
+from domainforge.artifact import pack_text, write_artifact
 from domainforge.corpus_store import CjkCharTokenizer
 from domainforge.errors import (
     ChecksumMismatchError,
@@ -2100,7 +2103,10 @@ GOLDEN_CONFIG_JSON = (
     '"d_ff":6,"d_model":4,"lora_alpha":4.0,"lora_dropout":0.05,"lora_rank":2,'
     '"max_seq_len":5,"n_heads":2,"n_layers":2,"vocab_size":8}'
 )
-GOLDEN_CHECKPOINT_SHA256 = "ea06d8624d7825f02e3b327a6dafba312d730dce5c8642c4a4d4016fe4a098ab"
+# The DFCKPT2 file, 4,405 bytes.  Its tensor bytes are the float payloads of
+# the 9,134-byte DFCKPT1 file (SHA-256 ea06d862...) in the same order, without
+# the name and shape that came before each one; only the flags are new.
+GOLDEN_CHECKPOINT_SHA256 = "46510c1cc65eadf1e1b65ffeb3217f3f2516fb8332381d673017f485af84e475"
 
 
 def test_checkpoint_bytes_match_the_golden_file(tmp_path):
@@ -2126,6 +2132,14 @@ def test_checkpoint_wrong_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_of_the_previous_format_is_magic_mismatch(tmp_path):
+    path = tmp_path / "old.ckpt"
+    body = pack_text("init") + struct.pack("<Q", 0) + pack_text(SMALL.to_json())
+    write_artifact(path, b"DFCKPT1", body + struct.pack("<I", 0))
+    with pytest.raises(MagicMismatchError):
+        load_checkpoint(path)
+
+
 def test_checkpoint_truncation(tmp_path):
     path = tmp_path / "cut.ckpt"
     save_checkpoint(path, init_model(SMALL, seed=0), "init")
@@ -2143,6 +2157,27 @@ def test_checkpoint_bit_flip(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ChecksumMismatchError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("where", ["adapter", "moment", "moments-of-no-tensor"])
+def test_save_checkpoint_rejects_a_tensor_off_the_table_and_writes_nothing(tmp_path, where):
+    # the body gives no shapes, so a transposed tensor of the same size
+    # would load silently as the table's shape
+    state = init_model(SMALL, seed=0)
+    name = "layers.0.lora.query.a"
+    shape = state.params[name].shape
+    moments = {name: (np.zeros(shape), np.zeros(shape))}
+    problem = f"tensor '{name}' has shape {shape[::-1]}, expected {shape}"
+    if where == "adapter":
+        state.params[name] = state.params[name].T
+    elif where == "moment":
+        moments[name] = (moments[name][0], moments[name][1].T)
+    else:
+        moments["layers.0.lora.nothing.a"] = moments[name]
+        problem = "moments of no tensor: ['layers.0.lora.nothing.a']"
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        save_checkpoint(tmp_path / "x.ckpt", state, "sft", 1, moments)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_phase_validation(tmp_path):

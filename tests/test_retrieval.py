@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -551,6 +552,20 @@ def test_index_round_trip_rescoring_is_bitwise(tmp_path):
     for counts in queries:
         q = ExpandedQuery(counts)
         assert retrieve_top_n(reloaded, q, 10) == retrieve_top_n(index, q, 10)
+
+
+def test_a_replaced_store_and_its_index_name_no_file(tmp_path):
+    # the digest names the loaded file's bytes; a store made from it by
+    # dataclasses.replace holds other documents, or the same ones reordered
+    path = tmp_path / "two.store"
+    save_store(store_of(["脉象弦滑", "气血两虚"]), path)
+    loaded = load_store(path)
+    assert loaded.digest != NO_FILE_DIGEST
+    assert build_index(loaded).store_digest == loaded.digest
+    reordered = dataclasses.replace(loaded, documents=loaded.documents.take([1, 0]))
+    assert [d.text for d in reordered] == ["气血两虚", "脉象弦滑"]
+    assert reordered.digest == NO_FILE_DIGEST
+    assert build_index(reordered).store_digest == NO_FILE_DIGEST
 
 
 # Mixed CJK and Latin text; the digest is that of the file written by the
