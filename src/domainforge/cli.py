@@ -4,8 +4,11 @@ Subcommands cover the full flow: ingest raw records, extract weighted
 keywords, build the retrieval index, select a budgeted training corpus,
 pretrain and instruction-tune the adapter model, evaluate on an exam file,
 and run the gradient check.  Options resolve as defaults < INI config file
-< explicit flags; the resolved values are logged to stderr.  Designated
-errors exit nonzero with a single ``error:`` line.
+< explicit flags; the resolved values are logged to stderr.  argparse is
+the one parser of option values: the running command's INI section becomes
+its sub-parser's defaults, which argparse converts with each flag's own
+type when the flag is not given, so an INI value parses exactly as a flag
+value does.  Designated errors exit nonzero with a single ``error:`` line.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import configparser
 import logging
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import __version__
 from .artifact import read_text, write_lines
@@ -77,8 +80,6 @@ from .retrieval import (
     select_corpus,
 )
 from .trainer import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_GRAD_CLIP,
     DEFAULT_PRETRAIN_EPOCHS,
     DEFAULT_PRETRAIN_LR,
     DEFAULT_SFT_EPOCHS,
@@ -102,7 +103,7 @@ VERSION_LINE = (
 @dataclass(frozen=True)
 class _Opt:
     name: str
-    kind: str = "str"  # str | int | float | bool
+    kind: type = str  # str | int | float | bool: argparse's type, or a --[no-] flag
     default: object = None
     required: bool = False
     help: str = ""
@@ -111,56 +112,63 @@ class _Opt:
 # ``pretrain``'s model options: every ModelConfig field but the vocab size,
 # which the built vocab sets; the projection tuple is a comma-separated list.
 _MODEL_OPTS = [
-    _Opt(f.name, "str", ",".join(f.default), help="comma-separated projection names")
+    _Opt(f.name, str, ",".join(f.default), help="comma-separated projection names")
     if isinstance(f.default, tuple)
-    else _Opt(f.name, type(f.default).__name__, f.default)
+    else _Opt(f.name, type(f.default), f.default)
     for f in fields(ModelConfig)
     if f.name != "vocab_size"
 ]
+
+# every TrainConfig field but the phase, which the command sets
+_TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name != "phase"]
+
+
+def _train_opts(learning_rate: float, epochs: int) -> list[_Opt]:
+    """One option per ``_TRAIN_FIELDS`` entry: the phase's learning-rate and
+    epoch defaults, and the dataclass's own for the rest."""
+    defaults = {f.name: f.default for f in fields(TrainConfig)}
+    defaults.update(learning_rate=learning_rate, epochs=epochs)
+    return [_Opt(name, type(defaults[name]), defaults[name]) for name in _TRAIN_FIELDS]
+
 
 _COMMANDS: dict[str, list[_Opt]] = {
     "ingest": [
         _Opt("input", required=True, help="raw records as JSONL"),
         _Opt("output", required=True, help="store file to write"),
-        _Opt("min_tokens", "int", DEFAULT_MIN_TOKENS,
+        _Opt("min_tokens", int, DEFAULT_MIN_TOKENS,
              help="drop cleaned documents shorter than this"),
     ],
     "keywords": [
         _Opt("samples", required=True, help="task sample texts, one per line"),
         _Opt("output", required=True, help="keyword TSV to write"),
         _Opt("lexicon", help="optional lexicon word list, one per line"),
-        _Opt("window", "int", DEFAULT_WINDOW),
-        _Opt("top_k", "int", DEFAULT_TOP_K),
-        _Opt("damping", "float", DEFAULT_DAMPING),
-        _Opt("tol", "float", DEFAULT_TOL),
-        _Opt("max_iter", "int", DEFAULT_MAX_ITER),
+        _Opt("window", int, DEFAULT_WINDOW),
+        _Opt("top_k", int, DEFAULT_TOP_K),
+        _Opt("damping", float, DEFAULT_DAMPING),
+        _Opt("tol", float, DEFAULT_TOL),
+        _Opt("max_iter", int, DEFAULT_MAX_ITER),
     ],
     "index": [
         _Opt("store", required=True),
         _Opt("output", required=True, help="index file to write"),
-        _Opt("k1", "float", DEFAULT_K1),
-        _Opt("b", "float", DEFAULT_B),
+        _Opt("k1", float, DEFAULT_K1),
+        _Opt("b", float, DEFAULT_B),
     ],
     "retrieve": [
         _Opt("index", required=True),
         _Opt("store", required=True),
         _Opt("keywords", required=True, help="keyword TSV from the keywords step"),
-        _Opt("budget", "int", required=True, help="token budget for the selection"),
+        _Opt("budget", int, required=True, help="token budget for the selection"),
         _Opt("output", required=True, help="selected-store file to write"),
         _Opt("provenance", help="optional provenance TSV to write"),
     ],
     "pretrain": [
         _Opt("store", required=True, help="training corpus store"),
         _Opt("output", required=True, help="checkpoint file to write"),
-        _Opt("resume", help="checkpoint to continue from (epoch boundary)"),
-        _Opt("vocab_cap", "int", DEFAULT_VOCAB_CAP),
-        _Opt("seed", "int", 0),
-        _Opt("learning_rate", "float", DEFAULT_PRETRAIN_LR),
-        _Opt("epochs", "int", DEFAULT_PRETRAIN_EPOCHS,
-             help="total epochs including any already in the resume checkpoint"),
-        _Opt("batch_size", "int", DEFAULT_BATCH_SIZE),
-        _Opt("grad_clip", "float", DEFAULT_GRAD_CLIP),
-        _Opt("train_embeddings", "bool", False),
+        _Opt("resume", help="checkpoint to continue from (epoch boundary); "
+                            "--epochs counts the epochs already in it"),
+        _Opt("vocab_cap", int, DEFAULT_VOCAB_CAP),
+        *_train_opts(DEFAULT_PRETRAIN_LR, DEFAULT_PRETRAIN_EPOCHS),
         *_MODEL_OPTS,
         _Opt("loss_history", help="loss TSV path (default: <output>.loss.tsv)"),
     ],
@@ -169,23 +177,18 @@ _COMMANDS: dict[str, list[_Opt]] = {
              help="pretrain checkpoint, or an sft one to continue"),
         _Opt("data", required=True, help="JSONL of prompt/response pairs"),
         _Opt("output", required=True),
-        _Opt("seed", "int", 0),
-        _Opt("learning_rate", "float", DEFAULT_SFT_LR),
-        _Opt("epochs", "int", DEFAULT_SFT_EPOCHS),
-        _Opt("batch_size", "int", DEFAULT_BATCH_SIZE),
-        _Opt("grad_clip", "float", DEFAULT_GRAD_CLIP),
-        _Opt("train_embeddings", "bool", False),
+        *_train_opts(DEFAULT_SFT_LR, DEFAULT_SFT_EPOCHS),
         _Opt("loss_history", help="loss TSV path (default: <output>.loss.tsv)"),
     ],
     "eval": [
         _Opt("checkpoint", required=True),
         _Opt("exam", required=True, help="JSONL exam file"),
-        _Opt("responder", "str", "model", help="model, gold, or empty"),
-        _Opt("max_new_tokens", "int", DEFAULT_MAX_NEW_TOKENS),
+        _Opt("responder", default="model", help="model, gold, or empty"),
+        _Opt("max_new_tokens", int, DEFAULT_MAX_NEW_TOKENS),
         _Opt("output", help="optional report file"),
     ],
     "gradcheck": [
-        _Opt("seed", "int", 0),
+        _Opt("seed", int, 0),
     ],
 }
 
@@ -194,59 +197,33 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _coerce(opt: _Opt, raw: str, where: str):
-    try:
-        if opt.kind == "int":
-            return int(raw)
-        if opt.kind == "float":
-            return float(raw)
-        if opt.kind == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(
-            f"{where}: cannot parse {raw!r} as {opt.kind} for {opt.name}"
-        ) from None
-
-
-def _read_config_file(path: str) -> dict[str, dict[str, str]]:
+def _config_defaults(path: str, cmd: str) -> dict[str, object]:
+    """``cmd``'s section of the INI file at ``path``, as its sub-parser's
+    defaults.  Every section and every key of the file is checked, not only
+    ``cmd``'s.  A value stays a string for argparse to convert with the
+    flag's type, but a bool, which ``getboolean`` reads."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
-    known = {cmd: {o.name for o in opts} for cmd, opts in _COMMANDS.items()}
-    out: dict[str, dict[str, str]] = {}
+    known = {name: {o.name for o in opts} for name, opts in _COMMANDS.items()}
     for section in parser.sections():
         if section not in known:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
             if key not in known[section]:
                 raise ConfigError(f"unknown key {key!r} in config section [{section}]")
-        out[section] = dict(parser[section])
-    return out
-
-
-def _resolve(
-    cmd: str, args: argparse.Namespace, file_cfg: dict[str, dict[str, str]]
-) -> dict[str, object]:
-    section = file_cfg.get(cmd, {})
-    resolved: dict[str, object] = {}
+    if not parser.has_section(cmd):
+        return {}
+    defaults: dict[str, object] = dict(parser[cmd])
     for opt in _COMMANDS[cmd]:
-        value = getattr(args, opt.name)
-        if value is None and opt.name in section:
-            value = _coerce(opt, section[opt.name], f"[{cmd}]")
-        if value is None:
-            value = opt.default
-        if value is None and opt.required:
-            raise ConfigError(f"{cmd}: missing required option {_flag(opt.name)}")
-        resolved[opt.name] = value
-        logger.info("config %s.%s=%r", cmd, opt.name, value)
-    return resolved
+        if opt.kind is bool and opt.name in defaults:
+            try:
+                defaults[opt.name] = parser.getboolean(cmd, opt.name)
+            except ValueError:
+                raise ConfigError(
+                    f"[{cmd}]: cannot parse {defaults[opt.name]!r} as bool for {opt.name}"
+                ) from None
+    return defaults
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,7 +249,11 @@ class _VersionAction(argparse.Action):
         parser.exit()
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(
+    defaults: Mapping[str, Mapping[str, object]] | None = None,
+) -> argparse.ArgumentParser:
+    """The command-line parser; ``defaults[cmd]``, if given, replaces some of
+    ``cmd``'s option defaults."""
     parser = _Parser(
         prog="domainforge",
         allow_abbrev=False,
@@ -284,18 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd, opts in _COMMANDS.items():
         p = sub.add_parser(cmd, allow_abbrev=False)
         for opt in opts:
-            if opt.kind == "bool":
-                p.add_argument(
-                    _flag(opt.name),
-                    action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help=opt.help or None,
-                )
-            else:
-                typed = {"int": int, "float": float}.get(opt.kind, str)
-                p.add_argument(
-                    _flag(opt.name), type=typed, default=None, help=opt.help or None
-                )
+            parse = {"action": argparse.BooleanOptionalAction} if opt.kind is bool else {"type": opt.kind}
+            p.add_argument(_flag(opt.name), default=opt.default, help=opt.help or None, **parse)
+        p.set_defaults(**(defaults or {}).get(cmd, {}))
     return parser
 
 
@@ -364,15 +336,7 @@ def _cmd_retrieve(cfg: dict) -> int:
 
 
 def _train_config(cfg: dict, phase: str) -> TrainConfig:
-    return TrainConfig(
-        phase=phase,
-        learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-        grad_clip=cfg["grad_clip"],
-        train_embeddings=cfg["train_embeddings"],
-    )
+    return TrainConfig(phase, **{name: cfg[name] for name in _TRAIN_FIELDS})
 
 
 def _checkpoint_vocab(checkpoint: str, state: ModelState) -> Vocab:
@@ -492,8 +456,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         args = build_parser().parse_args(argv)
-        file_cfg = _read_config_file(args.config) if args.config else {}
-        cfg = _resolve(args.command, args, file_cfg)
+        if args.config:
+            # parse again, the command's INI section now its defaults
+            section = _config_defaults(args.config, args.command)
+            args = build_parser({args.command: section}).parse_args(argv)
+        cfg = {}
+        for opt in _COMMANDS[args.command]:
+            cfg[opt.name] = getattr(args, opt.name)
+            if cfg[opt.name] is None and opt.required:
+                raise ConfigError(f"{args.command}: missing required option {_flag(opt.name)}")
+            logger.info("config %s.%s=%r", args.command, opt.name, cfg[opt.name])
         return _HANDLERS[args.command](cfg)
     except (DomainforgeError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

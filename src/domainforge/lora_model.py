@@ -23,7 +23,7 @@ import os
 import struct
 import threading
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -1493,8 +1493,11 @@ def _parse_checkpoint(cursor: Cursor):
         raise ValueError(f"unknown phase tag {phase!r}")
     (step,) = cursor.unpack("<Q")
     config = ModelConfig.from_json(cursor.text())
+    # take the flag run, one byte per tensor, before building the table, so
+    # that a forged n_layers fails on the bytes left, not on memory
+    outer, one = (len(param_shapes(replace(config, n_layers=n))) for n in (0, 1))
+    flags = bytes(cursor.take(outer + (one - outer) * config.n_layers))
     shapes = param_shapes(config)
-    flags = bytes(cursor.take(len(shapes)))
     if max(flags) > 1:
         raise ValueError(f"moment flag {max(flags)} is neither 0 nor 1")
 

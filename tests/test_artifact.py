@@ -6,11 +6,12 @@ import json
 import os
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from domainforge import artifact
+from domainforge import artifact, lora_model
 from domainforge.artifact import pack_text, read_artifact, write_artifact, write_lines
 from domainforge.cli import main
 from domainforge.corpus_store import (
@@ -209,6 +210,33 @@ def test_checkpoint_with_a_size_that_is_no_int_is_designated_error(tmp_path, fie
     write_artifact(path, CHECKPOINT_MAGIC, _checkpoint_body(forged, flags, tensors))
     with pytest.raises(TruncatedArtifactError, match=f"{field} must be an integer"):
         load_checkpoint(path)
+
+
+def test_a_forged_layer_count_fails_on_the_bytes_left_in_bounded_memory(tmp_path, monkeypatch):
+    """A checksum-valid body whose config claims 10**7 layers: the flag run
+    it implies is longer than the body, and the reader must say so before it
+    builds a table of that size.  A guard on ``param_shapes`` stops a reader
+    that builds it anyway at once, rather than after gigabytes."""
+    forged = json.dumps({**TINY_JSON, "n_layers": 10**7})
+    path = tmp_path / "forged.ckpt"
+    write_artifact(path, CHECKPOINT_MAGIC, _checkpoint_body(forged, _NO_FLAGS, _TINY_TENSORS))
+    build = lora_model.param_shapes
+
+    def guarded(config):
+        if config.n_layers > 1000:
+            pytest.fail(f"param_shapes built for {config.n_layers} layers")
+        return build(config)
+
+    monkeypatch.setattr(lora_model, "param_shapes", guarded)
+    bound = 4 * 2**20
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedArtifactError, match="body ends early"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 @pytest.mark.parametrize("kind", ["store", "index", "checkpoint"])

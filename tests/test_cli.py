@@ -456,7 +456,77 @@ def test_config_file_bad_type_rejected(workspace, capsys):
     )
     code, _, err = run(["--config", str(ini), "ingest"], capsys)
     assert code == 1
-    assert "error: ConfigError" in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    # argparse converts the INI value with the flag's own type
+    assert errors == [
+        "error: ConfigError: domainforge ingest: argument --min-tokens: invalid int value: 'lots'"
+    ]
+
+
+def test_config_file_keys_of_every_section_are_checked(workspace, capsys):
+    ini = workspace / "bad.ini"
+    ini.write_text("[pretrain]\nmystery = 1\n", encoding="utf-8")
+    code, _, err = run(["--config", str(ini), "ingest"], capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: ConfigError: unknown key 'mystery' in config section [pretrain]"]
+
+
+def _pretrain_ini(tmp_path, line):
+    # the store does not exist: the run stops after the options are logged
+    ini = tmp_path / "pipeline.ini"
+    ini.write_text(
+        f"[pretrain]\nstore = {tmp_path / 'none.store'}\noutput = {tmp_path / 'o.ckpt'}\n{line}\n",
+        encoding="utf-8",
+    )
+    return ini
+
+
+def _logged(caplog, name):
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith(f"config {name}=")]
+
+
+@pytest.mark.parametrize(
+    "raw, value",
+    [("yes", True), ("On", True), ("1", True), ("false", False), ("off", False), ("0", False)],
+)
+def test_config_file_booleans(tmp_path, capsys, caplog, raw, value):
+    ini = _pretrain_ini(tmp_path, f"train_embeddings = {raw}")
+    with caplog.at_level(logging.INFO, logger="domainforge"):
+        main(["--config", str(ini), "pretrain"])
+    assert _logged(caplog, "pretrain.train_embeddings") == [f"config pretrain.train_embeddings={value}"]
+
+
+def test_flag_overrides_config_file_boolean(tmp_path, capsys, caplog):
+    ini = _pretrain_ini(tmp_path, "train_embeddings = yes")
+    with caplog.at_level(logging.INFO, logger="domainforge"):
+        main(["--config", str(ini), "pretrain", "--no-train-embeddings"])
+    assert _logged(caplog, "pretrain.train_embeddings") == ["config pretrain.train_embeddings=False"]
+
+
+def test_config_file_bad_boolean_rejected(tmp_path, capsys):
+    ini = _pretrain_ini(tmp_path, "train_embeddings = maybe")
+    code, _, err = run(["--config", str(ini), "pretrain"], capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: ConfigError: ")
+    assert "train_embeddings" in errors[0] and "'maybe'" in errors[0]
+
+
+def test_config_file_defaults_do_not_carry_over_to_the_next_run(workspace, capsys, caplog):
+    ini = workspace / "pipeline.ini"
+    ini.write_text(
+        f"[ingest]\ninput = {workspace / 'raw.jsonl'}\noutput = {workspace / 'a.store'}\n"
+        "min_tokens = 5\n",
+        encoding="utf-8",
+    )
+    with caplog.at_level(logging.INFO, logger="domainforge"):
+        assert main(["--config", str(ini), "ingest"]) == 0
+        assert _logged(caplog, "ingest.min_tokens") == ["config ingest.min_tokens=5"]
+        caplog.clear()
+        assert main(["ingest", "--input", str(workspace / "raw.jsonl"),
+                     "--output", str(workspace / "b.store")]) == 0
+    assert _logged(caplog, "ingest.min_tokens") == ["config ingest.min_tokens=10"]
 
 
 _REMOVED_OPTIONS = [
