@@ -6,14 +6,17 @@ the file holds the declared length (``TruncatedArtifactError``), then the
 digest (``ChecksumMismatchError``), and only then parses the body; a body
 that passes the digest but does not parse is a ``TruncatedArtifactError``
 too.  The ``Cursor`` it parses from carries the file's digest, so a loaded
-artifact can name the exact bytes it came from without hashing them again.
-A write goes to a sibling temp file, unique to the writer, that
-replaces the target only once it is complete, so an interrupted write leaves
-the old file in place and two writers of one path never mix their bytes.
+artifact can name the exact bytes it came from without hashing them again,
+and ``write_artifact`` returns the digest it wrote: every digest a body
+names is computed here.  A write goes to a sibling temp file, unique to the
+writer, that replaces the target only once it is complete, so an
+interrupted write leaves the old file in place and two writers of one path
+never mix their bytes.
 
 The plain-text outputs (keywords, provenance, vocab, loss history, exam, and
 the eval report) are written the same way by ``write_lines``, and text
-inputs are read by ``read_text``, whose decode errors name the file.
+inputs are read by ``read_text``, whose decode errors name the file
+(``read_text_digest`` also gives the digest of the bytes it decoded).
 """
 
 from __future__ import annotations
@@ -61,12 +64,13 @@ def _replace_file(path: str | Path, *chunks: bytes | bytearray) -> None:
         Path(tmp).unlink(missing_ok=True)
 
 
-def write_artifact(path: str | Path, magic: bytes, body: bytes | bytearray) -> None:
-    """Frame ``body`` under ``magic`` and replace ``path`` with the result."""
+def write_artifact(path: str | Path, magic: bytes, body: bytes | bytearray) -> bytes:
+    """Frame ``body`` under ``magic``, replace ``path`` with it; return its digest."""
     head = magic + _LENGTH.pack(len(body))
     digest = hashlib.blake2b(head, digest_size=_DIGEST_SIZE)
     digest.update(body)
     _replace_file(path, head, body, digest.digest())
+    return digest.digest()
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -75,16 +79,23 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def read_text(path: str | Path) -> str:
-    """The UTF-8 text of ``path``.  A byte that is not UTF-8 raises
-    ``UnicodeDecodeError`` whose reason names the file and the line."""
+    """The text of :func:`read_text_digest`."""
+    return read_text_digest(path)[0]
+
+
+def read_text_digest(path: str | Path) -> tuple[str, bytes]:
+    """The UTF-8 text of ``path`` and the digest of its bytes, from one read.
+    A byte that is not UTF-8 raises ``UnicodeDecodeError`` whose reason
+    names the file and the line."""
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise UnicodeDecodeError(
             exc.encoding, raw, exc.start, exc.end, f"{exc.reason} in {path}:{line}"
         ) from None
+    return text, hashlib.blake2b(raw, digest_size=_DIGEST_SIZE).digest()
 
 
 def read_artifact(path: str | Path, magic: bytes) -> Cursor:

@@ -325,10 +325,12 @@ def _cmd_retrieve(cfg: dict) -> int:
         )
     kset = load_keywords(cfg["keywords"])
     query = expand_query(kset, store.tokenizer_id)
-    selection = select_corpus(index, store, query, token_budget=cfg["budget"])
-    save_store(selection.store, cfg["output"])
+    selection = select_corpus(index, store, query, token_budget=cfg["budget"],
+                              sources=(index.digest, kset.digest))
+    # the store first: a provenance file names the store written before it
+    digest = save_store(selection.store, cfg["output"])
     if cfg["provenance"]:
-        save_provenance(selection, cfg["provenance"])
+        save_provenance(selection, cfg["provenance"], digest)
     print(
         f"selected={len(selection.store)} tokens={selection.selected_tokens}"
     )

@@ -10,8 +10,10 @@ pass over its codepoints (``_scan_column``), so neither ``ingest`` nor
 non-CJK token.
 
 A store file is an artifact envelope (see ``artifact.py``) under magic
-``DFSTORE2`` whose little-endian body holds the document count, the total
-token count and the tokenizer id (length-prefixed UTF-8), then three
+``DFSTORE3`` whose little-endian body holds the document count, the total
+token count, the tokenizer id (length-prefixed UTF-8) and the digests of the
+files the store was built from (``sources``: a ``<B`` count, then 8 bytes
+each), then three
 ``<u8`` columns of one entry per document: the token counts, the title end
 offsets and the text end offsets.  Last come the title blob and the text
 blob, each as a ``<Q`` byte length and the UTF-8 of every document's title
@@ -38,7 +40,7 @@ import numpy as np
 from .artifact import NO_FILE_DIGEST, Cursor, load_artifact, pack_text, read_text, write_artifact
 from .errors import DuplicateSourceIdError
 
-STORE_MAGIC = b"DFSTORE2"
+STORE_MAGIC = b"DFSTORE3"
 DEFAULT_MIN_TOKENS = 10
 
 T = TypeVar("T")
@@ -406,18 +408,23 @@ class CorpusStore:
 
     ``documents`` may be given as any sequence of ``Document``s whose doc ids
     are their positions; the store holds it as ``DocumentColumns``.
-    ``digest`` is the envelope digest of the file the store was loaded from;
-    only ``load_store`` sets it, so a store built in memory or by
-    ``dataclasses.replace`` names ``NO_FILE_DIGEST``.  Equality ignores it.
+    ``sources`` are the digests of the files it was built from (see
+    ``select_corpus``), none for an ingested store.  ``digest`` is the
+    envelope digest of the file the store was loaded from; only ``load_store``
+    sets it, so a store built in memory or by ``dataclasses.replace`` names
+    ``NO_FILE_DIGEST``.  Equality ignores it.
     """
 
     documents: DocumentColumns
     tokenizer_id: str
+    sources: tuple[bytes, ...] = ()
     digest: bytes = field(default=NO_FILE_DIGEST, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.documents, DocumentColumns):
             object.__setattr__(self, "documents", DocumentColumns.of(self.documents))
+        if any(len(source) != len(NO_FILE_DIGEST) for source in self.sources):
+            raise ValueError(f"each source must be an 8-byte digest, got {self.sources!r}")
 
     @property
     def total_tokens(self) -> int:
@@ -472,19 +479,20 @@ def _pack_blob(column: StringColumn) -> bytes:
     return struct.pack("<Q", len(raw)) + raw
 
 
-def save_store(store: CorpusStore, path: str | Path) -> None:
-    """Write a store file; identical stores produce byte-identical files."""
+def save_store(store: CorpusStore, path: str | Path) -> bytes:
+    """Write a store file, returning its digest; equal stores give equal bytes."""
     docs = store.documents
     body = b"".join((
         struct.pack("<QQ", len(docs), store.total_tokens),
         pack_text(store.tokenizer_id),
+        struct.pack("<B" + "8s" * len(store.sources), len(store.sources), *store.sources),
         docs.token_counts.astype("<u8").tobytes(),
         docs.titles.ends.astype("<u8").tobytes(),
         docs.texts.ends.astype("<u8").tobytes(),
         _pack_blob(docs.titles),
         _pack_blob(docs.texts),
     ))
-    write_artifact(path, STORE_MAGIC, body)
+    return write_artifact(path, STORE_MAGIC, body)
 
 
 def _read_column(cursor: Cursor, count: int) -> np.ndarray:
@@ -508,7 +516,8 @@ def _read_blob(cursor: Cursor, ends: np.ndarray, field: str) -> StringColumn:
 
 def _parse_store(cursor: Cursor) -> CorpusStore:
     count, total = cursor.unpack("<QQ")
-    tokenizer_id = cursor.text()
+    tokenizer_id, (n_sources,) = cursor.text(), cursor.unpack("<B")
+    sources = cursor.unpack("<" + "8s" * n_sources)
     token_counts = _read_column(cursor, count)
     title_ends = _read_column(cursor, count)
     text_ends = _read_column(cursor, count)
@@ -519,7 +528,7 @@ def _parse_store(cursor: Cursor) -> CorpusStore:
     )
     if documents.total_tokens != total:
         raise ValueError(f"declares {total} tokens, found {documents.total_tokens}")
-    store = CorpusStore(documents=documents, tokenizer_id=tokenizer_id)
+    store = CorpusStore(documents=documents, tokenizer_id=tokenizer_id, sources=sources)
     object.__setattr__(store, "digest", cursor.digest)
     return store
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .artifact import read_text, write_lines
+from .artifact import NO_FILE_DIGEST, read_text, read_text_digest, write_lines
 from .corpus_store import Tokenizer
 
 DEFAULT_DAMPING = 0.85
@@ -100,7 +100,9 @@ def textrank_iterations(
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    if tol <= 0.0:
+    # not ``tol <= 0``: NaN compares false both ways, and ``delta < nan``
+    # would never stop the sweeps
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -165,9 +167,11 @@ class WeightedKeyword:
 
 @dataclass(frozen=True)
 class DomainKeywordSet:
-    """Fused keyword set; entries sorted by weight descending, keyword ascending."""
+    """Fused keyword set; entries sorted by weight descending, keyword ascending.
+    ``digest``, which equality ignores, is the file's that ``load_keywords`` read."""
 
     entries: tuple[WeightedKeyword, ...]
+    digest: bytes = field(default=NO_FILE_DIGEST, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -268,8 +272,8 @@ def load_keywords(path: str | Path) -> DomainKeywordSet:
     count, a non-finite weight or an unknown provenance raises
     ``ValueError`` naming the file and line."""
     entries = []
-    lines = read_text(path).splitlines()
-    for lineno, line in enumerate(lines, 1):
+    text, digest = read_text_digest(path)
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
         fields = line.split("\t")
@@ -287,7 +291,7 @@ def load_keywords(path: str | Path) -> DomainKeywordSet:
             entries.append(WeightedKeyword(kw, count, weight, prov))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return DomainKeywordSet(entries=_sorted_entries(entries))
+    return DomainKeywordSet(entries=_sorted_entries(entries), digest=digest)
 
 
 def load_lexicon(path: str | Path) -> list[str]:

@@ -25,7 +25,7 @@ import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -59,6 +59,9 @@ LAYER_HALVES = (("ln1", ("query", "key", "value"), "output"), ("ln2", ("ff_in",)
 
 _LN_EPS = 1e-5
 _INIT_STD = 0.02
+# The most parameters ``init_model`` makes: 4 GiB of float32 weights, before
+# any gradient or optimizer moment
+MAX_PARAMETERS = 2**30
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,15 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _table_sum(config: ModelConfig, size: Callable[[tuple[int, ...]], int]) -> int:
+    """``size(shape)`` summed over ``param_shapes(config)``, from the tables
+    of zero layers and of one layer, so a huge ``n_layers`` costs no memory."""
+    outer, one = (
+        sum(map(size, param_shapes(replace(config, n_layers=n)).values())) for n in (0, 1)
+    )
+    return outer + (one - outer) * config.n_layers
+
+
 def param_names(config: ModelConfig) -> list[str]:
     """All tensor names in fixed declaration order (also the checkpoint order)."""
     return list(param_shapes(config))
@@ -207,7 +219,11 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelState:
     """Seeded init; draws happen in declaration order so that configs which
     differ only in adapters share identical base tensors for a given seed.
     Norm gains start at one; norm shifts, biases and adapter B (``*.b``) at
-    zero."""
+    zero.  A model of more than ``MAX_PARAMETERS`` parameters raises
+    ``ValueError`` before anything is allocated."""
+    count = _table_sum(config, math.prod)
+    if count > MAX_PARAMETERS:
+        raise ValueError(f"the model has {count} parameters, more than {MAX_PARAMETERS}")
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
@@ -1495,8 +1511,7 @@ def _parse_checkpoint(cursor: Cursor):
     config = ModelConfig.from_json(cursor.text())
     # take the flag run, one byte per tensor, before building the table, so
     # that a forged n_layers fails on the bytes left, not on memory
-    outer, one = (len(param_shapes(replace(config, n_layers=n))) for n in (0, 1))
-    flags = bytes(cursor.take(outer + (one - outer) * config.n_layers))
+    flags = bytes(cursor.take(_table_sum(config, lambda shape: 1)))
     shapes = param_shapes(config)
     if max(flags) > 1:
         raise ValueError(f"moment flag {max(flags)} is neither 0 nor 1")

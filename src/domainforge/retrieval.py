@@ -12,14 +12,15 @@ little-endian body holds the document count, ``avgdl``, ``k1`` and ``b``
 (``<Qddd``), the 8-byte digest of the store file it indexes (whose tokenizer
 it uses), each document's length (``<Q``), then the term count and a
 length-prefixed term dictionary with each term's postings as ``<II`` (doc id
-delta, tf) pairs.
+delta, tf) pairs.  A selected store names the digests of its index and keyword
+files, and the first line of its provenance TSV names the store's digest.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -60,8 +61,9 @@ class InvertedIndex:
     """Postings, document lengths, and the BM25 parameters.
 
     Postings map term -> ``Postings`` columns sorted by doc_id;
-    ``doc_lengths[doc_id]`` is that document's token count, and
-    ``store_digest`` is the ``CorpusStore.digest`` of the store it indexes.
+    ``doc_lengths[doc_id]`` is that document's token count;
+    ``store_digest`` is the ``CorpusStore.digest`` of the store it indexes,
+    and ``digest`` (which equality ignores) is that of the index's own file.
     """
 
     postings: dict[str, Postings]
@@ -70,6 +72,7 @@ class InvertedIndex:
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
     store_digest: bytes = NO_FILE_DIGEST
+    digest: bytes = field(default=NO_FILE_DIGEST, compare=False, repr=False)
 
     @property
     def num_docs(self) -> int:
@@ -250,11 +253,13 @@ def select_corpus(
     store: CorpusStore,
     query: ExpandedQuery,
     token_budget: int,
+    sources: tuple[bytes, ...] = (),
 ) -> CorpusSelection:
     """Greedily take ranked documents until the next one would exceed the budget.
 
     All selected documents have positive score; doc_ids are re-densified in
-    the output store and the provenance mapping records the original ids.
+    the output store, which names ``sources``, and the provenance mapping
+    records the original ids.
     """
     if token_budget < 1:
         raise ValueError(f"token_budget must be >= 1, got {token_budget}")
@@ -284,9 +289,7 @@ def select_corpus(
             f"token budget {token_budget} is smaller than the top-ranked "
             f"document (doc_id {ids[0]}, {used[0]} tokens)"
         )
-    new_store = CorpusStore(
-        documents=store.documents.take(ids[:taken]), tokenizer_id=store.tokenizer_id
-    )
+    new_store = CorpusStore(store.documents.take(ids[:taken]), store.tokenizer_id, sources)
     provenance = tuple((sd.doc_id, sd.score) for sd in ranked[:taken])
     return CorpusSelection(store=new_store, provenance=provenance)
 
@@ -354,6 +357,7 @@ def _parse_index(cursor: Cursor) -> InvertedIndex:
         k1=k1,
         b=b,
         store_digest=store_digest,
+        digest=cursor.digest,
     )
 
 
@@ -362,10 +366,11 @@ def load_index(path: str | Path) -> InvertedIndex:
     return load_artifact(path, INDEX_MAGIC, _parse_index)
 
 
-def save_provenance(selection: CorpusSelection, path: str | Path) -> None:
-    """Write new_doc_id<TAB>original_doc_id<TAB>score lines."""
+def save_provenance(selection: CorpusSelection, path: str | Path, store_digest: bytes) -> None:
+    """Write a ``store<TAB>digest`` line naming the digest (in hex) of the
+    saved selected store, then new_doc_id<TAB>original_doc_id<TAB>score lines."""
     lines = [
         f"{new_id}\t{orig_id}\t{score!r}"
         for new_id, (orig_id, score) in enumerate(selection.provenance)
     ]
-    write_lines(path, lines)
+    write_lines(path, [f"store\t{store_digest.hex()}", *lines])

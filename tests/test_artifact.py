@@ -7,6 +7,7 @@ import os
 import stat
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,9 @@ def _write(kind, path):
     if kind == "store":
         save_store(_store(), path)
         return load_store, STORE_MAGIC
+    if kind == "selected-store":
+        save_store(replace(_store(), sources=(bytes(range(8)), bytes(range(8, 16)))), path)
+        return load_store, STORE_MAGIC
     if kind == "index":
         save_index(build_index(_store()), path)
         return load_index, INDEX_MAGIC
@@ -84,7 +88,7 @@ def _write(kind, path):
     return load_checkpoint, CHECKPOINT_MAGIC
 
 
-@pytest.mark.parametrize("kind", ["store", "index", "checkpoint"])
+@pytest.mark.parametrize("kind", ["store", "selected-store", "index", "checkpoint"])
 def test_every_bit_flip_and_prefix_is_rejected(tmp_path, kind):
     loader, _ = _write(kind, tmp_path / "good")
     data = (tmp_path / "good").read_bytes()
@@ -352,7 +356,7 @@ TEXT_SAVERS = {
     "keywords": lambda path, k: save_keywords(
         DomainKeywordSet((WeightedKeyword("脉", k, 1.0, "task"),)), path),
     "provenance": lambda path, k: save_provenance(
-        CorpusSelection(_store(), ((0, 1.5), (1, float(k)))), path),
+        CorpusSelection(_store(), ((0, 1.5), (1, float(k)))), path, bytes(8)),
     "vocab": lambda path, k: save_vocab(Vocab(SPECIAL_TOKENS + ("脉", "弦")[: k + 1]), path),
     "loss-history": lambda path, k: save_loss_history([(k, "pretrain", 0.5)], path),
     "exam": lambda path, k: save_exam([McqItem("问", (("A", "甲"), ("B", "乙")), "AB"[k])], path),

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from domainforge.corpus_store import (
 from domainforge.evaluator import McqItem, save_exam
 from domainforge.lora_model import (
     CHECKPOINT_MAGIC,
+    MAX_PARAMETERS,
     SPECIAL_TOKENS,
     VOCAB_MAGIC,
     ModelConfig,
@@ -327,6 +330,28 @@ def test_retrieve_accepts_a_store_saved_again_from_the_same_documents(tmp_path, 
     assert [d.text for d in load_store(tmp_path / "out.store")] == SAME_LENGTH_TEXTS[:1]
 
 
+def test_retrieve_outputs_name_their_inputs(workspace, capsys):
+    ws = workspace
+    prepare_selected_store(ws, capsys)
+    selected = load_store(ws / "selected.store")
+    keywords = hashlib.blake2b((ws / "keywords.tsv").read_bytes(), digest_size=8).digest()
+    assert selected.sources == ((ws / "corpus.idx").read_bytes()[-8:], keywords)
+    header = (ws / "selected.prov").read_text(encoding="utf-8").splitlines()[0]
+    assert header == f"store\t{(ws / 'selected.store').read_bytes()[-8:].hex()}"
+    # a digest names bytes, not a path: copies of the inputs select the same bytes
+    copy = ws / "copy"
+    copy.mkdir()
+    for name in ("corpus.idx", "corpus.store", "keywords.tsv"):
+        (copy / name).write_bytes((ws / name).read_bytes())
+    assert main([
+        "retrieve", "--index", str(copy / "corpus.idx"), "--store", str(copy / "corpus.store"),
+        "--keywords", str(copy / "keywords.tsv"), "--budget", "200",
+        "--output", str(copy / "selected.store"), "--provenance", str(copy / "selected.prov"),
+    ]) == 0
+    for name in ("selected.store", "selected.prov"):
+        assert (copy / name).read_bytes() == (ws / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "line, problem",
     [("脉", "expected 4 tab-separated fields, got 1"),
@@ -594,12 +619,12 @@ def test_version_lists_artifact_formats(capsys, monkeypatch):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == (
-        f"domainforge {__version__} (formats: store DFSTORE2, index DFIDX2, "
+        f"domainforge {__version__} (formats: store DFSTORE3, index DFIDX2, "
         "checkpoint DFCKPT2, vocab DFVOCAB1)\n"
     )
     formats = (STORE_MAGIC.decode(), INDEX_MAGIC.decode(), CHECKPOINT_MAGIC.decode(),
                VOCAB_MAGIC)
-    assert formats == ("DFSTORE2", "DFIDX2", "DFCKPT2", "DFVOCAB1")
+    assert formats == ("DFSTORE3", "DFIDX2", "DFCKPT2", "DFVOCAB1")
 
 
 @pytest.fixture
@@ -886,3 +911,38 @@ def test_keywords_rejects_a_max_iter_below_one(workspace, capsys, max_iter):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == [f"error: ValueError: max_iter must be >= 1, got {max_iter}"]
     assert not (workspace / "k.tsv").exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-6", "nan", "-inf"])
+def test_keywords_rejects_a_tol_that_is_not_positive(workspace, capsys, tol):
+    # a NaN tol never stops the sweeps: every sample would run max_iter
+    argv = ["keywords", "--samples", str(workspace / "samples.txt"),
+            "--output", str(workspace / "k.tsv"), f"--tol={tol}"]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: ValueError: tol must be positive, got {float(tol)}"]
+    assert not (workspace / "k.tsv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--max-seq-len", "--d-ff", "--n-layers"])
+def test_pretrain_refuses_an_oversized_model_before_allocating(tmp_path, capsys, flag):
+    # in process, under a tracemalloc bound: a child process without an
+    # address-space limit could allocate until the machine runs out
+    store = ingest([RawRecord("a", "", IN_CHARS)], CjkCharTokenizer(), min_tokens=1)
+    save_store(store, tmp_path / "one.store")
+    argv = ["pretrain", "--store", str(tmp_path / "one.store"),
+            "--output", str(tmp_path / "o.ckpt"), flag, "99999999999"]
+    tracemalloc.start()
+    try:
+        code, _, err = run(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: ValueError: the model has ")
+    assert errors[0].endswith(f"parameters, more than {MAX_PARAMETERS}")
+    assert peak < 4 * 2**20
+    assert not (tmp_path / "o.ckpt").exists()

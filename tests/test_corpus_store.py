@@ -550,13 +550,21 @@ def test_store_rejects_ids_that_are_not_positions():
         CorpusStore(documents=[doc], tokenizer_id="cjk-char-v1")
 
 
-def _store_body(counts, title_ends, text_ends, titles, texts, *, count=None, total=None):
-    """A DFSTORE2 body packed field by field; ``titles`` and ``texts`` are
-    the blobs' bytes."""
+def test_store_sources_are_8_byte_digests():
+    with pytest.raises(ValueError, match="8-byte digest"):
+        CorpusStore(documents=[], tokenizer_id="cjk-char-v1", sources=(bytes(7),))
+
+
+def _store_body(counts, title_ends, text_ends, titles, texts, *, count=None, total=None,
+                sources=(), n_sources=None):
+    """A DFSTORE3 body packed field by field; ``titles`` and ``texts`` are
+    the blobs' bytes, and ``sources`` the digests, after a count byte of
+    ``len(sources)`` unless ``n_sources`` is given."""
     return b"".join((
         struct.pack("<QQ", len(counts) if count is None else count,
                     sum(counts) if total is None else total),
         pack_text("cjk-char-v1"),
+        struct.pack("<B", len(sources) if n_sources is None else n_sources), *sources,
         *(struct.pack(f"<{len(col)}Q", *col) for col in (counts, title_ends, text_ends)),
         struct.pack("<Q", len(titles)), titles,
         struct.pack("<Q", len(texts)), texts,
@@ -580,11 +588,14 @@ _GOOD_FIELDS = ([2, 0, 2], [2, 2, 3], [2, 2, 4], "t0题".encode(), "脉象𠀀a"
         ((*_GOOD_FIELDS[:4], b"\xe8\x84\x89\xff\xf0\xa0\x80\x80a"), {}, "utf-8"),
         ((*_GOOD_FIELDS[:3], b"t0\xe9\xa2", _GOOD_FIELDS[4]), {}, "utf-8"),
         (_GOOD_FIELDS, {"trailing": b"\x00"}, "trailing"),
+        # 255 digests would take 2,040 bytes; the whole body after the
+        # count byte is shorter
+        (_GOOD_FIELDS, {"n_sources": 255}, "body ends early"),
     ],
     ids=["text-offset-decreases", "title-offset-decreases", "text-offset-past-blob",
          "text-offset-short-of-blob", "title-offset-past-blob", "total-differs",
          "column-shorter-than-count", "text-blob-not-utf8", "title-blob-not-utf8",
-         "trailing-bytes"],
+         "trailing-bytes", "sources-past-the-body"],
 )
 def test_forged_store_body_is_truncated_artifact(tmp_path, fields, extra, problem):
     path = tmp_path / "forged.store"
@@ -599,18 +610,30 @@ def test_forged_store_body_is_truncated_artifact(tmp_path, fields, extra, proble
         load_store(path)
 
 
-def test_store_body_layout_is_the_columns_then_the_blobs(tmp_path):
+@pytest.mark.parametrize("sources", [(), (bytes(range(8)), bytes(range(8, 16)))],
+                         ids=["ingested", "selected"])
+def test_store_body_layout_is_the_columns_then_the_blobs(tmp_path, sources):
     docs = [Document(0, "t0", "脉象", 2), Document(1, "", "", 0), Document(2, "题", "𠀀a", 2)]
     path = tmp_path / "saved.store"
-    save_store(CorpusStore(documents=docs, tokenizer_id="cjk-char-v1"), path)
+    store = CorpusStore(documents=docs, tokenizer_id="cjk-char-v1", sources=sources)
+    digest = save_store(store, path)
     forged = tmp_path / "packed.store"
-    write_artifact(forged, STORE_MAGIC, _store_body(*_GOOD_FIELDS))
+    write_artifact(forged, STORE_MAGIC, _store_body(*_GOOD_FIELDS, sources=sources))
     assert path.read_bytes() == forged.read_bytes()
+    assert digest == path.read_bytes()[-8:]
+    loaded = load_store(path)
+    assert (loaded.sources, loaded.digest) == (sources, digest)
+    assert loaded == store
 
 
-def test_store_of_the_previous_format_is_magic_mismatch(tmp_path):
+@pytest.mark.parametrize("magic, body", [
+    (b"DFSTORE1", struct.pack("<QQ", 0, 0) + pack_text("cjk-char-v1")),
+    # the previous columnar layout, with no sources after the tokenizer id
+    (b"DFSTORE2", struct.pack("<QQ", 0, 0) + pack_text("cjk-char-v1") + struct.pack("<QQ", 0, 0)),
+], ids=["DFSTORE1", "DFSTORE2"])
+def test_store_of_the_previous_format_is_magic_mismatch(tmp_path, magic, body):
     path = tmp_path / "old.store"
-    write_artifact(path, b"DFSTORE1", struct.pack("<QQ", 0, 0) + pack_text("cjk-char-v1"))
+    write_artifact(path, magic, body)
     with pytest.raises(MagicMismatchError):
         load_store(path)
 

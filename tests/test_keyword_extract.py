@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -111,8 +112,9 @@ def test_textrank_parameter_validation():
         textrank(graph, damping=0.0)
     with pytest.raises(ValueError):
         textrank(graph, damping=1.0)
-    with pytest.raises(ValueError):
-        textrank(graph, tol=0.0)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            textrank(graph, tol=tol)
     for max_iter in (0, -1):
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             textrank_iterations(graph, max_iter=max_iter)
@@ -279,3 +281,14 @@ def test_keywords_round_trip(tmp_path):
     path = tmp_path / "keywords.tsv"
     save_keywords(fused, path)
     assert load_keywords(path) == fused
+
+
+def test_loaded_keywords_name_the_digest_of_the_file_bytes(tmp_path):
+    path = tmp_path / "keywords.tsv"
+    save_keywords(fuse({}, ["阴阳", "脉象"]), path)
+    loaded = load_keywords(path)
+    assert loaded.digest == hashlib.blake2b(path.read_bytes(), digest_size=8).digest()
+    # the file's bytes, not the entries: a blank line parses the same
+    path.write_bytes(path.read_bytes() + b"\n")
+    again = load_keywords(path)
+    assert again == loaded and again.digest != loaded.digest

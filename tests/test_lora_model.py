@@ -190,6 +190,17 @@ def test_adapter_census_matches_formula():
         assert sum(state.params[n].size for n in adapter_param_names(config)) == count
 
 
+@pytest.mark.parametrize("n_layers", [0, 1, 3])
+def test_init_model_refuses_more_than_max_parameters(monkeypatch, n_layers):
+    config = replace(SMALL, n_layers=n_layers)
+    count = sum(arr.size for arr in init_model(config, seed=0).params.values())
+    monkeypatch.setattr(lora_model, "MAX_PARAMETERS", count)
+    init_model(config, seed=0)  # exactly at the bound
+    monkeypatch.setattr(lora_model, "MAX_PARAMETERS", count - 1)
+    with pytest.raises(ValueError, match=f"has {count} parameters, more than {count - 1}"):
+        init_model(config, seed=0)
+
+
 def test_trainable_param_names_split():
     assert trainable_param_names(SMALL) == adapter_param_names(SMALL)
     with_emb = trainable_param_names(SMALL, train_embeddings=True)

@@ -684,8 +684,9 @@ def test_save_provenance_format(tmp_path):
     index = build_index(store)
     selection = select_corpus(index, store, ExpandedQuery({"t": 1}), token_budget=10)
     path = tmp_path / "prov.tsv"
-    save_provenance(selection, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    save_provenance(selection, path, bytes(range(8)))
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert header == "store\t0001020304050607"
     assert len(lines) == len(selection.provenance)
     new_id, orig_id, score = lines[0].split("\t")
     assert (int(orig_id), float(score)) == selection.provenance[int(new_id)]
