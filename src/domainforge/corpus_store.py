@@ -33,7 +33,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Protocol, TypeVar
 
 import numpy as np
 
@@ -233,7 +233,7 @@ class CjkCharTokenizer:
     """Default tokenizer: one token per CJK codepoint, non-CJK runs split on
     whitespace/punctuation with Latin lowercased."""
 
-    tokenizer_id: str = DEFAULT_TOKENIZER_ID
+    tokenizer_id: ClassVar[str] = DEFAULT_TOKENIZER_ID
 
     def tokenize(self, text: str) -> list[str]:
         tokens: list[str] = []

@@ -1,9 +1,11 @@
 """Graph-ranked keyword extraction with occurrence weights and lexicon fusion.
 
-Task keywords come from a damped fixed-point iteration over a windowed
-co-occurrence graph, one graph per sample.  A keyword appearing in the top-k
-of ``n`` samples gets weight ``1 + ln(n)``; lexicon words absent from the
-task samples join the fused set at weight 1.0.
+Each task sample's tokens lose their stopwords and single Latin letters, then
+form a windowed co-occurrence graph: a plain adjacency dict, token -> neighbour
+-> count, in first-occurrence order.  A damped fixed-point iteration ranks its
+nodes.  A keyword appearing in the top-k of ``n`` samples gets weight
+``1 + ln(n)``; lexicon words absent from the task samples join the fused set
+at weight 1.0.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOP_K = 5
 
-# Small default stopword list for candidate filtering; callers may extend or
-# replace it.  Mostly Chinese function words plus a few English ones.
+# The stopwords ``filter_candidates`` drops before a sample's graph is built:
+# mostly Chinese function words plus a few English ones.
 DEFAULT_STOPWORDS = frozenset(
     "的 了 是 在 和 与 或 及 等 之 其 此 该 为 于 以 被 把 将 就 都 而 且 也 又 如 若 因 故 "
     "这 那 哪 何 谁 我 你 他 她 它 们 个 只 不 没 很 更 最 可 能 会 要 有 无 上 下 中 "
@@ -32,60 +34,28 @@ DEFAULT_STOPWORDS = frozenset(
 )
 
 
-@dataclass
-class CooccurrenceGraph:
-    """Undirected token graph; edge weights count windowed co-occurrences.
-
-    Adjacency preserves insertion order so that iteration over a relabeled
-    graph replays the same float operations, keeping ranking scores exactly
-    permutation-equivariant.
-    """
-
-    adjacency: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    @property
-    def nodes(self) -> list[str]:
-        return list(self.adjacency)
-
-    def edge_weight(self, a: str, b: str) -> int:
-        return self.adjacency.get(a, {}).get(b, 0)
-
-    def _add_node(self, token: str) -> None:
-        self.adjacency.setdefault(token, {})
-
-    def _add_edge(self, a: str, b: str) -> None:
-        self.adjacency[a][b] = self.adjacency[a].get(b, 0) + 1
-        self.adjacency[b][a] = self.adjacency[b].get(a, 0) + 1
-
-
-def build_graph(
-    tokens: Sequence[str],
-    window: int,
-    stopwords: Iterable[str] | None = None,
-) -> CooccurrenceGraph:
-    """Build the co-occurrence graph over ``tokens`` with the given window.
+def build_graph(tokens: Sequence[str], window: int) -> dict[str, dict[str, int]]:
+    """The co-occurrence graph of ``tokens``: token -> neighbour -> weight.
 
     Two distinct tokens are joined iff they appear within ``window`` positions
     of each other; the edge weight counts such co-occurrences.  Self-edges are
-    never created.
+    never created.  Nodes and neighbours keep first-occurrence order, so that
+    ranking a relabeled graph replays the same float operations, keeping
+    scores exactly permutation-equivariant.
     """
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    stop = frozenset(stopwords) if stopwords is not None else frozenset()
-    filtered = [t for t in tokens if t not in stop]
-    graph = CooccurrenceGraph()
-    for tok in filtered:
-        graph._add_node(tok)
-    for i, a in enumerate(filtered):
-        for j in range(i + 1, min(i + window, len(filtered))):
-            b = filtered[j]
+    graph: dict[str, dict[str, int]] = {tok: {} for tok in tokens}
+    for i, a in enumerate(tokens):
+        for b in tokens[i + 1 : i + window]:
             if a != b:
-                graph._add_edge(a, b)
+                graph[a][b] = graph[a].get(b, 0) + 1
+                graph[b][a] = graph[b].get(a, 0) + 1
     return graph
 
 
 def textrank_iterations(
-    graph: CooccurrenceGraph,
+    graph: Mapping[str, Mapping[str, int]],
     damping: float = DEFAULT_DAMPING,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -106,17 +76,16 @@ def textrank_iterations(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    adj = graph.adjacency
-    strength = {v: float(sum(nbrs.values())) for v, nbrs in adj.items()}
-    scores = {v: 1.0 for v in adj}
+    strength = {v: float(sum(nbrs.values())) for v, nbrs in graph.items()}
+    scores = {v: 1.0 for v in graph}
     for iterations in range(1, max_iter + 1):
         new: dict[str, float] = {}
-        for v, nbrs in adj.items():
+        for v, nbrs in graph.items():
             acc = 0.0
             for u, w in nbrs.items():
                 acc += w / strength[u] * scores[u]
             new[v] = (1.0 - damping) + damping * acc
-        delta = max((abs(new[v] - scores[v]) for v in adj), default=0.0)
+        delta = max((abs(new[v] - scores[v]) for v in graph), default=0.0)
         scores = new
         if delta < tol:
             break
@@ -124,7 +93,7 @@ def textrank_iterations(
 
 
 def textrank(
-    graph: CooccurrenceGraph,
+    graph: Mapping[str, Mapping[str, int]],
     damping: float = DEFAULT_DAMPING,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -168,22 +137,15 @@ class WeightedKeyword:
 @dataclass(frozen=True)
 class DomainKeywordSet:
     """Fused keyword set; entries sorted by weight descending, keyword ascending.
-    ``digest``, which equality ignores, is the file's that ``load_keywords`` read."""
+    ``digest`` is that of the file ``load_keywords`` read; only it sets it, so
+    a set built in memory or by ``dataclasses.replace`` names
+    ``NO_FILE_DIGEST``.  Equality ignores it."""
 
     entries: tuple[WeightedKeyword, ...]
-    digest: bytes = field(default=NO_FILE_DIGEST, compare=False, repr=False)
+    digest: bytes = field(default=NO_FILE_DIGEST, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def keywords(self) -> set[str]:
-        return {e.keyword for e in self.entries}
-
-    def get(self, keyword: str) -> WeightedKeyword | None:
-        for e in self.entries:
-            if e.keyword == keyword:
-                return e
-        return None
 
 
 def _sorted_entries(entries: Iterable[WeightedKeyword]) -> tuple[WeightedKeyword, ...]:
@@ -194,12 +156,9 @@ def _is_single_latin(token: str) -> bool:
     return len(token) == 1 and token.isascii() and token.isalpha()
 
 
-def filter_candidates(
-    tokens: Sequence[str], stopwords: Iterable[str] = DEFAULT_STOPWORDS
-) -> list[str]:
+def filter_candidates(tokens: Sequence[str]) -> list[str]:
     """Drop stopwords and single-character Latin tokens before graph building."""
-    stop = frozenset(stopwords)
-    return [t for t in tokens if t not in stop and not _is_single_latin(t)]
+    return [t for t in tokens if t not in DEFAULT_STOPWORDS and not _is_single_latin(t)]
 
 
 def extract_task_keywords(
@@ -207,7 +166,6 @@ def extract_task_keywords(
     tokenizer: Tokenizer,
     window: int = DEFAULT_WINDOW,
     k: int = DEFAULT_TOP_K,
-    stopwords: Iterable[str] = DEFAULT_STOPWORDS,
     damping: float = DEFAULT_DAMPING,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -221,7 +179,7 @@ def extract_task_keywords(
         raise ValueError("samples must be non-empty")
     counts: Counter[str] = Counter()
     for sample in samples:
-        candidates = filter_candidates(tokenizer.tokenize(sample), stopwords)
+        candidates = filter_candidates(tokenizer.tokenize(sample))
         graph = build_graph(candidates, window)
         scores = textrank(graph, damping, tol, max_iter)
         counts.update(top_k_keywords(scores, k))
@@ -240,11 +198,8 @@ def fuse(
     Keywords present in both keep the task-derived count and weight with
     provenance ``both``; lexicon-only entries get count 0 and weight 1.0.
     """
-    lexicon_words = list(dict.fromkeys(lexicon))
-    entries: dict[str, WeightedKeyword] = {}
-    for kw, entry in task_keywords.items():
-        entries[kw] = entry
-    for word in lexicon_words:
+    entries = dict(task_keywords)
+    for word in dict.fromkeys(lexicon):
         if word in entries:
             prev = entries[word]
             entries[word] = WeightedKeyword(
@@ -291,7 +246,9 @@ def load_keywords(path: str | Path) -> DomainKeywordSet:
             entries.append(WeightedKeyword(kw, count, weight, prov))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return DomainKeywordSet(entries=_sorted_entries(entries), digest=digest)
+    kset = DomainKeywordSet(entries=_sorted_entries(entries))
+    object.__setattr__(kset, "digest", digest)
+    return kset
 
 
 def load_lexicon(path: str | Path) -> list[str]:

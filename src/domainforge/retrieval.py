@@ -63,7 +63,9 @@ class InvertedIndex:
     Postings map term -> ``Postings`` columns sorted by doc_id;
     ``doc_lengths[doc_id]`` is that document's token count;
     ``store_digest`` is the ``CorpusStore.digest`` of the store it indexes,
-    and ``digest`` (which equality ignores) is that of the index's own file.
+    and ``digest`` that of the index's own file; only ``load_index`` sets it,
+    so an index built in memory or by ``dataclasses.replace`` names
+    ``NO_FILE_DIGEST``.  Equality ignores it.
     """
 
     postings: dict[str, Postings]
@@ -72,7 +74,7 @@ class InvertedIndex:
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
     store_digest: bytes = NO_FILE_DIGEST
-    digest: bytes = field(default=NO_FILE_DIGEST, compare=False, repr=False)
+    digest: bytes = field(default=NO_FILE_DIGEST, init=False, compare=False, repr=False)
 
     @property
     def num_docs(self) -> int:
@@ -350,15 +352,16 @@ def _parse_index(cursor: Cursor) -> InvertedIndex:
                 f"below {num_docs} with nonzero term frequencies"
             )
         postings[term] = Postings(doc_ids.astype(np.uint32), pairs[:, 1].astype(np.uint32))
-    return InvertedIndex(
+    index = InvertedIndex(
         postings=postings,
         doc_lengths=doc_lengths,
         avgdl=avgdl,
         k1=k1,
         b=b,
         store_digest=store_digest,
-        digest=cursor.digest,
     )
+    index.digest = cursor.digest
+    return index
 
 
 def load_index(path: str | Path) -> InvertedIndex:

@@ -16,6 +16,7 @@ from domainforge import corpus_store
 from domainforge.artifact import pack_text, write_artifact
 from domainforge.corpus_store import (
     _PUNCT_TABLE,
+    DEFAULT_TOKENIZER_ID,
     STORE_MAGIC,
     CjkCharTokenizer,
     CorpusStore,
@@ -138,6 +139,13 @@ def test_get_tokenizer_knows_only_the_default():
     assert get_tokenizer("cjk-char-v1") == CjkCharTokenizer()
     with pytest.raises(ValueError, match="unknown tokenizer_id: 'nope'"):
         get_tokenizer("nope")
+
+
+def test_the_tokenizer_id_is_not_settable():
+    # a store stamped with an id no tokenizer has could never be indexed
+    with pytest.raises(TypeError):
+        CjkCharTokenizer("bogus")
+    assert get_tokenizer(DEFAULT_TOKENIZER_ID).tokenizer_id == DEFAULT_TOKENIZER_ID == "cjk-char-v1"
 
 
 @given(st.text(max_size=200))

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from domainforge.artifact import NO_FILE_DIGEST
+from domainforge.cli import main
 from domainforge.corpus_store import CjkCharTokenizer
 from domainforge.keyword_extract import (
     DEFAULT_DAMPING,
@@ -14,6 +18,7 @@ from domainforge.keyword_extract import (
     PROVENANCE_BOTH,
     PROVENANCE_LEXICON,
     PROVENANCE_TASK,
+    DomainKeywordSet,
     WeightedKeyword,
     build_graph,
     extract_task_keywords,
@@ -26,33 +31,49 @@ from domainforge.keyword_extract import (
     textrank_iterations,
     top_k_keywords,
 )
+from synthdata import LEXICON_WORDS, SAMPLE_TEMPLATES
 
 # ---------------------------------------------------------------------------
 # Graph construction
 
 
 def test_build_graph_pair():
-    graph = build_graph(["a", "b"], window=2)
-    assert set(graph.nodes) == {"a", "b"}
-    assert graph.edge_weight("a", "b") == 1
-    assert graph.edge_weight("b", "a") == 1
+    assert build_graph(["a", "b"], window=2) == {"a": {"b": 1}, "b": {"a": 1}}
 
 
 def test_build_graph_repeat_accumulates_no_self_edge():
     graph = build_graph(["a", "b", "a"], window=2)
-    assert graph.edge_weight("a", "b") == 2
-    assert graph.edge_weight("a", "a") == 0
+    assert graph["a"].get("b", 0) == 2
+    assert graph["a"].get("a", 0) == 0
 
 
 def test_build_graph_empty():
-    graph = build_graph([], window=5)
-    assert graph.nodes == []
+    assert build_graph([], window=5) == {}
 
 
 def test_build_graph_window_reach():
     graph = build_graph(list("abcdef"), window=5)
-    assert graph.edge_weight("a", "e") == 1  # four positions apart: in reach
-    assert graph.edge_weight("a", "f") == 0  # five apart: out of reach
+    assert graph["a"].get("e", 0) == 1  # four positions apart: in reach
+    assert graph["a"].get("f", 0) == 0  # five apart: out of reach
+
+
+@given(st.lists(st.sampled_from("abcd"), max_size=30), st.integers(2, 6))
+def test_build_graph_counts_every_windowed_pair(tokens, window):
+    graph = build_graph(tokens, window)
+    assert list(graph) == list(dict.fromkeys(tokens))  # first-occurrence order
+    pairs = Counter(
+        (tokens[i], tokens[j])
+        for i in range(len(tokens))
+        for j in range(i + 1, min(i + window, len(tokens)))
+        if tokens[i] != tokens[j]
+    )
+    for a, nbrs in graph.items():
+        assert a not in nbrs
+        for b, weight in nbrs.items():
+            assert graph[b][a] == weight
+            assert weight == pairs[a, b] + pairs[b, a]
+    # every counted pair is an edge
+    assert all(b in graph[a] for a, b in pairs)
 
 
 def test_build_graph_window_validation():
@@ -61,9 +82,8 @@ def test_build_graph_window_validation():
 
 
 def test_build_graph_stopwords_removed_before_windowing():
-    graph = build_graph(["a", "的", "b"], window=2, stopwords={"的"})
-    assert graph.edge_weight("a", "b") == 1
-    assert "的" not in graph.nodes
+    graph = build_graph(filter_candidates(["脉", "的", "象"]), window=2)
+    assert graph == {"脉": {"象": 1}, "象": {"脉": 1}}
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +106,7 @@ def test_textrank_path_matches_hand_solved_fixed_point():
     assert x == pytest.approx(0.7702702702702703, abs=1e-12)
     assert y == pytest.approx(1.4594594594594594, abs=1e-12)
     graph = build_graph(["a", "b", "b", "c"], window=2)
-    assert graph.edge_weight("a", "c") == 0  # a path, not a triangle
+    assert "c" not in graph["a"]  # a path, not a triangle
     scores = textrank(graph)
     assert scores["a"] == pytest.approx(x, abs=1e-4)
     assert scores["b"] == pytest.approx(y, abs=1e-4)
@@ -195,12 +215,12 @@ def test_keyword_weight_strictly_increasing(n):
 
 def test_fuse_keeps_task_weight_and_adds_lexicon_words():
     task = {"甘草": WeightedKeyword("甘草", 3, keyword_weight(3), PROVENANCE_TASK)}
-    fused = fuse(task, ["甘草", "黄芪"])
-    gancao = fused.get("甘草")
+    fused = {e.keyword: e for e in fuse(task, ["甘草", "黄芪"]).entries}
+    gancao = fused["甘草"]
     assert gancao.provenance == PROVENANCE_BOTH
     assert gancao.count == 3
     assert gancao.weight == 1.0 + math.log(3)
-    huangqi = fused.get("黄芪")
+    huangqi = fused["黄芪"]
     assert huangqi.provenance == PROVENANCE_LEXICON
     assert huangqi.count == 0
     assert huangqi.weight == 1.0
@@ -208,14 +228,12 @@ def test_fuse_keeps_task_weight_and_adds_lexicon_words():
 
 def test_fuse_empty_task():
     fused = fuse({}, ["黄芪"])
-    assert fused.keywords() == {"黄芪"}
-    assert fused.get("黄芪").weight == 1.0
+    assert fused.entries == (WeightedKeyword("黄芪", 0, 1.0, PROVENANCE_LEXICON),)
 
 
 def test_fuse_empty_lexicon():
     task = {"脉": WeightedKeyword("脉", 2, keyword_weight(2), PROVENANCE_TASK)}
-    fused = fuse(task, [])
-    assert fused.get("脉").provenance == PROVENANCE_TASK
+    assert fuse(task, []).entries == (task["脉"],)
 
 
 def test_fuse_both_empty():
@@ -240,8 +258,9 @@ def test_fuse_covers_union(task_counts, lexicon):
         kw: WeightedKeyword(kw, n, keyword_weight(n), PROVENANCE_TASK)
         for kw, n in task_counts.items()
     }
-    fused = fuse(task, lexicon)
-    assert fused.keywords() == set(task_counts) | set(lexicon)
+    keywords = [e.keyword for e in fuse(task, lexicon).entries]
+    # each word once, however often the lexicon lists it
+    assert sorted(keywords) == sorted(set(task_counts) | set(lexicon))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +288,26 @@ def test_filter_candidates_drops_stopwords_and_single_latin():
     assert filter_candidates(tokens) == ["脉", "bm25", "象"]
 
 
+# The SHA-256 of the keyword file the test below writes: a change to the
+# extraction, the fusion or the TSV format changes it.
+GOLDEN_KEYWORDS_SHA256 = "5e5df6af1630c414e94de5a29400cec6aed116e54874a819ea47195ddc575d36"
+
+
+def test_keywords_command_writes_the_golden_file(tmp_path, capsys):
+    # each sample three times; the lexicon also lists each word's first
+    # character, so that some keywords are ``both``, and repeats one word
+    samples, lexicon = tmp_path / "samples.txt", tmp_path / "lexicon.txt"
+    samples.write_text("".join(f"{s}\n" for s in SAMPLE_TEMPLATES * 3), encoding="utf-8")
+    words = [*LEXICON_WORDS, *(w[0] for w in LEXICON_WORDS), LEXICON_WORDS[0]]
+    lexicon.write_text("".join(f"{w}\n" for w in words), encoding="utf-8")
+    output = tmp_path / "kw.tsv"
+    argv = ["keywords", "--samples", str(samples), "--lexicon", str(lexicon),
+            "--output", str(output)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "keywords=36\n"
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == GOLDEN_KEYWORDS_SHA256
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 
@@ -292,3 +331,14 @@ def test_loaded_keywords_name_the_digest_of_the_file_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\n")
     again = load_keywords(path)
     assert again == loaded and again.digest != loaded.digest
+
+
+def test_a_replaced_keyword_set_names_no_file(tmp_path):
+    # a set replaced with other entries is no longer the file's
+    path = tmp_path / "keywords.tsv"
+    save_keywords(fuse({}, ["阴阳", "脉象"]), path)
+    loaded = load_keywords(path)
+    assert loaded.digest != NO_FILE_DIGEST
+    assert replace(loaded, entries=loaded.entries[:1]).digest == NO_FILE_DIGEST
+    with pytest.raises(TypeError):
+        DomainKeywordSet(loaded.entries, digest=loaded.digest)

@@ -568,6 +568,17 @@ def test_a_replaced_store_and_its_index_name_no_file(tmp_path):
     assert build_index(reordered).store_digest == NO_FILE_DIGEST
 
 
+def test_a_replaced_index_names_no_file(tmp_path):
+    # an index replaced with other BM25 parameters is no longer the file's
+    path = tmp_path / "two.idx"
+    save_index(build_index(store_of(["脉象弦滑", "气血两虚"])), path)
+    loaded = load_index(path)
+    assert loaded.digest == path.read_bytes()[-8:]
+    assert dataclasses.replace(loaded, k1=2.0).digest == NO_FILE_DIGEST
+    with pytest.raises(TypeError):
+        InvertedIndex(loaded.postings, loaded.doc_lengths, loaded.avgdl, digest=loaded.digest)
+
+
 # Mixed CJK and Latin text; the digest is that of the file written by the
 # row-at-a-time index (a list of (doc_id, tf) tuples per term, one
 # struct.pack per posting) that the columnar one replaced, moved to the
