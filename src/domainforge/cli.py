@@ -236,19 +236,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-class _VersionAction(argparse.Action):
-    """Prints ``VERSION_LINE`` as one line and exits; argparse's own version
-    action wraps it at the terminal width."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0,
-                         help="print the version and artifact formats, then exit")
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(VERSION_LINE)
-        parser.exit()
-
-
 def build_parser(
     defaults: Mapping[str, Mapping[str, object]] | None = None,
 ) -> argparse.ArgumentParser:
@@ -258,8 +245,11 @@ def build_parser(
         prog="domainforge",
         allow_abbrev=False,
         description="Keyword-guided corpus selection and adapter training.",
+        # prints the version line as it is, however narrow the terminal
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action=_VersionAction)
+    parser.add_argument("--version", action="version", version=VERSION_LINE,
+                        help="print the version and artifact formats, then exit")
     parser.add_argument("--config", help="INI file with per-subcommand sections")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, opts in _COMMANDS.items():

@@ -495,9 +495,10 @@ def save_store(store: CorpusStore, path: str | Path) -> bytes:
     return write_artifact(path, STORE_MAGIC, body)
 
 
-def _read_column(cursor: Cursor, count: int) -> np.ndarray:
-    """``count`` ``<u8`` values, copied out of the file's buffer."""
-    return np.frombuffer(cursor.take(8 * count), dtype="<u8").astype(np.uint64)
+def _read_column(cursor: Cursor, count: int, dtype: type = np.uint64) -> np.ndarray:
+    """``count`` little-endian ``dtype`` values, copied out of the file's buffer."""
+    little = np.dtype(dtype).newbyteorder("<")
+    return np.frombuffer(cursor.take(little.itemsize * count), dtype=little).astype(dtype)
 
 
 def _read_blob(cursor: Cursor, ends: np.ndarray, field: str) -> StringColumn:

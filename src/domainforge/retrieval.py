@@ -7,13 +7,14 @@ Python object per posting.  ``build_index`` takes every token of the store as
 the tokenizer's integer term code (``Tokenizer.term_codes``) and sorts one
 (term code, doc id) key per token, so it touches no Python object per token
 either; it names a term only once, for its postings.  The index file is an
-artifact envelope (see ``artifact.py``) under magic ``DFIDX2`` whose
-little-endian body holds the document count, ``avgdl``, ``k1`` and ``b``
-(``<Qddd``), the 8-byte digest of the store file it indexes (whose tokenizer
-it uses), each document's length (``<Q``), then the term count and a
-length-prefixed term dictionary with each term's postings as ``<II`` (doc id
-delta, tf) pairs.  A selected store names the digests of its index and keyword
-files, and the first line of its provenance TSV names the store's digest.
+artifact envelope (see ``artifact.py``) under magic ``DFIDX3`` whose
+little-endian body is columnar like the store's: the document count, avgdl,
+k1, b, the digest of the store file it indexes and the term count
+(``<Qddd8sQ``); ``<u8`` columns of each document's length, each sorted term's
+end offset in the term blob and each term's postings end; the term blob; and
+each posting's doc id and tf as two ``<u4`` columns, in term order.  A
+selected store names the digests of its index and keyword files, and the
+first line of its provenance TSV names the store's digest.
 """
 
 from __future__ import annotations
@@ -21,17 +22,20 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .artifact import NO_FILE_DIGEST, Cursor, load_artifact, pack_text, write_artifact, write_lines
-from .corpus_store import CorpusStore, get_tokenizer
+from .artifact import NO_FILE_DIGEST, Cursor, load_artifact, write_artifact, write_lines
+from .corpus_store import (
+    CorpusStore, StringColumn, _pack_blob, _read_blob, _read_column, get_tokenizer,
+)
 from .errors import EmptyCorpusError, NoPositiveScoreError, SelectionBudgetError
 from .keyword_extract import DomainKeywordSet
 
-INDEX_MAGIC = b"DFIDX2"
+INDEX_MAGIC = b"DFIDX3"
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 MAX_QUERY_REPETITIONS = 3
@@ -116,6 +120,19 @@ def _run_starts(col: np.ndarray) -> np.ndarray:
     return np.flatnonzero(start)
 
 
+def _postings(
+    terms: Iterable[str], ends: np.ndarray, doc_ids: np.ndarray, tfs: np.ndarray
+) -> dict[str, Postings]:
+    """Each term's ``Postings``: the ``i``-th term's are the entries of
+    ``doc_ids`` and ``tfs`` from ``ends[i - 1]`` (0 for the first) to
+    ``ends[i]``, as views of those columns."""
+    bounds = [0, *ends.tolist()]
+    return {
+        term: Postings(doc_ids[start:end], tfs[start:end])
+        for term, start, end in zip(terms, bounds, bounds[1:])
+    }
+
+
 def _check_bm25(k1: float, b: float) -> None:
     if not 0.0 < k1 < math.inf:
         raise ValueError(f"k1 must be positive and finite, got {k1}")
@@ -147,12 +164,8 @@ def build_index(
     # each posting's term code: a run of equal codes is one term's postings
     keys >>= np.uint64(32)
     firsts = _run_starts(keys)
-    postings = {
-        term(code): Postings(doc_col[start:end], tf_col[start:end])
-        for code, start, end in zip(
-            keys[firsts].tolist(), firsts.tolist(), (*firsts[1:].tolist(), len(keys))
-        )
-    }
+    ends = np.append(firsts[1:], len(keys))
+    postings = _postings(map(term, keys[firsts].tolist()), ends, doc_col, tf_col)
     doc_lengths = lengths.tolist()
     avgdl = sum(doc_lengths) / len(doc_lengths)
     return InvertedIndex(
@@ -301,59 +314,50 @@ def select_corpus(
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write the versioned binary index; saves are byte-deterministic."""
-    terms = sorted(index.postings)
-    plists = [index.postings[term] for term in terms]
-    lengths = np.fromiter(map(len, plists), dtype=np.int64, count=len(plists))
-    ends = np.cumsum(lengths)
-    # every term's (doc id delta, tf) pairs in one array: one diff over the
-    # concatenated doc ids, reset at each term's first posting
-    pairs = np.empty((int(lengths.sum()), 2), dtype="<u4")
-    if plists:
-        np.concatenate([p.doc_ids for p in plists], out=pairs[:, 0])
-        np.concatenate([p.tfs for p in plists], out=pairs[:, 1])
-    firsts = (ends - lengths)[lengths > 0]
-    first_ids = pairs[firsts, 0]
-    pairs[1:, 0] -= pairs[:-1, 0]
-    pairs[firsts, 0] = first_ids
-    raw = memoryview(pairs).cast("B")
-    parts = [
-        struct.pack("<Q", index.num_docs),
-        struct.pack("<ddd8s", index.avgdl, index.k1, index.b, index.store_digest),
-        struct.pack(f"<{index.num_docs}Q", *index.doc_lengths),
-        struct.pack("<Q", len(terms)),
+    names = sorted(index.postings)
+    plists = list(map(index.postings.__getitem__, names))
+    sizes = list(map(len, plists))
+    if 0 in sizes:
+        raise ValueError("every term of an index file has a posting")
+    terms = StringColumn.of(names)
+    body = [
+        struct.pack("<Qddd8sQ", index.num_docs, index.avgdl, index.k1, index.b,
+                    index.store_digest, len(names)),
+        np.asarray(index.doc_lengths, dtype="<u8").tobytes(),
+        terms.ends.astype("<u8").tobytes(),
+        np.cumsum(sizes, dtype="<u8").tobytes(),
+        _pack_blob(terms),
     ]
-    for term, n, end in zip(terms, lengths.tolist(), ends.tolist()):
-        parts += (pack_text(term) + struct.pack("<Q", n), raw[8 * (end - n) : 8 * end])
-    write_artifact(path, INDEX_MAGIC, b"".join(parts))
+    for column in ("doc_ids", "tfs"):
+        joined = [np.empty(0, "<u4"), *map(attrgetter(column), plists)]
+        body.append(np.concatenate(joined, dtype="<u4").tobytes())
+    write_artifact(path, INDEX_MAGIC, b"".join(body))
 
 
 def _parse_index(cursor: Cursor) -> InvertedIndex:
-    (num_docs,) = cursor.unpack("<Q")
-    avgdl, k1, b, store_digest = cursor.unpack("<ddd8s")
-    doc_lengths = list(cursor.unpack(f"<{num_docs}Q"))
+    num_docs, avgdl, k1, b, store_digest, num_terms = cursor.unpack("<Qddd8sQ")
+    doc_lengths = _read_column(cursor, num_docs).tolist()
     if avgdl != sum(doc_lengths) / num_docs:
         raise ValueError(f"avgdl {avgdl!r} is not the mean document length")
     _check_bm25(k1, b)
-    (num_terms,) = cursor.unpack("<Q")
-    postings: dict[str, Postings] = {}
-    for _ in range(num_terms):
-        term = cursor.text()
-        if term in postings:
-            raise ValueError(f"term {term!r} is listed twice")
-        (plen,) = cursor.unpack("<Q")
-        pairs = np.frombuffer(cursor.take(8 * plen), dtype="<u4").reshape(plen, 2)
-        # int64, so that forged deltas cannot wrap around 2**32
-        doc_ids = np.cumsum(pairs[:, 0], dtype=np.int64)
-        if plen and not (
-            doc_ids[-1] < num_docs and pairs[1:, 0].all() and pairs[:, 1].all()
-        ):
-            raise ValueError(
-                f"postings of term {term!r} are not strictly ascending doc ids "
-                f"below {num_docs} with nonzero term frequencies"
-            )
-        postings[term] = Postings(doc_ids.astype(np.uint32), pairs[:, 1].astype(np.uint32))
+    term_ends, ends = _read_column(cursor, num_terms), _read_column(cursor, num_terms)
+    terms = list(_read_blob(cursor, term_ends, "term"))
+    if sorted(set(terms)) != terms:
+        raise ValueError("terms are not sorted and unique")
+    bounds = np.append(np.uint64(0), ends)
+    if np.any(bounds[1:] <= bounds[:-1]):
+        raise ValueError("postings ends do not rise strictly: a term has no posting")
+    doc_ids = _read_column(cursor, int(bounds[-1]), np.uint32)
+    tfs = _read_column(cursor, len(doc_ids), np.uint32)
+    # a term's first doc id need not pass the previous term's last
+    rises = doc_ids[1:] > doc_ids[:-1]
+    rises[bounds[1:-1] - 1] = True
+    if not (rises.all() and np.all(doc_ids < num_docs)):
+        raise ValueError(f"doc ids do not rise strictly within each term below {num_docs}")
+    if not tfs.all():
+        raise ValueError("a term frequency is 0")
     index = InvertedIndex(
-        postings=postings,
+        postings=_postings(terms, ends, doc_ids, tfs),
         doc_lengths=doc_lengths,
         avgdl=avgdl,
         k1=k1,

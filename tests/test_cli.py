@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -36,6 +37,7 @@ from domainforge.lora_model import (
     save_vocab,
 )
 from domainforge.retrieval import INDEX_MAGIC, build_index, save_index
+from test_retrieval import FORGED_INDEXES, forgery_cases, index_body
 
 IN_CHARS = "脉弦滑数迟细濡涩浮沉"
 OUT_CHARS = "星球轨道宇宙火箭发射天"
@@ -619,12 +621,12 @@ def test_version_lists_artifact_formats(capsys, monkeypatch):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == (
-        f"domainforge {__version__} (formats: store DFSTORE3, index DFIDX2, "
+        f"domainforge {__version__} (formats: store DFSTORE3, index DFIDX3, "
         "checkpoint DFCKPT2, vocab DFVOCAB1)\n"
     )
     formats = (STORE_MAGIC.decode(), INDEX_MAGIC.decode(), CHECKPOINT_MAGIC.decode(),
                VOCAB_MAGIC)
-    assert formats == ("DFSTORE3", "DFIDX2", "DFCKPT2", "DFVOCAB1")
+    assert formats == ("DFSTORE3", "DFIDX3", "DFCKPT2", "DFVOCAB1")
 
 
 @pytest.fixture
@@ -683,19 +685,22 @@ def broken_inputs(tmp_path):
     old = struct.pack("<Qddd", 1, 1.0, 1.2, 0.75) + pack_text("cjk-char-v1")
     old += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 0, 1)
     write_artifact(tmp_path / "old.idx", b"DFIDX1", old)
+    # the same index in the next format, which named the store but gave each
+    # term its own length-prefixed name, count and (doc id delta, tf) pairs
     digest = load_store(tmp_path / "one.store").digest
-    body = struct.pack("<Qddd8s", 1, 1.0, 1.2, 0.75, digest)
-    body += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 5, 1)
-    write_artifact(tmp_path / "stray.idx", INDEX_MAGIC, body)
+    old = struct.pack("<Qddd8s", 1, 1.0, 1.2, 0.75, digest)
+    old += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 0, 1)
+    write_artifact(tmp_path / "old2.idx", b"DFIDX2", old)
+    naming_one = {"terms": ("脉",), "store_digest": digest}
+    write_artifact(tmp_path / "stray.idx", INDEX_MAGIC,
+                   index_body(doc_ids=[5], num_docs=1, **naming_one))
     save_index(build_index(load_store(tmp_path / "one.store")), tmp_path / "one.idx")
     # a checksum-valid copy of "one.idx" whose store digest is a bit off, and
     # an index that names "one.store" but claims three more documents
     body = bytearray(read_artifact(tmp_path / "one.idx", INDEX_MAGIC).body)
     body[32] ^= 0x01  # the store digest's first byte, after <Qddd
     write_artifact(tmp_path / "flipped_digest.idx", INDEX_MAGIC, body)
-    body = struct.pack("<Qddd8s", 4, 1.0, 1.2, 0.75, digest)
-    body += struct.pack("<5Q", 1, 1, 1, 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 0, 1)
-    write_artifact(tmp_path / "extra_docs.idx", INDEX_MAGIC, body)
+    write_artifact(tmp_path / "extra_docs.idx", INDEX_MAGIC, index_body(num_docs=4, **naming_one))
     # text inputs with a Latin-1 byte (not UTF-8) on their second line
     latin1 = "naïve".encode("latin-1")
     (tmp_path / "latin1_raw.jsonl").write_bytes(
@@ -707,9 +712,7 @@ def broken_inputs(tmp_path):
     (tmp_path / "latin1.tsv").write_bytes("脉\t1\t1.0\ttask\n".encode("utf-8") + latin1 + b"\n")
     (tmp_path / "kw_inf.tsv").write_text("脉\t1\tinf\ttask\n", encoding="utf-8")
     # a checksum-valid index of "one.store" but for its BM25 k1
-    body = struct.pack("<Qddd8s", 1, 1.0, math.nan, 0.75, digest)
-    body += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 0, 1)
-    write_artifact(tmp_path / "nan_k1.idx", INDEX_MAGIC, body)
+    write_artifact(tmp_path / "nan_k1.idx", INDEX_MAGIC, index_body(k1=math.nan, **naming_one))
 
     def jsonl(name, good, bad):
         (tmp_path / name).write_text(
@@ -771,7 +774,7 @@ def broken_inputs(tmp_path):
          "blank.ckpt.vocab:5: blank vocab token"),
         (["retrieve", "--index", "stray.idx", "--store", "one.store",
           "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
-         "stray.idx: malformed body: postings of term '脉' are not strictly ascending"),
+         "stray.idx: malformed body: doc ids do not rise strictly within each term below 1"),
         (["ingest", "--input", "latin1_raw.jsonl", "--output", "o.store"],
          "latin1_raw.jsonl:2"),
         (["eval", "--checkpoint", "latin1.ckpt", "--exam", "exam.jsonl", "--responder", "model"],
@@ -835,6 +838,9 @@ def broken_inputs(tmp_path):
         (["retrieve", "--index", "old.idx", "--store", "one.store",
           "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
          "error: MagicMismatchError"),
+        (["retrieve", "--index", "old2.idx", "--store", "one.store",
+          "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
+         "error: MagicMismatchError"),
         (["retrieve", "--index", "flipped_digest.idx", "--store", "one.store",
           "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
          "error: ConfigError"),
@@ -856,7 +862,8 @@ def broken_inputs(tmp_path):
          "index-infinite-k1", "retrieve-nan-k1-index", "pair-null-prompt",
          "pair-list-response", "exam-string-options", "exam-dict-options",
          "exam-int-option", "exam-null-stem", "index-previous-store-format",
-         "retrieve-previous-index-format", "retrieve-flipped-store-digest",
+         "retrieve-previous-index-format", "retrieve-dfidx2-index-format",
+         "retrieve-flipped-store-digest",
          "retrieve-index-of-more-documents", "sft-previous-checkpoint-format"],
 )
 def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expected):
@@ -868,6 +875,25 @@ def test_malformed_input_prints_one_error_line(broken_inputs, capsys, argv, expe
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert expected in errors[0]
+
+
+@forgery_cases(FORGED_INDEXES)
+def test_a_forged_index_prints_one_error_line(tmp_path, capsys, fields, message):
+    save_store(ingest([RawRecord("a", "", "脉")], CjkCharTokenizer(), min_tokens=1),
+               tmp_path / "one.store")
+    (tmp_path / "kw.tsv").write_text("脉\t1\t1.0\ttask\n", encoding="utf-8")
+    write_artifact(tmp_path / "forged.idx", INDEX_MAGIC, index_body(**fields))
+    code, _, err = run([
+        "retrieve", "--index", str(tmp_path / "forged.idx"), "--store", str(tmp_path / "one.store"),
+        "--keywords", str(tmp_path / "kw.tsv"), "--budget", "10",
+        "--output", str(tmp_path / "o.store"),
+    ], capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert re.search(f"^error: TruncatedArtifactError: .*forged.idx: malformed body: {message}",
+                     errors[0])
+    assert not (tmp_path / "o.store").exists()
 
 
 @pytest.mark.parametrize(

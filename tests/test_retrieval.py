@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -582,8 +583,9 @@ def test_a_replaced_index_names_no_file(tmp_path):
 # Mixed CJK and Latin text; the digest is that of the file written by the
 # row-at-a-time index (a list of (doc_id, tf) tuples per term, one
 # struct.pack per posting) that the columnar one replaced, moved to the
-# DFIDX2 layout: the DFIDX1 file (SHA-256 4ea6aa2a...) with its tokenizer id
-# replaced by the 8-byte digest of a store built in memory.
+# DFIDX3 layout: the DFIDX2 file (SHA-256 407deb06...), whose terms each held
+# a length-prefixed name, a count and (doc id delta, tf) pairs, with the same
+# fields repacked as columns by ``index_body``.
 GOLDEN_TEXTS = [
     "脉象弦滑 The pulse is wiry and slippery.",
     "气血两虚, qi and blood deficiency; 舌淡苔白 2023",
@@ -591,7 +593,7 @@ GOLDEN_TEXTS = [
     "无 Latin 的文档：只有中文 脉 脉 脉",
     "𠀀𠀁 extension-B 字 and café Ⅻ ½",
 ]
-GOLDEN_INDEX_SHA256 = "407deb06d6051874bfa90a7e406bb5621232068e0eaea4fe7a22ae38339dc4cf"
+GOLDEN_INDEX_SHA256 = "d086eba66a2a8d9d197b4acb35359fcd45c0b7f6ff3ee9147656d6a3137863ba"
 
 
 def test_index_bytes_match_the_golden_file(tmp_path):
@@ -600,61 +602,162 @@ def test_index_bytes_match_the_golden_file(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_INDEX_SHA256
 
 
-def write_forged_index(path, num_docs, pairs, avgdl=1.0, terms=("t",), k1=DEFAULT_K1,
-                       b=DEFAULT_B):
-    """A checksum-valid index over ``num_docs`` one-token documents, naming
-    the in-memory store digest, whose terms each have the given raw (doc id
-    delta, tf) pairs."""
-    body = struct.pack("<Qddd8s", num_docs, avgdl, k1, b, NO_FILE_DIGEST)
-    body += struct.pack(f"<{num_docs}Q", *[1] * num_docs)
-    body += struct.pack("<Q", len(terms))
-    for term in terms:
-        body += pack_text(term) + struct.pack("<Q", len(pairs))
-        body += b"".join(struct.pack("<II", delta, tf) for delta, tf in pairs)
-    write_artifact(path, INDEX_MAGIC, body)
+def index_body(terms=("t",), doc_ids=(0,), tfs=None, postings_ends=None, num_docs=None,
+               doc_lengths=None, avgdl=None, k1=DEFAULT_K1, b=DEFAULT_B,
+               store_digest=NO_FILE_DIGEST, num_terms=None, term_ends=None):
+    """A ``DFIDX3`` body packed field by field.  A field left ``None`` is
+    what ``save_index`` would write beside the others: tf 1 for every
+    posting, the postings split evenly among the terms, a document per doc
+    id up to the largest, each one token long, and the term count, term ends
+    and avgdl that the rest imply."""
+    tfs = [1] * len(doc_ids) if tfs is None else tfs
+    if postings_ends is None:
+        postings_ends = [len(doc_ids) * (i + 1) // len(terms) for i in range(len(terms))]
+    num_docs = max(doc_ids, default=0) + 1 if num_docs is None else num_docs
+    doc_lengths = [1] * num_docs if doc_lengths is None else doc_lengths
+    avgdl = sum(doc_lengths) / num_docs if avgdl is None else avgdl
+    num_terms = len(terms) if num_terms is None else num_terms
+    if term_ends is None:
+        term_ends = np.cumsum([len(term) for term in terms], dtype=np.int64).tolist()
+    blob = "".join(terms).encode("utf-8")
+    return b"".join((
+        struct.pack("<Qddd8sQ", num_docs, avgdl, k1, b, store_digest, num_terms),
+        struct.pack(f"<{len(doc_lengths)}Q", *doc_lengths),
+        struct.pack(f"<{len(term_ends)}Q", *term_ends),
+        struct.pack(f"<{len(postings_ends)}Q", *postings_ends),
+        struct.pack("<Q", len(blob)) + blob,
+        struct.pack(f"<{len(doc_ids)}I", *doc_ids),
+        struct.pack(f"<{len(tfs)}I", *tfs),
+    ))
+
+
+def test_index_body_packs_what_save_index_writes(tmp_path):
+    path, packed = tmp_path / "saved.idx", tmp_path / "packed.idx"
+    save_index(build_index(store_of(["脉 a", "a"])), path)
+    write_artifact(packed, INDEX_MAGIC, index_body(
+        terms=("a", "脉"), doc_ids=[0, 1, 0], postings_ends=[2, 3], doc_lengths=[2, 1],
+    ))
+    assert path.read_bytes() == packed.read_bytes()
+
+
+def test_an_index_with_a_term_of_no_postings_is_not_saved(tmp_path):
+    # the file format gives every term a posting, so the saver refuses what
+    # the loader would
+    none = Postings(np.array([], np.uint32), np.array([], np.uint32))
+    index = dataclasses.replace(build_index(store_of(["t"])), postings={"t": none})
+    with pytest.raises(ValueError, match="every term of an index file has a posting"):
+        save_index(index, tmp_path / "empty.idx")
+    assert not (tmp_path / "empty.idx").exists()
 
 
 def test_forged_index_with_valid_postings_loads(tmp_path):
     path = tmp_path / "ok.idx"
-    write_forged_index(path, 3, [(0, 1), (2, 4)])
+    write_artifact(path, INDEX_MAGIC, index_body(doc_ids=[0, 2], tfs=[1, 4], num_docs=3))
     assert pairs_of(load_index(path).postings["t"]) == [(0, 1), (2, 4)]
 
 
 @pytest.mark.parametrize(
-    "num_docs, pairs",
+    "fields, expected",
     [
-        (3, [(1, 1), (0, 1)]),                 # doc 1 twice
-        (1, [(5, 1)]),                         # doc 5 of 1
-        (3, [(0, 1), (1, 0)]),                 # tf 0
-        (4, [(3, 1), (2**32 - 2, 1)]),         # 3 + delta wraps to doc 1 in uint32
+        # a term's first doc id may be below the previous term's last
+        ({"terms": ("t", "u"), "doc_ids": [1, 0]}, {"t": [(1, 1)], "u": [(0, 1)]}),
+        ({"terms": (), "doc_ids": ()}, {}),
     ],
-    ids=["repeated-doc", "doc-out-of-range", "zero-tf", "wrapping-delta"],
+    ids=["doc-ids-restart-at-a-term", "no-terms"],
 )
-def test_checksum_valid_malformed_postings_are_rejected(tmp_path, num_docs, pairs):
+def test_forged_index_with_several_or_no_terms_loads(tmp_path, fields, expected):
+    path = tmp_path / "ok.idx"
+    write_artifact(path, INDEX_MAGIC, index_body(**fields))
+    assert {t: pairs_of(p) for t, p in load_index(path).postings.items()} == expected
+
+
+_NOT_RISING = "doc ids do not rise strictly within each term"
+_ENDS = "postings ends do not rise strictly"
+_TERMS = "terms are not sorted and unique"
+
+# (fields given to index_body, the message a load of its body raises, id):
+# each body is checksum-valid and fails one check
+FORGED_POSTINGS = [
+    ({"doc_ids": [1, 1], "num_docs": 3}, _NOT_RISING, "repeated-doc"),
+    ({"doc_ids": [5], "num_docs": 1}, _NOT_RISING, "doc-out-of-range"),
+    ({"doc_ids": [0, 2], "num_docs": 2}, _NOT_RISING, "doc-at-the-document-count"),
+    ({"doc_ids": [0, 1], "tfs": [1, 0]}, "a term frequency is 0", "zero-tf"),
+    ({"terms": ("t", "u"), "doc_ids": [0], "postings_ends": [1, 1]}, _ENDS,
+     "postings-end-does-not-rise"),
+    ({"terms": ("t", "u"), "doc_ids": [0], "postings_ends": [0, 1]}, _ENDS,
+     "term-without-postings"),
+]
+FORGED_FIELDS = [
+    ({"avgdl": 0.0}, "avgdl 0.0 is not the mean", "avgdl-off-the-mean"),
+    ({"terms": ("t", "t"), "doc_ids": [0, 0]}, _TERMS, "term-twice"),
+    ({"terms": ("u", "t"), "doc_ids": [0, 0]}, _TERMS, "unsorted-terms"),
+    ({"term_ends": [2]}, "term offsets must not decrease and must end at the 1 code points",
+     "term-end-past-the-blob"),
+    ({"k1": math.nan}, "k1 must be positive and finite, got nan", "nan-k1"),
+    ({"k1": math.inf}, "k1 must be positive and finite, got inf", "infinite-k1"),
+    ({"k1": 0.0}, "k1 must be positive and finite, got 0.0", "zero-k1"),
+    ({"b": 1.5}, r"b must be in \[0, 1\], got 1.5", "wide-b"),
+    ({"b": math.nan}, r"b must be in \[0, 1\], got nan", "nan-b"),
+]
+FORGED_INDEXES = FORGED_POSTINGS + FORGED_FIELDS
+
+
+def forgery_cases(forgeries):
+    """Parametrize a test over the (fields, message) of each forgery."""
+    return pytest.mark.parametrize(
+        "fields, message", [f[:2] for f in forgeries], ids=[f[2] for f in forgeries]
+    )
+
+
+@forgery_cases(FORGED_POSTINGS)
+def test_checksum_valid_malformed_postings_are_rejected(tmp_path, fields, message):
     path = tmp_path / "forged.idx"
-    write_forged_index(path, num_docs, pairs)
-    with pytest.raises(TruncatedArtifactError, match="postings of term 't'"):
+    write_artifact(path, INDEX_MAGIC, index_body(**fields))
+    with pytest.raises(TruncatedArtifactError, match=message):
+        load_index(path)
+
+
+@forgery_cases(FORGED_FIELDS)
+def test_checksum_valid_inconsistent_index_is_rejected(tmp_path, fields, message):
+    path = tmp_path / "forged.idx"
+    write_artifact(path, INDEX_MAGIC, index_body(**fields))
+    with pytest.raises(TruncatedArtifactError, match=message):
         load_index(path)
 
 
 @pytest.mark.parametrize(
-    "forged, message",
-    [
-        ({"avgdl": 0.0}, "avgdl 0.0 is not the mean"),
-        ({"terms": ("t", "t")}, "term 't' is listed twice"),
-        ({"k1": math.nan}, "k1 must be positive and finite, got nan"),
-        ({"k1": math.inf}, "k1 must be positive and finite, got inf"),
-        ({"k1": 0.0}, "k1 must be positive and finite, got 0.0"),
-        ({"b": 1.5}, r"b must be in \[0, 1\], got 1.5"),
-        ({"b": math.nan}, r"b must be in \[0, 1\], got nan"),
-    ],
-    ids=["avgdl-off-the-mean", "term-twice", "nan-k1", "infinite-k1", "zero-k1", "wide-b",
-         "nan-b"],
+    "fields",
+    [{"num_terms": 2**60}, {"postings_ends": [2**40]}],
+    ids=["term-count", "last-postings-end"],
 )
-def test_checksum_valid_inconsistent_index_is_rejected(tmp_path, forged, message):
+def test_a_forged_size_fails_on_the_bytes_left_in_bounded_memory(tmp_path, fields):
+    """A checksum-valid body that declares far more terms or postings than
+    it holds: the reader must find the body too short before it allocates
+    a column of the declared size."""
     path = tmp_path / "forged.idx"
-    write_forged_index(path, 2, [(0, 1), (1, 1)], **forged)
-    with pytest.raises(TruncatedArtifactError, match=message):
+    write_artifact(path, INDEX_MAGIC, index_body(**fields))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedArtifactError, match="body ends early"):
+            load_index(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("magic, body", [
+    # the tokenizer id where DFIDX2 names the store's digest
+    (b"DFIDX1", struct.pack("<Qddd", 1, 1.0, DEFAULT_K1, DEFAULT_B) + pack_text("cjk-char-v1")
+     + struct.pack("<QQ", 1, 1) + pack_text("t") + struct.pack("<QII", 1, 0, 1)),
+    # each term's length-prefixed name, its count, then (doc id delta, tf) pairs
+    (b"DFIDX2", struct.pack("<Qddd8s", 1, 1.0, DEFAULT_K1, DEFAULT_B, NO_FILE_DIGEST)
+     + struct.pack("<QQ", 1, 1) + pack_text("t") + struct.pack("<QII", 1, 0, 1)),
+], ids=["DFIDX1", "DFIDX2"])
+def test_index_of_a_previous_format_is_magic_mismatch(tmp_path, magic, body):
+    path = tmp_path / "old.idx"
+    write_artifact(path, magic, body)
+    with pytest.raises(MagicMismatchError):
         load_index(path)
 
 
