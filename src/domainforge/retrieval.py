@@ -7,14 +7,20 @@ Python object per posting.  ``build_index`` takes every token of the store as
 the tokenizer's integer term code (``Tokenizer.term_codes``) and sorts one
 (term code, doc id) key per token, so it touches no Python object per token
 either; it names a term only once, for its postings.  The index file is an
-artifact envelope (see ``artifact.py``) under magic ``DFIDX3`` whose
+artifact envelope (see ``artifact.py``) under magic ``DFIDX4`` whose
 little-endian body is columnar like the store's: the document count, avgdl,
 k1, b, the digest of the store file it indexes and the term count
 (``<Qddd8sQ``); ``<u8`` columns of each document's length, each sorted term's
-end offset in the term blob and each term's postings end; the term blob; and
-each posting's doc id and tf as two ``<u4`` columns, in term order.  A
-selected store names the digests of its index and keyword files, and the
-first line of its provenance TSV names the store's digest.
+end offset in the term blob and each term's postings end; the term blob; a
+``<u1`` width code per term for its doc ids, then one for its tfs; then the
+doc ids and the tfs, each as a ``<u1``, a ``<u2`` and a ``<u4`` column.  A
+term's doc ids are stored as its first id and then each id's gap to the one
+before; its width code is the fewest bytes, 1, 2 or 4, that hold the largest
+of those, or of its tfs, and the column of that width holds them, with the
+other terms of that width in term order.  Every column's length follows from
+the postings ends and the codes.  A selected store names the digests of its
+index and keyword files, and the first line of its provenance TSV names the
+store's digest.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from .corpus_store import (
 from .errors import EmptyCorpusError, NoPositiveScoreError, SelectionBudgetError
 from .keyword_extract import DomainKeywordSet
 
-INDEX_MAGIC = b"DFIDX3"
+INDEX_MAGIC = b"DFIDX4"
+# the byte widths of the narrow postings columns; each is its own width code
+WIDTHS = (1, 2, 4)
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 MAX_QUERY_REPETITIONS = 3
@@ -312,26 +320,84 @@ def select_corpus(
 # ---------------------------------------------------------------------------
 # Persistence
 
+def _width_codes(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each term's width code: the fewest bytes of ``WIDTHS`` that hold the
+    largest of its ``values``, which run from its entry of ``starts`` to the
+    next one."""
+    top = np.maximum.reduceat(values, starts)
+    codes = np.ones(len(top), dtype=np.uint8)
+    codes[top > 0xFF] = 2
+    codes[top > 0xFFFF] = 4
+    return codes
+
+
+def _by_width(
+    values: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each term's width code, and the ``values`` of each width's terms, in
+    term order, as one ``<u1``, one ``<u2`` and one ``<u4`` column; the
+    ``i``-th term's ``counts[i]`` values start at ``starts[i]``."""
+    codes = _width_codes(values, starts)
+    of_posting = np.repeat(codes, counts)
+    return codes, [values[of_posting == w].astype(f"<u{w}", copy=False) for w in WIDTHS]
+
+
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write the versioned binary index; saves are byte-deterministic."""
     names = sorted(index.postings)
     plists = list(map(index.postings.__getitem__, names))
-    sizes = list(map(len, plists))
-    if 0 in sizes:
+    counts = np.array(list(map(len, plists)), dtype=np.int64)
+    if not counts.all():
         raise ValueError("every term of an index file has a posting")
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    doc_ids, tfs = (
+        np.concatenate([np.empty(0, np.uint32), *map(attrgetter(column), plists)],
+                       dtype=np.uint32)
+        for column in ("doc_ids", "tfs")
+    )
+    # a term's first doc id stays absolute, and each later one becomes its
+    # gap to the one before
+    deltas = np.empty_like(doc_ids)
+    np.subtract(doc_ids[1:], doc_ids[:-1], out=deltas[1:])
+    deltas[starts] = doc_ids[starts]
+    del doc_ids
+    id_codes, delta_columns = _by_width(deltas, starts, counts)
+    tf_codes, tf_columns = _by_width(tfs, starts, counts)
     terms = StringColumn.of(names)
-    body = [
+    write_artifact(path, INDEX_MAGIC, b"".join([
         struct.pack("<Qddd8sQ", index.num_docs, index.avgdl, index.k1, index.b,
                     index.store_digest, len(names)),
         np.asarray(index.doc_lengths, dtype="<u8").tobytes(),
         terms.ends.astype("<u8").tobytes(),
-        np.cumsum(sizes, dtype="<u8").tobytes(),
+        ends.astype("<u8").tobytes(),
         _pack_blob(terms),
+        id_codes,
+        tf_codes,
+        *delta_columns,
+        *tf_columns,
+    ]))
+
+
+def _read_widened(
+    cursor: Cursor, codes: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """The three columns that ``_by_width`` wrote under ``codes``, read back
+    as one ``uint32`` column in term order; ``counts`` is ``uint64``."""
+    if not np.isin(codes, WIDTHS).all():
+        raise ValueError(f"a width code is not one of {WIDTHS}")
+    # the body holds the columns, read as views of it, before a column per
+    # posting is made
+    columns = [
+        np.frombuffer(cursor.take(w * int(counts[codes == w].sum())), f"<u{w}") for w in WIDTHS
     ]
-    for column in ("doc_ids", "tfs"):
-        joined = [np.empty(0, "<u4"), *map(attrgetter(column), plists)]
-        body.append(np.concatenate(joined, dtype="<u4").tobytes())
-    write_artifact(path, INDEX_MAGIC, b"".join(body))
+    of_posting = np.repeat(codes, counts.astype(np.int64))
+    values = np.empty(len(of_posting), dtype=np.uint32)
+    for width, column in zip(WIDTHS, columns):
+        values[of_posting == width] = column
+    if np.any(_width_codes(values, starts) != codes):
+        raise ValueError("a width code is wider than its term's values need")
+    return values
 
 
 def _parse_index(cursor: Cursor) -> InvertedIndex:
@@ -347,12 +413,22 @@ def _parse_index(cursor: Cursor) -> InvertedIndex:
     bounds = np.append(np.uint64(0), ends)
     if np.any(bounds[1:] <= bounds[:-1]):
         raise ValueError("postings ends do not rise strictly: a term has no posting")
-    doc_ids = _read_column(cursor, int(bounds[-1]), np.uint32)
-    tfs = _read_column(cursor, len(doc_ids), np.uint32)
+    id_codes = _read_column(cursor, num_terms, np.uint8)
+    tf_codes = _read_column(cursor, num_terms, np.uint8)
+    counts, starts = np.diff(bounds), bounds[:-1].astype(np.int64)
+    doc_ids = _read_widened(cursor, id_codes, starts, counts)
+    tfs = _read_widened(cursor, tf_codes, starts, counts)
+    # one running sum over all terms decodes every term once the previous
+    # term's last id is taken off each term's first delta.  A zero delta, or
+    # an id that wraps past 2**32, fails the strict rise, so a term's last id
+    # is its largest
+    lasts = np.add.reduceat(doc_ids, starts, dtype=np.uint32)
+    doc_ids[starts[1:]] -= lasts[:-1]
+    np.cumsum(doc_ids, dtype=np.uint32, out=doc_ids)
     # a term's first doc id need not pass the previous term's last
     rises = doc_ids[1:] > doc_ids[:-1]
-    rises[bounds[1:-1] - 1] = True
-    if not (rises.all() and np.all(doc_ids < num_docs)):
+    rises[starts[1:] - 1] = True
+    if not (rises.all() and np.all(lasts < num_docs)):
         raise ValueError(f"doc ids do not rise strictly within each term below {num_docs}")
     if not tfs.all():
         raise ValueError("a term frequency is 0")

@@ -621,12 +621,12 @@ def test_version_lists_artifact_formats(capsys, monkeypatch):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == (
-        f"domainforge {__version__} (formats: store DFSTORE3, index DFIDX3, "
+        f"domainforge {__version__} (formats: store DFSTORE3, index DFIDX4, "
         "checkpoint DFCKPT2, vocab DFVOCAB1)\n"
     )
     formats = (STORE_MAGIC.decode(), INDEX_MAGIC.decode(), CHECKPOINT_MAGIC.decode(),
                VOCAB_MAGIC)
-    assert formats == ("DFSTORE3", "DFIDX3", "DFCKPT2", "DFVOCAB1")
+    assert formats == ("DFSTORE3", "DFIDX4", "DFCKPT2", "DFVOCAB1")
 
 
 @pytest.fixture
@@ -691,6 +691,10 @@ def broken_inputs(tmp_path):
     old = struct.pack("<Qddd8s", 1, 1.0, 1.2, 0.75, digest)
     old += struct.pack("<QQ", 1, 1) + pack_text("脉") + struct.pack("<QII", 1, 0, 1)
     write_artifact(tmp_path / "old2.idx", b"DFIDX2", old)
+    # and in the one after, of columns, with absolute doc ids and tfs as <u4
+    old = struct.pack("<Qddd8sQ", 1, 1.0, 1.2, 0.75, digest, 1) + struct.pack("<QQQ", 1, 1, 1)
+    old += struct.pack("<Q", 3) + "脉".encode("utf-8") + struct.pack("<II", 0, 1)
+    write_artifact(tmp_path / "old3.idx", b"DFIDX3", old)
     naming_one = {"terms": ("脉",), "store_digest": digest}
     write_artifact(tmp_path / "stray.idx", INDEX_MAGIC,
                    index_body(doc_ids=[5], num_docs=1, **naming_one))
@@ -841,6 +845,9 @@ def broken_inputs(tmp_path):
         (["retrieve", "--index", "old2.idx", "--store", "one.store",
           "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
          "error: MagicMismatchError"),
+        (["retrieve", "--index", "old3.idx", "--store", "one.store",
+          "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
+         "error: MagicMismatchError"),
         (["retrieve", "--index", "flipped_digest.idx", "--store", "one.store",
           "--keywords", "kw.tsv", "--budget", "10", "--output", "o.store"],
          "error: ConfigError"),
@@ -863,6 +870,7 @@ def broken_inputs(tmp_path):
          "pair-list-response", "exam-string-options", "exam-dict-options",
          "exam-int-option", "exam-null-stem", "index-previous-store-format",
          "retrieve-previous-index-format", "retrieve-dfidx2-index-format",
+         "retrieve-dfidx3-index-format",
          "retrieve-flipped-store-digest",
          "retrieve-index-of-more-documents", "sft-previous-checkpoint-format"],
 )

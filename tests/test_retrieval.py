@@ -583,9 +583,10 @@ def test_a_replaced_index_names_no_file(tmp_path):
 # Mixed CJK and Latin text; the digest is that of the file written by the
 # row-at-a-time index (a list of (doc_id, tf) tuples per term, one
 # struct.pack per posting) that the columnar one replaced, moved to the
-# DFIDX3 layout: the DFIDX2 file (SHA-256 407deb06...), whose terms each held
-# a length-prefixed name, a count and (doc id delta, tf) pairs, with the same
-# fields repacked as columns by ``index_body``.
+# DFIDX4 layout: the DFIDX2 file (SHA-256 407deb06...), whose terms each held
+# a length-prefixed name, a count and (doc id delta, tf) pairs, repacked as
+# the DFIDX3 file (SHA-256 d086eba6...) of absolute doc ids and tfs in two
+# <u4 columns, whose fields ``index_body`` repacks in turn.
 GOLDEN_TEXTS = [
     "脉象弦滑 The pulse is wiry and slippery.",
     "气血两虚, qi and blood deficiency; 舌淡苔白 2023",
@@ -593,7 +594,7 @@ GOLDEN_TEXTS = [
     "无 Latin 的文档：只有中文 脉 脉 脉",
     "𠀀𠀁 extension-B 字 and café Ⅻ ½",
 ]
-GOLDEN_INDEX_SHA256 = "d086eba66a2a8d9d197b4acb35359fcd45c0b7f6ff3ee9147656d6a3137863ba"
+GOLDEN_INDEX_SHA256 = "f63188b5d57c08cb6213fd1ed29d53b2e04e21d317115f30490a58c2fbd8b905"
 
 
 def test_index_bytes_match_the_golden_file(tmp_path):
@@ -602,14 +603,27 @@ def test_index_bytes_match_the_golden_file(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_INDEX_SHA256
 
 
+def _narrowest(values):
+    """The width code of a term whose largest value is the largest of ``values``."""
+    top = max(values, default=0)
+    return 1 if top <= 0xFF else 2 if top <= 0xFFFF else 4
+
+
+_PACKED = {1: "B", 2: "H", 4: "I"}
+
+
 def index_body(terms=("t",), doc_ids=(0,), tfs=None, postings_ends=None, num_docs=None,
                doc_lengths=None, avgdl=None, k1=DEFAULT_K1, b=DEFAULT_B,
-               store_digest=NO_FILE_DIGEST, num_terms=None, term_ends=None):
-    """A ``DFIDX3`` body packed field by field.  A field left ``None`` is
+               store_digest=NO_FILE_DIGEST, num_terms=None, term_ends=None, deltas=None,
+               id_codes=None, tf_codes=None, delta_columns=None, tf_columns=None):
+    """A ``DFIDX4`` body packed field by field.  A field left ``None`` is
     what ``save_index`` would write beside the others: tf 1 for every
     posting, the postings split evenly among the terms, a document per doc
-    id up to the largest, each one token long, and the term count, term ends
-    and avgdl that the rest imply."""
+    id up to the largest, each one token long, the term count, term ends and
+    avgdl that the rest imply, each term's first doc id and then each one's
+    gap to the one before, each term's narrowest width codes, and the
+    ``<u1``, ``<u2`` and ``<u4`` columns that its codes put its deltas
+    and tfs in."""
     tfs = [1] * len(doc_ids) if tfs is None else tfs
     if postings_ends is None:
         postings_ends = [len(doc_ids) * (i + 1) // len(terms) for i in range(len(terms))]
@@ -619,6 +633,21 @@ def index_body(terms=("t",), doc_ids=(0,), tfs=None, postings_ends=None, num_doc
     num_terms = len(terms) if num_terms is None else num_terms
     if term_ends is None:
         term_ends = np.cumsum([len(term) for term in terms], dtype=np.int64).tolist()
+    spans = [slice(start, end) for start, end in zip([0, *postings_ends], postings_ends)]
+    if deltas is None:
+        deltas = []
+        for span in spans:
+            ids = list(doc_ids[span])
+            deltas += ids[:1] + [later - earlier for earlier, later in zip(ids, ids[1:])]
+    id_codes = [_narrowest(deltas[span]) for span in spans] if id_codes is None else id_codes
+    tf_codes = [_narrowest(tfs[span]) for span in spans] if tf_codes is None else tf_codes
+
+    def by_width(values, codes):
+        return [[v for span, code in zip(spans, codes) if code == width for v in values[span]]
+                for width in _PACKED]
+
+    delta_columns = by_width(deltas, id_codes) if delta_columns is None else delta_columns
+    tf_columns = by_width(tfs, tf_codes) if tf_columns is None else tf_columns
     blob = "".join(terms).encode("utf-8")
     return b"".join((
         struct.pack("<Qddd8sQ", num_docs, avgdl, k1, b, store_digest, num_terms),
@@ -626,8 +655,11 @@ def index_body(terms=("t",), doc_ids=(0,), tfs=None, postings_ends=None, num_doc
         struct.pack(f"<{len(term_ends)}Q", *term_ends),
         struct.pack(f"<{len(postings_ends)}Q", *postings_ends),
         struct.pack("<Q", len(blob)) + blob,
-        struct.pack(f"<{len(doc_ids)}I", *doc_ids),
-        struct.pack(f"<{len(tfs)}I", *tfs),
+        bytes(id_codes),
+        bytes(tf_codes),
+        *(struct.pack(f"<{len(column)}{_PACKED[width]}", *column)
+          for columns in (delta_columns, tf_columns)
+          for width, column in zip(_PACKED, columns)),
     ))
 
 
@@ -638,6 +670,36 @@ def test_index_body_packs_what_save_index_writes(tmp_path):
         terms=("a", "脉"), doc_ids=[0, 1, 0], postings_ends=[2, 3], doc_lengths=[2, 1],
     ))
     assert path.read_bytes() == packed.read_bytes()
+
+
+# doc-id gaps and tfs on both sides of the 1- and 2-byte limits, and tfs up
+# to the 4-byte one; a gap of 2**32 - 1 would need 2**32 documents
+_GAPS = st.sampled_from([1, 255, 256, 65535, 65536]) | st.integers(1, 70_000)
+_TFS = st.sampled_from([1, 255, 256, 65535, 65536, 2**32 - 1]) | st.integers(1, 2**32 - 1)
+
+
+@given(st.lists(st.lists(st.tuples(_GAPS, _TFS), min_size=1, max_size=4), max_size=3))
+def test_an_index_of_every_width_loads_and_resaves_to_its_own_bytes(tmp_path_factory, terms):
+    """Each term's postings are (gap, tf) pairs; its first doc id is its
+    first gap less 1, so a term may start at document 0."""
+    names = "abc"[: len(terms)]
+    doc_ids, tfs, ends = [], [], []
+    for postings in terms:
+        doc_ids += (np.cumsum([gap for gap, _ in postings]) - 1).tolist()
+        tfs += [tf for _, tf in postings]
+        ends.append(len(doc_ids))
+    path = tmp_path_factory.mktemp("widths") / "packed.idx"
+    write_artifact(path, INDEX_MAGIC, index_body(
+        terms=tuple(names), doc_ids=doc_ids, tfs=tfs, postings_ends=ends,
+    ))
+    loaded = load_index(path)
+    bounds = [0, *ends]
+    assert {t: pairs_of(p) for t, p in loaded.postings.items()} == {
+        name: list(zip(doc_ids[start:end], tfs[start:end]))
+        for name, start, end in zip(names, bounds, bounds[1:])
+    }
+    save_index(loaded, path.with_name("resaved.idx"))
+    assert path.with_name("resaved.idx").read_bytes() == path.read_bytes()
 
 
 def test_an_index_with_a_term_of_no_postings_is_not_saved(tmp_path):
@@ -672,6 +734,7 @@ def test_forged_index_with_several_or_no_terms_loads(tmp_path, fields, expected)
 
 
 _NOT_RISING = "doc ids do not rise strictly within each term"
+_SHORT = r"needed \d+ bytes at body offset \d+, body ends early"
 _ENDS = "postings ends do not rise strictly"
 _TERMS = "terms are not sorted and unique"
 
@@ -686,6 +749,26 @@ FORGED_POSTINGS = [
      "postings-end-does-not-rise"),
     ({"terms": ("t", "u"), "doc_ids": [0], "postings_ends": [0, 1]}, _ENDS,
      "term-without-postings"),
+    ({"id_codes": [3]}, r"a width code is not one of \(1, 2, 4\)", "unknown-id-width"),
+    ({"tf_codes": [0]}, r"a width code is not one of \(1, 2, 4\)", "unknown-tf-width"),
+    ({"id_codes": [2]}, "a width code is wider than its term's values need", "wide-id-width"),
+    ({"doc_ids": [0], "tfs": [256], "tf_codes": [4]},
+     "a width code is wider than its term's values need", "wide-tf-width"),
+    # the second term's first delta may be 0, its second may not
+    ({"terms": ("t", "u"), "doc_ids": [0, 0, 0], "postings_ends": [1, 3]}, _NOT_RISING,
+     "zero-delta-after-a-terms-first"),
+    ({"doc_ids": [0, 0, 0], "deltas": [1, 1, 1], "num_docs": 3}, _NOT_RISING,
+     "deltas-sum-past-the-document-count"),
+    ({"doc_ids": [0, 0], "deltas": [1, 2**32 - 1], "num_docs": 2}, _NOT_RISING,
+     "deltas-wrap-past-32-bits"),
+    ({"delta_columns": ([], [], [])}, _SHORT, "delta-column-a-posting-short"),
+    ({"doc_ids": [0], "tfs": [70000], "tf_columns": ([], [], [])}, _SHORT,
+     "u4-tf-column-a-posting-short"),
+    ({"tf_columns": ([1, 1], [], [])}, "1 trailing bytes after the body",
+     "tf-column-a-posting-long"),
+    # the extra delta's two bytes read as the two tfs, and theirs are left over
+    ({"doc_ids": [0, 300], "delta_columns": ([], [0, 300, 0x0101], [])},
+     "2 trailing bytes after the body", "u2-delta-column-a-posting-long"),
 ]
 FORGED_FIELDS = [
     ({"avgdl": 0.0}, "avgdl 0.0 is not the mean", "avgdl-off-the-mean"),
@@ -727,13 +810,17 @@ def test_checksum_valid_inconsistent_index_is_rejected(tmp_path, fields, message
 
 @pytest.mark.parametrize(
     "fields",
-    [{"num_terms": 2**60}, {"postings_ends": [2**40]}],
-    ids=["term-count", "last-postings-end"],
+    [{"num_terms": 2**60}, {"postings_ends": [2**40]},
+     {"postings_ends": [2**40], "id_codes": [2], "tf_codes": [4]},
+     {"terms": ("t", "u"), "doc_ids": [0, 0], "postings_ends": [1, 2**40],
+      "id_codes": [1, 4], "tf_codes": [2, 1]}],
+    ids=["term-count", "last-postings-end", "last-postings-end-in-wider-columns",
+         "postings-end-of-a-u4-term"],
 )
 def test_a_forged_size_fails_on_the_bytes_left_in_bounded_memory(tmp_path, fields):
     """A checksum-valid body that declares far more terms or postings than
-    it holds: the reader must find the body too short before it allocates
-    a column of the declared size."""
+    it holds, in any width's columns: the reader must find the body too
+    short before it allocates a column of the declared size."""
     path = tmp_path / "forged.idx"
     write_artifact(path, INDEX_MAGIC, index_body(**fields))
     tracemalloc.start()
@@ -753,7 +840,10 @@ def test_a_forged_size_fails_on_the_bytes_left_in_bounded_memory(tmp_path, field
     # each term's length-prefixed name, its count, then (doc id delta, tf) pairs
     (b"DFIDX2", struct.pack("<Qddd8s", 1, 1.0, DEFAULT_K1, DEFAULT_B, NO_FILE_DIGEST)
      + struct.pack("<QQ", 1, 1) + pack_text("t") + struct.pack("<QII", 1, 0, 1)),
-], ids=["DFIDX1", "DFIDX2"])
+    # as DFIDX4, but each posting's absolute doc id and its tf in two <u4 columns
+    (b"DFIDX3", struct.pack("<Qddd8sQ", 1, 1.0, DEFAULT_K1, DEFAULT_B, NO_FILE_DIGEST, 1)
+     + struct.pack("<QQQ", 1, 1, 1) + struct.pack("<Q", 1) + b"t" + struct.pack("<II", 0, 1)),
+], ids=["DFIDX1", "DFIDX2", "DFIDX3"])
 def test_index_of_a_previous_format_is_magic_mismatch(tmp_path, magic, body):
     path = tmp_path / "old.idx"
     write_artifact(path, magic, body)
